@@ -33,13 +33,10 @@ from .errors import (
 )
 from .kinematics import (
     FlightCondition,
-    Harmonic,
     MotionSchedule,
-    MotionState,
     OscillationMode,
     OscillationSpec,
     alpha_mode_schedule,
-    harmonic_eval,
     make_schedule,
     omega_from_k,
     q_mode_schedule,
@@ -51,10 +48,8 @@ from .plants import (
     DragPolar,
     FlatPlatePlant,
     IndicialPlant,
-    IndicialState,
     QuasiSteadyCoefficients,
     QuasiSteadyPlant,
-    indicial_step,
     jones_function,
     pitch_oscillation_loads,
     prandtl_glauert,

@@ -6,7 +6,8 @@ Subcommands:
   sweep     run the full scenario matrix, emit report.csv / report.txt
   validate  run the built-in oracle suite
 
-Exit codes: 0 success, 1 domain failure (bad data, failed checks),
+Exit codes: 0 success, 1 domain failure (bad data, failed checks, or a
+sweep with any FAILED scenario; its report files are still written),
 2 usage error (bad arguments, unreadable files).  All file output is
 written atomically and deterministically.
 """
@@ -33,7 +34,7 @@ from .io import (
 )
 from .kinematics import OscillationMode, OscillationSpec, make_schedule
 from .plants import simulate as run_plant
-from .scenarios import run_sweep
+from .scenarios import SweepStatus, run_sweep
 from .validate import run_validation
 
 USAGE_ERROR = 2
@@ -144,6 +145,8 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         raise _UsageError("--k must be > 0")
     if args.amplitude_deg <= 0:
         raise _UsageError("--amplitude-deg must be > 0")
+    if args.skip < 0:
+        raise _UsageError("--skip must be >= 0")
     omega = _identify_omega(args)
     series = parse_monitor_table(_read_text(args.series), source=args.series,
                                  extra_aliases=aliases or None)
@@ -199,7 +202,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     }
     atomic_write(out_dir / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(human)
-    return 0
+    failed = any(r.status is SweepStatus.FAILED for r in report.results)
+    return DOMAIN_ERROR if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -44,30 +44,6 @@ class OscillationMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Harmonic:
-    """Simple harmonic signal A*sin(omega*t + phase)."""
-
-    amplitude: float            # rad
-    angular_frequency: float    # rad/s
-    phase: float = 0.0          # rad
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
-            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not (math.isfinite(self.angular_frequency) and self.angular_frequency > 0.0):
-            raise ValueError(
-                f"angular_frequency must be finite and > 0, got {self.angular_frequency}"
-            )
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
-
-
-def harmonic_eval(h: Harmonic, t):
-    """Evaluate A*sin(omega*t + phase) at time(s) t (scalar or array, s)."""
-    return h.amplitude * np.sin(h.angular_frequency * np.asarray(t, dtype=float) + h.phase)
-
-
-@dataclass(frozen=True)
 class FlightCondition:
     """Freestream and reference geometry for one test condition.
 
@@ -180,33 +156,15 @@ class OscillationSpec:
         return replace(self, mode=mode, flow_amplitude=None)
 
 
-@dataclass(frozen=True)
-class MotionState:
-    """Instantaneous kinematic state of the prescribed motion.
-
-    The relative angle of attack satisfies alpha = body_pitch - flow_angle
-    at every instant.  ``pitch_accel`` is the analytic second derivative of
-    the body pitch; the time-marching plant needs it for apparent-mass
-    terms.
-    """
-
-    time: float                 # s
-    body_pitch: float           # theta, rad
-    relative_aoa: float         # alpha = theta - flow_angle, rad
-    pitch_rate: float           # q = d(theta)/dt, rad/s
-    nondim_pitch_rate: float    # q * c / (2V)
-    aoa_rate: float             # d(alpha)/dt, rad/s
-    nondim_aoa_rate: float      # alpha_dot * c / (2V)
-    flow_angle: float           # lambda, rad
-    pitch_accel: float          # d2(theta)/dt2, rad/s^2
-
-
 @dataclass(frozen=True, eq=False)
 class MotionSchedule:
     """A prescribed motion sampled on a uniform, endpoint-excluded grid.
 
-    Field arrays all share one length: cycles * samples_per_cycle.  Indexing
-    returns a scalar MotionState view of one sample.
+    Field arrays all share one length: cycles * samples_per_cycle.  The
+    relative angle of attack satisfies alpha = body_pitch - flow_angle at
+    every sample.  ``pitch_accel`` is the analytic second derivative of the
+    body pitch; the time-marching plant needs it for apparent-mass terms.
+    Plants consume the schedule as whole arrays.
     """
 
     spec: OscillationSpec
@@ -223,22 +181,6 @@ class MotionSchedule:
 
     def __len__(self) -> int:
         return len(self.time)
-
-    def __getitem__(self, i: int) -> MotionState:
-        return MotionState(
-            time=float(self.time[i]),
-            body_pitch=float(self.body_pitch[i]),
-            relative_aoa=float(self.relative_aoa[i]),
-            pitch_rate=float(self.pitch_rate[i]),
-            nondim_pitch_rate=float(self.nondim_pitch_rate[i]),
-            aoa_rate=float(self.aoa_rate[i]),
-            nondim_aoa_rate=float(self.nondim_aoa_rate[i]),
-            flow_angle=float(self.flow_angle[i]),
-            pitch_accel=float(self.pitch_accel[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def omega_from_k(k: float, cond: FlightCondition) -> float:

@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NonDimensionalizationUndefined
-from .kinematics import FlightCondition, MotionSchedule, MotionState, OscillationMode
+from .kinematics import FlightCondition, MotionSchedule, OscillationMode
 from .series import CoefficientSeries, SeriesMeta
 
 # Two-pole exponential approximation of the Wagner function (R. T. Jones).
@@ -66,6 +65,8 @@ def theodorsen_function(k: float) -> complex:
         raise DomainError(f"reduced frequency must be >= 0, got {k}")
     if k == 0.0:
         return complex(1.0, 0.0)
+    from scipy import special  # deferred: the import costs more than most commands
+
     h1 = special.hankel2(1, k)
     h0 = special.hankel2(0, k)
     return complex(h1 / (h1 + 1j * h0))
@@ -206,11 +207,11 @@ class QuasiSteadyCoefficients:
 
 
 def quasi_steady_loads(p: QuasiSteadyCoefficients, s):
-    """Evaluate the linear model at a motion state (or a whole schedule).
+    """Evaluate the linear model over a schedule (or any single sample).
 
     Accepts anything exposing ``relative_aoa``, ``nondim_pitch_rate`` and
-    ``nondim_aoa_rate`` (scalar state or array schedule); returns the
-    (CL, CD, Cm) triple with matching shape.
+    ``nondim_aoa_rate`` (scalars or arrays); returns the (CL, CD, Cm)
+    triple with matching shape.
     """
     alpha = s.relative_aoa
     qhat = s.nondim_pitch_rate
@@ -255,72 +256,20 @@ class DragPolar:
         return cd
 
 
-# ---------------------------------------------------------------------------
-# Indicial (time-marching) model
-# ---------------------------------------------------------------------------
+def _wagner_lag(d_ae: np.ndarray, r: float) -> np.ndarray:
+    """One Wagner lag state: x[0] = d_ae[0], x[n] = r*x[n-1] + sqrt(r)*d_ae[n].
 
-@dataclass(frozen=True)
-class IndicialState:
-    """Lag states of the two-pole Wagner kernel plus the last input seen.
-
-    A reset state is all zeros; the first sample then enters as a jump,
-    which reproduces the impulsive-start behavior phi(0+) = 0.5.
+    Evaluated as a log-step scan: after the pass with stride s, x[n] sums
+    the last 2s weighted inputs.  Every weight r**s is <= 1, so nothing
+    overflows however long the history.
     """
-
-    x1: float = 0.0
-    x2: float = 0.0
-    alpha_e_prev: float = 0.0
-
-
-def indicial_step(
-    state: IndicialState,
-    s: MotionState,
-    dt: float,
-    cond: FlightCondition,
-    pitch_axis: float,
-) -> tuple[float, float, IndicialState]:
-    """Advance the lag states by one sample and return (CL, Cm, new state).
-
-    The effective incidence is taken at the three-quarter-chord point:
-    alpha_e = alpha + (1/2 - a) * (c/2) * q / V.  The circulatory downwash
-    uses the body rotation rate q, not alpha_dot: a rotating freestream
-    direction adds no chordwise velocity gradient, so in flow-path mode
-    (alpha_dot = 0) the rotation still forces the wake lag.
-
-    Lag states advance with the exact exponential integrator
-    x <- x*exp(-b*ds) + d_alpha_e*exp(-b*ds/2), ds = 2*V*dt/c; dt = 0 is
-    the impulsive update used for the first sample after a reset.
-    Apparent-mass terms come from the analytic rates carried by the
-    motion state.
-    """
-    _check_pitch_axis(pitch_axis)
-    if cond.freestream_speed == 0.0:
-        raise NonDimensionalizationUndefined("indicial plant needs a nonzero freestream speed")
-    if not (math.isfinite(dt) and dt >= 0.0):
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    a = pitch_axis
-    v = cond.freestream_speed
-    b_over_v = cond.ref_chord / (2.0 * v)   # semichord / speed, s
-
-    alpha_e = s.relative_aoa + (0.5 - a) * b_over_v * s.pitch_rate
-    d_ae = alpha_e - state.alpha_e_prev
-    ds = dt / b_over_v
-    e1 = math.exp(-WAGNER_B1 * ds)
-    e2 = math.exp(-WAGNER_B2 * ds)
-    x1 = state.x1 * e1 + d_ae * math.sqrt(e1)
-    x2 = state.x2 * e2 + d_ae * math.sqrt(e2)
-
-    cl_circ = 2.0 * math.pi * (alpha_e - WAGNER_A1 * x1 - WAGNER_A2 * x2)
-    lam_rate = s.pitch_rate - s.aoa_rate
-    cl_app = math.pi * (b_over_v * s.aoa_rate - a * b_over_v * b_over_v * s.pitch_accel)
-    cm_app = (math.pi / 2.0) * (
-        -b_over_v * a * lam_rate
-        - b_over_v * (0.5 - a) * s.pitch_rate
-        - b_over_v * b_over_v * (0.125 + a * a) * s.pitch_accel
-    )
-    cl = cl_circ + cl_app
-    cm = (a + 0.5) * cl_circ / 2.0 + cm_app
-    return cl, cm, IndicialState(x1=x1, x2=x2, alpha_e_prev=alpha_e)
+    x = d_ae * math.sqrt(r)
+    x[0] = d_ae[0]
+    stride = 1
+    while stride < len(x):
+        x[stride:] += r**stride * x[:-stride]
+        stride *= 2
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +350,19 @@ class FlatPlatePlant:
 class IndicialPlant:
     """Time-marching plant: Duhamel superposition over the Wagner kernel.
 
-    Lift and moment carry the full lag dynamics; drag comes from the
-    quasi-steady polar only (there is no indicial drag model here).
-    Simulations start from a reset state and keep the start-up transient
-    in the output; the identifier is expected to skip it.
+    The effective incidence is taken at the three-quarter-chord point:
+    alpha_e = alpha + (1/2 - a) * (c/2) * q / V.  The circulatory downwash
+    uses the body rotation rate q, not alpha_dot: a rotating freestream
+    direction adds no chordwise velocity gradient, so in flow-path mode
+    (alpha_dot = 0) the rotation still forces the wake lag.
+
+    Each Wagner pole b_j lags the increments of alpha_e through the exact
+    exponential integrator x[n] = r*x[n-1] + sqrt(r)*d_alpha_e[n] with
+    r = exp(-b_j*ds), ds = 2*V*dt/c, constant on the required uniform grid.
+    The first sample enters as a jump from rest (phi(0+) = 0.5); the
+    start-up transient stays in the output for the identifier to skip.
+    Apparent-mass terms use the schedule's analytic rates.  Drag comes from
+    the quasi-steady polar only (there is no indicial drag model here).
     """
 
     pitch_axis: float = -0.5
@@ -416,18 +374,31 @@ class IndicialPlant:
         _check_pitch_axis(self.pitch_axis)
 
     def coefficient_histories(self, schedule: MotionSchedule, cond: FlightCondition):
-        n = len(schedule)
-        cl = np.empty(n)
-        cm = np.empty(n)
-        state = IndicialState()
-        prev_t = None
-        for i in range(n):
-            s = schedule[i]
-            dt = 0.0 if prev_t is None else s.time - prev_t
-            cl[i], cm[i], state = indicial_step(state, s, dt, cond, self.pitch_axis)
-            prev_t = s.time
+        if cond.freestream_speed == 0.0:
+            raise NonDimensionalizationUndefined("indicial plant needs a nonzero freestream speed")
+        dt = np.diff(schedule.time)
+        if dt.size and not (dt[0] > 0.0 and np.all(np.abs(dt - dt[0]) <= 1e-9 * dt[0])):
+            raise DomainError("indicial plant needs a uniform, increasing time grid")
+        a = self.pitch_axis
+        b_over_v = cond.ref_chord / (2.0 * cond.freestream_speed)   # semichord / speed, s
+        ds = dt[0] / b_over_v if dt.size else 0.0
+
+        alpha_e = schedule.relative_aoa + (0.5 - a) * b_over_v * schedule.pitch_rate
+        d_ae = np.diff(alpha_e, prepend=0.0)
+        x1 = _wagner_lag(d_ae, math.exp(-WAGNER_B1 * ds))
+        x2 = _wagner_lag(d_ae, math.exp(-WAGNER_B2 * ds))
+
+        q, adot, accel = schedule.pitch_rate, schedule.aoa_rate, schedule.pitch_accel
+        cl_circ = 2.0 * math.pi * (alpha_e - WAGNER_A1 * x1 - WAGNER_A2 * x2)
+        cl_app = math.pi * (b_over_v * adot - a * b_over_v * b_over_v * accel)
+        cm_app = (math.pi / 2.0) * (
+            -b_over_v * a * (q - adot)
+            - b_over_v * (0.5 - a) * q
+            - b_over_v * b_over_v * (0.125 + a * a) * accel
+        )
+        cl = cl_circ + cl_app
+        cm = (a + 0.5) * cl_circ / 2.0 + cm_app
         cd = self.drag.evaluate(schedule.relative_aoa, schedule.nondim_pitch_rate, cl)
-        cd = np.broadcast_to(np.asarray(cd, dtype=float), cl.shape).copy()
         return cl, cd, cm
 
     def static_coefficients(self, alpha0: float, cond: FlightCondition):

@@ -286,7 +286,7 @@ _TREND_FIELDS = (
 
 @dataclass(frozen=True)
 class TrendRow:
-    """One derivative tracked across scenarios ordered by forward speed."""
+    """One derivative tracked across scenarios ordered by freestream speed."""
 
     quantity: str
     scenario_names: tuple[str, ...]
@@ -312,16 +312,18 @@ def _annotate(deltas: tuple[float, ...]) -> str:
 
 
 def trend_table(report: SweepReport) -> TrendTable:
-    """Derivative-vs-forward-speed table over the successful scenarios.
+    """Derivative-vs-speed table over the successful scenarios.
 
-    Nondimensional derivatives of a speed-independent plant do not change
-    with speed, so with compressibility scaling off every delta is zero;
-    the annotations make any actual speed trend explicit.
+    Rows follow the freestream speed each scenario flew, which is the
+    total speed under ``speed_basis="total"``.  Nondimensional derivatives
+    of a speed-independent plant do not change with speed, so with
+    compressibility scaling off every delta is zero; the annotations make
+    any actual speed trend explicit.
     """
     ok = report.ok_results()
     if len(ok) < 2:
         raise TooFewPoints(f"need at least 2 successful scenarios, got {len(ok)}")
-    ok = sorted(ok, key=lambda r: r.scenario.forward_velocity)
+    ok = sorted(ok, key=lambda r: r.condition.freestream_speed)
     rows = []
     for channel in CHANNELS:
         for field, suffix in _TREND_FIELDS:
@@ -336,7 +338,7 @@ def trend_table(report: SweepReport) -> TrendTable:
                 TrendRow(
                     quantity=f"{channel}_{suffix}",
                     scenario_names=tuple(r.scenario.name for r in ok),
-                    speeds=tuple(r.scenario.forward_velocity for r in ok),
+                    speeds=tuple(r.condition.freestream_speed for r in ok),
                     values=tuple(values),
                     deltas=deltas,
                     annotation=_annotate(deltas),

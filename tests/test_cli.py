@@ -204,6 +204,16 @@ class TestIdentify:
         path.write_text("t,CL\n0,1\n")
         assert main(["identify", str(path), "--mode", "alpha", "--amplitude-deg", "1"]) == 2
 
+    def test_negative_skip_is_usage_error(self, tmp_path, capsys):
+        path = self._write_fixture(tmp_path, "alpha")
+        code = main([
+            "identify", str(path), "--k", str(AGARD_K), "--mode", "alpha",
+            "--amplitude-deg", str(AGARD_AMP_DEG), "--skip", "-1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: --skip must be >= 0"]
+
     def test_bad_alias_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         path.write_text("t,CL\n0,1\n1,2\n")
@@ -243,6 +253,20 @@ class TestSweep:
         assert meta["assumptions"]["altitude_unit"].startswith("m")
         assert [s["status"] for s in meta["scenarios"]] == ["STATIC_ONLY", "OK", "OK"]
         assert meta["scenarios"][1]["vertical_velocity_m_s"] == 2.5
+
+    def test_failed_scenario_exits_one_after_writing_reports(self, tmp_path):
+        # transition-end flies 66 m/s against a 60 m/s sound speed: Mach >= 1
+        doc = config_doc()
+        doc["condition"].update(speed_m_s=50.0, sound_speed_m_s=60.0)
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(doc))
+        out_dir = tmp_path / "results"
+        assert main(["sweep", str(config), "--out-dir", str(out_dir)]) == 1
+        meta = json.loads((out_dir / "run_meta.json").read_text())
+        assert [s["status"] for s in meta["scenarios"]] == ["STATIC_ONLY", "OK", "FAILED"]
+        assert "Mach must be < 1" in (out_dir / "report.csv").read_text()
+        assert (out_dir / "report.txt").exists()
+        assert (out_dir / "loops_mid-transition.csv").exists()
 
     def test_missing_config(self, capsys):
         code = main(["sweep", "missing.cfg"])

@@ -8,14 +8,12 @@ import pytest
 from dynderiv import (
     DecouplingViolation,
     FlightCondition,
-    Harmonic,
     NonDimensionalizationUndefined,
     OscillationMode,
     OscillationSpec,
     ZeroAmplitude,
     ZeroReducedFrequency,
     alpha_mode_schedule,
-    harmonic_eval,
     omega_from_k,
     q_mode_schedule,
     sample_grid,
@@ -24,41 +22,6 @@ from dynderiv import (
 AGARD_K = 0.0811
 AGARD_AMP_DEG = 4.59
 AGARD_MEAN_DEG = 3.16
-
-
-class TestHarmonic:
-    def test_zero_crossing(self):
-        assert harmonic_eval(Harmonic(1.0, 1.0, 0.0), 0.0) == 0.0
-
-    def test_phase_shift_peak(self):
-        assert harmonic_eval(Harmonic(1.0, 1.0, math.pi / 2), 0.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_reference_amplitude_peak(self):
-        # quarter period of the reference pitch oscillation hits the amplitude
-        amp = math.radians(AGARD_AMP_DEG)
-        omega = 70.55
-        h = Harmonic(amplitude=amp, angular_frequency=omega)
-        peak = harmonic_eval(h, math.pi / (2 * omega))
-        assert peak == pytest.approx(amp, rel=1e-12)
-        assert peak == pytest.approx(0.0801, abs=5e-5)
-
-    def test_vectorized(self):
-        h = Harmonic(2.0, math.pi, 0.0)
-        t = np.array([0.0, 0.5, 1.0])
-        np.testing.assert_allclose(harmonic_eval(h, t), [0.0, 2.0, 0.0], atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(amplitude=-1.0, angular_frequency=1.0),
-            dict(amplitude=1.0, angular_frequency=0.0),
-            dict(amplitude=1.0, angular_frequency=-2.0),
-            dict(amplitude=math.nan, angular_frequency=1.0),
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            Harmonic(**kwargs)
 
 
 class TestOmegaFromK:
@@ -186,12 +149,6 @@ class TestAlphaModeSchedule:
         np.testing.assert_array_equal(many.time[:n], one.time)
         np.testing.assert_array_equal(many.relative_aoa[:n], one.relative_aoa)
         np.testing.assert_array_equal(many.pitch_rate[:n], one.pitch_rate)
-
-    def test_state_view(self, schedule):
-        s = schedule[7]
-        assert s.time == schedule.time[7]
-        assert s.relative_aoa == schedule.relative_aoa[7]
-        assert s.pitch_accel == schedule.pitch_accel[7]
 
     def test_wrong_mode(self, agard_q_spec, condition):
         with pytest.raises(ValueError):

@@ -4,10 +4,13 @@ The lift-deficiency function is checked against an arbitrary-precision
 Bessel evaluation (mpmath) that shares no code with the scipy-based main
 path; the complex load formulas are transcribed inline so a typo in the
 library cannot hide; the time-marching plant is checked against its exact
-frequency-domain transform pair.
+frequency-domain transform pair and against a plain per-sample transcription
+of its recurrence.
 """
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -18,14 +21,15 @@ from dynderiv import (
     DragPolar,
     FlatPlatePlant,
     IndicialPlant,
-    IndicialState,
+    MotionSchedule,
     NonDimensionalizationUndefined,
+    OscillationMode,
     QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     alpha_mode_schedule,
     fit_harmonic,
-    indicial_step,
     jones_function,
+    make_schedule,
     pitch_oscillation_loads,
     prandtl_glauert,
     q_mode_oscillation_loads,
@@ -34,7 +38,7 @@ from dynderiv import (
     theodorsen_function,
     wagner_function,
 )
-from dynderiv.kinematics import MotionState
+from dynderiv.plants import WAGNER_A1, WAGNER_A2, WAGNER_B1, WAGNER_B2
 from dynderiv.validate import THEODORSEN_ORACLE_K01, indicial_frequency_response
 
 # Recorded before the main path was written: 50-digit Bessel-series value
@@ -175,12 +179,7 @@ class TestFlatPlateLoads:
 
 
 def _state(alpha=0.0, qhat=0.0, adot_hat=0.0):
-    return MotionState(
-        time=0.0, body_pitch=alpha, relative_aoa=alpha,
-        pitch_rate=0.0, nondim_pitch_rate=qhat,
-        aoa_rate=0.0, nondim_aoa_rate=adot_hat,
-        flow_angle=0.0, pitch_accel=0.0,
-    )
+    return SimpleNamespace(relative_aoa=alpha, nondim_pitch_rate=qhat, nondim_aoa_rate=adot_hat)
 
 
 class TestQuasiSteady:
@@ -241,29 +240,103 @@ class TestQuasiSteady:
             prandtl_glauert(1.0)
 
 
+def reference_indicial_loop(schedule, cond, a):
+    """Per-sample Duhamel stepper: the recurrence transcribed one sample at a time.
+
+    Each step advances the two Wagner lag states with the exponential
+    integrator x <- x*exp(-b*ds) + d_alpha_e*exp(-b*ds/2), ds = 2*V*dt/c,
+    taking dt from the actual time stamps (dt = 0 for the first sample).
+    """
+    b_over_v = cond.ref_chord / (2.0 * cond.freestream_speed)
+    x1 = x2 = alpha_e_prev = 0.0
+    prev_t = None
+    cl, cm = [], []
+    for i in range(len(schedule.time)):
+        t = float(schedule.time[i])
+        q = float(schedule.pitch_rate[i])
+        adot = float(schedule.aoa_rate[i])
+        accel = float(schedule.pitch_accel[i])
+        dt = 0.0 if prev_t is None else t - prev_t
+        alpha_e = float(schedule.relative_aoa[i]) + (0.5 - a) * b_over_v * q
+        d_ae = alpha_e - alpha_e_prev
+        e1 = math.exp(-WAGNER_B1 * dt / b_over_v)
+        e2 = math.exp(-WAGNER_B2 * dt / b_over_v)
+        x1 = x1 * e1 + d_ae * math.sqrt(e1)
+        x2 = x2 * e2 + d_ae * math.sqrt(e2)
+        cl_circ = 2.0 * math.pi * (alpha_e - WAGNER_A1 * x1 - WAGNER_A2 * x2)
+        cl.append(cl_circ + math.pi * (b_over_v * adot - a * b_over_v * b_over_v * accel))
+        cm.append((a + 0.5) * cl_circ / 2.0 + (math.pi / 2.0) * (
+            -b_over_v * a * (q - adot)
+            - b_over_v * (0.5 - a) * q
+            - b_over_v * b_over_v * (0.125 + a * a) * accel
+        ))
+        alpha_e_prev, prev_t = alpha_e, t
+    return np.array(cl), np.array(cm)
+
+
+def constant_incidence_schedule(spec, alpha, time):
+    """Hand-built schedule: incidence stepped to alpha at t[0], no rates."""
+    time = np.asarray(time, dtype=float)
+    zeros = np.zeros_like(time)
+    return MotionSchedule(
+        spec=spec, omega=1.0, time=time,
+        body_pitch=np.full_like(time, alpha), relative_aoa=np.full_like(time, alpha),
+        pitch_rate=zeros, nondim_pitch_rate=zeros, aoa_rate=zeros,
+        nondim_aoa_rate=zeros, flow_angle=zeros, pitch_accel=zeros,
+    )
+
+
 class TestIndicial:
-    def test_step_first_instant_half_lift(self, condition):
+    ALPHA = 0.05
+    DT = 0.01  # ds = 2*V*dt/c ~ 8.7 semichords per step at the reference condition
+
+    def _step_response(self, spec, cond, n):
+        schedule = constant_incidence_schedule(spec, self.ALPHA, np.arange(n) * self.DT)
+        cl, _, _ = IndicialPlant().coefficient_histories(schedule, cond)
+        return cl
+
+    def test_step_first_instant_half_lift(self, condition, agard_alpha_spec):
         # impulsive start: phi(0+) = 0.5, so circulatory lift is pi*alpha
-        alpha = 0.05
-        cl, _, _ = indicial_step(IndicialState(), _state(alpha=alpha), 0.0, condition, -0.5)
-        assert cl == pytest.approx(math.pi * alpha, rel=1e-12)
+        cl = self._step_response(agard_alpha_spec, condition, 1)
+        assert cl[0] == pytest.approx(math.pi * self.ALPHA, rel=1e-12)
 
-    def test_step_settles_to_full_lift(self, condition):
-        alpha = 0.05
-        state = IndicialState()
-        s = _state(alpha=alpha)
-        cl, _, state = indicial_step(state, s, 0.0, condition, -0.5)
-        dt = 0.01  # ds = 2*V*dt/c ~ 8.7 semichords per step
-        for _ in range(200):
-            cl, _, state = indicial_step(state, s, dt, condition, -0.5)
-        assert cl == pytest.approx(2.0 * math.pi * alpha, rel=1e-6)
+    def test_step_settles_to_full_lift(self, condition, agard_alpha_spec):
+        cl = self._step_response(agard_alpha_spec, condition, 201)
+        assert cl[-1] == pytest.approx(2.0 * math.pi * self.ALPHA, rel=1e-6)
 
-    def test_hover_rejected(self):
+    def test_step_follows_wagner_function(self, condition, agard_alpha_spec):
+        # a held step makes the lift build up exactly as 2*pi*alpha*phi(s)
+        n = 40
+        cl = self._step_response(agard_alpha_spec, condition, n)
+        s = np.arange(n) * self.DT * 2.0 * condition.freestream_speed / condition.ref_chord
+        np.testing.assert_allclose(cl, 2.0 * math.pi * self.ALPHA * wagner_function(s), rtol=1e-12)
+
+    def test_hover_rejected(self, agard_alpha_spec):
         from dynderiv import FlightCondition
 
         hover = FlightCondition(0.0, 1.225, 0.2299, 0.6096, 0.1238)
+        schedule = constant_incidence_schedule(agard_alpha_spec, 0.1, np.arange(4) * 0.01)
         with pytest.raises(NonDimensionalizationUndefined):
-            indicial_step(IndicialState(), _state(alpha=0.1), 0.01, hover, -0.5)
+            IndicialPlant().coefficient_histories(schedule, hover)
+
+    def test_nonuniform_grid_rejected(self, condition, agard_alpha_spec):
+        time = np.arange(10) * 0.01
+        time[5:] += 1e-6  # one step 1e-4 relative longer than the rest
+        schedule = constant_incidence_schedule(agard_alpha_spec, 0.1, time)
+        with pytest.raises(DomainError):
+            IndicialPlant().coefficient_histories(schedule, condition)
+
+    @pytest.mark.parametrize("k", [0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("mode", ["alpha", "q"])
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 0.25])
+    def test_matches_reference_loop(self, a, mode, k, condition, agard_alpha_spec):
+        spec = replace(agard_alpha_spec.with_mode(OscillationMode(mode)),
+                       reduced_frequency=k, cycles=8)
+        schedule = make_schedule(spec, condition)
+        cl, _, cm = IndicialPlant(pitch_axis=a).coefficient_histories(schedule, condition)
+        ref_cl, ref_cm = reference_indicial_loop(schedule, condition, a)
+        assert np.max(np.abs(cl - ref_cl)) <= 1e-12 * np.max(np.abs(ref_cl))
+        assert np.max(np.abs(cm - ref_cm)) <= 1e-12 * np.max(np.abs(ref_cm))
 
     @pytest.mark.parametrize("k", [0.05, 0.0811, 0.2])
     def test_transform_pair_consistency(self, k):

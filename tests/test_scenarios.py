@@ -193,6 +193,20 @@ class TestTrendTable:
         assert table.rows[0].speeds == (33.0, 66.0)
 
 
+    def test_total_speed_basis_orders_and_labels_by_flown_speed(
+        self, linear_plant, condition, agard_alpha_spec
+    ):
+        scenarios = (
+            TransitionScenario("climbing", 100.0, 20.0, 30.0),   # flies 36.06 m/s
+            TransitionScenario("level", 100.0, 0.0, 33.0),
+        )
+        plan = SweepPlan(scenarios=scenarios, oscillation=agard_alpha_spec,
+                         condition=condition, plant=linear_plant, speed_basis="total")
+        row = trend_table(run_sweep(plan)).rows[0]
+        assert row.scenario_names == ("level", "climbing")
+        assert row.speeds == (33.0, math.hypot(30.0, 20.0))
+
+
 class TestPlanValidation:
     def test_empty_scenarios(self, linear_plant, condition, agard_alpha_spec):
         with pytest.raises(ValueError):
