@@ -13,9 +13,8 @@ from dynderiv import (
     FlightCondition,
     OscillationMode,
     agard_ct2_preset,
-    alpha_mode_schedule,
+    make_schedule,
     omega_from_k,
-    q_mode_schedule,
 )
 
 cond = FlightCondition(
@@ -36,8 +35,8 @@ print(f"angular frequency at V = {cond.freestream_speed} m/s, "
 print(f"rate amplitude k*A = {spec.reduced_frequency * spec.body_amplitude:.6f} (nondim)")
 print()
 
-alpha_mode = alpha_mode_schedule(spec, cond)
-q_mode = q_mode_schedule(spec.with_mode(OscillationMode.Q), cond)
+alpha_mode = make_schedule(spec, cond)
+q_mode = make_schedule(spec.with_mode(OscillationMode.Q), cond)
 
 print("incidence mode (body pitches, flow fixed):")
 print(f"  alpha swings over [{np.degrees(alpha_mode.relative_aoa.min()):+.2f}, "

@@ -13,12 +13,7 @@ from dynderiv import (
     QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     agard_ct2_preset,
-    extract_alpha_mode,
-    extract_q_mode,
-    fit_series,
-    make_schedule,
-    separate_rates,
-    simulate,
+    identify_modes,
 )
 
 cond = FlightCondition(100.0, 1.225, 0.2299, 0.6096, 0.1238)
@@ -30,20 +25,13 @@ injected = QuasiSteadyCoefficients(
 )
 plant = QuasiSteadyPlant(coefficients=injected)
 
-spec_alpha, _ = agard_ct2_preset(mode=OscillationMode.ALPHA)
-spec_q = spec_alpha.with_mode(OscillationMode.Q)
+spec, _ = agard_ct2_preset(mode=OscillationMode.ALPHA)
 
-sets = {}
-for spec in (spec_alpha, spec_q):
-    schedule = make_schedule(spec, cond)
-    series = simulate(plant, schedule, cond)
-    fits = fit_series(series, schedule.omega)
-    extract = extract_alpha_mode if spec.mode is OscillationMode.ALPHA else extract_q_mode
-    sets[spec.mode] = extract(fits, spec, cond)
-    print(f"{spec.mode.value:>5} mode: fitted {len(fits)} channels, "
-          f"CL residual rms = {fits['CL'].residual_rms:.2e}")
-
-merged = separate_rates(sets[OscillationMode.ALPHA], sets[OscillationMode.Q])
+# both modes: schedule -> plant -> first-harmonic fit -> extract, then separation
+merged, (schedule, series) = identify_modes(plant, spec, cond)
+print(f"modes run: {', '.join(merged.provenance)}; "
+      f"{len(series)} incidence-mode samples per channel")
+print(f"incidence-mode CL residual rms = {merged.channels['CL'].fit.residual_rms:.2e}")
 
 print()
 print(f"{'':4} {'injected':>10} {'recovered':>12}   {'injected':>10} {'recovered':>12}")

@@ -7,6 +7,8 @@ the settled response against the closed-form flat-plate solution built on
 the same rational lift-deficiency kernel.
 """
 
+import dataclasses
+
 import numpy as np
 
 from dynderiv import (
@@ -14,10 +16,10 @@ from dynderiv import (
     IndicialPlant,
     OscillationMode,
     agard_ct2_preset,
-    alpha_mode_schedule,
     fit_harmonic,
     jones_function,
     loop_metrics,
+    make_schedule,
     pitch_oscillation_loads,
     simulate,
 )
@@ -32,10 +34,8 @@ print(f"{'k':>8} {'|H_L| sim':>10} {'|H_L| exact':>12} {'rel err':>9} "
 loops = {}
 for k in (0.05, 0.0811, 0.2):
     spec, _ = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=22)
-    import dataclasses
-
     spec = dataclasses.replace(spec, reduced_frequency=k)
-    schedule = alpha_mode_schedule(spec, cond)
+    schedule = make_schedule(spec, cond)
     series = simulate(plant, schedule, cond)
 
     fit = fit_harmonic(series.times, series.CL, schedule.omega, skip_cycles=2)

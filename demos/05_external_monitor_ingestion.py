@@ -13,7 +13,7 @@ import numpy as np
 from dynderiv import (
     OscillationMode,
     OscillationSpec,
-    extract_alpha_mode,
+    extract,
     fit_series,
     parse_monitor_table,
     validate_fit,
@@ -56,7 +56,7 @@ spec = OscillationSpec.from_degrees(
     cycles=CYCLES, samples_per_cycle=SPP,
 )
 fits = fit_series(series, OMEGA)
-dset = extract_alpha_mode(fits, spec)
+dset = extract(fits, spec)
 
 for name, ch in dset.channels.items():
     flags = validate_fit(ch.fit, spec) or ["clean"]

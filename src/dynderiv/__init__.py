@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConditionMismatch,
     ConfigError,
-    DecouplingViolation,
     DomainError,
     DynDerivError,
     InsufficientSamples,
@@ -36,10 +35,8 @@ from .kinematics import (
     MotionSchedule,
     OscillationMode,
     OscillationSpec,
-    alpha_mode_schedule,
     make_schedule,
     omega_from_k,
-    q_mode_schedule,
     sample_grid,
 )
 from .series import CHANNELS, CoefficientSeries, SeriesMeta
@@ -65,8 +62,7 @@ from .identify import (
     HarmonicFit,
     LoopMetrics,
     Orientation,
-    extract_alpha_mode,
-    extract_q_mode,
+    extract,
     fit_harmonic,
     fit_series,
     loop_metrics,
@@ -84,6 +80,7 @@ from .scenarios import (
     TrendTable,
     agard_ct2_preset,
     builtin_scenarios,
+    identify_modes,
     run_sweep,
     trend_table,
 )

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .config import parse_case_config
 from .errors import DynDerivError
-from .identify import extract_alpha_mode, extract_q_mode, fit_series
+from .identify import extract, fit_series
 from .io import (
     atomic_write,
     parse_monitor_table,
@@ -35,6 +35,7 @@ from .io import (
 from .kinematics import OscillationMode, OscillationSpec, make_schedule
 from .plants import simulate as run_plant
 from .scenarios import SweepStatus, run_sweep
+from .series import CHANNELS
 from .validate import run_validation
 
 USAGE_ERROR = 2
@@ -119,17 +120,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_positive(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise _UsageError(f"{flag} must be a finite number > 0, got {value}")
+
+
 def _identify_omega(args: argparse.Namespace) -> float:
     if args.omega is not None:
-        if args.omega <= 0:
-            raise _UsageError("--omega must be > 0")
+        _require_positive("--omega", args.omega)
         return args.omega
     if args.chord is not None or args.speed is not None:
         if args.chord is None or args.speed is None:
             raise _UsageError("--chord and --speed must be given together")
-        if args.chord <= 0 or args.speed <= 0:
-            raise _UsageError("--chord and --speed must be > 0")
-        return 2.0 * args.k * args.speed / args.chord
+        _require_positive("--chord", args.chord)
+        _require_positive("--speed", args.speed)
+        omega = 2.0 * args.k * args.speed / args.chord
+        _require_positive("omega = 2*k*V/c from --k, --speed and --chord", omega)
+        return omega
     # default convention: the time column counts oscillation periods
     return 2.0 * math.pi
 
@@ -140,11 +147,13 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         if "=" not in item:
             raise _UsageError(f"--alias needs HEADER=CHANNEL, got '{item}'")
         header, _, channel = item.partition("=")
+        if channel.strip() not in ("time",) + CHANNELS:
+            raise _UsageError(f"--alias target must be 'time', 'CL', 'CD' or 'Cm', got '{item}'")
         aliases[header.strip().lower()] = channel.strip()
-    if args.k <= 0:
-        raise _UsageError("--k must be > 0")
-    if args.amplitude_deg <= 0:
-        raise _UsageError("--amplitude-deg must be > 0")
+    _require_positive("--k", args.k)
+    _require_positive("--amplitude-deg", args.amplitude_deg)
+    if not math.isfinite(args.mean_deg):
+        raise _UsageError(f"--mean-deg must be finite, got {args.mean_deg}")
     if args.skip < 0:
         raise _UsageError("--skip must be >= 0")
     omega = _identify_omega(args)
@@ -156,9 +165,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         amplitude_deg=args.amplitude_deg,
         reduced_frequency=args.k,
     )
-    fits = fit_series(series, omega, args.skip)
-    extract = extract_alpha_mode if spec.mode is OscillationMode.ALPHA else extract_q_mode
-    dset = extract(fits, spec)
+    dset = extract(fit_series(series, omega, args.skip), spec)
     _emit(write_derivative_table(dset), args.out)
     return 0
 

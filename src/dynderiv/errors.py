@@ -17,10 +17,6 @@ class NonDimensionalizationUndefined(DynDerivError):
     """Zero freestream speed: reduced frequency and rate scales are undefined."""
 
 
-class DecouplingViolation(DynDerivError):
-    """Flow-path-mode amplitudes differ, so the relative incidence would vary."""
-
-
 class DomainError(DynDerivError):
     """Argument outside the mathematical domain of a special function."""
 

@@ -12,7 +12,8 @@ component scales with the rate amplitude k*A and yields rate derivatives:
 * flow-path mode:  out-of-phase/(kA) -> C_q
                    in-phase / A      -> contamination diagnostic
 
-Running both modes and differencing separates C_alphadot from C_q.
+``extract`` applies that table for either mode; running both modes and
+differencing with ``separate_rates`` separates C_alphadot from C_q.
 
 Only the first harmonic is fitted; higher-harmonic content shows up in
 the residual and the quality flags rather than in extra fitted terms.
@@ -29,13 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    ConditionMismatch,
-    InsufficientSamples,
-    NonFiniteData,
-    ZeroAmplitude,
-    ZeroReducedFrequency,
-)
+from .errors import ConditionMismatch, InsufficientSamples, NonFiniteData
 from .kinematics import FlightCondition, OscillationMode, OscillationSpec
 from .series import CHANNELS, CoefficientSeries
 
@@ -195,68 +190,34 @@ class DerivativeSet:
                 raise ValueError(f"unknown channel {name!r}; expected one of {CHANNELS}")
 
 
-def _check_dynamic_scales(spec: OscillationSpec) -> None:
-    if spec.body_amplitude == 0.0:
-        raise ZeroAmplitude("body amplitude is zero; displacement scaling undefined")
-    if spec.reduced_frequency == 0.0:
-        raise ZeroReducedFrequency("reduced frequency is zero; rate scaling undefined")
-
-
-def extract_alpha_mode(
+def extract(
     fits: Mapping[str, HarmonicFit],
     spec: OscillationSpec,
     condition: FlightCondition | None = None,
 ) -> DerivativeSet:
-    """Static slopes and damping sums from an incidence-mode fit.
+    """Derivatives that one mode's fits support, channel by channel.
 
-    static slope = in-phase / A; damping sum = out-of-phase / (k*A).
-    Rate and incidence-rate derivatives stay unresolved (they only appear
-    summed in this mode).
+    Incidence mode: static slope = in-phase / A and damping sum =
+    out-of-phase / (k*A); the rate and incidence-rate derivatives only
+    appear summed, so they stay unresolved.  Flow-path mode: rate
+    derivative = out-of-phase / (k*A), and the in-phase residue over A is
+    reported as a contamination diagnostic: the incidence is constant in
+    this mode, so for a plant with no apparent-mass physics it must be zero.
+    OscillationSpec guarantees A > 0 and k > 0, so both scalings exist.
     """
-    if spec.mode is not OscillationMode.ALPHA:
-        raise ValueError(f"spec mode is {spec.mode}, expected ALPHA")
-    _check_dynamic_scales(spec)
     amp = spec.body_amplitude
     k = spec.reduced_frequency
-    channels = {
-        name: ChannelDerivatives(
-            trim_value=fit.mean,
-            static_slope=fit.in_phase / amp,
-            damping_sum=fit.out_phase / (k * amp),
-            fit=fit,
-        )
-        for name, fit in fits.items()
-    }
-    return DerivativeSet(channels=channels, provenance=("alpha",), spec=spec, condition=condition)
-
-
-def extract_q_mode(
-    fits: Mapping[str, HarmonicFit],
-    spec: OscillationSpec,
-    condition: FlightCondition | None = None,
-) -> DerivativeSet:
-    """Pure pitch-rate derivatives from a flow-path-mode fit.
-
-    rate derivative = out-of-phase / (k*A).  The in-phase residue over A is
-    reported as a contamination diagnostic: the incidence channel is
-    constant in this mode, so for a plant with no apparent-mass physics it
-    must be zero.
-    """
-    if spec.mode is not OscillationMode.Q:
-        raise ValueError(f"spec mode is {spec.mode}, expected Q")
-    _check_dynamic_scales(spec)
-    amp = spec.body_amplitude
-    k = spec.reduced_frequency
-    channels = {
-        name: ChannelDerivatives(
-            trim_value=fit.mean,
-            rate_derivative=fit.out_phase / (k * amp),
-            contamination=fit.in_phase / amp,
-            fit=fit,
-        )
-        for name, fit in fits.items()
-    }
-    return DerivativeSet(channels=channels, provenance=("q",), spec=spec, condition=condition)
+    channels = {}
+    for name, fit in fits.items():
+        in_phase, out_phase = fit.in_phase / amp, fit.out_phase / (k * amp)
+        if spec.mode is OscillationMode.ALPHA:
+            parts = {"static_slope": in_phase, "damping_sum": out_phase}
+        else:
+            parts = {"rate_derivative": out_phase, "contamination": in_phase}
+        channels[name] = ChannelDerivatives(trim_value=fit.mean, fit=fit, **parts)
+    return DerivativeSet(
+        channels=channels, provenance=(spec.mode.value,), spec=spec, condition=condition
+    )
 
 
 def _same(x: float | None, y: float | None) -> bool:

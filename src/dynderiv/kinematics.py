@@ -1,13 +1,15 @@
 """Prescribed harmonic pitch motions for forced-oscillation testing.
 
-Two motion modes are generated on uniform, endpoint-excluded time grids:
+One generator, ``make_schedule``, samples either motion mode on a uniform,
+endpoint-excluded time grid.  Both modes pitch the body the same way; they
+differ only in what the freestream does:
 
 * incidence mode (``ALPHA``) -- the body pitches in a fixed freestream, so
   the relative angle of attack and the pitch rate vary together;
-* flow-path mode (``Q``) -- body pitch and freestream direction oscillate
-  in sync, holding the relative angle of attack constant while the pitch
-  rate still varies.  Fitting both modes lets the caller split the damping
-  sum C_q + C_alphadot into its two parts.
+* flow-path mode (``Q``) -- the freestream direction turns with the body
+  (equal amplitudes by construction), holding the relative angle of attack
+  constant while the pitch rate still varies.  Fitting both modes lets the
+  caller split the damping sum C_q + C_alphadot into its two parts.
 
 Conventions fixed here and relied on by the rest of the package:
 
@@ -28,12 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DecouplingViolation,
-    NonDimensionalizationUndefined,
-    ZeroAmplitude,
-    ZeroReducedFrequency,
-)
+from .errors import NonDimensionalizationUndefined, ZeroAmplitude, ZeroReducedFrequency
 
 
 class OscillationMode(enum.Enum):
@@ -85,13 +82,11 @@ class FlightCondition:
 
 @dataclass(frozen=True)
 class OscillationSpec:
-    """One forced-oscillation case: mode, amplitudes, frequency, sampling.
+    """One forced-oscillation case: mode, amplitude, frequency, sampling.
 
-    In flow-path mode the flow amplitude must equal the body amplitude;
-    that equality is what keeps the relative incidence constant, so a
-    mismatch is rejected at construction (DecouplingViolation).  Leaving
-    ``flow_amplitude`` unset in flow-path mode defaults it to the body
-    amplitude; in incidence mode it is normalized to None.
+    ``body_amplitude`` is the pitch amplitude of the body; in flow-path
+    mode the freestream direction swings with the same amplitude, which is
+    what keeps the relative incidence constant.
     """
 
     mode: OscillationMode
@@ -100,7 +95,6 @@ class OscillationSpec:
     reduced_frequency: float     # k = omega*c/(2V)
     cycles: int = 3
     samples_per_cycle: int = 720
-    flow_amplitude: float | None = None   # rad, flow-path mode only
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.mean_incidence):
@@ -119,17 +113,6 @@ class OscillationSpec:
             raise ValueError(
                 f"samples_per_cycle must be an integer >= 8, got {self.samples_per_cycle}"
             )
-        if self.mode is OscillationMode.Q:
-            if self.flow_amplitude is None:
-                object.__setattr__(self, "flow_amplitude", self.body_amplitude)
-            elif self.flow_amplitude != self.body_amplitude:
-                raise DecouplingViolation(
-                    "flow-path mode requires flow_amplitude == body_amplitude "
-                    f"(got {self.flow_amplitude} vs {self.body_amplitude}); unequal "
-                    "amplitudes would make the relative incidence vary"
-                )
-        else:
-            object.__setattr__(self, "flow_amplitude", None)
 
     @classmethod
     def from_degrees(
@@ -152,8 +135,8 @@ class OscillationSpec:
         )
 
     def with_mode(self, mode: OscillationMode) -> "OscillationSpec":
-        """Copy of this spec switched to the other oscillation mode."""
-        return replace(self, mode=mode, flow_amplitude=None)
+        """Copy of this spec switched to the given oscillation mode."""
+        return replace(self, mode=mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +145,9 @@ class MotionSchedule:
 
     Field arrays all share one length: cycles * samples_per_cycle.  The
     relative angle of attack satisfies alpha = body_pitch - flow_angle at
-    every sample.  ``pitch_accel`` is the analytic second derivative of the
-    body pitch; the time-marching plant needs it for apparent-mass terms.
-    Plants consume the schedule as whole arrays.
+    every sample, to rounding.  ``pitch_accel`` is the analytic second
+    derivative of the body pitch; the time-marching plant needs it for
+    apparent-mass terms.  Plants consume the schedule as whole arrays.
     """
 
     spec: OscillationSpec
@@ -208,16 +191,17 @@ def sample_grid(spec: OscillationSpec, omega: float) -> np.ndarray:
     return np.arange(n) * period / spec.samples_per_cycle
 
 
-def alpha_mode_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionSchedule:
-    """Body-pitch oscillation in a fixed freestream.
+def make_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionSchedule:
+    """Sample the motion of ``spec.mode`` on its uniform time grid.
 
-    theta(t) = alpha0 + A*sin(omega*t), flow angle 0, so the relative
-    incidence tracks the body pitch and q = alpha_dot = omega*A*cos(omega*t).
-    The out-of-phase coefficient response to this motion carries the damping
-    sum C_q + C_alphadot.
+    Both modes pitch the body as theta(t) = alpha0 + A*sin(omega*t), so
+    q = omega*A*cos(omega*t) in both.  Incidence mode holds the flow angle
+    at 0: the relative incidence tracks theta and alpha_dot = q, and the
+    out-of-phase response carries the damping sum C_q + C_alphadot.
+    Flow-path mode turns the flow with the body, lambda(t) = A*sin(omega*t):
+    the relative incidence stays alpha0 and alpha_dot = 0, so the response
+    isolates the pure pitch-rate derivatives C_q.
     """
-    if spec.mode is not OscillationMode.ALPHA:
-        raise ValueError(f"spec mode is {spec.mode}, expected ALPHA")
     omega = omega_from_k(spec.reduced_frequency, cond)
     t = sample_grid(spec, omega)
     amp = spec.body_amplitude
@@ -225,65 +209,25 @@ def alpha_mode_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionS
     c = np.cos(omega * t)
     theta = spec.mean_incidence + amp * s
     q = omega * amp * c
-    accel = -omega * omega * amp * s
-    rate_scale = cond.ref_chord / (2.0 * cond.freestream_speed)
-    qhat = q * rate_scale
+    qhat = q * (cond.ref_chord / (2.0 * cond.freestream_speed))
+    # relative_aoa is set per mode, never computed as theta - flow: that
+    # difference is not exact in floating point
+    if spec.mode is OscillationMode.ALPHA:
+        alpha, aoa_rate, aoa_rate_hat, flow = theta.copy(), q.copy(), qhat.copy(), np.zeros_like(t)
+    else:
+        alpha, aoa_rate, aoa_rate_hat, flow = (
+            np.full_like(t, spec.mean_incidence), np.zeros_like(t), np.zeros_like(t), amp * s
+        )
     return MotionSchedule(
         spec=spec,
         omega=omega,
         time=t,
         body_pitch=theta,
-        relative_aoa=theta.copy(),
+        relative_aoa=alpha,
         pitch_rate=q,
         nondim_pitch_rate=qhat,
-        aoa_rate=q.copy(),
-        nondim_aoa_rate=qhat.copy(),
-        flow_angle=np.zeros_like(t),
-        pitch_accel=accel,
+        aoa_rate=aoa_rate,
+        nondim_aoa_rate=aoa_rate_hat,
+        flow_angle=flow,
+        pitch_accel=-omega * omega * amp * s,
     )
-
-
-def q_mode_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionSchedule:
-    """Synchronized body-pitch and flow-direction oscillation.
-
-    theta(t) = alpha0 + A*sin(omega*t) and lambda(t) = A*sin(omega*t), so the
-    relative incidence is alpha0 for all t while q = omega*A*cos(omega*t).
-    The coefficient response isolates the pure pitch-rate derivatives C_q.
-    """
-    if spec.mode is not OscillationMode.Q:
-        raise ValueError(f"spec mode is {spec.mode}, expected Q")
-    if spec.flow_amplitude != spec.body_amplitude:
-        raise DecouplingViolation(
-            f"flow amplitude {spec.flow_amplitude} != body amplitude "
-            f"{spec.body_amplitude}"
-        )
-    omega = omega_from_k(spec.reduced_frequency, cond)
-    t = sample_grid(spec, omega)
-    amp = spec.body_amplitude
-    s = np.sin(omega * t)
-    c = np.cos(omega * t)
-    lam = amp * s
-    theta = spec.mean_incidence + lam
-    q = omega * amp * c
-    accel = -omega * omega * amp * s
-    rate_scale = cond.ref_chord / (2.0 * cond.freestream_speed)
-    return MotionSchedule(
-        spec=spec,
-        omega=omega,
-        time=t,
-        body_pitch=theta,
-        relative_aoa=np.full_like(t, spec.mean_incidence),
-        pitch_rate=q,
-        nondim_pitch_rate=q * rate_scale,
-        aoa_rate=np.zeros_like(t),
-        nondim_aoa_rate=np.zeros_like(t),
-        flow_angle=lam,
-        pitch_accel=accel,
-    )
-
-
-def make_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionSchedule:
-    """Dispatch to the schedule generator matching ``spec.mode``."""
-    if spec.mode is OscillationMode.ALPHA:
-        return alpha_mode_schedule(spec, cond)
-    return q_mode_schedule(spec, cond)

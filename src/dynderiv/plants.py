@@ -145,13 +145,41 @@ def q_mode_oscillation_loads(k: float, pitch_axis: float, deficiency=theodorsen_
     return ComplexLoads(lift=complex(lift), moment=complex(moment))
 
 
+_MODE_LOADS = {OscillationMode.ALPHA: pitch_oscillation_loads, OscillationMode.Q: q_mode_oscillation_loads}
+
+
+@dataclass(frozen=True)
+class DragPolar:
+    """Quasi-steady drag model used by plants with no unsteady drag physics."""
+
+    CD0: float = 0.0
+    CD_alpha: float = 0.0
+    CD_q: float = 0.0
+    induced_drag_factor: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("CD0", "CD_alpha", "CD_q"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.induced_drag_factor is not None and not (
+            math.isfinite(self.induced_drag_factor) and self.induced_drag_factor >= 0.0
+        ):
+            raise ValueError("induced_drag_factor must be >= 0")
+
+    def evaluate(self, alpha, qhat, cl):
+        cd = self.CD0 + self.CD_alpha * alpha + self.CD_q * qhat
+        if self.induced_drag_factor is not None:
+            cd = cd + self.induced_drag_factor * cl * cl
+        return cd
+
+
 @dataclass(frozen=True)
 class QuasiSteadyCoefficients:
     """Linear coefficient model: offsets plus incidence and rate slopes.
 
-    All slopes are per radian.  The drag channel has no incidence-rate
-    term by construction; its damping sum therefore equals CD_q.  The
-    optional ``induced_drag_factor`` adds kappa*CL^2 to the drag.  With
+    All slopes are per radian.  The drag channel is the ``drag`` polar: it
+    has no incidence-rate term by construction, so its damping sum equals
+    CD_q, and the optional ``induced_drag_factor`` adds kappa*CL^2.  With
     ``mach_scaling`` on, every slope is multiplied by the subsonic
     compressibility factor 1/sqrt(1 - M^2) when a Mach number is known.
 
@@ -175,17 +203,17 @@ class QuasiSteadyCoefficients:
     mach_scaling: bool = False
 
     def __post_init__(self) -> None:
-        for name in (
-            "CL0", "CL_alpha", "CL_q", "CL_alphadot",
-            "CD0", "CD_alpha", "CD_q",
-            "Cm0", "Cm_alpha", "Cm_q", "Cm_alphadot",
-        ):
+        for name in ("CL0", "CL_alpha", "CL_q", "CL_alphadot", "Cm0", "Cm_alpha", "Cm_q", "Cm_alphadot"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.induced_drag_factor is not None:
-            k = self.induced_drag_factor
-            if not (math.isfinite(k) and k >= 0.0):
-                raise ValueError(f"induced_drag_factor must be >= 0, got {k}")
+        # built (and so validated) once; not a field, so eq and the config keys ignore it
+        drag = DragPolar(self.CD0, self.CD_alpha, self.CD_q, self.induced_drag_factor)
+        object.__setattr__(self, "_drag", drag)
+
+    @property
+    def drag(self) -> DragPolar:
+        """The drag channel: CD0 + CD_alpha*alpha + CD_q*qhat (+ kappa*CL^2)."""
+        return self._drag
 
     def scaled_slopes(self, factor: float) -> "QuasiSteadyCoefficients":
         """Copy with every slope (not the offsets) multiplied by factor."""
@@ -217,9 +245,7 @@ def quasi_steady_loads(p: QuasiSteadyCoefficients, s):
     qhat = s.nondim_pitch_rate
     adot = s.nondim_aoa_rate
     cl = p.CL0 + p.CL_alpha * alpha + p.CL_q * qhat + p.CL_alphadot * adot
-    cd = p.CD0 + p.CD_alpha * alpha + p.CD_q * qhat
-    if p.induced_drag_factor is not None:
-        cd = cd + p.induced_drag_factor * cl * cl
+    cd = p.drag.evaluate(alpha, qhat, cl)
     cm = p.Cm0 + p.Cm_alpha * alpha + p.Cm_q * qhat + p.Cm_alphadot * adot
     return cl, cd, cm
 
@@ -229,31 +255,6 @@ def prandtl_glauert(mach: float) -> float:
     if not (0.0 <= mach < 1.0):
         raise ValueError(f"Mach must lie in [0, 1), got {mach}")
     return 1.0 / math.sqrt(1.0 - mach * mach)
-
-
-@dataclass(frozen=True)
-class DragPolar:
-    """Quasi-steady drag model used by plants with no unsteady drag physics."""
-
-    CD0: float = 0.0
-    CD_alpha: float = 0.0
-    CD_q: float = 0.0
-    induced_drag_factor: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("CD0", "CD_alpha", "CD_q"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.induced_drag_factor is not None and not (
-            math.isfinite(self.induced_drag_factor) and self.induced_drag_factor >= 0.0
-        ):
-            raise ValueError("induced_drag_factor must be >= 0")
-
-    def evaluate(self, alpha, qhat, cl):
-        cd = self.CD0 + self.CD_alpha * alpha + self.CD_q * qhat
-        if self.induced_drag_factor is not None:
-            cd = cd + self.induced_drag_factor * cl * cl
-        return cd
 
 
 def _wagner_lag(d_ae: np.ndarray, r: float) -> np.ndarray:
@@ -298,9 +299,7 @@ class QuasiSteadyPlant:
         """Coefficients at the mean incidence with all rates zero."""
         p = self._effective(cond)
         cl = p.CL0 + p.CL_alpha * alpha0
-        cd = p.CD0 + p.CD_alpha * alpha0
-        if p.induced_drag_factor is not None:
-            cd += p.induced_drag_factor * cl * cl
+        cd = p.drag.evaluate(alpha0, 0.0, cl)
         cm = p.Cm0 + p.Cm_alpha * alpha0
         return cl, cd, cm
 
@@ -325,8 +324,7 @@ class FlatPlatePlant:
             raise ValueError(f"unknown kernel {self.kernel!r}; options: {sorted(_KERNELS)}")
 
     def loads(self, k: float, mode: OscillationMode) -> ComplexLoads:
-        fn = pitch_oscillation_loads if mode is OscillationMode.ALPHA else q_mode_oscillation_loads
-        return fn(k, self.pitch_axis, deficiency=_KERNELS[self.kernel])
+        return _MODE_LOADS[mode](k, self.pitch_axis, deficiency=_KERNELS[self.kernel])
 
     def coefficient_histories(self, schedule: MotionSchedule, cond: FlightCondition):
         spec = schedule.spec

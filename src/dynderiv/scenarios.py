@@ -1,11 +1,12 @@
-"""Transition-flight scenario sweeps.
+"""The identification pipeline and transition-flight scenario sweeps.
 
-A sweep runs the forced-oscillation pair (incidence mode + flow-path mode)
-for each scenario of an eVTOL transition from hover to wing-borne flight,
-identifies the derivatives, separates the rate terms, and summarizes loop
-shapes.  Hover (zero forward speed) is degenerate for everything
-nondimensionalized by speed, so it reports static trim values only rather
-than fabricated dynamics.
+``identify_modes`` is the one forced-oscillation pipeline: for each mode it
+runs schedule -> plant -> first-harmonic fit -> extract, and with both
+modes it separates the rate terms.  A sweep runs it for each scenario of
+an eVTOL transition from hover to wing-borne flight and summarizes the
+incidence-mode loop shapes.  Hover (zero forward speed) is degenerate for
+everything nondimensionalized by speed, so it reports static trim values
+only rather than fabricated dynamics.
 """
 
 from __future__ import annotations
@@ -16,19 +17,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import TooFewPoints
+from .errors import InsufficientSamples, TooFewPoints
 from .identify import (
     ChannelDerivatives,
     DerivativeSet,
     LoopMetrics,
-    extract_alpha_mode,
-    extract_q_mode,
+    extract,
     fit_series,
     loop_metrics,
     separate_rates,
 )
 from .kinematics import (
     FlightCondition,
+    MotionSchedule,
     OscillationMode,
     OscillationSpec,
     make_schedule,
@@ -140,8 +141,13 @@ class SweepPlan:
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "oscillation", self.oscillation.with_mode(self.modes[0]))
-        if self.skip_cycles is not None and self.skip_cycles >= self.oscillation.cycles:
-            raise ValueError("skip_cycles must leave at least one cycle to fit")
+        skip, cycles = self.effective_skip(), self.oscillation.cycles
+        if skip >= cycles:
+            default = " (the plant's default)" if self.skip_cycles is None else ""
+            raise InsufficientSamples(
+                f"oscillation.skip_cycles is {skip}{default} but oscillation.cycles is "
+                f"{cycles}: no cycle is left to fit"
+            )
 
     def effective_skip(self) -> int:
         if self.skip_cycles is not None:
@@ -210,6 +216,37 @@ def _static_only_result(
     )
 
 
+def identify_modes(
+    plant: Plant,
+    spec: OscillationSpec,
+    cond: FlightCondition,
+    modes: tuple[OscillationMode, ...] = (OscillationMode.ALPHA, OscillationMode.Q),
+    skip_cycles: int = 0,
+) -> tuple[DerivativeSet, tuple[MotionSchedule, CoefficientSeries] | None]:
+    """Identify the derivatives of ``plant`` from forced oscillation in ``modes``.
+
+    Each mode of ``spec`` (its own mode is ignored) runs schedule ->
+    simulate -> fit_series -> extract, fitting after ``skip_cycles``
+    start-up cycles.  With both modes the two sets are merged by
+    separate_rates; with one, that mode's set is returned as it is.
+    Returns (derivatives, incidence), where incidence is the incidence-mode
+    (schedule, series) pair, or None when that mode did not run.
+    """
+    sets: dict[OscillationMode, DerivativeSet] = {}
+    incidence = None
+    for mode in modes:
+        mode_spec = spec.with_mode(mode)
+        schedule = make_schedule(mode_spec, cond)
+        series = simulate(plant, schedule, cond)
+        sets[mode] = extract(fit_series(series, schedule.omega, skip_cycles), mode_spec, cond)
+        if mode is OscillationMode.ALPHA:
+            incidence = (schedule, series)
+    if OscillationMode.ALPHA in sets and OscillationMode.Q in sets:
+        return separate_rates(sets[OscillationMode.ALPHA], sets[OscillationMode.Q]), incidence
+    (only,) = sets.values()
+    return only, incidence
+
+
 def _run_one(plan: SweepPlan, scenario: TransitionScenario) -> ScenarioResult:
     speed = plan.scenario_speed(scenario)
     cond = replace(plan.condition, freestream_speed=speed)
@@ -218,40 +255,23 @@ def _run_one(plan: SweepPlan, scenario: TransitionScenario) -> ScenarioResult:
         return _static_only_result(plan, scenario, cond)
 
     skip = plan.effective_skip()
-    sets: dict[OscillationMode, DerivativeSet] = {}
-    loops: dict[str, LoopMetrics] | None = None
-    alpha_series = None
-    alpha_history = None
-    for mode in plan.modes:
-        spec = plan.oscillation.with_mode(mode)
-        schedule = make_schedule(spec, cond)
-        series = simulate(plan.plant, schedule, cond)
-        fits = fit_series(series, schedule.omega, skip)
-        if mode is OscillationMode.ALPHA:
-            sets[mode] = extract_alpha_mode(fits, spec, cond)
-            loops = {
-                name: loop_metrics(
-                    series.times, schedule.relative_aoa, values, schedule.omega, skip
-                )
-                for name, values in series.channels().items()
-            }
-            alpha_series = series
-            alpha_history = schedule.relative_aoa
-        else:
-            sets[mode] = extract_q_mode(fits, spec, cond)
-
-    if OscillationMode.ALPHA in sets and OscillationMode.Q in sets:
-        merged = separate_rates(sets[OscillationMode.ALPHA], sets[OscillationMode.Q])
-    else:
-        merged = next(iter(sets.values()))
+    derivatives, incidence = identify_modes(plan.plant, plan.oscillation, cond, plan.modes, skip)
+    loops = series = history = None
+    if incidence is not None:
+        schedule, series = incidence
+        history = schedule.relative_aoa
+        loops = {
+            name: loop_metrics(series.times, history, values, schedule.omega, skip)
+            for name, values in series.channels().items()
+        }
     return ScenarioResult(
         scenario=scenario,
         status=SweepStatus.OK,
-        derivatives=merged,
+        derivatives=derivatives,
         loops=loops,
         condition=cond,
-        incidence_series=alpha_series,
-        incidence_history=alpha_history,
+        incidence_series=series,
+        incidence_history=history,
     )
 
 

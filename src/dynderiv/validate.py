@@ -17,20 +17,8 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .identify import (
-    Orientation,
-    extract_alpha_mode,
-    extract_q_mode,
-    fit_harmonic,
-    fit_series,
-    loop_metrics,
-    separate_rates,
-)
-from .kinematics import (
-    FlightCondition,
-    OscillationMode,
-    make_schedule,
-)
+from .identify import Orientation, fit_harmonic, loop_metrics
+from .kinematics import FlightCondition, OscillationMode, make_schedule
 from .plants import (
     FlatPlatePlant,
     IndicialPlant,
@@ -42,7 +30,7 @@ from .plants import (
     simulate,
     theodorsen_function,
 )
-from .scenarios import agard_ct2_preset
+from .scenarios import agard_ct2_preset, identify_modes
 
 # Lift-deficiency value at k = 0.1, recorded from an independent
 # arbitrary-precision Bessel-series evaluation (50 significant digits,
@@ -149,21 +137,11 @@ def _relative_error(measured: float, injected: float) -> float:
 def check_round_trip(n_cases: int = 10, seed: int = 20240811) -> CheckResult:
     """Injected quasi-steady derivatives are recovered to 1e-9 relative."""
     rng = np.random.default_rng(seed)
-    spec_alpha, _ = agard_ct2_preset(mode=OscillationMode.ALPHA)
-    spec_q = spec_alpha.with_mode(OscillationMode.Q)
+    spec, _ = agard_ct2_preset()
     worst = 0.0
     for _ in range(n_cases):
-        values = rng.uniform(-20.0, 20.0, size=11)
-        p = QuasiSteadyCoefficients(*values)
-        plant = QuasiSteadyPlant(coefficients=p)
-        sets = {}
-        for spec in (spec_alpha, spec_q):
-            schedule = make_schedule(spec, _COND)
-            series = simulate(plant, schedule, _COND)
-            fits = fit_series(series, schedule.omega)
-            extract = extract_alpha_mode if spec.mode is OscillationMode.ALPHA else extract_q_mode
-            sets[spec.mode] = extract(fits, spec, _COND)
-        merged = separate_rates(sets[OscillationMode.ALPHA], sets[OscillationMode.Q])
+        p = QuasiSteadyCoefficients(*rng.uniform(-20.0, 20.0, size=11))
+        merged, _ = identify_modes(QuasiSteadyPlant(coefficients=p), spec, _COND)
         expected = {
             "CL": (p.CL_alpha, p.CL_q, p.CL_alphadot),
             "CD": (p.CD_alpha, p.CD_q, 0.0),
@@ -185,17 +163,8 @@ def check_separation_chain() -> CheckResult:
     """Identified C_q and separated incidence-rate derivative match the formulas."""
     k = 0.0811
     a = -0.5
-    plant = FlatPlatePlant(pitch_axis=a, kernel="jones")
-    spec_alpha, _ = agard_ct2_preset(mode=OscillationMode.ALPHA)
-    sets = {}
-    for mode in (OscillationMode.ALPHA, OscillationMode.Q):
-        spec = spec_alpha.with_mode(mode)
-        schedule = make_schedule(spec, _COND)
-        series = simulate(plant, schedule, _COND)
-        fits = fit_series(series, schedule.omega)
-        extract = extract_alpha_mode if mode is OscillationMode.ALPHA else extract_q_mode
-        sets[mode] = extract(fits, spec, _COND)
-    merged = separate_rates(sets[OscillationMode.ALPHA], sets[OscillationMode.Q])
+    spec, _ = agard_ct2_preset()
+    merged, _ = identify_modes(FlatPlatePlant(pitch_axis=a, kernel="jones"), spec, _COND)
     truth_pitch = pitch_oscillation_loads(k, a, deficiency=jones_function)
     truth_q = q_mode_oscillation_loads(k, a, deficiency=jones_function)
     cmq_true = truth_q.moment.imag / k

@@ -24,10 +24,10 @@ from dynderiv import (
     SweepStatus,
     agard_ct2_preset,
     builtin_scenarios,
-    extract_alpha_mode,
-    extract_q_mode,
+    extract,
     fit_harmonic,
     fit_series,
+    identify_modes,
     jones_function,
     loop_metrics,
     make_schedule,
@@ -35,11 +35,9 @@ from dynderiv import (
     parse_monitor_table,
     pitch_oscillation_loads,
     q_mode_oscillation_loads,
-    q_mode_schedule,
     render_case_config,
     run_sweep,
     separate_rates,
-    simulate,
     theodorsen_function,
     write_series,
 )
@@ -64,20 +62,11 @@ def _report(criterion, detail):
 def test_a1_round_trip_identification_quasi_steady():
     """A1: 100 random linear plants are recovered to 1e-9 relative."""
     rng = np.random.default_rng(101)
-    spec_alpha, _ = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=3, samples_per_cycle=720)
-    spec_q = spec_alpha.with_mode(OscillationMode.Q)
+    spec, _ = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=3, samples_per_cycle=720)
     worst = 0.0
     for _ in range(100):
         p = QuasiSteadyCoefficients(*rng.uniform(-20.0, 20.0, size=11))
-        plant = QuasiSteadyPlant(coefficients=p)
-        sets = {}
-        for spec in (spec_alpha, spec_q):
-            schedule = make_schedule(spec, COND)
-            series = simulate(plant, schedule, COND)
-            fits = fit_series(series, schedule.omega, skip_cycles=0)
-            ex = extract_alpha_mode if spec.mode is OscillationMode.ALPHA else extract_q_mode
-            sets[spec.mode] = ex(fits, spec, COND)
-        merged = separate_rates(sets[OscillationMode.ALPHA], sets[OscillationMode.Q])
+        merged, _ = identify_modes(QuasiSteadyPlant(coefficients=p), spec, COND, skip_cycles=0)
         injected = {
             "CL": (p.CL_alpha, p.CL_q, p.CL_alphadot),
             "CD": (p.CD_alpha, p.CD_q, 0.0),
@@ -118,7 +107,7 @@ def test_a2_q_mode_decoupling():
             ref_span=1.0,
             ref_area=1.0,
         )
-        schedule = q_mode_schedule(spec, cond)
+        schedule = make_schedule(spec, cond)
         gap = float(np.max(np.abs(schedule.relative_aoa - spec.mean_incidence)))
         assert gap < 1e-12
         worst = max(worst, gap)
@@ -185,9 +174,7 @@ def test_a5_separation_against_analytic_truth():
             times=t, Cm=synth(loads.moment), CL=synth(loads.lift),
             meta=SeriesMeta(source="analytic"),
         )
-        fits = fit_series(series, omega)
-        ex = extract_alpha_mode if spec.mode is OscillationMode.ALPHA else extract_q_mode
-        sets[spec.mode] = ex(fits, spec, COND)
+        sets[spec.mode] = extract(fit_series(series, omega), spec, COND)
     merged = separate_rates(sets[OscillationMode.ALPHA], sets[OscillationMode.Q])
 
     cmq_true = qmode.moment.imag / k

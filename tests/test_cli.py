@@ -214,6 +214,18 @@ class TestIdentify:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: --skip must be >= 0"]
 
+    @pytest.mark.parametrize("flags", [
+        ["--k", "nan"], ["--k", "inf"], ["--amplitude-deg", "nan"], ["--mean-deg", "inf"],
+        ["--omega", "inf"], ["--chord", "nan", "--speed", "10"], ["--alias", "t=bogus"],
+    ])
+    def test_non_finite_or_unknown_flag_is_one_line_usage_error(self, tmp_path, capsys, flags):
+        path = self._write_fixture(tmp_path, "alpha")
+        argv = ["identify", str(path), "--k", str(AGARD_K), "--mode", "alpha",
+                "--amplitude-deg", str(AGARD_AMP_DEG)]
+        assert main(argv + flags) == 2      # argparse keeps the last --k / --amplitude-deg
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flags[0]}")
+
     def test_bad_alias_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         path.write_text("t,CL\n0,1\n1,2\n")
@@ -267,6 +279,23 @@ class TestSweep:
         assert "Mach must be < 1" in (out_dir / "report.csv").read_text()
         assert (out_dir / "report.txt").exists()
         assert (out_dir / "loops_mid-transition.csv").exists()
+
+    @pytest.mark.parametrize("oscillation, plant, skip", [
+        ({"skip_cycles": 3, "cycles": 3}, None, 3),
+        ({"cycles": 2}, {"kind": "indicial"}, 2),   # the indicial plant skips 2 by default
+    ])
+    def test_skip_leaving_no_cycle_exits_one(self, tmp_path, capsys, oscillation, plant, skip):
+        doc = config_doc()
+        doc["oscillation"].update(oscillation)
+        if plant is not None:
+            doc["plant"] = plant
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(doc))
+        assert main(["sweep", str(config), "--out-dir", str(tmp_path / "results")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"oscillation.skip_cycles is {skip}" in err[0]
+        assert f"oscillation.cycles is {oscillation['cycles']}" in err[0]
 
     def test_missing_config(self, capsys):
         code = main(["sweep", "missing.cfg"])

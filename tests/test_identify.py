@@ -18,10 +18,10 @@ from dynderiv import (
     OscillationSpec,
     QuasiSteadyCoefficients,
     QuasiSteadyPlant,
-    extract_alpha_mode,
-    extract_q_mode,
+    extract,
     fit_harmonic,
     fit_series,
+    identify_modes,
     jones_function,
     loop_metrics,
     make_schedule,
@@ -155,31 +155,28 @@ def _fits(mean=0.0, a=0.0, b=0.0):
 class TestExtraction:
     def test_alpha_mode_static_slope_arithmetic(self):
         spec = OscillationSpec(OscillationMode.ALPHA, 0.0, 0.0801, 0.0811)
-        dset = extract_alpha_mode(_fits(mean=0.25, a=0.4005), spec)
+        dset = extract(_fits(mean=0.25, a=0.4005), spec)
         assert dset.channels["CL"].static_slope == pytest.approx(5.0, rel=1e-12)
         assert dset.channels["CL"].trim_value == 0.25
         assert dset.channels["CL"].rate_derivative is None
+        assert dset.provenance == ("alpha",)
 
     def test_alpha_mode_damping_arithmetic(self):
         spec = OscillationSpec(OscillationMode.ALPHA, 0.0, 0.0801, 0.0811)
-        dset = extract_alpha_mode(_fits(b=0.06496), spec)
+        dset = extract(_fits(b=0.06496), spec)
         assert dset.channels["CL"].damping_sum == pytest.approx(10.0, rel=1e-3)
 
     def test_q_mode_rate_arithmetic(self):
         spec = OscillationSpec(OscillationMode.Q, 0.0, 0.0801, 0.0811)
-        dset = extract_q_mode(_fits(b=-0.019488), spec)
+        dset = extract(_fits(b=-0.019488), spec)
         assert dset.channels["CL"].rate_derivative == pytest.approx(-3.0, rel=1e-3)
         assert dset.channels["CL"].static_slope is None
-
-    def test_mode_mismatch_rejected(self):
-        spec = OscillationSpec(OscillationMode.Q, 0.0, 0.0801, 0.0811)
-        with pytest.raises(ValueError):
-            extract_alpha_mode(_fits(), spec)
+        assert dset.provenance == ("q",)
 
     def test_q_mode_quasi_steady_round_trip(self, linear_plant, agard_q_spec, condition):
         schedule = make_schedule(agard_q_spec, condition)
         series = simulate(linear_plant, schedule, condition)
-        dset = extract_q_mode(fit_series(series, schedule.omega), agard_q_spec, condition)
+        dset = extract(fit_series(series, schedule.omega), agard_q_spec, condition)
         cm = dset.channels["Cm"]
         assert cm.rate_derivative == pytest.approx(-3.0, rel=1e-10)
         # expected out-of-phase component at the reference amplitudes
@@ -190,7 +187,7 @@ class TestExtraction:
     ):
         schedule = make_schedule(agard_q_spec, condition)
         series = simulate(linear_plant, schedule, condition)
-        dset = extract_q_mode(fit_series(series, schedule.omega), agard_q_spec, condition)
+        dset = extract(fit_series(series, schedule.omega), agard_q_spec, condition)
         for ch in dset.channels.values():
             assert abs(ch.contamination) < 1e-12
 
@@ -198,10 +195,10 @@ class TestExtraction:
         from dynderiv import IndicialPlant
         import dataclasses
 
-        spec = dataclasses.replace(agard_q_spec, cycles=22, flow_amplitude=None)
+        spec = dataclasses.replace(agard_q_spec, cycles=22)
         schedule = make_schedule(spec, condition)
         series = simulate(IndicialPlant(pitch_axis=-0.5), schedule, condition)
-        dset = extract_q_mode(fit_series(series, schedule.omega, skip_cycles=2), spec, condition)
+        dset = extract(fit_series(series, schedule.omega, skip_cycles=2), spec, condition)
         truth = q_mode_oscillation_loads(spec.reduced_frequency, -0.5, deficiency=jones_function)
         want = truth.lift.imag / spec.reduced_frequency
         assert dset.channels["CL"].rate_derivative == pytest.approx(want, rel=0.01)
@@ -211,9 +208,7 @@ class TestSeparation:
     def _set(self, mode, k=0.0811, speed=100.0, **channel_kwargs):
         spec = OscillationSpec(mode, 0.0, 0.0801, k)
         cond = FlightCondition(speed, 1.225, 0.2299, 0.6096, 0.1238)
-        fits = _fits()
-        extract = extract_alpha_mode if mode is OscillationMode.ALPHA else extract_q_mode
-        dset = extract(fits, spec, cond)
+        dset = extract(_fits(), spec, cond)
         if channel_kwargs:
             import dataclasses
 
@@ -256,7 +251,7 @@ class TestSeparation:
                                     0.0, 1.0, 720, 1)}
         fits_q = {"Cm": HarmonicFit(0.0, amp * qmode.moment.real, amp * qmode.moment.imag,
                                     0.0, 1.0, 720, 1)}
-        merged = separate_rates(extract_alpha_mode(fits_a, spec_a), extract_q_mode(fits_q, spec_q))
+        merged = separate_rates(extract(fits_a, spec_a), extract(fits_q, spec_q))
         want = (pitch.moment.imag - qmode.moment.imag) / k
         assert merged.channels["Cm"].aoa_rate_derivative == pytest.approx(want, rel=1e-10)
 
@@ -265,16 +260,9 @@ class TestSeparation:
         rng = np.random.default_rng(5)
         p = QuasiSteadyCoefficients(*rng.uniform(-20, 20, size=11))
         plant = QuasiSteadyPlant(coefficients=p)
-        spec_a = OscillationSpec(OscillationMode.ALPHA, 0.05, 0.08, 0.1,
-                                 cycles=1, samples_per_cycle=16)
-        sets = {}
-        for spec in (spec_a, spec_a.with_mode(OscillationMode.Q)):
-            schedule = make_schedule(spec, condition)
-            series = simulate(plant, schedule, condition)
-            fits = fit_series(series, schedule.omega)
-            ex = extract_alpha_mode if spec.mode is OscillationMode.ALPHA else extract_q_mode
-            sets[spec.mode] = ex(fits, spec, condition)
-        merged = separate_rates(sets[OscillationMode.ALPHA], sets[OscillationMode.Q])
+        spec = OscillationSpec(OscillationMode.ALPHA, 0.05, 0.08, 0.1,
+                               cycles=1, samples_per_cycle=16)
+        merged, _ = identify_modes(plant, spec, condition)
         assert merged.channels["CL"].static_slope == pytest.approx(p.CL_alpha, rel=1e-9)
         assert merged.channels["Cm"].rate_derivative == pytest.approx(p.Cm_q, rel=1e-9)
         assert merged.channels["Cm"].aoa_rate_derivative == pytest.approx(p.Cm_alphadot, rel=1e-9)

@@ -215,9 +215,9 @@ class TestWriteReport:
 
 class TestWriteLoopTable:
     def test_degrees_and_channels(self, linear_plant, condition, agard_alpha_spec):
-        from dynderiv import alpha_mode_schedule, simulate, write_loop_table
+        from dynderiv import make_schedule, simulate, write_loop_table
 
-        schedule = alpha_mode_schedule(agard_alpha_spec, condition)
+        schedule = make_schedule(agard_alpha_spec, condition)
         series = simulate(linear_plant, schedule, condition)
         text = write_loop_table(schedule.relative_aoa, series)
         lines = text.splitlines()
@@ -227,9 +227,9 @@ class TestWriteLoopTable:
         assert first_alpha == pytest.approx(3.16, rel=1e-9)
 
     def test_length_mismatch_rejected(self, linear_plant, condition, agard_alpha_spec):
-        from dynderiv import alpha_mode_schedule, simulate, write_loop_table
+        from dynderiv import make_schedule, simulate, write_loop_table
 
-        schedule = alpha_mode_schedule(agard_alpha_spec, condition)
+        schedule = make_schedule(agard_alpha_spec, condition)
         series = simulate(linear_plant, schedule, condition)
         with pytest.raises(ValueError):
             write_loop_table(schedule.relative_aoa[:-1], series)

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from dynderiv import (
-    DecouplingViolation,
     FlightCondition,
     NonDimensionalizationUndefined,
     OscillationMode,
     OscillationSpec,
     ZeroAmplitude,
     ZeroReducedFrequency,
-    alpha_mode_schedule,
+    make_schedule,
     omega_from_k,
-    q_mode_schedule,
     sample_grid,
 )
 
@@ -83,14 +81,6 @@ class TestOscillationSpec:
         with pytest.raises(ValueError):
             OscillationSpec(OscillationMode.ALPHA, 0.0, 0.1, 0.1, cycles=cycles, samples_per_cycle=spp)
 
-    def test_flow_amplitude_mismatch(self):
-        with pytest.raises(DecouplingViolation):
-            OscillationSpec(OscillationMode.Q, 0.0, 0.1, 0.1, flow_amplitude=0.05)
-
-    def test_flow_amplitude_defaults_in_q_mode(self):
-        spec = OscillationSpec(OscillationMode.Q, 0.0, 0.1, 0.1)
-        assert spec.flow_amplitude == spec.body_amplitude
-
     def test_degree_round_trip(self):
         spec = OscillationSpec.from_degrees(
             OscillationMode.ALPHA, AGARD_MEAN_DEG, AGARD_AMP_DEG, AGARD_K
@@ -102,7 +92,7 @@ class TestOscillationSpec:
 class TestAlphaModeSchedule:
     @pytest.fixture
     def schedule(self, agard_alpha_spec, condition):
-        return alpha_mode_schedule(agard_alpha_spec, condition)
+        return make_schedule(agard_alpha_spec, condition)
 
     def test_start_state(self, schedule, agard_alpha_spec):
         spec = agard_alpha_spec
@@ -141,24 +131,20 @@ class TestAlphaModeSchedule:
     def test_prefix_agrees_with_single_cycle(self, agard_alpha_spec, condition):
         import dataclasses
 
-        one = alpha_mode_schedule(
+        one = make_schedule(
             dataclasses.replace(agard_alpha_spec, cycles=1), condition
         )
-        many = alpha_mode_schedule(agard_alpha_spec, condition)
+        many = make_schedule(agard_alpha_spec, condition)
         n = len(one)
         np.testing.assert_array_equal(many.time[:n], one.time)
         np.testing.assert_array_equal(many.relative_aoa[:n], one.relative_aoa)
         np.testing.assert_array_equal(many.pitch_rate[:n], one.pitch_rate)
 
-    def test_wrong_mode(self, agard_q_spec, condition):
-        with pytest.raises(ValueError):
-            alpha_mode_schedule(agard_q_spec, condition)
-
 
 class TestQModeSchedule:
     @pytest.fixture
     def schedule(self, agard_q_spec, condition):
-        return q_mode_schedule(agard_q_spec, condition)
+        return make_schedule(agard_q_spec, condition)
 
     def test_aoa_constant(self, schedule, agard_q_spec):
         assert np.max(np.abs(schedule.relative_aoa - agard_q_spec.mean_incidence)) == 0.0
@@ -186,5 +172,5 @@ class TestQModeSchedule:
                 cycles=int(rng.integers(1, 4)),
                 samples_per_cycle=int(rng.integers(8, 128)),
             )
-            sched = q_mode_schedule(spec, condition)
+            sched = make_schedule(spec, condition)
             assert np.max(np.abs(sched.relative_aoa - spec.mean_incidence)) < 1e-12

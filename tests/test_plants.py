@@ -26,7 +26,6 @@ from dynderiv import (
     OscillationMode,
     QuasiSteadyCoefficients,
     QuasiSteadyPlant,
-    alpha_mode_schedule,
     fit_harmonic,
     jones_function,
     make_schedule,
@@ -348,7 +347,7 @@ class TestIndicial:
 
     def test_drag_channel_is_quasi_steady(self, condition, agard_alpha_spec):
         plant = IndicialPlant(drag=DragPolar(CD0=0.02, CD_alpha=0.4))
-        schedule = alpha_mode_schedule(agard_alpha_spec, condition)
+        schedule = make_schedule(agard_alpha_spec, condition)
         series = simulate(plant, schedule, condition)
         expected = 0.02 + 0.4 * schedule.relative_aoa
         np.testing.assert_allclose(series.CD, expected, rtol=1e-12)
@@ -356,9 +355,7 @@ class TestIndicial:
 
 class TestSimulate:
     def test_q_mode_quasi_steady_is_pure_cosine(self, linear_plant, agard_q_spec, condition):
-        from dynderiv import q_mode_schedule
-
-        schedule = q_mode_schedule(agard_q_spec, condition)
+        schedule = make_schedule(agard_q_spec, condition)
         series = simulate(linear_plant, schedule, condition)
         fit = fit_harmonic(series.times, series.CL, schedule.omega)
         assert fit.residual_rms < 1e-13
@@ -368,7 +365,7 @@ class TestSimulate:
         )
 
     def test_metadata(self, linear_plant, agard_alpha_spec, condition):
-        schedule = alpha_mode_schedule(agard_alpha_spec, condition)
+        schedule = make_schedule(agard_alpha_spec, condition)
         series = simulate(linear_plant, schedule, condition)
         assert series.meta.source == "quasi-steady"
         assert series.meta.spec == agard_alpha_spec
@@ -376,7 +373,7 @@ class TestSimulate:
 
     def test_flat_plate_emits_exact_harmonics(self, agard_alpha_spec, condition):
         plant = FlatPlatePlant(pitch_axis=-0.5, kernel="jones")
-        schedule = alpha_mode_schedule(agard_alpha_spec, condition)
+        schedule = make_schedule(agard_alpha_spec, condition)
         series = simulate(plant, schedule, condition)
         fit = fit_harmonic(series.times, series.CL, schedule.omega)
         truth = pitch_oscillation_loads(
@@ -388,16 +385,16 @@ class TestSimulate:
         assert fit.residual_rms < 1e-14
 
     def test_mach_scaling_raises_recovered_slope(self, agard_alpha_spec):
-        from dynderiv import FlightCondition, extract_alpha_mode, fit_series
+        from dynderiv import FlightCondition, extract, fit_series
 
         p = QuasiSteadyCoefficients(CL_alpha=5.0, mach_scaling=True)
         plant = QuasiSteadyPlant(coefficients=p)
         results = {}
         for speed in (33.0, 66.0):
             cond = FlightCondition(speed, 1.225, 0.2299, 0.6096, 0.1238, sound_speed=340.0)
-            schedule = alpha_mode_schedule(agard_alpha_spec, cond)
+            schedule = make_schedule(agard_alpha_spec, cond)
             series = simulate(plant, schedule, cond)
-            dset = extract_alpha_mode(fit_series(series, schedule.omega), agard_alpha_spec, cond)
+            dset = extract(fit_series(series, schedule.omega), agard_alpha_spec, cond)
             results[speed] = dset.channels["CL"].static_slope
         assert results[66.0] > results[33.0]
         assert results[66.0] == pytest.approx(5.0 * prandtl_glauert(66.0 / 340.0), rel=1e-9)

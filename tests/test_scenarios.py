@@ -4,10 +4,17 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynderiv import (
     AGARD_CT2_MACH,
+    FlatPlatePlant,
+    FlightCondition,
+    InsufficientSamples,
+    IndicialPlant,
     OscillationMode,
+    OscillationSpec,
     QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     SweepPlan,
@@ -16,7 +23,10 @@ from dynderiv import (
     TransitionScenario,
     agard_ct2_preset,
     builtin_scenarios,
+    identify_modes,
     omega_from_k,
+    pitch_oscillation_loads,
+    q_mode_oscillation_loads,
     run_sweep,
     trend_table,
     write_report,
@@ -63,6 +73,66 @@ def _plan(plant, condition, spec, **kwargs):
         plant=plant,
         **kwargs,
     )
+
+
+# module-level: hypothesis tests must not share function-scoped fixtures
+COND = FlightCondition(100.0, 1.225, 0.2299, 0.6096, 0.1238)
+
+
+def _within(measured, want, rel=1e-9):
+    return abs(measured - want) <= rel * max(abs(want), 1.0)
+
+
+class TestIdentifyModes:
+    """The single pipeline, over the parameter range the code accepts."""
+
+    @given(
+        values=st.lists(st.floats(-20.0, 20.0), min_size=11, max_size=11),
+        k=st.floats(0.01, 0.5),
+        amp_deg=st.floats(0.1, 10.0),
+        mean_deg=st.floats(-10.0, 10.0),
+        cycles=st.integers(1, 3),
+        spp=st.integers(8, 400),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_quasi_steady_recovered(self, values, k, amp_deg, mean_deg, cycles, spp):
+        p = QuasiSteadyCoefficients(*values)
+        spec = OscillationSpec.from_degrees(OscillationMode.Q, mean_deg, amp_deg, k, cycles, spp)
+        merged, (schedule, series) = identify_modes(QuasiSteadyPlant(p), spec, COND)
+        assert merged.provenance == ("alpha", "q")
+        assert schedule.spec.mode is OscillationMode.ALPHA and len(series) == cycles * spp
+        injected = {
+            "CL": (p.CL0 + p.CL_alpha * spec.mean_incidence, p.CL_alpha, p.CL_q, p.CL_alphadot),
+            "CD": (p.CD0 + p.CD_alpha * spec.mean_incidence, p.CD_alpha, p.CD_q, 0.0),
+            "Cm": (p.Cm0 + p.Cm_alpha * spec.mean_incidence, p.Cm_alpha, p.Cm_q, p.Cm_alphadot),
+        }
+        for channel, (trim, slope, rate, adot) in injected.items():
+            ch = merged.channels[channel]
+            assert _within(ch.trim_value, trim), (channel, "trim")
+            assert _within(ch.static_slope, slope), (channel, "C_alpha")
+            assert _within(ch.rate_derivative, rate), (channel, "C_q")
+            assert _within(ch.aoa_rate_derivative, adot), (channel, "C_alphadot")
+            assert _within(ch.damping_sum, rate + adot), (channel, "damping sum")
+
+    @given(a=st.floats(-1.0, 1.0), k=st.floats(0.02, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_flat_plate_matches_analytic_loads(self, a, k):
+        spec, _ = agard_ct2_preset(cycles=1, samples_per_cycle=64)
+        spec = dataclasses.replace(spec, reduced_frequency=k)
+        merged, _ = identify_modes(FlatPlatePlant(pitch_axis=a), spec, COND)
+        pitch, qmode = pitch_oscillation_loads(k, a), q_mode_oscillation_loads(k, a)
+        for channel, field in (("CL", "lift"), ("Cm", "moment")):
+            h_alpha, h_q = getattr(pitch, field), getattr(qmode, field)
+            ch = merged.channels[channel]
+            assert _within(ch.static_slope, h_alpha.real), (channel, "C_alpha")
+            assert _within(ch.rate_derivative, h_q.imag / k), (channel, "C_q")
+            assert _within(ch.aoa_rate_derivative, (h_alpha.imag - h_q.imag) / k), (channel, "C_alphadot")
+
+    def test_single_mode_runs_alone(self, linear_plant, condition, agard_alpha_spec):
+        dset, incidence = identify_modes(linear_plant, agard_alpha_spec, condition,
+                                         modes=(OscillationMode.Q,))
+        assert dset.provenance == ("q",) and incidence is None
+        assert dset.channels["Cm"].rate_derivative == pytest.approx(-3.0, rel=1e-9)
 
 
 class TestRunSweep:
@@ -219,9 +289,15 @@ class TestPlanValidation:
                       condition=condition, plant=linear_plant, speed_basis="sideways")
 
     def test_skip_must_leave_a_cycle(self, linear_plant, condition, agard_alpha_spec):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientSamples, match="skip_cycles is 3.*cycles is 3"):
             SweepPlan(scenarios=tuple(builtin_scenarios()), oscillation=agard_alpha_spec,
                       condition=condition, plant=linear_plant, skip_cycles=3)
+
+    def test_default_indicial_skip_must_leave_a_cycle(self, condition, agard_alpha_spec):
+        spec = dataclasses.replace(agard_alpha_spec, cycles=2)
+        with pytest.raises(InsufficientSamples, match="skip_cycles is 2.*cycles is 2"):
+            SweepPlan(scenarios=tuple(builtin_scenarios()), oscillation=spec,
+                      condition=condition, plant=IndicialPlant())
 
     def test_negative_altitude(self):
         with pytest.raises(ValueError):
