@@ -3,8 +3,11 @@
 A config is one strict JSON object with four blocks (``condition``,
 ``oscillation``, ``plant``, ``scenarios``) plus an optional top-level
 ``speed_basis``.  Angles are degrees here and nowhere else inside the
-package.  Unknown keys are rejected; every error names the offending key
-(and the line it sits on when it can be located in the source text).
+package.  One table per block maps each key to the constructor field it
+fills; the table rejects unknown keys, checks JSON types and finiteness,
+and renders plans back to text.  The range rules belong to the value
+objects: their ``DomainError`` is re-raised as a ``UnitViolation`` that
+names the key, its line, and the value as written.
 
 ``render_case_config`` emits the canonical form: sorted keys, explicit
 scenario list, two-space indent.  Rendering picks degree values whose
@@ -16,9 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+import sys
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Iterator, NamedTuple
 
-from .errors import MalformedDocument, MissingKey, UnitViolation, UnknownKey
+from .errors import DomainError, MalformedDocument, MissingKey, UnitViolation, UnknownKey
 from .kinematics import FlightCondition, OscillationMode, OscillationSpec
 from .plants import (
     DragPolar,
@@ -29,256 +35,6 @@ from .plants import (
     QuasiSteadyPlant,
 )
 from .scenarios import SweepPlan, TransitionScenario, builtin_scenarios
-
-_TOP_KEYS = {"condition", "oscillation", "plant", "scenarios", "speed_basis"}
-_CONDITION_KEYS = {
-    "speed_m_s", "sound_speed_m_s", "density_kg_m3", "chord_m", "span_m", "area_m2",
-}
-_OSCILLATION_KEYS = {
-    "modes", "mean_incidence_deg", "amplitude_deg", "reduced_frequency",
-    "cycles", "samples_per_cycle", "skip_cycles",
-}
-_SCENARIO_KEYS = {"name", "altitude_m", "vertical_velocity_m_s", "forward_velocity_m_s"}
-_QS_KEYS = {
-    "kind",
-    "CL0", "CL_alpha", "CL_q", "CL_alphadot",
-    "CD0", "CD_alpha", "CD_q",
-    "Cm0", "Cm_alpha", "Cm_q", "Cm_alphadot",
-    "induced_drag_factor", "mach_scaling",
-}
-_FLAT_PLATE_KEYS = {"kind", "pitch_axis", "kernel"}
-_INDICIAL_KEYS = {"kind", "pitch_axis", "CD0", "CD_alpha", "CD_q", "induced_drag_factor"}
-
-_MODE_NAMES = {"alpha": OscillationMode.ALPHA, "q": OscillationMode.Q}
-
-
-def _key_line(text: str, key: str) -> str:
-    """Best-effort line locator for error messages."""
-    needle = f'"{key.split(".")[-1]}"'
-    for i, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return f" (line {i})"
-    return ""
-
-
-class _Ctx:
-    """Carries the raw text around so every error can cite key and line."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def require(self, obj: dict, key: str, path: str) -> Any:
-        if key not in obj:
-            raise MissingKey(f"missing required key '{path}'{_key_line(self.text, path)}")
-        return obj[key]
-
-    def reject_unknown(self, obj: dict, allowed: set[str], path: str) -> None:
-        for key in obj:
-            if key not in allowed:
-                where = f"{path}.{key}" if path else key
-                raise UnknownKey(f"unknown key '{where}'{_key_line(self.text, key)}")
-
-    def number(self, obj: dict, key: str, path: str, *, optional: bool = False) -> float | None:
-        if optional and obj.get(key) is None:
-            return None
-        value = self.require(obj, key, path)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise UnitViolation(f"'{path}' must be a number{_key_line(self.text, key)}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise UnitViolation(f"'{path}' must be finite{_key_line(self.text, key)}")
-        return value
-
-    def positive(self, obj: dict, key: str, path: str, *, optional: bool = False) -> float | None:
-        value = self.number(obj, key, path, optional=optional)
-        if value is not None and value <= 0.0:
-            raise UnitViolation(f"'{path}' must be > 0, got {value}{_key_line(self.text, key)}")
-        return value
-
-    def integer(self, obj: dict, key: str, path: str, *, minimum: int) -> int:
-        value = self.require(obj, key, path)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise UnitViolation(f"'{path}' must be an integer{_key_line(self.text, key)}")
-        if value < minimum:
-            raise UnitViolation(f"'{path}' must be >= {minimum}, got {value}{_key_line(self.text, key)}")
-        return value
-
-
-def _parse_condition(ctx: _Ctx, obj: Any) -> FlightCondition:
-    if not isinstance(obj, dict):
-        raise MalformedDocument("'condition' must be an object")
-    ctx.reject_unknown(obj, _CONDITION_KEYS, "condition")
-    speed = ctx.number(obj, "speed_m_s", "condition.speed_m_s")
-    if speed < 0.0:
-        raise UnitViolation(f"'condition.speed_m_s' must be >= 0, got {speed}")
-    sound = obj.get("sound_speed_m_s")
-    if sound is not None:
-        sound = ctx.positive(obj, "sound_speed_m_s", "condition.sound_speed_m_s")
-        if speed >= sound:
-            raise UnitViolation(
-                f"'condition.speed_m_s' implies Mach >= 1 ({speed}/{sound})"
-            )
-    return FlightCondition(
-        freestream_speed=speed,
-        density=ctx.positive(obj, "density_kg_m3", "condition.density_kg_m3"),
-        ref_chord=ctx.positive(obj, "chord_m", "condition.chord_m"),
-        ref_span=ctx.positive(obj, "span_m", "condition.span_m"),
-        ref_area=ctx.positive(obj, "area_m2", "condition.area_m2"),
-        sound_speed=sound,
-    )
-
-
-def _parse_modes(ctx: _Ctx, obj: dict) -> tuple[OscillationMode, ...]:
-    raw = ctx.require(obj, "modes", "oscillation.modes")
-    if not isinstance(raw, list) or not raw:
-        raise UnitViolation("'oscillation.modes' must be a non-empty list")
-    modes: list[OscillationMode] = []
-    for item in raw:
-        if not isinstance(item, str) or item not in _MODE_NAMES:
-            raise UnitViolation(
-                f"'oscillation.modes' entries must be 'alpha' or 'q', got {item!r}"
-            )
-        mode = _MODE_NAMES[item]
-        if mode in modes:
-            raise UnitViolation(f"'oscillation.modes' repeats {item!r}")
-        modes.append(mode)
-    return tuple(modes)
-
-
-def _parse_oscillation(ctx: _Ctx, obj: Any) -> tuple[OscillationSpec, tuple[OscillationMode, ...], int | None]:
-    if not isinstance(obj, dict):
-        raise MalformedDocument("'oscillation' must be an object")
-    ctx.reject_unknown(obj, _OSCILLATION_KEYS, "oscillation")
-    modes = _parse_modes(ctx, obj)
-    mean_deg = ctx.number(obj, "mean_incidence_deg", "oscillation.mean_incidence_deg")
-    amp_deg = ctx.positive(obj, "amplitude_deg", "oscillation.amplitude_deg")
-    spec = OscillationSpec(
-        mode=modes[0],
-        mean_incidence=math.radians(mean_deg),
-        body_amplitude=math.radians(amp_deg),
-        reduced_frequency=ctx.positive(obj, "reduced_frequency", "oscillation.reduced_frequency"),
-        cycles=ctx.integer(obj, "cycles", "oscillation.cycles", minimum=1),
-        samples_per_cycle=ctx.integer(
-            obj, "samples_per_cycle", "oscillation.samples_per_cycle", minimum=8
-        ),
-    )
-    skip = obj.get("skip_cycles")
-    if skip is not None:
-        skip = ctx.integer(obj, "skip_cycles", "oscillation.skip_cycles", minimum=0)
-    return spec, modes, skip
-
-
-def _parse_plant(ctx: _Ctx, obj: Any) -> Plant:
-    if not isinstance(obj, dict):
-        raise MalformedDocument("'plant' must be an object")
-    kind = ctx.require(obj, "kind", "plant.kind")
-    if kind == "quasi-steady":
-        ctx.reject_unknown(obj, _QS_KEYS, "plant")
-        kwargs = {}
-        for name in QuasiSteadyCoefficients.__dataclass_fields__:
-            if name == "induced_drag_factor":
-                value = ctx.number(obj, name, f"plant.{name}", optional=True)
-                if value is not None and value < 0.0:
-                    raise UnitViolation(f"'plant.{name}' must be >= 0, got {value}")
-                kwargs[name] = value
-            elif name == "mach_scaling":
-                value = obj.get(name, False)
-                if not isinstance(value, bool):
-                    raise UnitViolation("'plant.mach_scaling' must be a boolean")
-                kwargs[name] = value
-            else:
-                kwargs[name] = ctx.number(obj, name, f"plant.{name}") if name in obj else 0.0
-        return QuasiSteadyPlant(coefficients=QuasiSteadyCoefficients(**kwargs))
-    if kind == "flat-plate":
-        ctx.reject_unknown(obj, _FLAT_PLATE_KEYS, "plant")
-        kernel = obj.get("kernel", "theodorsen")
-        if kernel not in ("theodorsen", "jones"):
-            raise UnitViolation(f"'plant.kernel' must be 'theodorsen' or 'jones', got {kernel!r}")
-        return FlatPlatePlant(
-            pitch_axis=ctx.number(obj, "pitch_axis", "plant.pitch_axis") if "pitch_axis" in obj else -0.5,
-            kernel=kernel,
-        )
-    if kind == "indicial":
-        ctx.reject_unknown(obj, _INDICIAL_KEYS, "plant")
-        kappa = ctx.number(obj, "induced_drag_factor", "plant.induced_drag_factor", optional=True)
-        if kappa is not None and kappa < 0.0:
-            raise UnitViolation(f"'plant.induced_drag_factor' must be >= 0, got {kappa}")
-        drag = DragPolar(
-            CD0=ctx.number(obj, "CD0", "plant.CD0") if "CD0" in obj else 0.0,
-            CD_alpha=ctx.number(obj, "CD_alpha", "plant.CD_alpha") if "CD_alpha" in obj else 0.0,
-            CD_q=ctx.number(obj, "CD_q", "plant.CD_q") if "CD_q" in obj else 0.0,
-            induced_drag_factor=kappa,
-        )
-        return IndicialPlant(
-            pitch_axis=ctx.number(obj, "pitch_axis", "plant.pitch_axis") if "pitch_axis" in obj else -0.5,
-            drag=drag,
-        )
-    raise UnitViolation(
-        f"'plant.kind' must be 'quasi-steady', 'flat-plate' or 'indicial', got {kind!r}"
-    )
-
-
-def _parse_scenarios(ctx: _Ctx, obj: Any) -> tuple[TransitionScenario, ...]:
-    if obj == "builtin":
-        return tuple(builtin_scenarios())
-    if not isinstance(obj, list) or not obj:
-        raise UnitViolation("'scenarios' must be \"builtin\" or a non-empty list")
-    out = []
-    for i, entry in enumerate(obj):
-        path = f"scenarios[{i}]"
-        if not isinstance(entry, dict):
-            raise MalformedDocument(f"'{path}' must be an object")
-        ctx.reject_unknown(entry, _SCENARIO_KEYS, path)
-        name = ctx.require(entry, "name", f"{path}.name")
-        if not isinstance(name, str) or not name:
-            raise UnitViolation(f"'{path}.name' must be a non-empty string")
-        altitude = ctx.number(entry, "altitude_m", f"{path}.altitude_m")
-        if altitude < 0.0:
-            raise UnitViolation(f"'{path}.altitude_m' must be >= 0, got {altitude}")
-        forward = ctx.number(entry, "forward_velocity_m_s", f"{path}.forward_velocity_m_s")
-        if forward < 0.0:
-            raise UnitViolation(f"'{path}.forward_velocity_m_s' must be >= 0, got {forward}")
-        out.append(
-            TransitionScenario(
-                name=name,
-                altitude=altitude,
-                vertical_velocity=ctx.number(
-                    entry, "vertical_velocity_m_s", f"{path}.vertical_velocity_m_s"
-                ),
-                forward_velocity=forward,
-            )
-        )
-    return tuple(out)
-
-
-def parse_case_config(text: str) -> SweepPlan:
-    """Parse and validate one case-config document into a SweepPlan."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocument("top level must be a JSON object")
-    ctx = _Ctx(text)
-    ctx.reject_unknown(doc, _TOP_KEYS, "")
-    condition = _parse_condition(ctx, ctx.require(doc, "condition", "condition"))
-    spec, modes, skip = _parse_oscillation(ctx, ctx.require(doc, "oscillation", "oscillation"))
-    plant = _parse_plant(ctx, ctx.require(doc, "plant", "plant"))
-    scenarios = _parse_scenarios(ctx, ctx.require(doc, "scenarios", "scenarios"))
-    speed_basis = doc.get("speed_basis", "forward")
-    if speed_basis not in ("forward", "total"):
-        raise UnitViolation(
-            f"'speed_basis' must be 'forward' or 'total', got {speed_basis!r}"
-        )
-    return SweepPlan(
-        scenarios=scenarios,
-        oscillation=spec,
-        condition=condition,
-        plant=plant,
-        modes=modes,
-        skip_cycles=skip,
-        speed_basis=speed_basis,
-    )
 
 
 def _degrees_preimage(radians_value: float) -> float:
@@ -303,59 +59,249 @@ def _degrees_preimage(radians_value: float) -> float:
     return d
 
 
-def _plant_to_dict(plant: Plant) -> dict[str, Any]:
-    if isinstance(plant, QuasiSteadyPlant):
-        p = plant.coefficients
-        out: dict[str, Any] = {"kind": "quasi-steady"}
-        for name in QuasiSteadyCoefficients.__dataclass_fields__:
-            out[name] = getattr(p, name)
+def _same(value: Any) -> Any:
+    return value
+
+
+def _is_number(value: Any) -> bool:
+    # JSON gives exact ints and floats (not bools); the bound rejects nan, inf and huge ints
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+class _Kind(NamedTuple):
+    """The JSON type of a config value and its conversions to and from a field."""
+
+    noun: str
+    accepts: Callable[[Any], bool]
+    parse: Callable[[Any], Any] = _same
+    render: Callable[[Any], Any] = _same
+
+
+_KINDS = {
+    "number": _Kind("a finite number", _is_number, float),
+    "degrees": _Kind("a finite number", _is_number, math.radians, _degrees_preimage),
+    "integer": _Kind("an integer", lambda v: type(v) is int),
+    "boolean": _Kind("a boolean", lambda v: type(v) is bool),
+    "string": _Kind("a string", lambda v: type(v) is str),
+    "modes": _Kind(
+        "a list of 'alpha' or 'q' entries",
+        lambda v: type(v) is list and all(m in ("alpha", "q") for m in v),
+        lambda v: tuple(OscillationMode(m) for m in v),
+        lambda modes: [m.value for m in modes],
+    ),
+    "block": _Kind("a block", lambda v: True),     # parsed later by the block's own table
+}
+
+
+class _Key(NamedTuple):
+    """Where one config key goes: the constructor field it fills, and its kind."""
+
+    field: str
+    kind: str
+    required: bool = True
+    nullable: bool = False      # JSON null is accepted and means None
+
+
+def _optional(kind: str, *names: str, nullable: bool = False) -> dict[str, _Key]:
+    """Optional keys, each named like the field it fills."""
+    return {name: _Key(name, kind, required=False, nullable=nullable) for name in names}
+
+
+# top-level keys -> SweepPlan fields; ``modes`` and ``skip_cycles`` sit in
+# the oscillation block
+_PLAN = {
+    "condition": _Key("condition", "block"),
+    "oscillation": _Key("oscillation", "block"),
+    "plant": _Key("plant", "block"),
+    "scenarios": _Key("scenarios", "block"),
+    "speed_basis": _Key("speed_basis", "string", required=False),
+}
+_CONDITION = {
+    "speed_m_s": _Key("freestream_speed", "number"),
+    "sound_speed_m_s": _Key("sound_speed", "number", required=False, nullable=True),
+    "density_kg_m3": _Key("density", "number"),
+    "chord_m": _Key("ref_chord", "number"),
+    "span_m": _Key("ref_span", "number"),
+    "area_m2": _Key("ref_area", "number"),
+}
+_OSCILLATION = {
+    "modes": _Key("modes", "modes"),
+    "mean_incidence_deg": _Key("mean_incidence", "degrees"),
+    "amplitude_deg": _Key("body_amplitude", "degrees"),
+    "reduced_frequency": _Key("reduced_frequency", "number"),
+    "cycles": _Key("cycles", "integer"),
+    "samples_per_cycle": _Key("samples_per_cycle", "integer"),
+    "skip_cycles": _Key("skip_cycles", "integer", required=False, nullable=True),
+}
+_SCENARIO = {
+    "name": _Key("name", "string"),
+    "altitude_m": _Key("altitude", "number"),
+    "vertical_velocity_m_s": _Key("vertical_velocity", "number"),
+    "forward_velocity_m_s": _Key("forward_velocity", "number"),
+}
+_DRAG = {
+    **_optional("number", "CD0", "CD_alpha", "CD_q"),
+    **_optional("number", "induced_drag_factor", nullable=True),
+}
+_QUASI_STEADY = {
+    **_optional("number", "CL0", "CL_alpha", "CL_q", "CL_alphadot"),
+    **_optional("number", "Cm0", "Cm_alpha", "Cm_q", "Cm_alphadot"),
+    **_DRAG,
+    **_optional("boolean", "mach_scaling"),
+}
+_FLAT_PLATE = {**_optional("number", "pitch_axis"), **_optional("string", "kernel")}
+_INDICIAL = {**_optional("number", "pitch_axis"), **_DRAG}
+
+
+def _indicial_plant(pitch_axis: float = IndicialPlant.pitch_axis, **drag: Any) -> IndicialPlant:
+    return IndicialPlant(pitch_axis=pitch_axis, drag=DragPolar(**drag))
+
+
+# plant.kind -> (table of the other keys, plant factory taking their fields)
+_PLANTS: dict[str, tuple[dict[str, _Key], Callable[..., Plant]]] = {
+    "quasi-steady": (_QUASI_STEADY, lambda **f: QuasiSteadyPlant(QuasiSteadyCoefficients(**f))),
+    "flat-plate": (_FLAT_PLATE, FlatPlatePlant),
+    "indicial": (_INDICIAL, _indicial_plant),
+}
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _key_line(text: str, key: str) -> str:
+    """Best-effort line locator for error messages."""
+    needle = f'"{key.split(".")[-1]}"'
+    for i, line in enumerate(text.splitlines(), start=1):
+        if needle in line:
+            return f" (line {i})"
+    return ""
+
+
+@dataclass(frozen=True)
+class _Ctx:
+    """Carries the raw text around so every error can cite key and line."""
+
+    text: str
+
+    def missing(self, path: str) -> MissingKey:
+        return MissingKey(f"missing required key '{path}'{_key_line(self.text, path)}")
+
+    def fields(self, obj: Any, table: dict[str, _Key], path: str) -> dict[str, Any]:
+        """Constructor arguments from the keys of ``table`` that ``obj`` holds."""
+        if not isinstance(obj, dict):
+            raise MalformedDocument(f"'{path}' must be an object")
+        for key in obj:
+            if key not in table:
+                raise UnknownKey(f"unknown key '{_join(path, key)}'{_key_line(self.text, key)}")
+        out = {}
+        for key, spec in table.items():
+            if key not in obj:
+                if spec.required:
+                    raise self.missing(_join(path, key))
+                continue
+            raw, kind = obj[key], _KINDS[spec.kind]
+            if raw is None and spec.nullable:
+                out[spec.field] = None
+            elif kind.accepts(raw):
+                out[spec.field] = kind.parse(raw)
+            else:
+                where = _join(path, key)
+                raise UnitViolation(f"'{where}' must be {kind.noun}{_key_line(self.text, key)}")
         return out
-    if isinstance(plant, FlatPlatePlant):
-        return {"kind": "flat-plate", "pitch_axis": plant.pitch_axis, "kernel": plant.kernel}
+
+    @contextmanager
+    def reported(self, obj: dict, table: dict[str, _Key], path: str) -> Iterator[None]:
+        """Re-raise a constructor's DomainError under the key of its field."""
+        try:
+            yield
+        except DomainError as exc:
+            key = next((k for k, spec in table.items() if spec.field == exc.field), None)
+            if key is None:
+                raise
+            raise UnitViolation(
+                f"'{_join(path, key)}' {exc.rule}, got {obj.get(key)!r}"
+                f"{_key_line(self.text, key)}"
+            ) from exc
+
+    def build(self, factory: Callable[..., Any], obj: Any, table: dict[str, _Key], path: str):
+        """``factory`` called with the fields of ``obj``; range errors name their key."""
+        kwargs = self.fields(obj, table, path)
+        with self.reported(obj, table, path):
+            return factory(**kwargs)
+
+
+def _parse_plant(ctx: _Ctx, obj: Any) -> Plant:
+    if not isinstance(obj, dict):
+        raise MalformedDocument("'plant' must be an object")
+    if "kind" not in obj:
+        raise ctx.missing("plant.kind")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _PLANTS:
+        raise UnitViolation(
+            f"'plant.kind' must be 'quasi-steady', 'flat-plate' or 'indicial', got {kind!r}"
+        )
+    table, factory = _PLANTS[kind]
+    return ctx.build(factory, {k: v for k, v in obj.items() if k != "kind"}, table, "plant")
+
+
+def _parse_scenarios(ctx: _Ctx, obj: Any) -> tuple[TransitionScenario, ...]:
+    if obj == "builtin":
+        return tuple(builtin_scenarios())
+    if not isinstance(obj, list):
+        raise UnitViolation("'scenarios' must be \"builtin\" or a non-empty list")
+    return tuple(
+        ctx.build(TransitionScenario, entry, _SCENARIO, f"scenarios[{i}]")
+        for i, entry in enumerate(obj)
+    )
+
+
+def parse_case_config(text: str) -> SweepPlan:
+    """Parse and validate one case-config document into a SweepPlan."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedDocument("top level must be a JSON object")
+    ctx = _Ctx(text)
+    args = ctx.fields(doc, _PLAN, "")
+    args["condition"] = ctx.build(FlightCondition, doc["condition"], _CONDITION, "condition")
+    oscillation = ctx.fields(doc["oscillation"], _OSCILLATION, "oscillation")
+    args["modes"] = oscillation.pop("modes")
+    args["skip_cycles"] = oscillation.pop("skip_cycles", None)
+    with ctx.reported(doc["oscillation"], _OSCILLATION, "oscillation"):
+        # a template: SweepPlan gives it the first planned mode
+        args["oscillation"] = OscillationSpec(mode=OscillationMode.ALPHA, **oscillation)
+    args["plant"] = _parse_plant(ctx, doc["plant"])
+    args["scenarios"] = _parse_scenarios(ctx, doc["scenarios"])
+    with ctx.reported(doc, _PLAN, ""):
+        with ctx.reported(doc["oscillation"], _OSCILLATION, "oscillation"):
+            return SweepPlan(**args)
+
+
+def _render(table: dict[str, _Key], fields: dict[str, Any]) -> dict[str, Any]:
+    """The config block of ``table`` for the given constructor fields."""
+    return {key: _KINDS[spec.kind].render(fields[spec.field]) for key, spec in table.items()}
+
+
+def _plant_fields(plant: Plant) -> dict[str, Any]:
+    if isinstance(plant, QuasiSteadyPlant):
+        return asdict(plant.coefficients)
     if isinstance(plant, IndicialPlant):
-        return {
-            "kind": "indicial",
-            "pitch_axis": plant.pitch_axis,
-            "CD0": plant.drag.CD0,
-            "CD_alpha": plant.drag.CD_alpha,
-            "CD_q": plant.drag.CD_q,
-            "induced_drag_factor": plant.drag.induced_drag_factor,
-        }
-    raise TypeError(f"unknown plant type {type(plant).__name__}")
+        return {"pitch_axis": plant.pitch_axis, **asdict(plant.drag)}
+    return asdict(plant)
 
 
 def render_case_config(plan: SweepPlan) -> str:
     """Canonical JSON rendering of a plan; parse(render(plan)) == plan."""
-    cond = plan.condition
-    spec = plan.oscillation
+    oscillation = {**asdict(plan.oscillation), "modes": plan.modes, "skip_cycles": plan.skip_cycles}
+    table, _ = _PLANTS[plan.plant.name]
     doc = {
-        "condition": {
-            "speed_m_s": cond.freestream_speed,
-            "sound_speed_m_s": cond.sound_speed,
-            "density_kg_m3": cond.density,
-            "chord_m": cond.ref_chord,
-            "span_m": cond.ref_span,
-            "area_m2": cond.ref_area,
-        },
-        "oscillation": {
-            "modes": [m.value for m in plan.modes],
-            "mean_incidence_deg": _degrees_preimage(spec.mean_incidence),
-            "amplitude_deg": _degrees_preimage(spec.body_amplitude),
-            "reduced_frequency": spec.reduced_frequency,
-            "cycles": spec.cycles,
-            "samples_per_cycle": spec.samples_per_cycle,
-            "skip_cycles": plan.skip_cycles,
-        },
-        "plant": _plant_to_dict(plan.plant),
-        "scenarios": [
-            {
-                "name": s.name,
-                "altitude_m": s.altitude,
-                "vertical_velocity_m_s": s.vertical_velocity,
-                "forward_velocity_m_s": s.forward_velocity,
-            }
-            for s in plan.scenarios
-        ],
+        "condition": _render(_CONDITION, asdict(plan.condition)),
+        "oscillation": _render(_OSCILLATION, oscillation),
+        "plant": {"kind": plan.plant.name, **_render(table, _plant_fields(plan.plant))},
+        "scenarios": [_render(_SCENARIO, asdict(s)) for s in plan.scenarios],
         "speed_basis": plan.speed_basis,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,10 +1,13 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the range-rule helper.
 
 Everything raised on purpose by this package derives from DynDerivError,
 so callers can catch one type at the boundary. Subclasses are split by
 surface: kinematics/nondimensionalization, identification, scenario
 sweeps, and the two text interfaces (case configs and monitor tables).
+Value objects enforce each of their range rules through ``check``.
 """
+
+import math
 
 
 class DynDerivError(ValueError):
@@ -18,7 +21,38 @@ class NonDimensionalizationUndefined(DynDerivError):
 
 
 class DomainError(DynDerivError):
-    """Argument outside the mathematical domain of a special function."""
+    """A value outside its valid range.
+
+    ``field`` names the constructor field or argument holding the value and
+    ``rule`` the range it breaks ("must be > 0"), so a caller that knows the
+    value by another name (a config key, in degrees) can report it so.
+    """
+
+    def __init__(self, field: str, rule: str, value: object = None):
+        super().__init__(f"{field} {rule}" + ("" if value is None else f", got {value!r}"))
+        self.field = field
+        self.rule = rule
+
+
+def check(ok: bool, field: str, rule: str, value: object = None, error: type = DomainError) -> None:
+    """Raise ``error(field, rule, value)`` unless ``ok``."""
+    if not ok:
+        raise error(field, rule, value)
+
+
+_STANDARD_RULES = {
+    "finite": math.isfinite,
+    "> 0": lambda v: math.isfinite(v) and v > 0.0,
+    ">= 0": lambda v: math.isfinite(v) and v >= 0.0,
+}
+
+
+def check_fields(obj: object, rule: str, *fields: str) -> None:
+    """Check each named field of ``obj`` against "finite", "> 0" or ">= 0"."""
+    test = _STANDARD_RULES[rule]
+    for field in fields:
+        value = getattr(obj, field)
+        check(test(value), field, f"must be {rule}", value)
 
 
 # --- identification --------------------------------------------------------
@@ -31,11 +65,11 @@ class NonFiniteData(DynDerivError):
     """NaN or infinity in a sampled signal."""
 
 
-class ZeroAmplitude(DynDerivError):
+class ZeroAmplitude(DomainError):
     """Oscillation amplitude is zero; displacement scaling is undefined."""
 
 
-class ZeroReducedFrequency(DynDerivError):
+class ZeroReducedFrequency(DomainError):
     """Reduced frequency is zero; rate scaling is undefined."""
 
 

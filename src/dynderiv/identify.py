@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConditionMismatch, InsufficientSamples, NonFiniteData
+from .errors import ConditionMismatch, InsufficientSamples, NonFiniteData, check
 from .kinematics import FlightCondition, OscillationMode, OscillationSpec
 from .series import CHANNELS, CoefficientSeries
 
@@ -104,12 +104,10 @@ def fit_harmonic(times, values, omega: float, skip_cycles: int = 0) -> HarmonicF
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if times.shape != values.shape or times.ndim != 1:
-        raise ValueError("times and values must be 1-D arrays of equal length")
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValueError(f"omega must be > 0, got {omega}")
-    if skip_cycles < 0:
-        raise ValueError(f"skip_cycles must be >= 0, got {skip_cycles}")
+    check(times.shape == values.shape and times.ndim == 1, "values",
+          "must be a 1-D array as long as times", values.shape)
+    check(math.isfinite(omega) and omega > 0.0, "omega", "must be > 0", omega)
+    check(skip_cycles >= 0, "skip_cycles", "must be >= 0", skip_cycles)
     if not np.all(np.isfinite(values)):
         raise NonFiniteData("values contain non-finite entries")
     if not np.all(np.isfinite(times)):
@@ -149,8 +147,6 @@ class ChannelDerivatives:
     """Identified derivatives for one coefficient channel.
 
     Fields left as None were not identifiable from the runs at hand.
-    ``speed_derivative`` (the forward-speed derivative) is reserved and
-    never populated: steady-speed oscillations carry no information on it.
     """
 
     trim_value: float | None = None
@@ -159,7 +155,6 @@ class ChannelDerivatives:
     aoa_rate_derivative: float | None = None   # per rad (incidence rate)
     damping_sum: float | None = None           # rate + aoa_rate, per rad
     contamination: float | None = None         # flow-path-mode in-phase residue / A
-    speed_derivative: None = None              # reserved, never populated
     fit: HarmonicFit | None = None
 
     def __post_init__(self) -> None:
@@ -168,10 +163,9 @@ class ChannelDerivatives:
             and self.rate_derivative is not None
             and self.aoa_rate_derivative is not None
         ):
-            if self.aoa_rate_derivative != self.damping_sum - self.rate_derivative:
-                raise ValueError(
-                    "aoa_rate_derivative must equal damping_sum - rate_derivative exactly"
-                )
+            check(self.aoa_rate_derivative == self.damping_sum - self.rate_derivative,
+                  "aoa_rate_derivative", "must equal damping_sum - rate_derivative exactly",
+                  self.aoa_rate_derivative)
 
 
 @dataclass(frozen=True)
@@ -186,8 +180,7 @@ class DerivativeSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", dict(self.channels))
         for name in self.channels:
-            if name not in CHANNELS:
-                raise ValueError(f"unknown channel {name!r}; expected one of {CHANNELS}")
+            check(name in CHANNELS, "channels", f"must be named from {CHANNELS}", name)
 
 
 def extract(
@@ -290,7 +283,7 @@ class Orientation(enum.Enum):
 
 @dataclass(frozen=True)
 class LoopMetrics:
-    """Shape summary of one coefficient-vs-angle hysteresis loop.
+    """Area and orientation of one coefficient-vs-angle hysteresis loop.
 
     signed_area is the trapezoidal loop integral of y over x for the last
     full cycle; for x = A*sin(omega*t) and a first-harmonic response it
@@ -300,17 +293,16 @@ class LoopMetrics:
 
     signed_area: float
     orientation: Orientation
-    major_axis_slope: float | None
 
     def __post_init__(self) -> None:
-        if self.signed_area > 0.0 and self.orientation is not Orientation.COUNTERCLOCKWISE:
-            raise ValueError("positive signed_area must be counterclockwise")
-        if self.signed_area < 0.0 and self.orientation is not Orientation.CLOCKWISE:
-            raise ValueError("negative signed_area must be clockwise")
+        if self.signed_area != 0.0:
+            want = Orientation.COUNTERCLOCKWISE if self.signed_area > 0.0 else Orientation.CLOCKWISE
+            check(self.orientation is want, "orientation",
+                  f"must be {want.value} for a signed_area of {self.signed_area}", self.orientation)
 
 
 def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0) -> LoopMetrics:
-    """Signed loop area, orientation, and mean slope of a hysteresis loop.
+    """Signed loop area and orientation of a hysteresis loop.
 
     x is the angle series (rad), y the coefficient series.  The area is
     the closed trapezoidal integral of y dx over the last full cycle of
@@ -320,8 +312,7 @@ def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0) -> LoopMetrics
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not (times.shape == x.shape == y.shape):
-        raise ValueError("times, x and y must share one shape")
+    check(times.shape == x.shape == y.shape, "x, y", "must have the shape of times", times.shape)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise NonFiniteData("loop series contain non-finite entries")
 
@@ -341,17 +332,9 @@ def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0) -> LoopMetrics
     scale = float(np.max(np.abs(xs)) * np.max(np.abs(ys)))
     tol = 32.0 * len(xs) * np.finfo(float).eps * scale
     if abs(area) <= tol:
-        return LoopMetrics(0.0, Orientation.DEGENERATE, _loop_slope(times, x, y, omega, skip_cycles))
+        return LoopMetrics(0.0, Orientation.DEGENERATE)
     orient = Orientation.COUNTERCLOCKWISE if area > 0.0 else Orientation.CLOCKWISE
-    return LoopMetrics(area, orient, _loop_slope(times, x, y, omega, skip_cycles))
-
-
-def _loop_slope(times, x, y, omega, skip_cycles) -> float | None:
-    fit_x = fit_harmonic(times, x, omega, skip_cycles)
-    fit_y = fit_harmonic(times, y, omega, skip_cycles)
-    if fit_x.amplitude < 1e3 * np.finfo(float).eps * max(1.0, abs(fit_x.mean)):
-        return None                            # no angular excursion (flow-path mode vs alpha)
-    return fit_y.in_phase / fit_x.amplitude
+    return LoopMetrics(area, orient)
 
 
 # ---------------------------------------------------------------------------

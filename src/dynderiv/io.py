@@ -21,9 +21,11 @@ import numpy as np
 
 from .errors import (
     MissingTimeColumn,
+    MonitorError,
     NoCoefficientColumn,
     NonFiniteValue,
     NonMonotonicTime,
+    check,
 )
 from .identify import validate_fit
 from .scenarios import SweepReport, SweepStatus
@@ -82,7 +84,9 @@ def parse_monitor_table(
         extra_aliases = {k.lower(): v for k, v in extra_aliases.items()}
         for target in extra_aliases.values():
             if target not in ("time",) + CHANNELS:
-                raise ValueError(f"alias target must be 'time' or one of {CHANNELS}, got {target!r}")
+                raise MonitorError(
+                    f"alias target must be 'time' or one of {CHANNELS}, got {target!r}"
+                )
 
     lines = [
         (i, line) for i, line in enumerate(text.splitlines(), start=1)
@@ -279,8 +283,8 @@ def write_loop_table(incidence, series: CoefficientSeries) -> str:
     surface.
     """
     incidence = np.asarray(incidence, dtype=float)
-    if incidence.shape != series.times.shape:
-        raise ValueError("incidence history and series must share one length")
+    check(incidence.shape == series.times.shape, "incidence",
+          "must have the shape of the series times", incidence.shape)
     channels = series.channels()
     header = ",".join(["alpha_deg"] + [_FILE_LABELS[name] for name in channels])
     rows = [header]

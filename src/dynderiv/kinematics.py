@@ -30,7 +30,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonDimensionalizationUndefined, ZeroAmplitude, ZeroReducedFrequency
+from .errors import (
+    NonDimensionalizationUndefined,
+    ZeroAmplitude,
+    ZeroReducedFrequency,
+    check,
+    check_fields,
+)
 
 
 class OscillationMode(enum.Enum):
@@ -56,21 +62,12 @@ class FlightCondition:
     sound_speed: float | None = None  # m/s
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.freestream_speed) and self.freestream_speed >= 0.0):
-            raise ValueError(f"freestream_speed must be >= 0, got {self.freestream_speed}")
-        if not (math.isfinite(self.density) and self.density > 0.0):
-            raise ValueError(f"density must be > 0, got {self.density}")
-        if not (math.isfinite(self.ref_chord) and self.ref_chord > 0.0):
-            raise ValueError(f"ref_chord must be > 0, got {self.ref_chord}")
-        if not (math.isfinite(self.ref_span) and self.ref_span > 0.0):
-            raise ValueError(f"ref_span must be > 0, got {self.ref_span}")
-        if not (math.isfinite(self.ref_area) and self.ref_area > 0.0):
-            raise ValueError(f"ref_area must be > 0, got {self.ref_area}")
+        check_fields(self, ">= 0", "freestream_speed")
+        check_fields(self, "> 0", "density", "ref_chord", "ref_span", "ref_area")
         if self.sound_speed is not None:
-            if not (math.isfinite(self.sound_speed) and self.sound_speed > 0.0):
-                raise ValueError(f"sound_speed must be > 0, got {self.sound_speed}")
-            if self.mach >= 1.0:
-                raise ValueError(f"Mach must be < 1, got {self.mach}")
+            check_fields(self, "> 0", "sound_speed")
+            check(self.mach < 1.0, "freestream_speed",
+                  "must be below the sound speed (Mach must be < 1)", self.freestream_speed)
 
     @property
     def mach(self) -> float | None:
@@ -97,22 +94,17 @@ class OscillationSpec:
     samples_per_cycle: int = 720
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mean_incidence):
-            raise ValueError(f"mean_incidence must be finite, got {self.mean_incidence}")
-        if self.body_amplitude == 0.0:
-            raise ZeroAmplitude("body_amplitude must be > 0; a zero-amplitude case has no motion")
-        if not (math.isfinite(self.body_amplitude) and self.body_amplitude > 0.0):
-            raise ValueError(f"body_amplitude must be > 0, got {self.body_amplitude}")
-        if self.reduced_frequency == 0.0:
-            raise ZeroReducedFrequency("reduced_frequency must be > 0; rate scaling undefined at 0")
-        if not (math.isfinite(self.reduced_frequency) and self.reduced_frequency > 0.0):
-            raise ValueError(f"reduced_frequency must be > 0, got {self.reduced_frequency}")
-        if int(self.cycles) != self.cycles or self.cycles < 1:
-            raise ValueError(f"cycles must be a positive integer, got {self.cycles}")
-        if int(self.samples_per_cycle) != self.samples_per_cycle or self.samples_per_cycle < 8:
-            raise ValueError(
-                f"samples_per_cycle must be an integer >= 8, got {self.samples_per_cycle}"
-            )
+        check_fields(self, "finite", "mean_incidence")
+        check(self.body_amplitude != 0.0, "body_amplitude",
+              "must be > 0; a zero-amplitude case has no motion", 0.0, ZeroAmplitude)
+        check_fields(self, "> 0", "body_amplitude")
+        check(self.reduced_frequency != 0.0, "reduced_frequency",
+              "must be > 0; rate scaling is undefined at 0", 0.0, ZeroReducedFrequency)
+        check_fields(self, "> 0", "reduced_frequency")
+        for field, minimum in (("cycles", 1), ("samples_per_cycle", 8)):
+            value = getattr(self, field)
+            check(value % 1 == 0 and value >= minimum, field,
+                  f"must be an integer >= {minimum}", value)
 
     @classmethod
     def from_degrees(
@@ -168,8 +160,7 @@ class MotionSchedule:
 
 def omega_from_k(k: float, cond: FlightCondition) -> float:
     """Angular frequency (rad/s) for reduced frequency k = omega*c/(2V)."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"reduced frequency must be > 0, got {k}")
+    check(math.isfinite(k) and k > 0.0, "k", "must be > 0", k)
     if cond.freestream_speed == 0.0:
         raise NonDimensionalizationUndefined(
             "freestream speed is zero (hover): reduced frequency does not "
@@ -184,8 +175,7 @@ def sample_grid(spec: OscillationSpec, omega: float) -> np.ndarray:
     Excluding t = cycles*T keeps the sample set exactly periodic, which in
     turn keeps the harmonic regression basis orthogonal on the grid.
     """
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValueError(f"omega must be > 0, got {omega}")
+    check(math.isfinite(omega) and omega > 0.0, "omega", "must be > 0", omega)
     period = 2.0 * math.pi / omega
     n = spec.cycles * spec.samples_per_cycle
     return np.arange(n) * period / spec.samples_per_cycle

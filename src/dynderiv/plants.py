@@ -26,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonDimensionalizationUndefined
+from .errors import (
+    DomainError,
+    InsufficientSamples,
+    NonDimensionalizationUndefined,
+    check,
+    check_fields,
+)
 from .kinematics import FlightCondition, MotionSchedule, OscillationMode
 from .series import CoefficientSeries, SeriesMeta
 
@@ -42,8 +48,8 @@ _PITCH_AXIS_BOUND = 2.0
 
 
 def _check_pitch_axis(a: float) -> None:
-    if not (math.isfinite(a) and abs(a) <= _PITCH_AXIS_BOUND):
-        raise ValueError(f"pitch_axis must be finite with |a| <= {_PITCH_AXIS_BOUND}, got {a}")
+    check(math.isfinite(a) and abs(a) <= _PITCH_AXIS_BOUND, "pitch_axis",
+          f"must be finite with |a| <= {_PITCH_AXIS_BOUND}", a)
 
 
 def wagner_function(s):
@@ -61,8 +67,7 @@ def theodorsen_function(k: float) -> complex:
     Hn is the Hankel function of the second kind.  C(0) = 1 by continuity;
     C -> 1/2 as k -> infinity.
     """
-    if not (math.isfinite(k) and k >= 0.0):
-        raise DomainError(f"reduced frequency must be >= 0, got {k}")
+    check(math.isfinite(k) and k >= 0.0, "k", "must be >= 0", k)
     if k == 0.0:
         return complex(1.0, 0.0)
     from scipy import special  # deferred: the import costs more than most commands
@@ -78,8 +83,7 @@ def jones_function(k: float) -> complex:
     C_J(k) = 1 - A1*ik/(ik + b1) - A2*ik/(ik + b2).  Within 0.03 per part
     of theodorsen_function for k in [0.01, 1].
     """
-    if not math.isfinite(k):
-        raise DomainError(f"reduced frequency must be finite, got {k}")
+    check(math.isfinite(k), "k", "must be finite", k)
     ik = 1j * k
     return complex(1.0 - WAGNER_A1 * ik / (ik + WAGNER_B1) - WAGNER_A2 * ik / (ik + WAGNER_B2))
 
@@ -100,9 +104,9 @@ class ComplexLoads:
     moment: complex
 
     def __post_init__(self) -> None:
-        for v in (self.lift, self.moment):
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"non-finite complex load {v}")
+        for field in ("lift", "moment"):
+            v = getattr(self, field)
+            check(math.isfinite(v.real) and math.isfinite(v.imag), field, "must be finite", v)
 
 
 def pitch_oscillation_loads(k: float, pitch_axis: float, deficiency=theodorsen_function) -> ComplexLoads:
@@ -112,8 +116,7 @@ def pitch_oscillation_loads(k: float, pitch_axis: float, deficiency=theodorsen_f
     parts give static slopes, Im/k gives the damping sums.
     """
     _check_pitch_axis(pitch_axis)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"reduced frequency must be > 0, got {k}")
+    check(math.isfinite(k) and k > 0.0, "k", "must be > 0", k)
     a = pitch_axis
     C = deficiency(k)
     circ = C * (1.0 + 1j * k * (0.5 - a))
@@ -132,8 +135,7 @@ def q_mode_oscillation_loads(k: float, pitch_axis: float, deficiency=theodorsen_
     pure rotation response, so Im/k gives the pitch-rate derivatives C_q.
     """
     _check_pitch_axis(pitch_axis)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"reduced frequency must be > 0, got {k}")
+    check(math.isfinite(k) and k > 0.0, "k", "must be > 0", k)
     a = pitch_axis
     C = deficiency(k)
     lift = math.pi * a * k * k + 2.0 * math.pi * C * 1j * k * (0.5 - a)
@@ -158,13 +160,9 @@ class DragPolar:
     induced_drag_factor: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("CD0", "CD_alpha", "CD_q"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.induced_drag_factor is not None and not (
-            math.isfinite(self.induced_drag_factor) and self.induced_drag_factor >= 0.0
-        ):
-            raise ValueError("induced_drag_factor must be >= 0")
+        check_fields(self, "finite", "CD0", "CD_alpha", "CD_q")
+        if self.induced_drag_factor is not None:
+            check_fields(self, ">= 0", "induced_drag_factor")
 
     def evaluate(self, alpha, qhat, cl):
         cd = self.CD0 + self.CD_alpha * alpha + self.CD_q * qhat
@@ -184,8 +182,7 @@ class QuasiSteadyCoefficients:
     compressibility factor 1/sqrt(1 - M^2) when a Mach number is known.
 
     ``CL_u``/``CD_u``/``Cm_u`` forward-speed derivatives are deliberately
-    absent here and reserved (never populated) in DerivativeSet: steady-
-    speed oscillation provides no information about them.
+    absent: steady-speed oscillation provides no information about them.
     """
 
     CL0: float = 0.0
@@ -203,9 +200,8 @@ class QuasiSteadyCoefficients:
     mach_scaling: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("CL0", "CL_alpha", "CL_q", "CL_alphadot", "Cm0", "Cm_alpha", "Cm_q", "Cm_alphadot"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_fields(self, "finite", "CL0", "CL_alpha", "CL_q", "CL_alphadot",
+                     "Cm0", "Cm_alpha", "Cm_q", "Cm_alphadot")
         # built (and so validated) once; not a field, so eq and the config keys ignore it
         drag = DragPolar(self.CD0, self.CD_alpha, self.CD_q, self.induced_drag_factor)
         object.__setattr__(self, "_drag", drag)
@@ -252,8 +248,7 @@ def quasi_steady_loads(p: QuasiSteadyCoefficients, s):
 
 def prandtl_glauert(mach: float) -> float:
     """Subsonic compressibility scaling 1/sqrt(1 - M^2)."""
-    if not (0.0 <= mach < 1.0):
-        raise ValueError(f"Mach must lie in [0, 1), got {mach}")
+    check(0.0 <= mach < 1.0, "mach", "must lie in [0, 1)", mach)
     return 1.0 / math.sqrt(1.0 - mach * mach)
 
 
@@ -320,8 +315,7 @@ class FlatPlatePlant:
 
     def __post_init__(self) -> None:
         _check_pitch_axis(self.pitch_axis)
-        if self.kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; options: {sorted(_KERNELS)}")
+        check(self.kernel in _KERNELS, "kernel", f"must be one of {sorted(_KERNELS)}", self.kernel)
 
     def loads(self, k: float, mode: OscillationMode) -> ComplexLoads:
         return _MODE_LOADS[mode](k, self.pitch_axis, deficiency=_KERNELS[self.kernel])
@@ -376,7 +370,7 @@ class IndicialPlant:
             raise NonDimensionalizationUndefined("indicial plant needs a nonzero freestream speed")
         dt = np.diff(schedule.time)
         if dt.size and not (dt[0] > 0.0 and np.all(np.abs(dt - dt[0]) <= 1e-9 * dt[0])):
-            raise DomainError("indicial plant needs a uniform, increasing time grid")
+            raise DomainError("schedule.time", "must be a uniform, increasing grid")
         a = self.pitch_axis
         b_over_v = cond.ref_chord / (2.0 * cond.freestream_speed)   # semichord / speed, s
         ds = dt[0] / b_over_v if dt.size else 0.0
@@ -412,7 +406,7 @@ Plant = QuasiSteadyPlant | FlatPlatePlant | IndicialPlant
 def simulate(plant: Plant, schedule: MotionSchedule, cond: FlightCondition) -> CoefficientSeries:
     """Run a plant over a motion schedule and package the result."""
     if len(schedule) == 0:
-        raise ValueError("schedule is empty")
+        raise InsufficientSamples("schedule is empty")
     cl, cd, cm = plant.coefficient_histories(schedule, cond)
     meta = SeriesMeta(
         source=plant.name,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientSamples, TooFewPoints
+from .errors import InsufficientSamples, TooFewPoints, check, check_fields
 from .identify import (
     ChannelDerivatives,
     DerivativeSet,
@@ -53,19 +53,9 @@ class TransitionScenario:
     forward_velocity: float     # m/s
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.altitude) and self.altitude >= 0.0):
-            raise ValueError(f"altitude must be >= 0, got {self.altitude}")
-        for field in ("vertical_velocity", "forward_velocity"):
-            if not math.isfinite(getattr(self, field)):
-                raise ValueError(f"{field} must be finite")
-
-    def climb_incidence(self) -> float:
-        """Incidence shift atan2(w, V) implied by the climb triangle.
-
-        Not folded into the oscillation automatically; callers who want the
-        vertical velocity reflected in the mean incidence set it themselves.
-        """
-        return math.atan2(self.vertical_velocity, self.forward_velocity)
+        check(bool(self.name), "name", "must be a non-empty string", self.name)
+        check_fields(self, ">= 0", "altitude", "forward_velocity")
+        check_fields(self, "finite", "vertical_velocity")
 
 
 def builtin_scenarios() -> list[TransitionScenario]:
@@ -127,16 +117,13 @@ class SweepPlan:
     speed_basis: str = "forward"
 
     def __post_init__(self) -> None:
-        if not self.scenarios:
-            raise ValueError("scenario list is empty")
-        if not self.modes:
-            raise ValueError("mode list is empty")
-        if len(set(self.modes)) != len(self.modes):
-            raise ValueError("duplicate modes in plan")
-        if self.speed_basis not in ("forward", "total"):
-            raise ValueError(f"speed_basis must be 'forward' or 'total', got {self.speed_basis!r}")
-        if self.skip_cycles is not None and self.skip_cycles < 0:
-            raise ValueError("skip_cycles must be >= 0")
+        check(len(self.scenarios) > 0, "scenarios", "must not be empty", self.scenarios)
+        check(0 < len(set(self.modes)) == len(self.modes), "modes",
+              "must name one or more modes, none twice", self.modes)
+        check(self.speed_basis in ("forward", "total"), "speed_basis",
+              "must be 'forward' or 'total'", self.speed_basis)
+        check(self.skip_cycles is None or self.skip_cycles >= 0, "skip_cycles", "must be >= 0",
+              self.skip_cycles)
         # canonical form: the template's mode is the first planned mode
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "modes", tuple(self.modes))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFiniteData, check
 from .kinematics import FlightCondition, OscillationSpec
 
 # Channel labels used across derivative sets, reports, and fits.
@@ -42,12 +43,10 @@ class CoefficientSeries:
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", t)
-        if t.ndim != 1 or len(t) < 1:
-            raise ValueError("times must be a non-empty 1-D array")
+        check(t.ndim == 1 and len(t) >= 1, "times", "must be a non-empty 1-D array", t.shape)
         if not np.all(np.isfinite(t)):
-            raise ValueError("times contain non-finite values")
-        if len(t) > 1 and not np.all(np.diff(t) > 0.0):
-            raise ValueError("times must be strictly increasing")
+            raise NonFiniteData("times contain non-finite values")
+        check(len(t) == 1 or bool(np.all(np.diff(t) > 0.0)), "times", "must be strictly increasing")
         present = 0
         for name in CHANNELS:
             arr = getattr(self, name)
@@ -55,13 +54,11 @@ class CoefficientSeries:
                 continue
             arr = np.asarray(arr, dtype=float)
             object.__setattr__(self, name, arr)
-            if arr.shape != t.shape:
-                raise ValueError(f"channel {name} length {arr.shape} != times {t.shape}")
+            check(arr.shape == t.shape, name, f"must have the shape of times {t.shape}", arr.shape)
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"channel {name} contains non-finite values")
+                raise NonFiniteData(f"channel {name} contains non-finite values")
             present += 1
-        if present == 0:
-            raise ValueError("series must carry at least one coefficient channel")
+        check(present > 0, "CL/CD/Cm", "must not all be None")
 
     def __len__(self) -> int:
         return len(self.times)

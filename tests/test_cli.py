@@ -297,6 +297,17 @@ class TestSweep:
         assert f"oscillation.skip_cycles is {skip}" in err[0]
         assert f"oscillation.cycles is {oscillation['cycles']}" in err[0]
 
+    @pytest.mark.parametrize("kind", ["flat-plate", "indicial"])
+    def test_out_of_range_pitch_axis_is_one_line(self, tmp_path, capsys, kind):
+        doc = config_doc(plant={"kind": kind, "pitch_axis": 5.0})
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(doc, indent=2))
+        assert main(["sweep", str(config), "--out-dir", str(tmp_path / "results")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: 'plant.pitch_axis' ")
+        assert "got 5.0 (line " in err[0]
+
     def test_missing_config(self, capsys):
         code = main(["sweep", "missing.cfg"])
         assert code == 2

@@ -175,6 +175,64 @@ class TestErrors:
             parse_case_config(doc_text(doc))
 
 
+ONE_SCENARIO = [{"name": "one", "altitude_m": 10.0, "vertical_velocity_m_s": 0.0,
+                 "forward_velocity_m_s": 20.0}]
+
+# (config path, bad value as written, plant block or None, words of the broken rule)
+RANGE_CASES = [
+    ("condition.chord_m", -1, None, "must be > 0"),
+    ("condition.speed_m_s", -5.0, None, "must be >= 0"),
+    ("condition.speed_m_s", 400.0, None, "Mach must be < 1"),    # sound speed is 340 m/s
+    ("condition.sound_speed_m_s", 0, None, "must be > 0"),
+    ("oscillation.amplitude_deg", 0, None, "must be > 0"),
+    ("oscillation.amplitude_deg", -2.5, None, "must be > 0"),
+    ("oscillation.reduced_frequency", 0.0, None, "must be > 0"),
+    ("oscillation.cycles", 0, None, "must be an integer >= 1"),
+    ("oscillation.samples_per_cycle", 4, None, "must be an integer >= 8"),
+    ("oscillation.skip_cycles", -1, None, "must be >= 0"),
+    ("oscillation.modes", ["q", "q"], None, "none twice"),
+    ("plant.induced_drag_factor", -0.1, {"kind": "quasi-steady"}, "must be >= 0"),
+    ("plant.induced_drag_factor", -0.1, {"kind": "indicial"}, "must be >= 0"),
+    ("plant.pitch_axis", 5.0, {"kind": "flat-plate"}, "|a| <= 2"),
+    ("plant.pitch_axis", -3, {"kind": "indicial"}, "|a| <= 2"),
+    ("plant.kernel", "fourier", {"kind": "flat-plate"}, "must be one of"),
+    ("scenarios[0].altitude_m", -10.0, None, "must be >= 0"),
+    ("scenarios[0].forward_velocity_m_s", -1, None, "must be >= 0"),
+    ("speed_basis", "diagonal", None, "must be 'forward' or 'total'"),
+]
+
+
+class TestRangeRules:
+    """Every range rule a config can reach is reported under its key, line and value."""
+
+    @pytest.mark.parametrize(
+        "path, value, plant, rule", RANGE_CASES,
+        ids=[f"{plant['kind'] + ':' if plant else ''}{path}={value!r}"
+             for path, value, plant, _ in RANGE_CASES],
+    )
+    def test_bad_value_names_key_line_and_value_as_written(self, path, value, plant, rule):
+        doc = base_doc()
+        doc["condition"]["sound_speed_m_s"] = 340.0
+        if plant is not None:
+            doc["plant"] = dict(plant)
+        if path.startswith("scenarios"):
+            doc["scenarios"] = json.loads(json.dumps(ONE_SCENARIO))
+        *blocks, key = path.replace("[0]", ".0").split(".")
+        target = doc
+        for block in blocks:
+            target = target[int(block) if block.isdigit() else block]
+        target[key] = value
+        text = doc_text(doc)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1) if f'"{key}"' in row)
+        with pytest.raises(UnitViolation) as info:
+            parse_case_config(text)
+        message = str(info.value)
+        assert message.startswith(f"'{path}' ")
+        assert f"(line {line})" in message
+        assert f"got {value!r}" in message      # degrees as written, never radians
+        assert rule in message
+
+
 class TestRoundTrip:
     def test_parse_render_identity(self):
         plan = parse_case_config(doc_text())

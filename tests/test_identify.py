@@ -290,7 +290,6 @@ class TestLoopMetrics:
         m = loop_metrics(t, x, y, OMEGA)
         assert m.signed_area == 0.0
         assert m.orientation is Orientation.DEGENERATE
-        assert m.major_axis_slope == pytest.approx(0.7 / self.AMP, rel=1e-9)
 
     def test_sign_follows_out_of_phase_component(self):
         rng = np.random.default_rng(12)

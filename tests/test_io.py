@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dynderiv import (
     CoefficientSeries,
     MissingTimeColumn,
+    MonitorError,
     NoCoefficientColumn,
     NonFiniteValue,
     NonMonotonicTime,
@@ -89,6 +90,10 @@ class TestParseMonitorTable:
         text = "t,lift\n0,1\n1,2\n"
         series = parse_monitor_table(text, extra_aliases={"lift": "CL"})
         np.testing.assert_array_equal(series.CL, [1.0, 2.0])
+
+    def test_unknown_alias_target_is_a_monitor_error(self):
+        with pytest.raises(MonitorError, match="bogus"):
+            parse_monitor_table("t,CL\n0,1\n", extra_aliases={"t": "bogus"})
 
 
 class TestWriteSeries:

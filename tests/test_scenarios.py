@@ -46,10 +46,6 @@ class TestBuiltinScenarios:
         assert (scenarios[2].altitude, scenarios[2].vertical_velocity,
                 scenarios[2].forward_velocity) == (450.0, 0.0, 66.0)
 
-    def test_climb_incidence_helper(self):
-        mid = builtin_scenarios()[1]
-        assert mid.climb_incidence() == pytest.approx(math.atan2(2.5, 33.0), rel=1e-15)
-
 
 class TestAgardPreset:
     def test_reference_values(self):
