@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import parse_case_config
-from .errors import DynDerivError
+from .errors import DomainError, DynDerivError
 from .identify import extract, fit_series
 from .io import (
     atomic_write,
@@ -141,6 +141,22 @@ def _identify_omega(args: argparse.Namespace) -> float:
     return 2.0 * math.pi
 
 
+# OscillationSpec field -> the identify flag that sets it
+_SPEC_FLAGS = {"reduced_frequency": "--k", "body_amplitude": "--amplitude-deg",
+               "mean_incidence": "--mean-deg"}
+
+
+def _identify_spec(args: argparse.Namespace) -> OscillationSpec:
+    """The spec the flags describe; a broken range rule is reported under its flag."""
+    try:
+        return OscillationSpec.from_degrees(
+            OscillationMode(args.mode), args.mean_deg, args.amplitude_deg, args.k)
+    except DomainError as exc:
+        flag = _SPEC_FLAGS[exc.field]
+        value = getattr(args, flag[2:].replace("-", "_"))      # degrees stay degrees
+        raise _UsageError(f"{flag} {exc.rule}, got {value!r}") from exc
+
+
 def _cmd_identify(args: argparse.Namespace) -> int:
     aliases = {}
     for item in args.alias:
@@ -150,21 +166,12 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         if channel.strip() not in ("time",) + CHANNELS:
             raise _UsageError(f"--alias target must be 'time', 'CL', 'CD' or 'Cm', got '{item}'")
         aliases[header.strip().lower()] = channel.strip()
-    _require_positive("--k", args.k)
-    _require_positive("--amplitude-deg", args.amplitude_deg)
-    if not math.isfinite(args.mean_deg):
-        raise _UsageError(f"--mean-deg must be finite, got {args.mean_deg}")
+    spec = _identify_spec(args)
     if args.skip < 0:
         raise _UsageError("--skip must be >= 0")
     omega = _identify_omega(args)
     series = parse_monitor_table(_read_text(args.series), source=args.series,
                                  extra_aliases=aliases or None)
-    spec = OscillationSpec.from_degrees(
-        mode=OscillationMode(args.mode),
-        mean_incidence_deg=args.mean_deg,
-        amplitude_deg=args.amplitude_deg,
-        reduced_frequency=args.k,
-    )
     dset = extract(fit_series(series, omega, args.skip), spec)
     _emit(write_derivative_table(dset), args.out)
     return 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -169,13 +170,32 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _key_line(text: str, key: str) -> str:
-    """Best-effort line locator for error messages."""
-    needle = f'"{key.split(".")[-1]}"'
-    for i, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return f" (line {i})"
-    return ""
+_SPACE = re.compile(r"[ \t\n\r]*")     # JSON whitespace
+
+
+def _key_line(text: str, path: str) -> str:
+    """' (line N)' where the key at ``path`` ('scenarios[1].altitude_m') is written, else ''.
+
+    Walks the text along the path (every parent a list or an object), so the
+    key is found inside its own block.
+    """
+    decode, skip = json.JSONDecoder().raw_decode, lambda i: _SPACE.match(text, i).end()
+    pos = skip(0)
+    for index, key in re.findall(r"\[(\d+)\]|([^.\[]+)", path):
+        want, found, i, pos = int(index) if index else key, None, 0, skip(pos + 1)
+        while text[pos] not in "]}":
+            name, at = i, pos
+            if not index:
+                name, pos = decode(text, pos)
+                pos = skip(skip(pos) + 1)           # past the colon
+            if name == want:
+                found = at, pos     # the last of duplicate keys, as json.loads keeps it
+            pos = skip(decode(text, pos)[1])
+            pos, i = skip(pos + (text[pos] == ",")), i + 1
+        if found is None:
+            return ""
+        at, pos = found
+    return f" (line {text.count(chr(10), 0, at) + 1})"
 
 
 @dataclass(frozen=True)
@@ -193,7 +213,8 @@ class _Ctx:
             raise MalformedDocument(f"'{path}' must be an object")
         for key in obj:
             if key not in table:
-                raise UnknownKey(f"unknown key '{_join(path, key)}'{_key_line(self.text, key)}")
+                where = _join(path, key)
+                raise UnknownKey(f"unknown key '{where}'{_key_line(self.text, where)}")
         out = {}
         for key, spec in table.items():
             if key not in obj:
@@ -207,7 +228,7 @@ class _Ctx:
                 out[spec.field] = kind.parse(raw)
             else:
                 where = _join(path, key)
-                raise UnitViolation(f"'{where}' must be {kind.noun}{_key_line(self.text, key)}")
+                raise UnitViolation(f"'{where}' must be {kind.noun}{_key_line(self.text, where)}")
         return out
 
     @contextmanager
@@ -219,9 +240,9 @@ class _Ctx:
             key = next((k for k, spec in table.items() if spec.field == exc.field), None)
             if key is None:
                 raise
+            where = _join(path, key)
             raise UnitViolation(
-                f"'{_join(path, key)}' {exc.rule}, got {obj.get(key)!r}"
-                f"{_key_line(self.text, key)}"
+                f"'{where}' {exc.rule}, got {obj.get(key)!r}{_key_line(self.text, where)}"
             ) from exc
 
     def build(self, factory: Callable[..., Any], obj: Any, table: dict[str, _Key], path: str):

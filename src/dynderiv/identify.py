@@ -134,7 +134,8 @@ def fit_harmonic(times, values, omega: float, skip_cycles: int = 0) -> HarmonicF
     )
 
 
-def fit_series(series: CoefficientSeries, omega: float, skip_cycles: int = 0) -> dict[str, HarmonicFit]:
+def fit_series(series: CoefficientSeries, omega: float,
+               skip_cycles: int = 0) -> dict[str, HarmonicFit]:
     """Fit every channel present in a series; keys are 'CL', 'CD', 'Cm'."""
     return {
         name: fit_harmonic(series.times, values, omega, skip_cycles)
@@ -152,20 +153,16 @@ class ChannelDerivatives:
     trim_value: float | None = None
     static_slope: float | None = None          # per rad
     rate_derivative: float | None = None       # per rad (pitch rate)
-    aoa_rate_derivative: float | None = None   # per rad (incidence rate)
     damping_sum: float | None = None           # rate + aoa_rate, per rad
     contamination: float | None = None         # flow-path-mode in-phase residue / A
     fit: HarmonicFit | None = None
 
-    def __post_init__(self) -> None:
-        if (
-            self.damping_sum is not None
-            and self.rate_derivative is not None
-            and self.aoa_rate_derivative is not None
-        ):
-            check(self.aoa_rate_derivative == self.damping_sum - self.rate_derivative,
-                  "aoa_rate_derivative", "must equal damping_sum - rate_derivative exactly",
-                  self.aoa_rate_derivative)
+    @property
+    def aoa_rate_derivative(self) -> float | None:
+        """Incidence-rate derivative per rad: damping_sum - rate_derivative, once both exist."""
+        if self.damping_sum is None or self.rate_derivative is None:
+            return None
+        return self.damping_sum - self.rate_derivative
 
 
 @dataclass(frozen=True)
@@ -222,9 +219,10 @@ def _same(x: float | None, y: float | None) -> bool:
 def separate_rates(alpha_set: DerivativeSet, q_set: DerivativeSet) -> DerivativeSet:
     """Merge the two modes and split the damping sum.
 
-    aoa_rate_derivative = damping_sum (incidence mode) - rate_derivative
-    (flow-path mode), channel by channel.  Both runs must share the same
-    reduced frequency and flight condition (1e-9 relative).
+    Each merged channel carries the incidence-mode damping_sum and the
+    flow-path-mode rate_derivative, so its aoa_rate_derivative is their
+    difference.  Both runs must share the same reduced frequency and flight
+    condition (1e-9 relative).
     """
     sa, sq = alpha_set.spec, q_set.spec
     if sa is None or sq is None:
@@ -251,12 +249,12 @@ def separate_rates(alpha_set: DerivativeSet, q_set: DerivativeSet) -> Derivative
         if cha.damping_sum is None:
             raise ConditionMismatch(f"channel {name}: incidence-mode set carries no damping sum")
         if chq.rate_derivative is None:
-            raise ConditionMismatch(f"channel {name}: flow-path-mode set carries no rate derivative")
+            raise ConditionMismatch(
+                f"channel {name}: flow-path-mode set carries no rate derivative")
         merged[name] = ChannelDerivatives(
             trim_value=cha.trim_value,
             static_slope=cha.static_slope,
             rate_derivative=chq.rate_derivative,
-            aoa_rate_derivative=cha.damping_sum - chq.rate_derivative,
             damping_sum=cha.damping_sum,
             contamination=chq.contamination,
             fit=cha.fit,
@@ -292,13 +290,13 @@ class LoopMetrics:
     """
 
     signed_area: float
-    orientation: Orientation
 
-    def __post_init__(self) -> None:
-        if self.signed_area != 0.0:
-            want = Orientation.COUNTERCLOCKWISE if self.signed_area > 0.0 else Orientation.CLOCKWISE
-            check(self.orientation is want, "orientation",
-                  f"must be {want.value} for a signed_area of {self.signed_area}", self.orientation)
+    @property
+    def orientation(self) -> Orientation:
+        """The sign of ``signed_area``; an area of exactly zero is DEGENERATE."""
+        if self.signed_area == 0.0:
+            return Orientation.DEGENERATE
+        return Orientation.COUNTERCLOCKWISE if self.signed_area > 0.0 else Orientation.CLOCKWISE
 
 
 def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0) -> LoopMetrics:
@@ -331,10 +329,7 @@ def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0) -> LoopMetrics
     # classification threshold: accumulated rounding of the trapezoid sum
     scale = float(np.max(np.abs(xs)) * np.max(np.abs(ys)))
     tol = 32.0 * len(xs) * np.finfo(float).eps * scale
-    if abs(area) <= tol:
-        return LoopMetrics(0.0, Orientation.DEGENERATE)
-    orient = Orientation.COUNTERCLOCKWISE if area > 0.0 else Orientation.CLOCKWISE
-    return LoopMetrics(area, orient)
+    return LoopMetrics(0.0 if abs(area) <= tol else area)
 
 
 # ---------------------------------------------------------------------------
@@ -344,28 +339,25 @@ def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0) -> LoopMetrics
 RESIDUAL_FLAG = "RESIDUAL"
 CONDITIONING_FLAG = "CONDITIONING"
 CONTAMINATION_FLAG = "CONTAMINATION"
+# flag thresholds; residual and contamination are relative to the fitted amplitude
+_RESIDUAL_THRESHOLD = 1e-3
+_CONDITIONING_THRESHOLD = 1e6
+_CONTAMINATION_THRESHOLD = 0.1
 
 
-def validate_fit(
-    fit: HarmonicFit,
-    spec: OscillationSpec,
-    residual_threshold: float = 1e-3,
-    conditioning_threshold: float = 1e6,
-    contamination_threshold: float = 0.1,
-) -> list[str]:
+def validate_fit(fit: HarmonicFit, spec: OscillationSpec) -> list[str]:
     """Quality flags for one harmonic fit; empty means clean.
 
-    Thresholds are relative: residual and contamination compare against the
-    fitted amplitude.  The contamination check only applies in flow-path
-    mode, where in-phase content beyond apparent-mass effects indicates an
-    amplitude mismatch upstream.  Never mutates the fit.
+    The contamination check only applies in flow-path mode, where in-phase
+    content beyond apparent-mass effects indicates an amplitude mismatch
+    upstream.  Never mutates the fit.
     """
     flags: list[str] = []
     amp = fit.amplitude
-    if fit.residual_rms > residual_threshold * amp:
+    if fit.residual_rms > _RESIDUAL_THRESHOLD * amp:
         flags.append(RESIDUAL_FLAG)
-    if fit.condition_indicator > conditioning_threshold:
+    if fit.condition_indicator > _CONDITIONING_THRESHOLD:
         flags.append(CONDITIONING_FLAG)
-    if spec.mode is OscillationMode.Q and abs(fit.in_phase) > contamination_threshold * amp:
+    if spec.mode is OscillationMode.Q and abs(fit.in_phase) > _CONTAMINATION_THRESHOLD * amp:
         flags.append(CONTAMINATION_FLAG)
     return flags

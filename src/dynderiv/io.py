@@ -27,7 +27,7 @@ from .errors import (
     NonMonotonicTime,
     check,
 )
-from .identify import validate_fit
+from .identify import ChannelDerivatives, validate_fit
 from .scenarios import SweepReport, SweepStatus
 from .series import CHANNELS, CoefficientSeries, SeriesMeta
 
@@ -164,15 +164,22 @@ def parse_monitor_table(
     )
 
 
+def _csv(header, rows) -> str:
+    """Comma-separated text: the header line, then one line per row of cells."""
+    return "\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n"
+
+
+def _numeric_table(first: str, column, series: CoefficientSeries) -> str:
+    """``column`` under ``first`` beside every channel of ``series``, one row per sample."""
+    channels = series.channels()
+    header = [first] + [_FILE_LABELS[name] for name in channels]
+    rows = (map(format_value, map(float, row)) for row in zip(column, *channels.values()))
+    return _csv(header, rows)
+
+
 def write_series(series: CoefficientSeries) -> str:
     """Canonical series text; parse_monitor_table inverts it bit-exactly."""
-    channels = series.channels()
-    header = ",".join(["t"] + [_FILE_LABELS[name] for name in channels])
-    rows = [header]
-    columns = [series.times] + list(channels.values())
-    for i in range(len(series)):
-        rows.append(",".join(format_value(float(col[i])) for col in columns))
-    return "\n".join(rows) + "\n"
+    return _numeric_table("t", series.times, series)
 
 
 # ---------------------------------------------------------------------------
@@ -184,51 +191,46 @@ REPORT_COLUMNS = (
     "C_alpha", "C_q", "C_alphadot", "damping_sum", "trim", "loop_area", "status",
 )
 
+# derivative column -> ChannelDerivatives field, in derivative-table order
+_DERIVATIVE_FIELDS = {"trim": "trim_value", "C_alpha": "static_slope", "C_q": "rate_derivative",
+                      "C_alphadot": "aoa_rate_derivative", "damping_sum": "damping_sum",
+                      "contamination": "contamination"}
+# report.txt columns; its header shortens damping_sum to "damping"
+_SUMMARY_COLUMNS = ("trim", "C_alpha", "C_q", "C_alphadot", "damping_sum")
+
 
 def _fmt(value: float | None) -> str:
     """Empty cell for absent values; absence is not zero."""
     return "" if value is None else format_value(value)
 
 
-def _report_rows(report: SweepReport) -> list[dict[str, str]]:
+def _derivative(ch: ChannelDerivatives | None, column: str) -> float | None:
+    return None if ch is None else getattr(ch, _DERIVATIVE_FIELDS[column])
+
+
+def _report_rows(report: SweepReport):
     k = report.plan.oscillation.reduced_frequency
-    rows = []
     for result in report.results:
-        if result.status is SweepStatus.FAILED:
-            reason = (result.failure_reason or "").replace("\n", " ").replace(",", ";")
-            status = f"FAILED({reason})"
-        else:
-            status = result.status.value
+        reason = (result.failure_reason or "").replace("\n", " ").replace(",", ";")
+        status = f"FAILED({reason})" if result.status is SweepStatus.FAILED else result.status.value
         speed = result.condition.freestream_speed if result.condition else None
         for channel in CHANNELS:
-            ch = None
-            if result.derivatives is not None:
-                ch = result.derivatives.channels.get(channel)
+            ch = result.derivatives.channels.get(channel) if result.derivatives else None
             loop = result.loops.get(channel) if result.loops else None
-            dynamic = result.status is SweepStatus.OK
-            rows.append({
+            cells = {
                 "scenario": result.scenario.name,
                 "channel": channel,
                 "V": _fmt(speed if speed is not None else result.scenario.forward_velocity),
-                "k": _fmt(k) if dynamic else "",
-                "C_alpha": _fmt(ch.static_slope) if ch else "",
-                "C_q": _fmt(ch.rate_derivative) if ch else "",
-                "C_alphadot": _fmt(ch.aoa_rate_derivative) if ch else "",
-                "damping_sum": _fmt(ch.damping_sum) if ch else "",
-                "trim": _fmt(ch.trim_value) if ch else "",
+                "k": _fmt(k) if result.status is SweepStatus.OK else "",
                 "loop_area": _fmt(loop.signed_area) if loop else "",
                 "status": status,
-            })
-    return rows
+            }
+            yield [cells[c] if c in cells else _fmt(_derivative(ch, c)) for c in REPORT_COLUMNS]
 
 
 def write_report(report: SweepReport) -> tuple[str, str]:
     """Render a sweep as (machine CSV, human-readable summary)."""
-    rows = _report_rows(report)
-    csv_lines = [",".join(REPORT_COLUMNS)]
-    for row in rows:
-        csv_lines.append(",".join(row[col] for col in REPORT_COLUMNS))
-    machine = "\n".join(csv_lines) + "\n"
+    machine = _csv(REPORT_COLUMNS, _report_rows(report))
 
     human_lines = [
         "Forced-oscillation sweep report",
@@ -238,6 +240,7 @@ def write_report(report: SweepReport) -> tuple[str, str]:
         "derivatives are per radian; empty cells mean 'not identifiable', never zero",
         "",
     ]
+    labels = [c.removesuffix("_sum") for c in _SUMMARY_COLUMNS] + ["loop_area"]
     for result in report.results:
         human_lines.append(f"[{result.status.value}] {result.scenario.name}")
         s = result.scenario
@@ -246,12 +249,10 @@ def write_report(report: SweepReport) -> tuple[str, str]:
             f"forward {s.forward_velocity:g} m/s"
         )
         if result.status is SweepStatus.FAILED:
-            human_lines.append(f"  reason: {result.failure_reason}")
-            human_lines.append("")
+            human_lines += [f"  reason: {result.failure_reason}", ""]
             continue
         if result.status is SweepStatus.STATIC_ONLY:
             human_lines.append("  hover: rate scales undefined, static trim values only")
-        labels = ("trim", "C_alpha", "C_q", "C_alphadot", "damping", "loop_area")
         human_lines.append("  " + " ".join(["ch  "] + [f"{n:>12}" for n in labels] + ["flags"]))
         for channel in CHANNELS:
             ch = result.derivatives.channels.get(channel) if result.derivatives else None
@@ -265,11 +266,8 @@ def write_report(report: SweepReport) -> tuple[str, str]:
             flags = ""
             if ch.fit is not None and result.derivatives.spec is not None:
                 flags = ",".join(validate_fit(ch.fit, result.derivatives.spec)) or "-"
-            cells = [
-                cell(ch.trim_value), cell(ch.static_slope), cell(ch.rate_derivative),
-                cell(ch.aoa_rate_derivative), cell(ch.damping_sum),
-                cell(loop.signed_area if loop else None),
-            ]
+            values = [_derivative(ch, c) for c in _SUMMARY_COLUMNS]
+            cells = [cell(v) for v in values + [loop.signed_area if loop else None]]
             human_lines.append("  " + " ".join([f"{channel:<4}"] + cells + [flags]))
         human_lines.append("")
     return machine, "\n".join(human_lines) + "\n"
@@ -285,33 +283,16 @@ def write_loop_table(incidence, series: CoefficientSeries) -> str:
     incidence = np.asarray(incidence, dtype=float)
     check(incidence.shape == series.times.shape, "incidence",
           "must have the shape of the series times", incidence.shape)
-    channels = series.channels()
-    header = ",".join(["alpha_deg"] + [_FILE_LABELS[name] for name in channels])
-    rows = [header]
-    alpha_deg = np.degrees(incidence)
-    columns = [alpha_deg] + list(channels.values())
-    for i in range(len(series)):
-        rows.append(",".join(format_value(float(col[i])) for col in columns))
-    return "\n".join(rows) + "\n"
+    return _numeric_table("alpha_deg", np.degrees(incidence), series)
 
 
 def write_derivative_table(dset) -> str:
     """Small CSV for a single identified derivative set (CLI identify)."""
-    lines = ["channel,trim,C_alpha,C_q,C_alphadot,damping_sum,contamination"]
-    for channel in CHANNELS:
-        ch = dset.channels.get(channel)
-        if ch is None:
-            continue
-        lines.append(",".join([
-            channel,
-            _fmt(ch.trim_value),
-            _fmt(ch.static_slope),
-            _fmt(ch.rate_derivative),
-            _fmt(ch.aoa_rate_derivative),
-            _fmt(ch.damping_sum),
-            _fmt(ch.contamination),
-        ]))
-    return "\n".join(lines) + "\n"
+    rows = (
+        [channel] + [_fmt(_derivative(dset.channels[channel], c)) for c in _DERIVATIVE_FIELDS]
+        for channel in CHANNELS if channel in dset.channels
+    )
+    return _csv(["channel", *_DERIVATIVE_FIELDS], rows)
 
 
 def atomic_write(path: str | os.PathLike, text: str) -> None:

@@ -39,6 +39,12 @@ from .errors import (
 )
 
 
+# Most samples one case may ask for.  A schedule and a plant's series over it
+# take 110-160 MB at this bound (quasi-steady to indicial), so the arrays can
+# always be allocated; the AGARD validation case needs 15 840.
+MAX_SAMPLES = 1_000_000
+
+
 class OscillationMode(enum.Enum):
     """Which harmonic forcing pattern a test case applies."""
 
@@ -105,6 +111,8 @@ class OscillationSpec:
             value = getattr(self, field)
             check(value % 1 == 0 and value >= minimum, field,
                   f"must be an integer >= {minimum}", value)
+        check(self.cycles * self.samples_per_cycle <= MAX_SAMPLES, "samples_per_cycle",
+              f"must keep cycles * samples_per_cycle <= {MAX_SAMPLES}", self.samples_per_cycle)
 
     @classmethod
     def from_degrees(

@@ -22,7 +22,7 @@ in semichords aft of midchord (a = -1/2 is the quarter chord).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,7 +109,8 @@ class ComplexLoads:
             check(math.isfinite(v.real) and math.isfinite(v.imag), field, "must be finite", v)
 
 
-def pitch_oscillation_loads(k: float, pitch_axis: float, deficiency=theodorsen_function) -> ComplexLoads:
+def pitch_oscillation_loads(k: float, pitch_axis: float,
+                            deficiency=theodorsen_function) -> ComplexLoads:
     """Flat-plate loads for harmonic body pitch in a steady freestream.
 
     This is the frequency-domain truth for the incidence mode: the real
@@ -127,7 +128,8 @@ def pitch_oscillation_loads(k: float, pitch_axis: float, deficiency=theodorsen_f
     return ComplexLoads(lift=complex(lift), moment=complex(moment))
 
 
-def q_mode_oscillation_loads(k: float, pitch_axis: float, deficiency=theodorsen_function) -> ComplexLoads:
+def q_mode_oscillation_loads(k: float, pitch_axis: float,
+                             deficiency=theodorsen_function) -> ComplexLoads:
     """Flat-plate loads for pitching with the incidence held constant.
 
     The freestream direction oscillates with the body (a plunge-equivalent
@@ -147,7 +149,8 @@ def q_mode_oscillation_loads(k: float, pitch_axis: float, deficiency=theodorsen_
     return ComplexLoads(lift=complex(lift), moment=complex(moment))
 
 
-_MODE_LOADS = {OscillationMode.ALPHA: pitch_oscillation_loads, OscillationMode.Q: q_mode_oscillation_loads}
+_MODE_LOADS = {OscillationMode.ALPHA: pitch_oscillation_loads,
+               OscillationMode.Q: q_mode_oscillation_loads}
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,9 @@ class DragPolar:
         if self.induced_drag_factor is not None:
             cd = cd + self.induced_drag_factor * cl * cl
         return cd
+
+
+_SLOPES = ("CL_alpha", "CL_q", "CL_alphadot", "CD_alpha", "CD_q", "Cm_alpha", "Cm_q", "Cm_alphadot")
 
 
 @dataclass(frozen=True)
@@ -213,21 +219,7 @@ class QuasiSteadyCoefficients:
 
     def scaled_slopes(self, factor: float) -> "QuasiSteadyCoefficients":
         """Copy with every slope (not the offsets) multiplied by factor."""
-        return QuasiSteadyCoefficients(
-            CL0=self.CL0,
-            CL_alpha=self.CL_alpha * factor,
-            CL_q=self.CL_q * factor,
-            CL_alphadot=self.CL_alphadot * factor,
-            CD0=self.CD0,
-            CD_alpha=self.CD_alpha * factor,
-            CD_q=self.CD_q * factor,
-            Cm0=self.Cm0,
-            Cm_alpha=self.Cm_alpha * factor,
-            Cm_q=self.Cm_q * factor,
-            Cm_alphadot=self.Cm_alphadot * factor,
-            induced_drag_factor=self.induced_drag_factor,
-            mach_scaling=self.mach_scaling,
-        )
+        return replace(self, **{name: getattr(self, name) * factor for name in _SLOPES})
 
 
 def quasi_steady_loads(p: QuasiSteadyCoefficients, s):

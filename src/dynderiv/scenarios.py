@@ -166,10 +166,14 @@ class ScenarioResult:
     status: SweepStatus
     derivatives: DerivativeSet | None = None
     loops: dict[str, LoopMetrics] | None = None
-    condition: FlightCondition | None = None
     failure_reason: str | None = None
     incidence_series: "CoefficientSeries | None" = None
     incidence_history: "np.ndarray | None" = None
+
+    @property
+    def condition(self) -> FlightCondition | None:
+        """The flight condition the scenario flew; None when it failed."""
+        return self.derivatives.condition if self.derivatives is not None else None
 
 
 @dataclass(frozen=True)
@@ -186,21 +190,10 @@ class SweepReport:
 def _static_only_result(
     plan: SweepPlan, scenario: TransitionScenario, cond: FlightCondition
 ) -> ScenarioResult:
-    alpha0 = plan.oscillation.mean_incidence
-    cl, cd, cm = plan.plant.static_coefficients(alpha0, cond)
-    channels = {
-        name: ChannelDerivatives(trim_value=float(value))
-        for name, value in zip(CHANNELS, (cl, cd, cm))
-    }
-    derivatives = DerivativeSet(
-        channels=channels, provenance=("static",), spec=None, condition=cond
-    )
-    return ScenarioResult(
-        scenario=scenario,
-        status=SweepStatus.STATIC_ONLY,
-        derivatives=derivatives,
-        condition=cond,
-    )
+    trims = plan.plant.static_coefficients(plan.oscillation.mean_incidence, cond)
+    channels = {name: ChannelDerivatives(trim_value=float(v)) for name, v in zip(CHANNELS, trims)}
+    derivatives = DerivativeSet(channels=channels, provenance=("static",), condition=cond)
+    return ScenarioResult(scenario, SweepStatus.STATIC_ONLY, derivatives)
 
 
 def identify_modes(
@@ -251,15 +244,8 @@ def _run_one(plan: SweepPlan, scenario: TransitionScenario) -> ScenarioResult:
             name: loop_metrics(series.times, history, values, schedule.omega, skip)
             for name, values in series.channels().items()
         }
-    return ScenarioResult(
-        scenario=scenario,
-        status=SweepStatus.OK,
-        derivatives=derivatives,
-        loops=loops,
-        condition=cond,
-        incidence_series=series,
-        incidence_history=history,
-    )
+    return ScenarioResult(scenario, SweepStatus.OK, derivatives, loops,
+                          incidence_series=series, incidence_history=history)
 
 
 def run_sweep(plan: SweepPlan) -> SweepReport:
@@ -334,10 +320,8 @@ def trend_table(report: SweepReport) -> TrendTable:
     rows = []
     for channel in CHANNELS:
         for field, suffix in _TREND_FIELDS:
-            values = []
-            for result in ok:
-                ch = result.derivatives.channels.get(channel) if result.derivatives else None
-                values.append(None if ch is None else getattr(ch, field))
+            found = [result.derivatives.channels.get(channel) for result in ok]
+            values = [None if ch is None else getattr(ch, field) for ch in found]
             if any(v is None for v in values):
                 continue
             deltas = tuple(b - a for a, b in zip(values, values[1:]))

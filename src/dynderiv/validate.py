@@ -106,9 +106,8 @@ def check_jones_cross() -> CheckResult:
         gap_re = max(gap_re, abs(exact.real - approx.real))
         gap_im = max(gap_im, abs(exact.imag - approx.imag))
     passed = gap_re <= 0.03 and gap_im <= 0.03
-    return CheckResult(
-        "jones cross-check", passed, f"max|dRe|={gap_re:.4f}, max|dIm|={gap_im:.4f} on k in [0.01, 1]"
-    )
+    detail = f"max|dRe|={gap_re:.4f}, max|dIm|={gap_im:.4f} on k in [0.01, 1]"
+    return CheckResult("jones cross-check", passed, detail)
 
 
 def check_indicial_consistency() -> CheckResult:
@@ -173,9 +172,8 @@ def check_separation_chain() -> CheckResult:
     rel_q = abs(ch.rate_derivative - cmq_true) / abs(cmq_true)
     rel_ad = abs(ch.aoa_rate_derivative - (damping_true - cmq_true)) / abs(damping_true - cmq_true)
     passed = rel_q < 1e-6 and rel_ad < 1e-6
-    return CheckResult(
-        "rate separation vs analytic loads", passed, f"C_mq rel {rel_q:.2e}, C_malphadot rel {rel_ad:.2e}"
-    )
+    detail = f"C_mq rel {rel_q:.2e}, C_malphadot rel {rel_ad:.2e}"
+    return CheckResult("rate separation vs analytic loads", passed, detail)
 
 
 def check_loop_identity(seed: int = 7) -> CheckResult:

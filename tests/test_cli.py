@@ -100,6 +100,22 @@ class TestSimulate:
         assert code == 2
         assert "nope.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_huge_sample_count_is_one_line(self, tmp_path, capsys, command):
+        doc = config_doc()
+        doc["oscillation"]["samples_per_cycle"] = 10**30
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(doc, indent=2))
+        argv = [command, str(config)] + (["--out-dir", str(tmp_path)] if command == "sweep" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        line = next(i for i, row in enumerate(json.dumps(doc, indent=2).splitlines(), start=1)
+                    if '"samples_per_cycle"' in row)
+        assert err == [
+            "error: 'oscillation.samples_per_cycle' must keep cycles * samples_per_cycle"
+            f" <= 1000000, got {10**30} (line {line})"
+        ]
+
 
 class TestIdentify:
     def _write_fixture(self, tmp_path, mode="alpha"):
@@ -225,6 +241,18 @@ class TestIdentify:
         assert main(argv + flags) == 2      # argparse keeps the last --k / --amplitude-deg
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {flags[0]}")
+
+    @pytest.mark.parametrize("flags, rule", [
+        (["--k", "0"], "--k must be > 0; rate scaling is undefined at 0, got 0.0"),
+        (["--amplitude-deg", "0"],
+         "--amplitude-deg must be > 0; a zero-amplitude case has no motion, got 0.0"),
+    ], ids=["k", "amplitude-deg"])
+    def test_zero_flag_quotes_the_spec_rule(self, tmp_path, capsys, flags, rule):
+        path = self._write_fixture(tmp_path, "alpha")
+        argv = ["identify", str(path), "--k", str(AGARD_K), "--mode", "alpha",
+                "--amplitude-deg", str(AGARD_AMP_DEG)]
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {rule}"]
 
     def test_bad_alias_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "x.csv"

@@ -142,6 +142,16 @@ class TestErrors:
         with pytest.raises(UnitViolation, match=f"line {expected_line}"):
             parse_case_config(text)
 
+    def test_error_in_a_later_scenario_cites_its_own_line(self):
+        doc = base_doc()
+        doc["scenarios"] = [dict(ONE_SCENARIO[0]), dict(ONE_SCENARIO[0], name="two", altitude_m=-1)]
+        text = doc_text(doc)
+        first, second = [i for i, row in enumerate(text.splitlines(), start=1)
+                         if '"altitude_m"' in row]
+        with pytest.raises(UnitViolation) as info:
+            parse_case_config(text)
+        assert str(info.value) == f"'scenarios[1].altitude_m' must be >= 0, got -1 (line {second})"
+
     def test_malformed_json(self):
         with pytest.raises(MalformedDocument):
             parse_case_config("{not json")
@@ -277,6 +287,41 @@ class TestRoundTrip:
         plan = parse_case_config(render_case_config(parse_case_config(doc_text())))
         report = run_sweep(plan)
         assert len(report.results) == 3
+
+
+def _schema_blocks():
+    """(block name, schema object, config key table) for every block of a case config."""
+    from importlib import resources
+
+    from dynderiv import config
+
+    schema = json.loads(
+        resources.files("dynderiv").joinpath("schema/case_config.schema.json").read_text()
+    )
+    props = schema["properties"]
+    plants = {p["properties"]["kind"]["const"]: p for p in props["plant"]["oneOf"]}
+    assert set(plants) == set(config._PLANTS)
+    kind = {"kind": config._Key("kind", "string")}      # read before the plant's own table
+    return [
+        ("top level", schema, config._PLAN),
+        ("condition", props["condition"], config._CONDITION),
+        ("oscillation", props["oscillation"], config._OSCILLATION),
+        ("scenarios[]", props["scenarios"]["oneOf"][1]["items"], config._SCENARIO),
+    ] + [(f"plant {name}", plants[name], {**kind, **table})
+         for name, (table, _) in config._PLANTS.items()]
+
+
+SCHEMA_BLOCKS = _schema_blocks()
+
+
+class TestSchemaKeys:
+    """The shipped schema and the config tables name the same keys, block by block."""
+
+    @pytest.mark.parametrize("name, block, table", SCHEMA_BLOCKS,
+                             ids=[name for name, _, _ in SCHEMA_BLOCKS])
+    def test_properties_and_required_match_the_table(self, name, block, table):
+        assert set(block["properties"]) == set(table)
+        assert set(block.get("required", [])) == {k for k, spec in table.items() if spec.required}
 
 
 class TestShippedSchema:

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynderiv import (
+    ChannelDerivatives,
     ConditionMismatch,
     FlightCondition,
     HarmonicFit,
     InsufficientSamples,
+    LoopMetrics,
     NonFiniteData,
     Orientation,
     OscillationMode,
@@ -222,6 +224,14 @@ class TestSeparation:
         merged = separate_rates(alpha_set, q_set)
         assert merged.channels["CL"].aoa_rate_derivative == pytest.approx(-1.2, rel=1e-14)
 
+    def test_aoa_rate_derivative_is_derived_from_both_modes(self):
+        both = ChannelDerivatives(rate_derivative=-3.0, damping_sum=-4.2)
+        assert both.aoa_rate_derivative == -4.2 - -3.0
+        assert ChannelDerivatives(damping_sum=-4.2).aoa_rate_derivative is None
+        assert ChannelDerivatives(rate_derivative=-3.0).aoa_rate_derivative is None
+        with pytest.raises(TypeError):
+            ChannelDerivatives(aoa_rate_derivative=1.0)
+
     def test_identical_values_cancel(self):
         alpha_set = self._set(OscillationMode.ALPHA, damping_sum=2.5)
         q_set = self._set(OscillationMode.Q, rate_derivative=2.5)
@@ -301,6 +311,16 @@ class TestLoopMetrics:
             assert math.copysign(1.0, m.signed_area) == math.copysign(1.0, b)
             want = Orientation.CLOCKWISE if b < 0 else Orientation.COUNTERCLOCKWISE
             assert m.orientation is want
+
+    @pytest.mark.parametrize("area, want", [
+        (-1e-300, Orientation.CLOCKWISE), (0.0, Orientation.DEGENERATE),
+        (2.5, Orientation.COUNTERCLOCKWISE),
+    ])
+    def test_orientation_is_the_sign_of_the_area(self, area, want):
+        import dataclasses
+
+        assert LoopMetrics(area).orientation is want
+        assert [f.name for f in dataclasses.fields(LoopMetrics)] == ["signed_area"]
 
     def test_uses_last_cycle_after_skip(self):
         t = _grid(cycles=3)

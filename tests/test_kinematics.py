@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dynderiv import (
+    DomainError,
     FlightCondition,
     NonDimensionalizationUndefined,
     OscillationMode,
@@ -16,6 +17,7 @@ from dynderiv import (
     omega_from_k,
     sample_grid,
 )
+from dynderiv.kinematics import MAX_SAMPLES
 
 AGARD_K = 0.0811
 AGARD_AMP_DEG = 4.59
@@ -80,6 +82,14 @@ class TestOscillationSpec:
     def test_bad_sampling(self, cycles, spp):
         with pytest.raises(ValueError):
             OscillationSpec(OscillationMode.ALPHA, 0.0, 0.1, 0.1, cycles=cycles, samples_per_cycle=spp)
+
+    @pytest.mark.parametrize("cycles,spp", [(10**30, 720), (3, 10**30)])
+    def test_sample_count_bound(self, cycles, spp):
+        with pytest.raises(DomainError) as info:
+            OscillationSpec(OscillationMode.ALPHA, 0.0, 0.1, 0.1,
+                            cycles=cycles, samples_per_cycle=spp)
+        assert info.value.field == "samples_per_cycle"
+        assert f"<= {MAX_SAMPLES}" in info.value.rule
 
     def test_degree_round_trip(self):
         spec = OscillationSpec.from_degrees(

@@ -210,6 +210,24 @@ class TestRunSweep:
         assert ch.rate_derivative is None
         assert ch.aoa_rate_derivative is None
 
+    def test_condition_is_the_one_the_derivatives_carry(self, condition, agard_alpha_spec):
+        class ExplodingPlant(QuasiSteadyPlant):
+            def coefficient_histories(self, schedule, cond):
+                if cond.freestream_speed == 66.0:
+                    raise RuntimeError("blown up on purpose")
+                return super().coefficient_histories(schedule, cond)
+
+        plant = ExplodingPlant(QuasiSteadyCoefficients(CL_alpha=5.0))
+        hover, mid, end = run_sweep(_plan(plant, condition, agard_alpha_spec)).results
+        assert [r.status for r in (hover, mid, end)] == [
+            SweepStatus.STATIC_ONLY, SweepStatus.OK, SweepStatus.FAILED,
+        ]
+        for result, speed in ((hover, 0.0), (mid, 33.0)):
+            assert result.condition is result.derivatives.condition
+            assert result.condition == dataclasses.replace(condition, freestream_speed=speed)
+        assert end.condition is None
+        assert "condition" not in {f.name for f in dataclasses.fields(end)}
+
     def test_deterministic_reports(self, linear_plant, condition, agard_alpha_spec):
         plan = _plan(linear_plant, condition, agard_alpha_spec)
         first = write_report(run_sweep(plan))
