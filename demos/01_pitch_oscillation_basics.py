@@ -10,6 +10,7 @@ behind separating C_q from C_alphadot.
 import numpy as np
 
 from dynderiv import (
+    AGARD_CT2_MACH,
     FlightCondition,
     OscillationMode,
     agard_ct2_preset,
@@ -25,9 +26,9 @@ cond = FlightCondition(
     ref_area=0.1238,          # m^2
 )
 
-spec, mach = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=2)
+spec = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=2)
 omega = omega_from_k(spec.reduced_frequency, cond)
-print(f"AGARD CT2 test point: k = {spec.reduced_frequency}, Mach = {mach}")
+print(f"AGARD CT2 test point: k = {spec.reduced_frequency}, Mach = {AGARD_CT2_MACH}")
 print(f"mean incidence  = {np.degrees(spec.mean_incidence):.2f} deg")
 print(f"pitch amplitude = {np.degrees(spec.body_amplitude):.2f} deg")
 print(f"angular frequency at V = {cond.freestream_speed} m/s, "
@@ -70,7 +71,8 @@ try:
         (axes[1], q_mode, "flow-path mode"),
     ):
         ax.plot(sched.time, np.degrees(sched.relative_aoa), label="alpha (deg)")
-        ax.plot(sched.time, np.degrees(sched.body_pitch), "--", label="body pitch (deg)")
+        theta = spec.mean_incidence + spec.body_amplitude * np.sin(sched.omega * sched.time)
+        ax.plot(sched.time, np.degrees(theta), "--", label="body pitch (deg)")
         ax.plot(sched.time, sched.nondim_pitch_rate * 1e3, label="q-hat x1000")
         ax.set_title(title)
         ax.legend(loc="upper right")

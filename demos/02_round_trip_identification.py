@@ -25,12 +25,11 @@ injected = QuasiSteadyCoefficients(
 )
 plant = QuasiSteadyPlant(coefficients=injected)
 
-spec, _ = agard_ct2_preset(mode=OscillationMode.ALPHA)
+spec = agard_ct2_preset(mode=OscillationMode.ALPHA)
 
 # both modes: schedule -> plant -> first-harmonic fit -> extract, then separation
 merged, (schedule, series) = identify_modes(plant, spec, cond)
-print(f"modes run: {', '.join(merged.provenance)}; "
-      f"{len(series)} incidence-mode samples per channel")
+print(f"{len(series)} incidence-mode samples per channel")
 print(f"incidence-mode CL residual rms = {merged.channels['CL'].fit.residual_rms:.2e}")
 
 print()

@@ -33,7 +33,7 @@ print(f"{'k':>8} {'|H_L| sim':>10} {'|H_L| exact':>12} {'rel err':>9} "
 
 loops = {}
 for k in (0.05, 0.0811, 0.2):
-    spec, _ = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=22)
+    spec = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=22)
     spec = dataclasses.replace(spec, reduced_frequency=k)
     schedule = make_schedule(spec, cond)
     series = simulate(plant, schedule, cond)

@@ -13,10 +13,10 @@ from dynderiv import (
     QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     SweepPlan,
+    SweepStatus,
     agard_ct2_preset,
     builtin_scenarios,
     run_sweep,
-    trend_table,
     write_report,
 )
 
@@ -38,7 +38,7 @@ plant = QuasiSteadyPlant(
     )
 )
 
-spec, _ = agard_ct2_preset(mode=OscillationMode.ALPHA)
+spec = agard_ct2_preset(mode=OscillationMode.ALPHA)
 plan = SweepPlan(
     scenarios=tuple(builtin_scenarios()),
     oscillation=spec,
@@ -51,13 +51,12 @@ machine, human = write_report(report)
 print(human)
 
 print("trend across forward speed (compressibility scaling on):")
-table = trend_table(report)
-for row in table.rows:
-    if row.quantity in ("CL_alpha", "Cm_q", "Cm_damping"):
-        cells = ", ".join(
-            f"{v:+.4f} @ {s:g} m/s" for v, s in zip(row.values, row.speeds)
-        )
-        print(f"  {row.quantity:12} {cells}   -> {row.annotation}")
+flying = [r for r in report.results if r.status is SweepStatus.OK]     # in speed order
+for label, channel, field in (("CL_alpha", "CL", "static_slope"), ("Cm_q", "Cm", "rate_derivative"),
+                              ("Cm_damping", "Cm", "damping_sum")):
+    cells = ", ".join(f"{getattr(r.derivatives.channels[channel], field):+.4f} @ "
+                      f"{r.derivatives.condition.freestream_speed:g} m/s" for r in flying)
+    print(f"  {label:12} {cells}")
 
 print("\nmachine-readable rows (report.csv format):")
 for line in machine.splitlines()[:5]:

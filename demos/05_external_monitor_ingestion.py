@@ -47,9 +47,8 @@ print("\n".join(text.splitlines()[:5]))
 print("...")
 
 # --- ingest, fit, extract --------------------------------------------------
-series = parse_monitor_table(text, source="some-solver-export")
+series = parse_monitor_table(text)
 print(f"\nparsed {len(series)} rows; channels present: {sorted(series.channels())}")
-print(f"uniform grid: {series.meta.uniform_grid}")
 
 spec = OscillationSpec.from_degrees(
     OscillationMode.ALPHA, MEAN_DEG, AMPLITUDE_DEG, K,

@@ -24,7 +24,6 @@ from .errors import (
     NonFiniteValue,
     NonMonotonicTime,
     NonDimensionalizationUndefined,
-    TooFewPoints,
     UnitViolation,
     UnknownKey,
     ZeroAmplitude,
@@ -39,7 +38,7 @@ from .kinematics import (
     omega_from_k,
     sample_grid,
 )
-from .series import CHANNELS, CoefficientSeries, SeriesMeta
+from .series import CHANNELS, CoefficientSeries
 from .plants import (
     ComplexLoads,
     DragPolar,
@@ -76,13 +75,10 @@ from .scenarios import (
     SweepReport,
     SweepStatus,
     TransitionScenario,
-    TrendRow,
-    TrendTable,
     agard_ct2_preset,
     builtin_scenarios,
     identify_modes,
     run_sweep,
-    trend_table,
 )
 from .config import parse_case_config, render_case_config
 from .io import (

@@ -170,15 +170,10 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     if args.skip < 0:
         raise _UsageError("--skip must be >= 0")
     omega = _identify_omega(args)
-    series = parse_monitor_table(_read_text(args.series), source=args.series,
-                                 extra_aliases=aliases or None)
+    series = parse_monitor_table(_read_text(args.series), extra_aliases=aliases or None)
     dset = extract(fit_series(series, omega, args.skip), spec)
     _emit(write_derivative_table(dset), args.out)
     return 0
-
-
-def _safe_name(name: str) -> str:
-    return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -194,7 +189,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for result in report.results:
         if result.incidence_series is not None and result.incidence_history is not None:
             text = write_loop_table(result.incidence_history, result.incidence_series)
-            atomic_write(out_dir / f"loops_{_safe_name(result.scenario.name)}.csv", text)
+            atomic_write(out_dir / f"loops_{result.scenario.name}.csv", text)
     meta = {
         "tool": "dynderiv",
         "version": __version__,

@@ -180,7 +180,7 @@ def _key_line(text: str, path: str) -> str:
     key is found inside its own block.
     """
     decode, skip = json.JSONDecoder().raw_decode, lambda i: _SPACE.match(text, i).end()
-    pos = skip(0)
+    at = pos = skip(0)                      # the empty path is the document itself
     for index, key in re.findall(r"\[(\d+)\]|([^.\[]+)", path):
         want, found, i, pos = int(index) if index else key, None, 0, skip(pos + 1)
         while text[pos] not in "]}":
@@ -205,7 +205,9 @@ class _Ctx:
     text: str
 
     def missing(self, path: str) -> MissingKey:
-        return MissingKey(f"missing required key '{path}'{_key_line(self.text, path)}")
+        """The absent key is nowhere in the text, so the error cites its block's line."""
+        block = _key_line(self.text, path.rpartition(".")[0])
+        return MissingKey(f"missing required key '{path}'{block}")
 
     def fields(self, obj: Any, table: dict[str, _Key], path: str) -> dict[str, Any]:
         """Constructor arguments from the keys of ``table`` that ``obj`` holds."""
@@ -241,9 +243,10 @@ class _Ctx:
             if key is None:
                 raise
             where = _join(path, key)
-            raise UnitViolation(
-                f"'{where}' {exc.rule}, got {obj.get(key)!r}{_key_line(self.text, where)}"
-            ) from exc
+            # a whole block is not worth echoing back
+            written = "" if table[key].kind == "block" else f", got {obj.get(key)!r}"
+            line = _key_line(self.text, where)
+            raise UnitViolation(f"'{where}' {exc.rule}{written}{line}") from exc
 
     def build(self, factory: Callable[..., Any], obj: Any, table: dict[str, _Key], path: str):
         """``factory`` called with the fields of ``obj``; range errors name their key."""

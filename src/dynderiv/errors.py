@@ -77,12 +77,6 @@ class ConditionMismatch(DynDerivError):
     """Derivative sets to be merged came from different test conditions."""
 
 
-# --- scenarios -------------------------------------------------------------
-
-class TooFewPoints(DynDerivError):
-    """Fewer than two successful scenarios; no trend can be formed."""
-
-
 # --- case config documents -------------------------------------------------
 
 class ConfigError(DynDerivError):

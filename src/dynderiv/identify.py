@@ -41,8 +41,7 @@ _REL_TOL = 1e-9   # relative tolerance for condition matching in separate_rates
 class HarmonicFit:
     """Mean, in-phase and out-of-phase components of one fitted channel.
 
-    amplitude and phase are the polar form of (in_phase, out_phase):
-    y ~= mean + amplitude * sin(omega*t + phase).
+    y ~= mean + in_phase * sin(omega*t) + out_phase * cos(omega*t).
     """
 
     mean: float
@@ -55,11 +54,8 @@ class HarmonicFit:
 
     @property
     def amplitude(self) -> float:
+        """Amplitude of the fitted first harmonic: hypot(in_phase, out_phase)."""
         return math.hypot(self.in_phase, self.out_phase)
-
-    @property
-    def phase(self) -> float:
-        return math.atan2(self.out_phase, self.in_phase)
 
 
 def _window(times: np.ndarray, omega: float, skip_cycles: int) -> tuple[slice, int, float]:
@@ -167,10 +163,9 @@ class ChannelDerivatives:
 
 @dataclass(frozen=True)
 class DerivativeSet:
-    """Per-channel derivatives plus the provenance of the runs behind them."""
+    """Per-channel derivatives plus the spec and condition of the runs behind them."""
 
     channels: Mapping[str, ChannelDerivatives]
-    provenance: tuple[str, ...]                 # which modes contributed
     spec: OscillationSpec | None = None
     condition: FlightCondition | None = None
 
@@ -205,9 +200,7 @@ def extract(
         else:
             parts = {"rate_derivative": out_phase, "contamination": in_phase}
         channels[name] = ChannelDerivatives(trim_value=fit.mean, fit=fit, **parts)
-    return DerivativeSet(
-        channels=channels, provenance=(spec.mode.value,), spec=spec, condition=condition
-    )
+    return DerivativeSet(channels=channels, spec=spec, condition=condition)
 
 
 def _same(x: float | None, y: float | None) -> bool:
@@ -261,12 +254,7 @@ def separate_rates(alpha_set: DerivativeSet, q_set: DerivativeSet) -> Derivative
         )
     if not merged:
         raise ConditionMismatch("the two derivative sets share no channels")
-    return DerivativeSet(
-        channels=merged,
-        provenance=alpha_set.provenance + q_set.provenance,
-        spec=sa,
-        condition=ca,
-    )
+    return DerivativeSet(channels=merged, spec=sa, condition=ca)
 
 
 # ---------------------------------------------------------------------------

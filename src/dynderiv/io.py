@@ -29,7 +29,7 @@ from .errors import (
 )
 from .identify import ChannelDerivatives, validate_fit
 from .scenarios import SweepReport, SweepStatus
-from .series import CHANNELS, CoefficientSeries, SeriesMeta
+from .series import CHANNELS, CoefficientSeries
 
 # Case-insensitive header aliases for solver monitor exports.
 TIME_ALIASES = ("t", "time", "flow-time", "flowtime")
@@ -69,7 +69,6 @@ def _match_channel(header: str, extra_aliases: Mapping[str, str] | None) -> str 
 
 def parse_monitor_table(
     text: str,
-    source: str = "monitor",
     extra_aliases: Mapping[str, str] | None = None,
 ) -> CoefficientSeries:
     """Parse a delimited coefficient-monitor export.
@@ -78,7 +77,7 @@ def parse_monitor_table(
     time column plus at least one of the lift/drag/moment columns must be
     recognizable (``extra_aliases`` maps additional lowercase header names
     onto 'time', 'CL', 'CD' or 'Cm').  Unrecognized columns are ignored.
-    Non-uniform time stamps are accepted and flagged in the metadata.
+    Non-uniform time stamps are accepted.
     """
     if extra_aliases:
         extra_aliases = {k.lower(): v for k, v in extra_aliases.items()}
@@ -143,25 +142,7 @@ def parse_monitor_table(
     if not times:
         raise NonFiniteValue("no data rows after the header")
 
-    t = np.asarray(times)
-    uniform = True
-    notes: tuple[str, ...] = ()
-    if len(t) > 2:
-        # loose threshold: print-precision jitter in exported stamps is not
-        # irregular sampling
-        dt = np.diff(t)
-        uniform = bool(np.max(np.abs(dt - dt[0])) <= 1e-4 * max(abs(float(dt[0])), 1e-30))
-        if not uniform:
-            notes = ("non-uniform time stamps",)
-    meta = SeriesMeta(source=source, uniform_grid=uniform, notes=notes)
-    arrays = {ch: np.asarray(v) for ch, v in data.items()}
-    return CoefficientSeries(
-        times=t,
-        CL=arrays.get("CL"),
-        CD=arrays.get("CD"),
-        Cm=arrays.get("Cm"),
-        meta=meta,
-    )
+    return CoefficientSeries(times, **data)
 
 
 def _csv(header, rows) -> str:
@@ -213,14 +194,14 @@ def _report_rows(report: SweepReport):
     for result in report.results:
         reason = (result.failure_reason or "").replace("\n", " ").replace(",", ";")
         status = f"FAILED({reason})" if result.status is SweepStatus.FAILED else result.status.value
-        speed = result.condition.freestream_speed if result.condition else None
+        speed = _fmt(report.plan.scenario_speed(result.scenario))
         for channel in CHANNELS:
             ch = result.derivatives.channels.get(channel) if result.derivatives else None
             loop = result.loops.get(channel) if result.loops else None
             cells = {
                 "scenario": result.scenario.name,
                 "channel": channel,
-                "V": _fmt(speed if speed is not None else result.scenario.forward_velocity),
+                "V": speed,
                 "k": _fmt(k) if result.status is SweepStatus.OK else "",
                 "loop_area": _fmt(loop.signed_area) if loop else "",
                 "status": status,

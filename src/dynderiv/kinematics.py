@@ -143,23 +143,20 @@ class OscillationSpec:
 class MotionSchedule:
     """A prescribed motion sampled on a uniform, endpoint-excluded grid.
 
-    Field arrays all share one length: cycles * samples_per_cycle.  The
-    relative angle of attack satisfies alpha = body_pitch - flow_angle at
-    every sample, to rounding.  ``pitch_accel`` is the analytic second
-    derivative of the body pitch; the time-marching plant needs it for
-    apparent-mass terms.  Plants consume the schedule as whole arrays.
+    Field arrays all share one length: cycles * samples_per_cycle.
+    ``pitch_accel`` is the analytic second derivative of the body pitch;
+    the time-marching plant needs it for apparent-mass terms.  Plants
+    consume the schedule as whole arrays.
     """
 
     spec: OscillationSpec
     omega: float                # rad/s
     time: np.ndarray
-    body_pitch: np.ndarray
     relative_aoa: np.ndarray
     pitch_rate: np.ndarray
     nondim_pitch_rate: np.ndarray
     aoa_rate: np.ndarray
     nondim_aoa_rate: np.ndarray
-    flow_angle: np.ndarray
     pitch_accel: np.ndarray
 
     def __len__(self) -> int:
@@ -208,24 +205,20 @@ def make_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionSchedul
     theta = spec.mean_incidence + amp * s
     q = omega * amp * c
     qhat = q * (cond.ref_chord / (2.0 * cond.freestream_speed))
-    # relative_aoa is set per mode, never computed as theta - flow: that
-    # difference is not exact in floating point
     if spec.mode is OscillationMode.ALPHA:
-        alpha, aoa_rate, aoa_rate_hat, flow = theta.copy(), q.copy(), qhat.copy(), np.zeros_like(t)
+        alpha, aoa_rate, aoa_rate_hat = theta, q.copy(), qhat.copy()
     else:
-        alpha, aoa_rate, aoa_rate_hat, flow = (
-            np.full_like(t, spec.mean_incidence), np.zeros_like(t), np.zeros_like(t), amp * s
+        alpha, aoa_rate, aoa_rate_hat = (
+            np.full_like(t, spec.mean_incidence), np.zeros_like(t), np.zeros_like(t)
         )
     return MotionSchedule(
         spec=spec,
         omega=omega,
         time=t,
-        body_pitch=theta,
         relative_aoa=alpha,
         pitch_rate=q,
         nondim_pitch_rate=qhat,
         aoa_rate=aoa_rate,
         nondim_aoa_rate=aoa_rate_hat,
-        flow_angle=flow,
         pitch_accel=-omega * omega * amp * s,
     )

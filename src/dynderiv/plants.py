@@ -34,7 +34,7 @@ from .errors import (
     check_fields,
 )
 from .kinematics import FlightCondition, MotionSchedule, OscillationMode
-from .series import CoefficientSeries, SeriesMeta
+from .series import CoefficientSeries
 
 # Two-pole exponential approximation of the Wagner function (R. T. Jones).
 # Fixed, not configurable: keeping them constant makes the indicial plant
@@ -400,10 +400,4 @@ def simulate(plant: Plant, schedule: MotionSchedule, cond: FlightCondition) -> C
     if len(schedule) == 0:
         raise InsufficientSamples("schedule is empty")
     cl, cd, cm = plant.coefficient_histories(schedule, cond)
-    meta = SeriesMeta(
-        source=plant.name,
-        spec=schedule.spec,
-        condition=cond,
-        uniform_grid=True,
-    )
-    return CoefficientSeries(times=schedule.time.copy(), CL=cl, CD=cd, Cm=cm, meta=meta)
+    return CoefficientSeries(times=schedule.time.copy(), CL=cl, CD=cd, Cm=cm)

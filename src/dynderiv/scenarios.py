@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientSamples, TooFewPoints, check, check_fields
+from .errors import InsufficientSamples, check, check_fields
 from .identify import (
     ChannelDerivatives,
     DerivativeSet,
@@ -43,6 +44,10 @@ from .series import CHANNELS, CoefficientSeries
 DEFAULT_SKIP_TRANSIENT = 2
 
 
+# a scenario name is part of a file name and a CSV cell
+_NAME = re.compile(r"[A-Za-z0-9._-]+")
+
+
 @dataclass(frozen=True)
 class TransitionScenario:
     """One snapshot of the hover-to-cruise transition."""
@@ -53,7 +58,8 @@ class TransitionScenario:
     forward_velocity: float     # m/s
 
     def __post_init__(self) -> None:
-        check(bool(self.name), "name", "must be a non-empty string", self.name)
+        check(isinstance(self.name, str) and _NAME.fullmatch(self.name) is not None, "name",
+              "must be one or more of A-Z, a-z, 0-9, '.', '_' and '-'", self.name)
         check_fields(self, ">= 0", "altitude", "forward_velocity")
         check_fields(self, "finite", "vertical_velocity")
 
@@ -79,13 +85,13 @@ def agard_ct2_preset(
     mode: OscillationMode = OscillationMode.ALPHA,
     cycles: int = 3,
     samples_per_cycle: int = 720,
-) -> tuple[OscillationSpec, float]:
-    """The AGARD CT2 oscillation spec plus its Mach number.
+) -> OscillationSpec:
+    """The AGARD CT2 oscillation spec.
 
-    Returns (spec, mach).  Only the Mach number of the flow condition is
-    part of the preset; chord, speed, and density are the caller's.
+    The test point's Mach number is ``AGARD_CT2_MACH``; chord, speed, and
+    density are the caller's.
     """
-    spec = OscillationSpec.from_degrees(
+    return OscillationSpec.from_degrees(
         mode=mode,
         mean_incidence_deg=AGARD_CT2_MEAN_INCIDENCE_DEG,
         amplitude_deg=AGARD_CT2_AMPLITUDE_DEG,
@@ -93,7 +99,6 @@ def agard_ct2_preset(
         cycles=cycles,
         samples_per_cycle=samples_per_cycle,
     )
-    return spec, AGARD_CT2_MACH
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,9 @@ class SweepPlan:
 
     def __post_init__(self) -> None:
         check(len(self.scenarios) > 0, "scenarios", "must not be empty", self.scenarios)
+        names = [s.name for s in self.scenarios]
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        check(not repeated, "scenarios", f"must not repeat a scenario name: {repeated}")
         check(0 < len(set(self.modes)) == len(self.modes), "modes",
               "must name one or more modes, none twice", self.modes)
         check(self.speed_basis in ("forward", "total"), "speed_basis",
@@ -170,11 +178,6 @@ class ScenarioResult:
     incidence_series: "CoefficientSeries | None" = None
     incidence_history: "np.ndarray | None" = None
 
-    @property
-    def condition(self) -> FlightCondition | None:
-        """The flight condition the scenario flew; None when it failed."""
-        return self.derivatives.condition if self.derivatives is not None else None
-
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -183,16 +186,13 @@ class SweepReport:
     results: tuple[ScenarioResult, ...]
     plan: SweepPlan
 
-    def ok_results(self) -> list[ScenarioResult]:
-        return [r for r in self.results if r.status is SweepStatus.OK]
-
 
 def _static_only_result(
     plan: SweepPlan, scenario: TransitionScenario, cond: FlightCondition
 ) -> ScenarioResult:
     trims = plan.plant.static_coefficients(plan.oscillation.mean_incidence, cond)
     channels = {name: ChannelDerivatives(trim_value=float(v)) for name, v in zip(CHANNELS, trims)}
-    derivatives = DerivativeSet(channels=channels, provenance=("static",), condition=cond)
+    derivatives = DerivativeSet(channels=channels, condition=cond)
     return ScenarioResult(scenario, SweepStatus.STATIC_ONLY, derivatives)
 
 
@@ -263,76 +263,3 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
                 )
             )
     return SweepReport(results=tuple(results), plan=plan)
-
-
-# ---------------------------------------------------------------------------
-# Trend tables
-# ---------------------------------------------------------------------------
-
-_TREND_FIELDS = (
-    ("static_slope", "alpha"),
-    ("rate_derivative", "q"),
-    ("aoa_rate_derivative", "alphadot"),
-    ("damping_sum", "damping"),
-)
-
-
-@dataclass(frozen=True)
-class TrendRow:
-    """One derivative tracked across scenarios ordered by freestream speed."""
-
-    quantity: str
-    scenario_names: tuple[str, ...]
-    speeds: tuple[float, ...]
-    values: tuple[float, ...]
-    deltas: tuple[float, ...]
-    annotation: str
-
-
-@dataclass(frozen=True)
-class TrendTable:
-    rows: tuple[TrendRow, ...]
-
-
-def _annotate(deltas: tuple[float, ...]) -> str:
-    if all(d == 0.0 for d in deltas):
-        return "constant"
-    if all(d > 0.0 for d in deltas):
-        return "increasing"
-    if all(d < 0.0 for d in deltas):
-        return "decreasing"
-    return "mixed"
-
-
-def trend_table(report: SweepReport) -> TrendTable:
-    """Derivative-vs-speed table over the successful scenarios.
-
-    Rows follow the freestream speed each scenario flew, which is the
-    total speed under ``speed_basis="total"``.  Nondimensional derivatives
-    of a speed-independent plant do not change with speed, so with
-    compressibility scaling off every delta is zero; the annotations make
-    any actual speed trend explicit.
-    """
-    ok = report.ok_results()
-    if len(ok) < 2:
-        raise TooFewPoints(f"need at least 2 successful scenarios, got {len(ok)}")
-    ok = sorted(ok, key=lambda r: r.condition.freestream_speed)
-    rows = []
-    for channel in CHANNELS:
-        for field, suffix in _TREND_FIELDS:
-            found = [result.derivatives.channels.get(channel) for result in ok]
-            values = [None if ch is None else getattr(ch, field) for ch in found]
-            if any(v is None for v in values):
-                continue
-            deltas = tuple(b - a for a, b in zip(values, values[1:]))
-            rows.append(
-                TrendRow(
-                    quantity=f"{channel}_{suffix}",
-                    scenario_names=tuple(r.scenario.name for r in ok),
-                    speeds=tuple(r.condition.freestream_speed for r in ok),
-                    values=tuple(values),
-                    deltas=deltas,
-                    annotation=_annotate(deltas),
-                )
-            )
-    return TrendTable(rows=tuple(rows))

@@ -8,26 +8,14 @@ absent (None).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteData, check
-from .kinematics import FlightCondition, OscillationSpec
 
 # Channel labels used across derivative sets, reports, and fits.
 CHANNELS = ("CL", "CD", "Cm")
-
-
-@dataclass(frozen=True)
-class SeriesMeta:
-    """Provenance of a coefficient series."""
-
-    source: str                              # plant name or file path
-    spec: OscillationSpec | None = None
-    condition: FlightCondition | None = None
-    uniform_grid: bool = True
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +26,6 @@ class CoefficientSeries:
     CL: np.ndarray | None = None
     CD: np.ndarray | None = None
     Cm: np.ndarray | None = None
-    meta: SeriesMeta = field(default_factory=lambda: SeriesMeta(source="unknown"))
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)

@@ -68,7 +68,7 @@ def indicial_frequency_response(
     Drives the plant with an oscillation of the given mode about zero mean
     and projects the settled cycles back onto the harmonic basis.
     """
-    spec, _ = agard_ct2_preset(mode=mode, cycles=cycles, samples_per_cycle=samples_per_cycle)
+    spec = agard_ct2_preset(mode=mode, cycles=cycles, samples_per_cycle=samples_per_cycle)
     spec = replace(spec, mean_incidence=0.0, reduced_frequency=k)
     schedule = make_schedule(spec, _COND)
     series = simulate(IndicialPlant(pitch_axis=pitch_axis), schedule, _COND)
@@ -136,7 +136,7 @@ def _relative_error(measured: float, injected: float) -> float:
 def check_round_trip(n_cases: int = 10, seed: int = 20240811) -> CheckResult:
     """Injected quasi-steady derivatives are recovered to 1e-9 relative."""
     rng = np.random.default_rng(seed)
-    spec, _ = agard_ct2_preset()
+    spec = agard_ct2_preset()
     worst = 0.0
     for _ in range(n_cases):
         p = QuasiSteadyCoefficients(*rng.uniform(-20.0, 20.0, size=11))
@@ -162,7 +162,7 @@ def check_separation_chain() -> CheckResult:
     """Identified C_q and separated incidence-rate derivative match the formulas."""
     k = 0.0811
     a = -0.5
-    spec, _ = agard_ct2_preset()
+    spec = agard_ct2_preset()
     merged, _ = identify_modes(FlatPlatePlant(pitch_axis=a, kernel="jones"), spec, _COND)
     truth_pitch = pitch_oscillation_loads(k, a, deficiency=jones_function)
     truth_q = q_mode_oscillation_loads(k, a, deficiency=jones_function)
@@ -179,7 +179,7 @@ def check_separation_chain() -> CheckResult:
 def check_loop_identity(seed: int = 7) -> CheckResult:
     """Trapezoidal loop area equals pi*A*b within 0.1%; sign follows b."""
     rng = np.random.default_rng(seed)
-    spec, _ = agard_ct2_preset()
+    spec = agard_ct2_preset()
     amp = spec.body_amplitude
     omega = 2.0 * spec.reduced_frequency * _COND.freestream_speed / _COND.ref_chord
     t = np.arange(spec.cycles * 720) * (2.0 * math.pi / omega) / 720
@@ -208,14 +208,13 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
 )
 
 
-def run_validation(stream: TextIO | None = None) -> int:
-    """Run every check, print one PASS/FAIL line each; 0 if all pass."""
+def run_validation(stream: TextIO) -> int:
+    """Run every check, write one PASS/FAIL line each to ``stream``; 0 if all pass."""
     failures = 0
     for check in ALL_CHECKS:
         result = check()
         if not result.passed:
             failures += 1
-        if stream is not None:
-            status = "PASS" if result.passed else "FAIL"
-            stream.write(f"[{status}] {result.name}: {result.detail}\n")
+        status = "PASS" if result.passed else "FAIL"
+        stream.write(f"[{status}] {result.name}: {result.detail}\n")
     return 0 if failures == 0 else 1

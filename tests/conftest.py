@@ -25,8 +25,7 @@ def condition() -> FlightCondition:
 
 @pytest.fixture
 def agard_alpha_spec():
-    spec, _ = agard_ct2_preset(mode=OscillationMode.ALPHA)
-    return spec
+    return agard_ct2_preset(mode=OscillationMode.ALPHA)
 
 
 @pytest.fixture

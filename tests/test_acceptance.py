@@ -42,7 +42,6 @@ from dynderiv import (
     write_series,
 )
 from dynderiv.cli import main as cli_main
-from dynderiv.series import SeriesMeta
 from dynderiv.validate import THEODORSEN_ORACLE_K01, indicial_frequency_response
 
 COND = FlightCondition(
@@ -62,7 +61,7 @@ def _report(criterion, detail):
 def test_a1_round_trip_identification_quasi_steady():
     """A1: 100 random linear plants are recovered to 1e-9 relative."""
     rng = np.random.default_rng(101)
-    spec, _ = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=3, samples_per_cycle=720)
+    spec = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=3, samples_per_cycle=720)
     worst = 0.0
     for _ in range(100):
         p = QuasiSteadyCoefficients(*rng.uniform(-20.0, 20.0, size=11))
@@ -155,7 +154,7 @@ def test_a4_lift_deficiency_oracle():
 def test_a5_separation_against_analytic_truth():
     """A5: pure-fit separation matches the closed-form load formulas to 1e-6."""
     k, a = 0.0811, -0.5
-    spec_alpha, _ = agard_ct2_preset(mode=OscillationMode.ALPHA)
+    spec_alpha = agard_ct2_preset(mode=OscillationMode.ALPHA)
     spec_q = spec_alpha.with_mode(OscillationMode.Q)
     amp = spec_alpha.body_amplitude
     omega = 2.0 * k * COND.freestream_speed / COND.ref_chord
@@ -172,7 +171,6 @@ def test_a5_separation_against_analytic_truth():
     for spec, loads in ((spec_alpha, pitch), (spec_q, qmode)):
         series = CoefficientSeries(
             times=t, Cm=synth(loads.moment), CL=synth(loads.lift),
-            meta=SeriesMeta(source="analytic"),
         )
         sets[spec.mode] = extract(fit_series(series, omega), spec, COND)
     merged = separate_rates(sets[OscillationMode.ALPHA], sets[OscillationMode.Q])
@@ -213,7 +211,7 @@ def test_a6_loop_area_identity():
 
 def test_a7_scenario_semantics():
     """A7: hover is STATIC_ONLY; compressibility raises the lift slope with speed."""
-    spec, _ = agard_ct2_preset(mode=OscillationMode.ALPHA)
+    spec = agard_ct2_preset(mode=OscillationMode.ALPHA)
     plant = QuasiSteadyPlant(
         coefficients=QuasiSteadyCoefficients(CL_alpha=5.0, Cm_alpha=-1.0, Cm_q=-3.0)
     )
@@ -256,7 +254,6 @@ def test_a8_interface_round_trips(tmp_path, capsys):
         CL=rng.uniform(-3, 3, size=64),
         CD=rng.uniform(-1, 1, size=64),
         Cm=rng.uniform(-2, 2, size=64),
-        meta=SeriesMeta(source="roundtrip"),
     )
     text = write_series(series)
     back = parse_monitor_table(text)

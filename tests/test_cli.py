@@ -336,6 +336,19 @@ class TestSweep:
         assert err[0].startswith("error: 'plant.pitch_axis' ")
         assert "got 5.0 (line " in err[0]
 
+    @pytest.mark.parametrize("names", [["a,b"], ["a b", "a_b"], ["x", "x"]])
+    def test_unsafe_or_repeated_scenario_name_is_one_line(self, tmp_path, capsys, names):
+        # either would lose data: a 12-cell row, or two scenarios writing one loops file
+        scenarios = [{"name": name, "altitude_m": 10.0, "vertical_velocity_m_s": 0.0,
+                      "forward_velocity_m_s": 20.0 + i} for i, name in enumerate(names)]
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(config_doc(scenarios=scenarios), indent=2))
+        out_dir = tmp_path / "results"
+        assert main(["sweep", str(config), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: 'scenarios")
+        assert not out_dir.exists()
+
     def test_missing_config(self, capsys):
         code = main(["sweep", "missing.cfg"])
         assert code == 2

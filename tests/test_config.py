@@ -70,7 +70,7 @@ class TestParse:
 
     def test_reference_oscillation_matches_preset(self):
         plan = parse_case_config(doc_text())
-        preset, _ = agard_ct2_preset(mode=OscillationMode.ALPHA)
+        preset = agard_ct2_preset(mode=OscillationMode.ALPHA)
         assert plan.oscillation == preset
         assert plan.modes == (OscillationMode.ALPHA, OscillationMode.Q)
 
@@ -115,10 +115,21 @@ class TestErrors:
             parse_case_config(doc_text(doc))
 
     def test_missing_key_named_with_line(self):
-        doc = base_doc()
-        del doc["condition"]["density_kg_m3"]
-        with pytest.raises(MissingKey, match="condition.density_kg_m3"):
-            parse_case_config(doc_text(doc))
+        # the missing key is written nowhere, so the error cites its block's line
+        nameless = {k: v for k, v in ONE_SCENARIO[0].items() if k != "name"}
+        for path, block, drop in (
+            ("condition.density_kg_m3", '  "condition": {',
+             lambda d: d["condition"].pop("density_kg_m3")),
+            ("plant.kind", '  "plant": {', lambda d: d["plant"].pop("kind")),
+            ("scenarios[1].name", '    {', lambda d: d.update(scenarios=[*ONE_SCENARIO, nameless])),
+        ):
+            doc = base_doc()
+            drop(doc)
+            text = doc_text(doc)
+            line = [i for i, row in enumerate(text.splitlines(), start=1) if row == block][-1]
+            with pytest.raises(MissingKey) as info:
+                parse_case_config(text)
+            assert str(info.value) == f"missing required key '{path}' (line {line})"
 
     def test_unknown_key_rejected(self):
         doc = base_doc()
@@ -151,6 +162,16 @@ class TestErrors:
         with pytest.raises(UnitViolation) as info:
             parse_case_config(text)
         assert str(info.value) == f"'scenarios[1].altitude_m' must be >= 0, got -1 (line {second})"
+
+    def test_scenario_names_are_distinct(self):
+        doc = base_doc()
+        doc["scenarios"] = [dict(ONE_SCENARIO[0], name=name) for name in ("a-b", "x", "a-b")]
+        text = doc_text(doc)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1) if '"scenarios"' in row)
+        with pytest.raises(UnitViolation) as info:
+            parse_case_config(text)
+        assert str(info.value) == (
+            f"'scenarios' must not repeat a scenario name: ['a-b'] (line {line})")
 
     def test_malformed_json(self):
         with pytest.raises(MalformedDocument):
@@ -342,6 +363,13 @@ class TestShippedSchema:
         jsonschema, doc_schema = schema
         doc = base_doc()
         doc["condition"]["chord_m"] = -1.0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, doc_schema)
+
+    def test_schema_rejects_unsafe_scenario_names(self, schema):
+        jsonschema, doc_schema = schema
+        doc = base_doc()
+        doc["scenarios"] = [dict(ONE_SCENARIO[0], name="a,b")]
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, doc_schema)
 

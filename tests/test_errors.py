@@ -80,6 +80,21 @@ def test_value_object_domain_error_names_its_field(field, build, error):
     assert str(info.value).startswith(f"{field} {info.value.rule}")
 
 
+@pytest.mark.parametrize("name", ["a b", "a,b", "../x", "a\n"])
+def test_scenario_name_is_safe_as_a_file_name_and_a_csv_cell(name):
+    with pytest.raises(DomainError) as info:
+        TransitionScenario(name, 0.0, 0.0, 10.0)
+    assert info.value.field == "name"
+
+
+def test_scenario_names_are_distinct():
+    twice = [TransitionScenario("x", 0.0, 0.0, 10.0), TransitionScenario("x", 0.0, 0.0, 20.0)]
+    with pytest.raises(DomainError) as info:
+        _plan(scenarios=twice)
+    assert info.value.field == "scenarios"
+    _plan(scenarios=[twice[0], TransitionScenario("x.2", 0.0, 0.0, 20.0)])
+
+
 def _raises_value_error(node: ast.AST) -> bool:
     if not isinstance(node, ast.Raise) or node.exc is None:
         return False

@@ -1,5 +1,9 @@
 """Monitor ingestion, canonical series text, report emission."""
 
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,10 @@ from dynderiv import (
     NonFiniteValue,
     NonMonotonicTime,
     Orientation,
+    QuasiSteadyPlant,
     SweepPlan,
+    SweepStatus,
+    TransitionScenario,
     atomic_write,
     builtin_scenarios,
     parse_monitor_table,
@@ -22,7 +29,6 @@ from dynderiv import (
     write_series,
 )
 from dynderiv.io import format_value
-from dynderiv.series import SeriesMeta
 
 
 class TestParseMonitorTable:
@@ -80,11 +86,11 @@ class TestParseMonitorTable:
         with pytest.raises(NonFiniteValue, match="line 3"):
             parse_monitor_table(text)
 
-    def test_nonuniform_flagged(self):
+    def test_nonuniform_accepted(self):
         text = "t,CL\n0.0,1\n0.1,2\n0.35,3\n0.5,4\n"
         series = parse_monitor_table(text)
-        assert not series.meta.uniform_grid
-        assert "non-uniform time stamps" in series.meta.notes
+        np.testing.assert_array_equal(series.times, [0.0, 0.1, 0.35, 0.5])
+        np.testing.assert_array_equal(series.CL, [1.0, 2.0, 3.0, 4.0])
 
     def test_custom_alias(self):
         text = "t,lift\n0,1\n1,2\n"
@@ -105,7 +111,6 @@ class TestWriteSeries:
             CL=data.get("CL"),
             CD=data.get("CD"),
             Cm=data.get("Cm"),
-            meta=SeriesMeta(source="test"),
         )
 
     def test_line_count(self):
@@ -138,8 +143,7 @@ class TestWriteSeries:
     @settings(max_examples=80, deadline=None)
     def test_round_trip_property(self, values):
         times = np.arange(len(values), dtype=float)
-        series = CoefficientSeries(times=times, CL=np.asarray(values),
-                                   meta=SeriesMeta(source="prop"))
+        series = CoefficientSeries(times=times, CL=np.asarray(values))
         text = write_series(series)
         back = parse_monitor_table(text)
         np.testing.assert_array_equal(back.CL, series.CL)
@@ -216,6 +220,26 @@ class TestWriteReport:
         last = machine.splitlines()[-1]
         assert last.endswith("FAILED(RuntimeError: boom; with commas)")
         assert "boom" in human
+
+    def test_v_is_the_flown_speed_in_every_row(self, linear_plant, condition, agard_alpha_spec):
+        class ExplodingPlant(QuasiSteadyPlant):
+            def coefficient_histories(self, schedule, cond):
+                if cond.freestream_speed == 50.0:
+                    raise RuntimeError("blown up on purpose")
+                return super().coefficient_histories(schedule, cond)
+
+        scenarios = (
+            TransitionScenario("flies", 100.0, 2.5, 33.0),
+            TransitionScenario("fails", 100.0, 30.0, 40.0),     # flies 50 m/s: fails
+        )
+        plan = SweepPlan(scenarios, agard_alpha_spec, condition,
+                         ExplodingPlant(linear_plant.coefficients), speed_basis="total")
+        report = run_sweep(plan)
+        assert [r.status for r in report.results] == [SweepStatus.OK, SweepStatus.FAILED]
+        rows = list(csv.DictReader(io.StringIO(write_report(report)[0])))
+        for s in scenarios:
+            speeds = {float(row["V"]) for row in rows if row["scenario"] == s.name}
+            assert speeds == {math.hypot(s.forward_velocity, s.vertical_velocity)}
 
 
 class TestWriteLoopTable:

@@ -279,9 +279,9 @@ def constant_incidence_schedule(spec, alpha, time):
     zeros = np.zeros_like(time)
     return MotionSchedule(
         spec=spec, omega=1.0, time=time,
-        body_pitch=np.full_like(time, alpha), relative_aoa=np.full_like(time, alpha),
+        relative_aoa=np.full_like(time, alpha),
         pitch_rate=zeros, nondim_pitch_rate=zeros, aoa_rate=zeros,
-        nondim_aoa_rate=zeros, flow_angle=zeros, pitch_accel=zeros,
+        nondim_aoa_rate=zeros, pitch_accel=zeros,
     )
 
 
@@ -363,13 +363,6 @@ class TestSimulate:
         assert fit.out_phase == pytest.approx(
             4.0 * agard_q_spec.reduced_frequency * agard_q_spec.body_amplitude, rel=1e-10
         )
-
-    def test_metadata(self, linear_plant, agard_alpha_spec, condition):
-        schedule = make_schedule(agard_alpha_spec, condition)
-        series = simulate(linear_plant, schedule, condition)
-        assert series.meta.source == "quasi-steady"
-        assert series.meta.spec == agard_alpha_spec
-        assert series.meta.condition == condition
 
     def test_flat_plate_emits_exact_harmonics(self, agard_alpha_spec, condition):
         plant = FlatPlatePlant(pitch_axis=-0.5, kernel="jones")

@@ -1,4 +1,4 @@
-"""Scenario sweeps: statuses, round trips, trends, determinism."""
+"""Scenario sweeps: statuses, round trips, determinism."""
 
 import dataclasses
 import math
@@ -19,7 +19,6 @@ from dynderiv import (
     QuasiSteadyPlant,
     SweepPlan,
     SweepStatus,
-    TooFewPoints,
     TransitionScenario,
     agard_ct2_preset,
     builtin_scenarios,
@@ -28,7 +27,6 @@ from dynderiv import (
     pitch_oscillation_loads,
     q_mode_oscillation_loads,
     run_sweep,
-    trend_table,
     write_report,
 )
 
@@ -49,15 +47,15 @@ class TestBuiltinScenarios:
 
 class TestAgardPreset:
     def test_reference_values(self):
-        spec, mach = agard_ct2_preset()
+        spec = agard_ct2_preset()
         assert spec.reduced_frequency == 0.0811
-        assert mach == AGARD_CT2_MACH == 0.6
+        assert AGARD_CT2_MACH == 0.6
         assert spec.mean_incidence == pytest.approx(0.05515, abs=1e-5)
         assert spec.mean_incidence == math.radians(3.16)
         assert spec.body_amplitude == math.radians(4.59)
 
     def test_omega_with_caller_geometry(self, condition):
-        spec, _ = agard_ct2_preset()
+        spec = agard_ct2_preset()
         assert omega_from_k(spec.reduced_frequency, condition) == pytest.approx(70.55, abs=0.01)
 
 
@@ -95,7 +93,6 @@ class TestIdentifyModes:
         p = QuasiSteadyCoefficients(*values)
         spec = OscillationSpec.from_degrees(OscillationMode.Q, mean_deg, amp_deg, k, cycles, spp)
         merged, (schedule, series) = identify_modes(QuasiSteadyPlant(p), spec, COND)
-        assert merged.provenance == ("alpha", "q")
         assert schedule.spec.mode is OscillationMode.ALPHA and len(series) == cycles * spp
         injected = {
             "CL": (p.CL0 + p.CL_alpha * spec.mean_incidence, p.CL_alpha, p.CL_q, p.CL_alphadot),
@@ -113,7 +110,7 @@ class TestIdentifyModes:
     @given(a=st.floats(-1.0, 1.0), k=st.floats(0.02, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_flat_plate_matches_analytic_loads(self, a, k):
-        spec, _ = agard_ct2_preset(cycles=1, samples_per_cycle=64)
+        spec = agard_ct2_preset(cycles=1, samples_per_cycle=64)
         spec = dataclasses.replace(spec, reduced_frequency=k)
         merged, _ = identify_modes(FlatPlatePlant(pitch_axis=a), spec, COND)
         pitch, qmode = pitch_oscillation_loads(k, a), q_mode_oscillation_loads(k, a)
@@ -127,7 +124,7 @@ class TestIdentifyModes:
     def test_single_mode_runs_alone(self, linear_plant, condition, agard_alpha_spec):
         dset, incidence = identify_modes(linear_plant, agard_alpha_spec, condition,
                                          modes=(OscillationMode.Q,))
-        assert dset.provenance == ("q",) and incidence is None
+        assert dset.spec.mode is OscillationMode.Q and incidence is None
         assert dset.channels["Cm"].rate_derivative == pytest.approx(-3.0, rel=1e-9)
 
 
@@ -199,7 +196,8 @@ class TestRunSweep:
         plan = _plan(linear_plant, condition, agard_alpha_spec, speed_basis="total")
         report = run_sweep(plan)
         mid = report.results[1]
-        assert mid.condition.freestream_speed == pytest.approx(math.hypot(33.0, 2.5), rel=1e-15)
+        speed = mid.derivatives.condition.freestream_speed
+        assert speed == pytest.approx(math.hypot(33.0, 2.5), rel=1e-15)
 
     def test_single_mode_plan_has_no_separation(self, linear_plant, condition, agard_alpha_spec):
         plan = _plan(linear_plant, condition, agard_alpha_spec,
@@ -223,72 +221,16 @@ class TestRunSweep:
             SweepStatus.STATIC_ONLY, SweepStatus.OK, SweepStatus.FAILED,
         ]
         for result, speed in ((hover, 0.0), (mid, 33.0)):
-            assert result.condition is result.derivatives.condition
-            assert result.condition == dataclasses.replace(condition, freestream_speed=speed)
-        assert end.condition is None
-        assert "condition" not in {f.name for f in dataclasses.fields(end)}
+            flown = dataclasses.replace(condition, freestream_speed=speed)
+            assert result.derivatives.condition == flown
+        assert end.derivatives is None
+        assert not hasattr(end, "condition")
 
     def test_deterministic_reports(self, linear_plant, condition, agard_alpha_spec):
         plan = _plan(linear_plant, condition, agard_alpha_spec)
         first = write_report(run_sweep(plan))
         second = write_report(run_sweep(plan))
         assert first == second
-
-
-class TestTrendTable:
-    def test_speed_invariance_gives_exact_zero_deltas(
-        self, linear_plant, condition, agard_alpha_spec
-    ):
-        report = run_sweep(_plan(linear_plant, condition, agard_alpha_spec))
-        table = trend_table(report)
-        assert len(table.rows) == 12  # 3 channels x 4 derivative kinds
-        for row in table.rows:
-            assert row.deltas == (0.0,)
-            assert row.annotation == "constant"
-
-    def test_mach_scaling_gives_increasing_lift_slope(self, condition, agard_alpha_spec):
-        p = QuasiSteadyCoefficients(CL_alpha=5.0, Cm_alpha=-1.2, mach_scaling=True)
-        plant = QuasiSteadyPlant(coefficients=p)
-        cond = dataclasses.replace(condition, sound_speed=340.0)
-        report = run_sweep(_plan(plant, cond, agard_alpha_spec))
-        rows = {row.quantity: row for row in trend_table(report).rows}
-        cl_alpha = rows["CL_alpha"]
-        assert cl_alpha.speeds == (33.0, 66.0)
-        assert cl_alpha.values[1] > cl_alpha.values[0]
-        assert cl_alpha.annotation == "increasing"
-
-    def test_too_few_points(self, linear_plant, condition, agard_alpha_spec):
-        plan = SweepPlan(
-            scenarios=tuple(builtin_scenarios()[:2]),  # hover + one flying case
-            oscillation=agard_alpha_spec,
-            condition=condition,
-            plant=linear_plant,
-        )
-        report = run_sweep(plan)
-        assert sum(r.status is SweepStatus.OK for r in report.results) == 1
-        with pytest.raises(TooFewPoints):
-            trend_table(report)
-
-    def test_rows_ordered_by_speed(self, linear_plant, condition, agard_alpha_spec):
-        scenarios = tuple(reversed(builtin_scenarios()))
-        plan = SweepPlan(scenarios=scenarios, oscillation=agard_alpha_spec,
-                         condition=condition, plant=linear_plant)
-        table = trend_table(run_sweep(plan))
-        assert table.rows[0].speeds == (33.0, 66.0)
-
-
-    def test_total_speed_basis_orders_and_labels_by_flown_speed(
-        self, linear_plant, condition, agard_alpha_spec
-    ):
-        scenarios = (
-            TransitionScenario("climbing", 100.0, 20.0, 30.0),   # flies 36.06 m/s
-            TransitionScenario("level", 100.0, 0.0, 33.0),
-        )
-        plan = SweepPlan(scenarios=scenarios, oscillation=agard_alpha_spec,
-                         condition=condition, plant=linear_plant, speed_basis="total")
-        row = trend_table(run_sweep(plan)).rows[0]
-        assert row.scenario_names == ("level", "climbing")
-        assert row.speeds == (33.0, math.hypot(30.0, 20.0))
 
 
 class TestPlanValidation:
