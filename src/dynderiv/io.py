@@ -1,10 +1,12 @@
 """Text interchange: monitor-table ingestion, series and report emission.
 
 Series files are delimited text with header ``t,CL,CD,CM`` (absent
-channels omitted) and values written in fixed decimal notation with 17
-significant digits, so a parse/write round trip is bit-exact and the
-files are diffable.  Monitor ingestion is deliberately tolerant about
-naming (solver exports vary) and strict about values.
+channels omitted) and values written in fixed decimal notation.
+``format_value`` (numpy's Dragon4 with ``precision=17, unique=False``)
+defines the bytes of every value; the bulk table writer is tested against
+it.  A parse/write round trip is bit-exact and the files are diffable.
+Monitor ingestion is deliberately tolerant about naming (solver exports
+vary) and strict about values.
 
 Nothing here embeds timestamps or other run-dependent state: identical
 inputs give byte-identical outputs.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -44,7 +47,7 @@ _FILE_LABELS = {"CL": "CL", "CD": "CD", "Cm": "CM"}   # canonical header names
 
 
 def format_value(x: float) -> str:
-    """Fixed decimal notation, 17 significant digits: parses back bit-exactly."""
+    """Fixed decimal notation that parses back bit-exactly: the bytes of every written value."""
     return np.format_float_positional(x, precision=17, unique=False, fractional=False)
 
 
@@ -65,6 +68,38 @@ def _match_channel(header: str, extra_aliases: Mapping[str, str] | None) -> str 
         if token == channel.lower() or token in aliases:
             return channel
     return None
+
+
+def _parse_well_formed(
+    body: list[str], width: int, columns: Mapping[str, int]
+) -> CoefficientSeries | None:
+    """The series in ``body`` if every row is well formed, else None.
+
+    ``columns`` maps each ``CoefficientSeries`` field to its cell index in
+    rows of ``width`` cells.  Cells convert with ``float()``, as in the row
+    loop, but a whole column at a time.  Any fault (a short row, a bad or
+    non-finite cell, a time that does not increase) gives None, and the row
+    loop then reports it.
+    """
+    # A line holding a comma is comma-split (see _split_row), so whitespace
+    # splitting is only the same when no line holds one.
+    sep = "," if any("," in line for line in body) else None
+    rows = [line.split(sep) for line in body]
+    if not rows or any(len(row) != width for row in rows):
+        return None
+    cells = list(chain.from_iterable(rows))
+    try:
+        arrays = {
+            name: np.fromiter(map(float, cells[idx::width]), np.float64, len(rows))
+            for name, idx in columns.items()
+        }
+    except ValueError:
+        return None
+    if not all(np.isfinite(a).all() for a in arrays.values()):
+        return None
+    if not np.all(np.diff(arrays["times"]) > 0.0):
+        return None
+    return CoefficientSeries(**arrays)
 
 
 def parse_monitor_table(
@@ -108,6 +143,12 @@ def parse_monitor_table(
             f"no lift/drag/moment column among {headers!r} (line {header_no})"
         )
 
+    columns = {"times": time_idx, **channel_cols}
+    series = _parse_well_formed([line for _, line in lines[1:]], len(headers), columns)
+    if series is not None:
+        return series
+
+    # The row loop finds the first fault and names its line.
     times: list[float] = []
     data: dict[str, list[float]] = {ch: [] for ch in channel_cols}
     for line_no, line in lines[1:]:
@@ -116,7 +157,7 @@ def parse_monitor_table(
             raise NonFiniteValue(
                 f"row at line {line_no} has {len(cells)} cells, header has {len(headers)}"
             )
-        def cell_value(idx: int, label: str) -> float:
+        def cell_value(idx: int) -> float:
             try:
                 value = float(cells[idx])
             except ValueError as exc:
@@ -129,7 +170,7 @@ def parse_monitor_table(
                 )
             return value
 
-        t = cell_value(time_idx, "time")
+        t = cell_value(time_idx)
         if times and t <= times[-1]:
             raise NonMonotonicTime(
                 f"time must be strictly increasing; row at line {line_no} "
@@ -137,7 +178,7 @@ def parse_monitor_table(
             )
         times.append(t)
         for channel, idx in channel_cols.items():
-            data[channel].append(cell_value(idx, channel))
+            data[channel].append(cell_value(idx))
 
     if not times:
         raise NonFiniteValue("no data rows after the header")
@@ -150,12 +191,63 @@ def _csv(header, rows) -> str:
     return "\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n"
 
 
+# Rows per bulk format call.  The block bounds the transient text, argument
+# tuple and index arrays, so peak memory does not grow with the table.
+_BLOCK_ROWS = 1024
+_ZERO, _MINUS, _COMMA = (ord(c) for c in "0-,")
+
+
+def _format_cells(values: np.ndarray) -> list[str]:
+    """``format_value`` of every element of a 1-D float64 array, in bulk.
+
+    Each value in [1e-30, 1e16) is printed by one ``%.*f`` call at
+    precision ``16 - floor(log10|x|)``: the same correctly rounded 17
+    significant digits Dragon4 gives.  A cell falls back to ``format_value``
+    when its text ends in ``0`` (Dragon4 sometimes drops such a zero and
+    sometimes keeps it), has the wrong length, or has a ``0`` where its first
+    significant digit belongs.  The last two catch a log10 that rounds across
+    a power of ten: there the second digit is a ``0`` too.  Zeros,
+    subnormals, huge and non-finite values always fall back.
+    """
+    n = values.size
+    x = np.abs(values)
+    bulk = (x >= 1e-30) & (x < 1e16)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.where(bulk, np.floor(np.log10(x)), 0.0).astype(np.int64)
+    args = [None] * (2 * n)
+    args[0::2] = (16 - e).tolist()
+    args[1::2] = np.where(bulk, values, 0.0).tolist()
+    text = ("%.*f," * n) % tuple(args)
+
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(b == _COMMA)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    digits = starts + (b[starts] == _MINUS)          # first byte after the sign
+    lead = digits + np.where(e < 0, 1 - e, 0)        # 0.<-e-1 zeros><17 digits> when e < 0
+    ok = (
+        bulk
+        & (ends - digits == 18 + np.maximum(-e, 0))
+        & (b[ends - 1] != _ZERO)
+        & (b[lead] != _ZERO)
+    )
+    cells = text.split(",")
+    del cells[-1]
+    for i in np.flatnonzero(~ok).tolist():
+        cells[i] = format_value(values[i])
+    return cells
+
+
 def _numeric_table(first: str, column, series: CoefficientSeries) -> str:
     """``column`` under ``first`` beside every channel of ``series``, one row per sample."""
     channels = series.channels()
     header = [first] + [_FILE_LABELS[name] for name in channels]
-    rows = (map(format_value, map(float, row)) for row in zip(column, *channels.values()))
-    return _csv(header, rows)
+    table = np.column_stack([column, *channels.values()])
+    row = ",".join(["%s"] * table.shape[1]) + "\n"
+    parts = [",".join(header) + "\n"]
+    for i in range(0, len(table), _BLOCK_ROWS):
+        block = table[i:i + _BLOCK_ROWS]
+        parts.append((row * len(block)) % tuple(_format_cells(block.ravel())))
+    return "".join(parts)
 
 
 def write_series(series: CoefficientSeries) -> str:

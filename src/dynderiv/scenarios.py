@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientSamples, check, check_fields
+from .errors import DynDerivError, InsufficientSamples, check, check_fields
 from .identify import (
     ChannelDerivatives,
     DerivativeSet,
@@ -249,12 +249,16 @@ def _run_one(plan: SweepPlan, scenario: TransitionScenario) -> ScenarioResult:
 
 
 def run_sweep(plan: SweepPlan) -> SweepReport:
-    """Run every scenario; failures are isolated, order follows the plan."""
+    """Run every scenario; order follows the plan.
+
+    A scenario that raises a ``DynDerivError`` gets a FAILED row and the
+    sweep goes on; any other exception is a bug and propagates.
+    """
     results = []
     for scenario in plan.scenarios:
         try:
             results.append(_run_one(plan, scenario))
-        except Exception as exc:  # noqa: BLE001 - per-scenario isolation contract
+        except DynDerivError as exc:
             results.append(
                 ScenarioResult(
                     scenario=scenario,

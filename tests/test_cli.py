@@ -304,7 +304,8 @@ class TestSweep:
         assert main(["sweep", str(config), "--out-dir", str(out_dir)]) == 1
         meta = json.loads((out_dir / "run_meta.json").read_text())
         assert [s["status"] for s in meta["scenarios"]] == ["STATIC_ONLY", "OK", "FAILED"]
-        assert "Mach must be < 1" in (out_dir / "report.csv").read_text()
+        assert "FAILED(DomainError: freestream_speed must be below the sound speed (Mach must be < 1)" \
+            in (out_dir / "report.csv").read_text()
         assert (out_dir / "report.txt").exists()
         assert (out_dir / "loops_mid-transition.csv").exists()
 

@@ -6,11 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynderiv import (
     CoefficientSeries,
+    DomainError,
     MissingTimeColumn,
     MonitorError,
     NoCoefficientColumn,
@@ -28,6 +29,7 @@ from dynderiv import (
     write_report,
     write_series,
 )
+from dynderiv import io as dio
 from dynderiv.io import format_value
 
 
@@ -102,6 +104,109 @@ class TestParseMonitorTable:
             parse_monitor_table("t,CL\n0,1\n", extra_aliases={"t": "bogus"})
 
 
+_CELL_FORMATS = ("%r", "%.17g", "%.6e", "%.3f", "%d")
+
+
+@st.composite
+def monitor_tables(draw):
+    """A well-formed export: its text and the line number of each data row."""
+    comma = draw(st.booleans())
+    n_rows = draw(st.integers(1, 30))
+    time_name = draw(st.sampled_from(["t", "time", "flow-time", "Time"]))
+    columns = [time_name] + draw(st.sampled_from(
+        [["CL"], ["cl", "cd", "cm"], ["lift-coeff", "pitch-mom-coeff"], ["C_L", "Drag-Coeff"]]))
+    columns = draw(st.permutations(columns + draw(st.sampled_from([[], ["iter"], ["iter", "label"]]))))
+    steps = draw(st.lists(st.floats(1e-9, 10.0), min_size=n_rows, max_size=n_rows))
+    times = (np.cumsum(steps) - steps[0]).tolist()
+    fmt = draw(st.sampled_from(_CELL_FORMATS[:2]))           # keeps every time distinct
+    lines, row_lines = ["# solver export"], []
+    lines.append((", " if comma else "  ").join(columns))
+    for i, t in enumerate(times):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(["# comment", "   # indented", ""])))
+        cells = []
+        for name in columns:
+            if name == time_name:
+                cells.append(fmt % t)
+            elif name == "iter":
+                cells.append(str(i))
+            elif name == "label":
+                cells.append("step")
+            else:
+                cells.append(draw(st.sampled_from(_CELL_FORMATS)) % draw(st.floats(-1e6, 1e6)))
+        lines.append(("," if comma else " ").join(cells))
+        row_lines.append(len(lines))
+    return "\n".join(lines) + "\n", row_lines, columns, time_name
+
+
+class TestParseBulkPath:
+    """The bulk path gives exactly what the row loop gives, or defers to it."""
+
+    @given(monitor_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_well_formed_tables_parse_bit_identically(self, table):
+        text = table[0]
+        bulk_path, returned = dio._parse_well_formed, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dio, "_parse_well_formed",
+                       lambda *args: returned.append(bulk_path(*args)) or returned[-1])
+            bulk = parse_monitor_table(text)
+            mp.setattr(dio, "_parse_well_formed", lambda *args: None)     # the row loop alone
+            loop = parse_monitor_table(text)
+        assert returned[0] is bulk
+        assert bulk.channels().keys() == loop.channels().keys()
+        assert bulk.times.tobytes() == loop.times.tobytes()
+        for name, values in loop.channels().items():
+            assert getattr(bulk, name).tobytes() == values.tobytes()
+
+    @given(monitor_tables(), st.sampled_from(["bad", "nan", "inf", "short", "time"]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_a_fault_is_reported_at_its_line(self, table, fault, rnd):
+        text, row_lines, columns, time_name = table
+        assume(fault != "time" or len(row_lines) > 1)
+        lines = text.splitlines()
+        k = rnd.randrange(1 if fault == "time" else 0, len(row_lines))
+        line_no = row_lines[k]
+        sep = "," if "," in lines[line_no - 1] else None
+        cells = lines[line_no - 1].split(sep)
+        col = rnd.choice([i for i, name in enumerate(columns) if name not in ("iter", "label")])
+        where = f"column '{columns[col]}' at line {line_no}"
+        if fault == "bad":
+            cells[col] = "oops"
+            error, message = NonFiniteValue, f"{where}: 'oops' is not a number"
+        elif fault in ("nan", "inf"):
+            cells[col] = fault
+            error, message = NonFiniteValue, f"{where}: non-finite value {fault}"
+        elif fault == "short":
+            del cells[-1]
+            error = NonFiniteValue
+            message = f"row at line {line_no} has {len(cells)} cells, header has {len(columns)}"
+        else:
+            ti = columns.index(time_name)
+            before = float(lines[row_lines[k - 1] - 1].split(sep)[ti])
+            cells[ti] = repr(before)
+            error = NonMonotonicTime
+            message = (f"time must be strictly increasing; row at line {line_no} "
+                       f"has t={before!r} after t={before!r}")
+        lines[line_no - 1] = ("," if sep else " ").join(cells)
+        with pytest.raises(MonitorError) as caught:
+            parse_monitor_table("\n".join(lines) + "\n")
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        # whitespace-split, line 3 has three cells; comma-split, as the loop does, two
+        ("t CL note\n0 1 a\n1 2 a,b\n", "row at line 3 has 2 cells, header has 3"),
+        # a short row and a long one that add up to whole rows
+        ("t,CL\n0,1\n1\n2,3,4\n", "row at line 3 has 1 cells, header has 2"),
+    ])
+    def test_rows_are_counted_one_by_one(self, text, message):
+        with pytest.raises(NonFiniteValue) as caught:
+            parse_monitor_table(text)
+        assert str(caught.value) == message
+
+
 class TestWriteSeries:
     def _series(self, n=2, channels=("CL", "CD", "Cm")):
         rng = np.random.default_rng(1)
@@ -153,6 +258,88 @@ class TestWriteSeries:
         assert format_value(0.5) == "0.5000000000000000"
         assert format_value(-3.16) == "-3.1600000000000001"
         assert float(format_value(1.2345678901234567e-12)) == 1.2345678901234567e-12
+
+
+def _per_cell_table(first, column, series):
+    """The table writer written out one cell at a time: the reference for the bulk one."""
+    channels = series.channels()
+    header = [first] + [dio._FILE_LABELS[name] for name in channels]
+    rows = (map(format_value, map(float, row)) for row in zip(column, *channels.values()))
+    return "\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n"
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+def _near_power_of_ten(args) -> float:
+    k, step, negative = args
+    bits = int(np.array([10.0 ** k]).view(np.uint64)[0]) + step
+    return -_from_bits(bits) if negative else _from_bits(bits)
+
+
+_WRITER_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_from_bits),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),   # zeros and subnormals
+    st.tuples(st.integers(-32, 17), st.integers(-64, 64), st.booleans()).map(_near_power_of_ten),
+    st.tuples(st.floats(-1e6, 1e6), st.integers(1, 15)).map(lambda a: round(*a)),
+)
+
+
+class TestBulkWriter:
+    @given(st.lists(_WRITER_VALUES, min_size=1, max_size=200))
+    @example([1e-29, 1e-30, 1e-31, 1e16, 9999999999999998.0, 1.5e16, 2.0**-25, 0.5,
+              0.662004970148938, -1.321048632913019e-10, 9.999999999999999e-05,
+              float("nan"), float("inf"), -float("inf"), 5e-324, -0.0])
+    @settings(max_examples=200, deadline=None)
+    def test_cells_equal_format_value(self, values):
+        cells = dio._format_cells(np.array(values, dtype=np.float64))
+        assert cells == [format_value(v) for v in values]
+
+    @pytest.mark.parametrize("shift", [-1e-9, 1e-9])
+    def test_cells_do_not_depend_on_how_log10_rounds(self, monkeypatch, shift):
+        # a log10 that rounds the other way next to a power of ten picks a
+        # precision one too high or too low; those cells must fall back
+        values = [_near_power_of_ten((k, step, negative)) for k in range(-30, 16)
+                  for step in (-2, -1, 0, 1, 2) for negative in (False, True)]
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        assert dio._format_cells(np.array(values)) == [format_value(v) for v in values]
+
+    @pytest.mark.parametrize("rows", [1, dio._BLOCK_ROWS - 1, dio._BLOCK_ROWS, dio._BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("channels", [("CL", "CD", "Cm"), ("Cm",)])
+    def test_table_equals_the_per_cell_writer(self, rows, channels):
+        rng = np.random.default_rng(rows)
+        values = {ch: rng.normal(0.0, 10.0 ** rng.integers(-20, 8), rows) for ch in channels}
+        values[channels[0]][::7] = np.round(values[channels[0]][::7], 3)   # trailing zeros
+        values[channels[-1]][::5] = 0.0
+        series = CoefficientSeries(times=np.arange(rows) * 0.01, **values)
+        alpha = np.degrees(rng.uniform(-0.2, 0.2, rows))
+        assert dio._numeric_table("t", series.times, series) == \
+            _per_cell_table("t", series.times, series)
+        assert dio._numeric_table("alpha_deg", alpha, series) == \
+            _per_cell_table("alpha_deg", alpha, series)
+
+    def test_golden_bytes(self):
+        # the file contract: format_value applied cell by cell
+        values = [0.5, 1.0, -0.0, 0.662004970148938, -1.321048632913019e-10,
+                  8.253585688640879e-17, 1e-31, 5e-324, 1.5e16, 9.999999999999999e-05]
+        series = CoefficientSeries(times=np.arange(10) * 0.1, CL=values, Cm=values[::-1])
+        subnormal = "0." + "0" * 323 + "49406564584124654"
+        assert write_series(series) == (
+            "t,CL,CM\n"
+            "0.0000000000000000,0.5000000000000000,0.000099999999999999991\n"
+            "0.10000000000000001,1.0000000000000000,15000000000000000.\n"
+            f"0.20000000000000001,-0.0000000000000000,{subnormal}\n"
+            "0.30000000000000004,0.6620049701489380,0.00000000000000000000000000000010000000000000001\n"
+            "0.40000000000000002,-0.0000000001321048632913019,0.000000000000000082535856886408790\n"
+            "0.5000000000000000,0.000000000000000082535856886408790,-0.0000000001321048632913019\n"
+            "0.60000000000000009,0.00000000000000000000000000000010000000000000001,0.6620049701489380\n"
+            f"0.70000000000000007,{subnormal},-0.0000000000000000\n"
+            "0.80000000000000004,15000000000000000.,1.0000000000000000\n"
+            "0.90000000000000002,0.000099999999999999991,0.5000000000000000\n"
+        )
 
 
 class TestWriteReport:
@@ -225,7 +412,7 @@ class TestWriteReport:
         class ExplodingPlant(QuasiSteadyPlant):
             def coefficient_histories(self, schedule, cond):
                 if cond.freestream_speed == 50.0:
-                    raise RuntimeError("blown up on purpose")
+                    raise DomainError("freestream_speed", "blown up on purpose")
                 return super().coefficient_histories(schedule, cond)
 
         scenarios = (

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dynderiv import (
     AGARD_CT2_MACH,
+    DomainError,
     FlatPlatePlant,
     FlightCondition,
     InsufficientSamples,
@@ -170,7 +171,7 @@ class TestRunSweep:
 
             def coefficient_histories(self, schedule, cond):
                 if cond.freestream_speed == 66.0:
-                    raise RuntimeError("blown up on purpose")
+                    raise DomainError("freestream_speed", "blown up on purpose")
                 return QuasiSteadyPlant.coefficient_histories(
                     QuasiSteadyPlant(coefficients=linear_plant.coefficients), schedule, cond
                 )
@@ -181,7 +182,17 @@ class TestRunSweep:
         report = run_sweep(_plan(ExplodingPlant(), condition, agard_alpha_spec))
         statuses = [r.status for r in report.results]
         assert statuses == [SweepStatus.STATIC_ONLY, SweepStatus.OK, SweepStatus.FAILED]
-        assert "blown up on purpose" in report.results[2].failure_reason
+        assert report.results[2].failure_reason == (
+            "DomainError: freestream_speed blown up on purpose"
+        )
+
+    def test_a_bug_is_not_isolated(self, monkeypatch, linear_plant, condition, agard_alpha_spec):
+        def broken(self, schedule, cond):
+            raise RuntimeError("a bug, not a domain failure")
+
+        monkeypatch.setattr(QuasiSteadyPlant, "coefficient_histories", broken)
+        with pytest.raises(RuntimeError, match="a bug, not a domain failure"):
+            run_sweep(_plan(linear_plant, condition, agard_alpha_spec))
 
     def test_report_order_is_plan_order(self, linear_plant, condition, agard_alpha_spec):
         scenarios = tuple(reversed(builtin_scenarios()))
@@ -212,7 +223,7 @@ class TestRunSweep:
         class ExplodingPlant(QuasiSteadyPlant):
             def coefficient_histories(self, schedule, cond):
                 if cond.freestream_speed == 66.0:
-                    raise RuntimeError("blown up on purpose")
+                    raise DomainError("freestream_speed", "blown up on purpose")
                 return super().coefficient_histories(schedule, cond)
 
         plant = ExplodingPlant(QuasiSteadyCoefficients(CL_alpha=5.0))
