@@ -176,12 +176,14 @@ _SPACE = re.compile(r"[ \t\n\r]*")     # JSON whitespace
 def _key_line(text: str, path: str) -> str:
     """' (line N)' where the key at ``path`` ('scenarios[1].altitude_m') is written, else ''.
 
-    Walks the text along the path (every parent a list or an object), so the
-    key is found inside its own block.
+    Walks the text along the path, so the key is found inside its own block.
+    A parent that is not a list or an object, as written, gives ''.
     """
     decode, skip = json.JSONDecoder().raw_decode, lambda i: _SPACE.match(text, i).end()
     at = pos = skip(0)                      # the empty path is the document itself
     for index, key in re.findall(r"\[(\d+)\]|([^.\[]+)", path):
+        if text[pos] != ("[" if index else "{"):
+            return ""
         want, found, i, pos = int(index) if index else key, None, 0, skip(pos + 1)
         while text[pos] not in "]}":
             name, at = i, pos
@@ -301,7 +303,27 @@ def parse_case_config(text: str) -> SweepPlan:
     args["scenarios"] = _parse_scenarios(ctx, doc["scenarios"])
     with ctx.reported(doc, _PLAN, ""):
         with ctx.reported(doc["oscillation"], _OSCILLATION, "oscillation"):
-            return SweepPlan(**args)
+            plan = SweepPlan(**args)
+    _check_flown_speeds(ctx, plan)
+    return plan
+
+
+def _check_flown_speeds(ctx: _Ctx, plan: SweepPlan) -> None:
+    """Each scenario's condition must hold (Mach < 1) at the speed it flies.
+
+    The speed follows ``speed_basis``; the error names the scenario's
+    forward velocity and its line.
+    """
+    for i, scenario in enumerate(plan.scenarios):
+        try:
+            plan.scenario_condition(scenario)
+        except DomainError as exc:
+            where = f"scenarios[{i}].forward_velocity_m_s"
+            raise UnitViolation(
+                f"'{where}' gives a {plan.speed_basis} speed that {exc.rule}, "
+                f"got {plan.scenario_speed(scenario)!r} m/s against "
+                f"{plan.condition.sound_speed!r} m/s{_key_line(ctx.text, where)}"
+            ) from exc
 
 
 def _render(table: dict[str, _Key], fields: dict[str, Any]) -> dict[str, Any]:

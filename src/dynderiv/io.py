@@ -3,8 +3,11 @@
 Series files are delimited text with header ``t,CL,CD,CM`` (absent
 channels omitted) and values written in fixed decimal notation.
 ``format_value`` (numpy's Dragon4 with ``precision=17, unique=False``)
-defines the bytes of every value; the bulk table writer is tested against
-it.  A parse/write round trip is bit-exact and the files are diffable.
+defines the bytes of every value.  The table writer computes the same
+digits for a whole block with numpy arithmetic (``_format_block``), falls
+back to ``format_value`` for the values it cannot settle exactly, and is
+tested against it cell by cell.  A parse/write round trip is bit-exact and
+the files are diffable.
 Monitor ingestion is deliberately tolerant about naming (solver exports
 vary) and strict about values.
 
@@ -191,50 +194,134 @@ def _csv(header, rows) -> str:
     return "\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n"
 
 
-# Rows per bulk format call.  The block bounds the transient text, argument
-# tuple and index arrays, so peak memory does not grow with the table.
+# Rows per bulk format call.  The block bounds the transient digit matrices,
+# so peak memory does not grow with the table.
 _BLOCK_ROWS = 1024
-_ZERO, _MINUS, _COMMA = (ord(c) for c in "0-,")
+_ZERO, _POINT, _MINUS, _PERCENT, _S, _COMMA, _NEWLINE = (ord(c) for c in "0.-%s,\n")
 
 
-def _format_cells(values: np.ndarray) -> list[str]:
-    """``format_value`` of every element of a 1-D float64 array, in bulk.
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of doubles into two halves of at most 26 bits each."""
+    t = a * 134217729.0                                # 2**27 + 1
+    high = t - (t - a)
+    return high, a - high
 
-    Each value in [1e-30, 1e16) is printed by one ``%.*f`` call at
-    precision ``16 - floor(log10|x|)``: the same correctly rounded 17
-    significant digits Dragon4 gives.  A cell falls back to ``format_value``
-    when its text ends in ``0`` (Dragon4 sometimes drops such a zero and
-    sometimes keeps it), has the wrong length, or has a ``0`` where its first
-    significant digit belongs.  The last two catch a log10 that rounds across
-    a power of ten: there the second digit is a ``0`` too.  Zeros,
-    subnormals, huge and non-finite values always fall back.
+
+# 10**p as an unevaluated sum hi + lo of doubles, for p in 0..47, with hi
+# split, so that |x| * hi is formed exactly.
+_POW10_HI = np.array([float(10**p) for p in range(48)])
+_POW10_LO = np.array([float(10**p - int(h)) for p, h in enumerate(_POW10_HI.tolist())])
+_POW10_HI_HI, _POW10_HI_LO = _split(_POW10_HI)
+# ASCII of every four-digit group 0000..9999, one uint32 per group.
+_DIGITS4 = np.ascontiguousarray(
+    np.indices((10,) * 4, np.uint8).reshape(4, -1).T + _ZERO).view(np.uint32).ravel()
+# The widest bulk cell: a sign, "0.", 30 zeros and 17 digits.
+_WIDEST = 50
+
+
+def _layouts() -> np.ndarray:
+    """Cell templates, right-aligned in ``_WIDEST`` bytes and then a comma.
+
+    Row ``2 * (31 + min(e, 0)) + negative`` holds NULs, the sign, "0.", the
+    zeros before the first significant digit, and "0"s where the 17 digits
+    of S go.
     """
-    n = values.size
+    col = np.arange(_WIDEST + 1)
+    lead = np.repeat(np.arange(-31, 1), 2)[:, None] + _WIDEST - 18   # column of the first 0
+    negative = np.arange(64)[:, None] % 2 == 1
+    return np.select(
+        [col == _WIDEST, col == lead + 1, col >= lead, negative & (col == lead - 1)],
+        [_COMMA, _POINT, _ZERO, _MINUS], 0,
+    ).astype(np.uint8)
+
+
+_LAYOUTS = _layouts()
+_NEAR = 1e-9       # a fraction this close to a rounding boundary falls back
+
+
+def _significand(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part and fraction of ``x * 10**(16 - e)``, to within 1e-14.
+
+    The product is formed in double-double arithmetic: ``x * hi`` exactly
+    by Dekker's split, plus ``x * lo``.
+    """
+    p = 16 - e
+    x_hi, x_lo = _split(x)
+    hi_hi, hi_lo = _POW10_HI_HI[p], _POW10_HI_LO[p]
+    y = x * _POW10_HI[p]
+    err = ((x_hi * hi_hi - y) + x_hi * hi_lo + x_lo * hi_hi) + x_lo * hi_lo
+    whole = np.floor(y)
+    rest = (y - whole) + (err + x * _POW10_LO[p])
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _format_block(block: np.ndarray) -> str:
+    """CSV lines of a 2-D float64 block: ``format_value`` of every cell.
+
+    A cell in [1e-30, 1e16) gets the 17 significant digits ``S`` that
+    Dragon4 rounds to, from ``e = floor(log10|x|)`` and ``_significand``.
+    Dragon4 prints ``S`` whole for ``|x| >= 1``.  Below 1 it drops the
+    trailing zeros of ``S`` when it rounded up or the expansion was exact,
+    keeps them when it rounded down, and pads to 16 fraction digits.  A cell
+    falls back to ``format_value`` when its fraction lies within ``_NEAR``
+    of a tie, or of an integer where that decides the trailing zeros; when
+    ``S`` does not have 17 digits (a log10 that rounded across a power of
+    ten, or a round-up that carried to 10**17); and when it is nonzero
+    outside [1e-30, 1e16) or not finite.  Zeros go in bulk.
+    """
+    rows, cols = block.shape
+    values = block.ravel()
     x = np.abs(values)
     bulk = (x >= 1e-30) & (x < 1e16)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.where(bulk, np.floor(np.log10(x)), 0.0).astype(np.int64)
-    args = [None] * (2 * n)
-    args[0::2] = (16 - e).tolist()
-    args[1::2] = np.where(bulk, values, 0.0).tolist()
-    text = ("%.*f," * n) % tuple(args)
+    digits, frac = _significand(np.where(bulk, x, 0.0), e)
+    ok = bulk & (digits >= 10**16) & (np.abs(frac - 0.5) > _NEAR)
+    up = frac > 0.5
+    digits += up
+    ok &= digits < 10**17
 
-    b = np.frombuffer(text.encode("ascii"), np.uint8)
-    ends = np.flatnonzero(b == _COMMA)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    digits = starts + (b[starts] == _MINUS)          # first byte after the sign
-    lead = digits + np.where(e < 0, 1 - e, 0)        # 0.<-e-1 zeros><17 digits> when e < 0
-    ok = (
-        bulk
-        & (ends - digits == 18 + np.maximum(-e, 0))
-        & (b[ends - 1] != _ZERO)
-        & (b[lead] != _ZERO)
-    )
-    cells = text.split(",")
-    del cells[-1]
-    for i in np.flatnonzero(~ok).tolist():
-        cells[i] = format_value(values[i])
-    return cells
+    high = digits // 10**8
+    low = digits - high * 10**8
+    top = high // 10**8
+    high -= top * 10**8
+    groups = np.stack([top, high // 10**4, high % 10**4, low // 10**4, low % 10**4], 1)
+    text = _DIGITS4[groups].view(np.uint8)[:, 3:]        # the 17 digits of S
+    zero_end = text[:, 16] == _ZERO
+    below_one = e < 0
+    near_integer = (frac < _NEAR) | (frac > 1.0 - _NEAR)
+    ok &= ~(below_one & zero_end & near_integer)
+    ok |= x == 0.0
+    e[~ok] = 0
+    strip = np.flatnonzero(ok & below_one & up & zero_end)
+    keep = np.arange(17) < 17 - np.minimum(
+        np.argmax(text[strip, ::-1] != _ZERO, 1), -e[strip])[:, None]
+
+    # Right-aligned cells w bytes wide, then a separator: the last digit of
+    # S in column w - 1 and the point in column w - 17 + e; for e >= 0 the
+    # integer digits 0..e stand one column left of their place in S.
+    w = 19 - min(int(e.min()), 0)
+    layout = 2 * (31 + np.minimum(e, 0)) + (np.signbit(values) & ok)
+    out = np.ascontiguousarray(_LAYOUTS[:, _WIDEST - w:]).take(layout, 0)
+    out[:, w - 17:w] = text
+    out[strip, w - 17:w] *= keep
+    above_one = np.flatnonzero(e >= 0)
+    shift = above_one
+    for k in range(int(e.max()) + 1):
+        shift = shift[e[shift] >= k]
+        out[shift, w - 18 + k] = text[shift, k]
+    out[above_one, w - 17 + e[above_one]] = _POINT
+    fallback = np.flatnonzero(~ok)
+    out[fallback, :w] = 0
+    out[fallback, w - 2] = _PERCENT
+    out[fallback, w - 1] = _S
+    out[cols - 1::cols, w] = _NEWLINE
+    out = out.ravel()
+    lines = out[out != 0].tobytes().decode("ascii")
+    if fallback.size:
+        lines %= tuple(format_value(v) for v in values[fallback])
+    return lines
 
 
 def _numeric_table(first: str, column, series: CoefficientSeries) -> str:
@@ -242,11 +329,9 @@ def _numeric_table(first: str, column, series: CoefficientSeries) -> str:
     channels = series.channels()
     header = [first] + [_FILE_LABELS[name] for name in channels]
     table = np.column_stack([column, *channels.values()])
-    row = ",".join(["%s"] * table.shape[1]) + "\n"
     parts = [",".join(header) + "\n"]
     for i in range(0, len(table), _BLOCK_ROWS):
-        block = table[i:i + _BLOCK_ROWS]
-        parts.append((row * len(block)) % tuple(_format_cells(block.ravel())))
+        parts.append(_format_block(table[i:i + _BLOCK_ROWS]))
     return "".join(parts)
 
 

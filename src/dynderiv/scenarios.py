@@ -154,6 +154,10 @@ class SweepPlan:
             return math.hypot(scenario.forward_velocity, scenario.vertical_velocity)
         return scenario.forward_velocity
 
+    def scenario_condition(self, scenario: TransitionScenario) -> FlightCondition:
+        """The condition template at the speed ``scenario`` flies."""
+        return replace(self.condition, freestream_speed=self.scenario_speed(scenario))
+
 
 class SweepStatus(enum.Enum):
     OK = "OK"
@@ -228,9 +232,8 @@ def identify_modes(
 
 
 def _run_one(plan: SweepPlan, scenario: TransitionScenario) -> ScenarioResult:
-    speed = plan.scenario_speed(scenario)
-    cond = replace(plan.condition, freestream_speed=speed)
-    if speed == 0.0:
+    cond = plan.scenario_condition(scenario)
+    if cond.freestream_speed == 0.0:
         # hover: nondimensional rates are undefined, so no dynamics
         return _static_only_result(plan, scenario, cond)
 

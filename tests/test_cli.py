@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dynderiv import parse_monitor_table
+from dynderiv import DomainError, parse_monitor_table, scenarios
 from dynderiv.cli import main
 
 AGARD_K = 0.0811
@@ -294,17 +294,23 @@ class TestSweep:
         assert [s["status"] for s in meta["scenarios"]] == ["STATIC_ONLY", "OK", "OK"]
         assert meta["scenarios"][1]["vertical_velocity_m_s"] == 2.5
 
-    def test_failed_scenario_exits_one_after_writing_reports(self, tmp_path):
-        # transition-end flies 66 m/s against a 60 m/s sound speed: Mach >= 1
-        doc = config_doc()
-        doc["condition"].update(speed_m_s=50.0, sound_speed_m_s=60.0)
+    def test_failed_scenario_exits_one_after_writing_reports(self, tmp_path, monkeypatch):
+        # transition-end (66 m/s) breaks a range rule while it runs
+        identify_modes = scenarios.identify_modes
+
+        def failing_at_66(plant, spec, cond, *args):
+            if cond.freestream_speed == 66.0:
+                raise DomainError("freestream_speed", "must be flyable here", 66.0)
+            return identify_modes(plant, spec, cond, *args)
+
+        monkeypatch.setattr(scenarios, "identify_modes", failing_at_66)
         config = tmp_path / "case.json"
-        config.write_text(json.dumps(doc))
+        config.write_text(json.dumps(config_doc()))
         out_dir = tmp_path / "results"
         assert main(["sweep", str(config), "--out-dir", str(out_dir)]) == 1
         meta = json.loads((out_dir / "run_meta.json").read_text())
         assert [s["status"] for s in meta["scenarios"]] == ["STATIC_ONLY", "OK", "FAILED"]
-        assert "FAILED(DomainError: freestream_speed must be below the sound speed (Mach must be < 1)" \
+        assert "FAILED(DomainError: freestream_speed must be flyable here; got 66.0)" \
             in (out_dir / "report.csv").read_text()
         assert (out_dir / "report.txt").exists()
         assert (out_dir / "loops_mid-transition.csv").exists()
@@ -336,6 +342,27 @@ class TestSweep:
         assert len(err) == 1
         assert err[0].startswith("error: 'plant.pitch_axis' ")
         assert "got 5.0 (line " in err[0]
+
+    @pytest.mark.parametrize("speed_basis", ["forward", "total"])
+    def test_supersonic_scenario_is_one_line_before_any_report(self, tmp_path, capsys,
+                                                              speed_basis):
+        # 300 m/s forward with a 200 m/s climb is 360 m/s in total, against 340 m/s
+        forward = 400.0 if speed_basis == "forward" else 300.0
+        scenarios = [{"name": "slow", "altitude_m": 10.0, "vertical_velocity_m_s": 0.0,
+                      "forward_velocity_m_s": 50.0},
+                     {"name": "fast", "altitude_m": 10.0, "vertical_velocity_m_s": 200.0,
+                      "forward_velocity_m_s": forward}]
+        doc = config_doc(scenarios=scenarios, speed_basis=speed_basis)
+        doc["condition"]["sound_speed_m_s"] = 340.0
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(doc, indent=2))
+        out_dir = tmp_path / "results"
+        assert main(["sweep", str(config), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: 'scenarios[1].forward_velocity_m_s' ")
+        assert "Mach must be < 1" in err[0] and "(line " in err[0]
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("names", [["a,b"], ["a b", "a_b"], ["x", "x"]])
     def test_unsafe_or_repeated_scenario_name_is_one_line(self, tmp_path, capsys, names):

@@ -187,6 +187,42 @@ class TestErrors:
         with pytest.raises(UnitViolation, match="Mach"):
             parse_case_config(doc_text(doc))
 
+    @pytest.mark.parametrize("speed_basis, forward, climb", [
+        ("forward", 400.0, 0.0),
+        ("total", 300.0, 200.0),      # 360 m/s in total
+    ])
+    def test_supersonic_scenario_rejected_at_parse_time(self, speed_basis, forward, climb):
+        doc = base_doc()
+        doc["condition"]["sound_speed_m_s"] = 340.0
+        doc["speed_basis"] = speed_basis
+        doc["scenarios"] = [
+            {"name": "slow", "altitude_m": 10.0, "vertical_velocity_m_s": 0.0,
+             "forward_velocity_m_s": 50.0},
+            {"name": "fast", "altitude_m": 10.0, "vertical_velocity_m_s": climb,
+             "forward_velocity_m_s": forward},
+        ]
+        text = doc_text(doc)
+        line = text.splitlines().index('      "forward_velocity_m_s": %r' % forward) + 1
+        with pytest.raises(UnitViolation) as info:
+            parse_case_config(text)
+        message = str(info.value)
+        assert message.startswith("'scenarios[1].forward_velocity_m_s' ")
+        assert f"{speed_basis} speed" in message and "Mach must be < 1" in message
+        assert message.endswith(f"(line {line})")
+        if speed_basis == "total":
+            doc["speed_basis"] = "forward"        # 300 m/s forward alone is subsonic
+            assert parse_case_config(doc_text(doc)).scenarios[1].forward_velocity == 300.0
+
+    def test_supersonic_builtin_scenario_is_named_without_a_line(self):
+        doc = base_doc()
+        doc["condition"].update(speed_m_s=50.0, sound_speed_m_s=60.0)   # transition-end flies 66
+        doc["scenarios"] = "builtin"
+        with pytest.raises(UnitViolation) as info:
+            parse_case_config(doc_text(doc))
+        assert str(info.value) == (
+            "'scenarios[2].forward_velocity_m_s' gives a forward speed that must be below "
+            "the sound speed (Mach must be < 1), got 66.0 m/s against 60.0 m/s")
+
     def test_bad_mode_name(self):
         doc = base_doc()
         doc["oscillation"]["modes"] = ["alpha", "roll"]
@@ -229,6 +265,7 @@ RANGE_CASES = [
     ("plant.kernel", "fourier", {"kind": "flat-plate"}, "must be one of"),
     ("scenarios[0].altitude_m", -10.0, None, "must be >= 0"),
     ("scenarios[0].forward_velocity_m_s", -1, None, "must be >= 0"),
+    ("scenarios[0].forward_velocity_m_s", 400.0, None, "Mach must be < 1"),
     ("speed_basis", "diagonal", None, "must be 'forward' or 'total'"),
 ]
 

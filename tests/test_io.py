@@ -1,8 +1,10 @@
 """Monitor ingestion, canonical series text, report emission."""
 
 import csv
+import hashlib
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,20 +14,28 @@ from hypothesis import strategies as st
 from dynderiv import (
     CoefficientSeries,
     DomainError,
+    DragPolar,
+    FlightCondition,
+    IndicialPlant,
     MissingTimeColumn,
     MonitorError,
     NoCoefficientColumn,
     NonFiniteValue,
     NonMonotonicTime,
+    OscillationMode,
     Orientation,
     QuasiSteadyPlant,
     SweepPlan,
     SweepStatus,
     TransitionScenario,
+    agard_ct2_preset,
     atomic_write,
     builtin_scenarios,
+    make_schedule,
     parse_monitor_table,
     run_sweep,
+    simulate,
+    write_loop_table,
     write_report,
     write_series,
 )
@@ -137,6 +147,64 @@ def monitor_tables(draw):
         lines.append(("," if comma else " ").join(cells))
         row_lines.append(len(lines))
     return "\n".join(lines) + "\n", row_lines, columns, time_name
+
+
+_CHANNEL_HEADERS = ["CL", "CD", "CM", *(a for names in dio.CHANNEL_ALIASES.values() for a in names)]
+_FUZZ_HEADERS = [*dio.TIME_ALIASES, *_CHANNEL_HEADERS, "iter", "label", "", "x y", "#t"]
+_FUZZ_CELLS = st.one_of(                                   # mostly numbers
+    st.floats(-1e6, 1e6).map(repr), st.floats(-1e6, 1e6).map(repr), st.integers(-9, 9).map(str),
+    st.floats().map(repr),                                   # nan, inf and huge ones too
+    st.sampled_from(["nan", "-inf", "Infinity", "1e999", "oops", "", "1_0", "0x10", "--1", " "]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def fuzzed_monitor_texts(draw):
+    """Any text a solver export might hold, with the aliases to read it by."""
+    header = draw(st.lists(st.sampled_from(_FUZZ_HEADERS), max_size=4))
+    if draw(st.integers(0, 3)):               # mostly a time and a channel among them
+        header += [draw(st.sampled_from(dio.TIME_ALIASES)), draw(st.sampled_from(_CHANNEL_HEADERS))]
+    case = draw(st.sampled_from([str.lower, str.upper, str.title]))
+    header = [case(name) for name in draw(st.permutations(header))]
+    sep = draw(st.sampled_from([",", ", ", " ", "\t", " , ", ";"]))
+    lines = draw(st.lists(st.sampled_from(["# export", "  # a,b", ""]), max_size=2))
+    lines.append(sep.join(header))
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["clean", "clean", "fuzzed", "ragged", "comment", "blank"]))
+        if kind in ("comment", "blank"):
+            lines.append(draw(st.sampled_from(["# 1,2", "   #", "", " \t"])))
+            continue
+        width = len(header) if kind != "ragged" else draw(st.integers(0, len(header) + 2))
+        if kind == "clean":       # every column increases, so whichever is time does
+            cells = [repr(i + draw(st.floats(0.0, 0.5))) for _ in range(width)]
+        else:
+            cells = [draw(_FUZZ_CELLS) for _ in range(width)]
+        lines.append(sep.join(cells))
+    aliases = draw(st.none() | st.dictionaries(
+        st.sampled_from(_FUZZ_HEADERS), st.sampled_from(["time", "CL", "CD", "Cm", "bogus"]),
+        max_size=2))
+    return "\n".join(lines), aliases
+
+
+class TestParseFuzzed:
+    @given(fuzzed_monitor_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_only_monitor_errors_and_both_paths_agree(self, case):
+        # any other exception escapes and fails the property
+        text, aliases = case
+        outcomes = []
+        with pytest.MonkeyPatch.context() as mp:
+            for _ in ("bulk path", "row loop"):
+                try:
+                    series = parse_monitor_table(text, extra_aliases=aliases)
+                except MonitorError as exc:
+                    outcomes.append((type(exc), str(exc)))
+                else:
+                    outcomes.append([(name, values.tobytes()) for name, values in
+                                     [("t", series.times), *series.channels().items()]])
+                mp.setattr(dio, "_parse_well_formed", lambda *args: None)
+        assert outcomes[0] == outcomes[1]
 
 
 class TestParseBulkPath:
@@ -278,34 +346,78 @@ def _near_power_of_ten(args) -> float:
     return -_from_bits(bits) if negative else _from_bits(bits)
 
 
+def _dyadic_below_one(args) -> float:
+    bits, numerator = args
+    return (numerator % 2**bits) / 2**bits
+
+
 _WRITER_VALUES = st.one_of(
     st.integers(0, 2**64 - 1).map(_from_bits),
     st.sampled_from([0.0, -0.0]),
     st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),   # zeros and subnormals
     st.tuples(st.integers(-32, 17), st.integers(-64, 64), st.booleans()).map(_near_power_of_ten),
     st.tuples(st.floats(-1e6, 1e6), st.integers(1, 15)).map(lambda a: round(*a)),
+    # exact expansions below 1, where Dragon4 drops the trailing zeros
+    st.tuples(st.integers(1, 60), st.integers(0, 2**60)).map(_dyadic_below_one),
+    # round-downs below 1, where it keeps them
+    st.tuples(st.floats(-1.0, 1.0), st.integers(1, 15)).map(lambda a: round(*a)),
 )
+
+# y = |x| * 10**(16 - floor(log10|x|)) lies within 1e-9 of a tie, but not on
+# it, for each of these; and within 1e-9 of an integer ending in 0, below 1,
+# for the second six.  Both must fall back (checked with exact fractions).
+_NEAR_TIES = [2.639689536635325e-07, 1.9698652846869435e-06, 1.0387132729207566e-06,
+              3.2640823032274e-07, 2.9376644010027554e-08, 7.73695579240457e-06]
+_NEAR_INTEGERS = [7.818691009755606e-06, 2.008353873727409e-06, 1.536435332410746e-05,
+                  4.036741811194577e-06, 3.909345504877803e-06, 1.59065584799012e-05]
+
+
+def _per_cell_block(block) -> str:
+    return "".join(",".join(map(format_value, row)) + "\n" for row in block)
 
 
 class TestBulkWriter:
-    @given(st.lists(_WRITER_VALUES, min_size=1, max_size=200))
+    @given(st.lists(_WRITER_VALUES, min_size=1, max_size=200), st.integers(1, 4))
     @example([1e-29, 1e-30, 1e-31, 1e16, 9999999999999998.0, 1.5e16, 2.0**-25, 0.5,
               0.662004970148938, -1.321048632913019e-10, 9.999999999999999e-05,
-              float("nan"), float("inf"), -float("inf"), 5e-324, -0.0])
+              float("nan"), float("inf"), -float("inf"), 5e-324, -0.0], 4)
     @settings(max_examples=200, deadline=None)
-    def test_cells_equal_format_value(self, values):
-        cells = dio._format_cells(np.array(values, dtype=np.float64))
-        assert cells == [format_value(v) for v in values]
+    def test_cells_equal_format_value(self, values, cols):
+        values = values + [0.0] * (-len(values) % cols)
+        block = np.array(values, dtype=np.float64).reshape(-1, cols)
+        assert dio._format_block(block) == _per_cell_block(block)
 
     @pytest.mark.parametrize("shift", [-1e-9, 1e-9])
     def test_cells_do_not_depend_on_how_log10_rounds(self, monkeypatch, shift):
         # a log10 that rounds the other way next to a power of ten picks a
-        # precision one too high or too low; those cells must fall back
+        # scale one too high or too low; those cells must fall back
         values = [_near_power_of_ten((k, step, negative)) for k in range(-30, 16)
                   for step in (-2, -1, 0, 1, 2) for negative in (False, True)]
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
-        assert dio._format_cells(np.array(values)) == [format_value(v) for v in values]
+        block = np.array(values).reshape(-1, 2)
+        assert dio._format_block(block) == _per_cell_block(block)
+
+    def test_a_block_of_fallbacks_leaves_no_placeholder(self, monkeypatch):
+        for x in _NEAR_TIES + _NEAR_INTEGERS:
+            e = math.floor(math.log10(x))
+            y = Fraction(x) * Fraction(10) ** (16 - e)
+            frac = y - math.floor(y)
+            if x in _NEAR_TIES:
+                assert 0 < abs(frac - Fraction(1, 2)) < Fraction(1, 10**9)
+            else:
+                assert 0 < min(frac, 1 - frac) < Fraction(1, 10**9)
+                assert e < 0 and round(y) % 10 == 0
+        values = [float("nan"), float("inf"), -float("inf"), 5e-324, -2.2250738585072014e-308,
+                  1.5e16, -1e300, 2.0**-25, -3 * 2.0**-25, 123 + 2.0**-15,
+                  *_NEAR_TIES, *[-x for x in _NEAR_INTEGERS]]
+        block = np.array(values).reshape(-1, 2)
+        calls = []
+        monkeypatch.setattr(dio, "format_value", lambda v: calls.append(v) or format_value(v))
+        text = dio._format_block(block)
+        assert len(calls) == len(values)
+        assert "%" not in text
+        assert text == _per_cell_block(block)
 
     @pytest.mark.parametrize("rows", [1, dio._BLOCK_ROWS - 1, dio._BLOCK_ROWS, dio._BLOCK_ROWS + 1])
     @pytest.mark.parametrize("channels", [("CL", "CD", "Cm"), ("Cm",)])
@@ -340,6 +452,45 @@ class TestBulkWriter:
             "0.80000000000000004,15000000000000000.,1.0000000000000000\n"
             "0.90000000000000002,0.000099999999999999991,0.5000000000000000\n"
         )
+
+
+@pytest.fixture(scope="module")
+def indicial_case():
+    """6 cycles x 720 samples of the indicial plant at the AGARD CT2 point: (incidence, series)."""
+    cond = FlightCondition(freestream_speed=100.0, density=1.225, ref_chord=0.2299,
+                           ref_span=0.6096, ref_area=0.1238)
+    spec = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=6)
+    schedule = make_schedule(spec, cond)
+    plant = IndicialPlant(pitch_axis=-0.5, drag=DragPolar(CD0=0.02, CD_alpha=0.4))
+    return schedule.relative_aoa, simulate(plant, schedule, cond)
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestRealTables:
+    # captured from the cell-by-cell writer; the inputs' own digest tells a
+    # libm that samples the case differently from a change in the writer
+    INPUTS = "fbe114b1dc856a1cb73ccd798d7b29bf6dd29198113955386a0245f75450a12b"
+    LOOP_TABLE = "df323b1951c0b7c87ca016ceed7c276dc5d9ca6b631f2dc793362814e37acdca"
+    SERIES = "00ba71b64be9cd0f02741162ede4c64d9388967c875888e997c83b6dc1533933"
+
+    def test_golden_digests(self, indicial_case):
+        incidence, series = indicial_case
+        inputs = np.column_stack([series.times, incidence, *series.channels().values()])
+        if _sha256(inputs.tobytes()) != self.INPUTS:
+            pytest.skip("this platform's libm samples the case differently")
+        assert _sha256(write_loop_table(incidence, series).encode()) == self.LOOP_TABLE
+        assert _sha256(write_series(series).encode()) == self.SERIES
+
+    def test_no_cell_of_a_real_table_falls_back(self, indicial_case, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dio, "format_value", lambda v: calls.append(v) or format_value(v))
+        incidence, series = indicial_case
+        assert len(series) == 6 * 720
+        write_loop_table(incidence, series)
+        assert calls == []
 
 
 class TestWriteReport:
