@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _UsageError(f"cannot read '{path}': {exc.strerror or exc}") from exc
 

@@ -67,14 +67,19 @@ def _window(times: np.ndarray, omega: float, skip_cycles: int) -> tuple[slice, i
     samples.
     """
     period = 2.0 * math.pi / omega
-    if len(times) > 1:
-        step = float(np.median(np.diff(times)))
-    else:
-        step = 0.0
+    # Keeps every difference, span, period count and phase below from overflow.
+    t_max = max(abs(float(times[0])), abs(float(times[-1])))
+    if t_max * max(omega, 1.0) > 1e300 or period > 1e300:
+        raise NonFiniteData(
+            f"times up to {t_max:.6g} s at omega {omega:.6g} rad/s are out of range for a fit "
+            "(|t| * max(omega, 1) and 2*pi/omega must be <= 1e300)")
+    step = float(np.median(np.diff(times))) if len(times) > 1 else 0.0
     tol = 0.25 * step
-    start = times[0] + skip_cycles * period
-    span = times[-1] + step - start
-    n_periods = int(math.floor((span + tol) / period))
+    span = float(times[-1] + step - times[0])
+    n_periods = 0
+    if skip_cycles <= (span + tol) / period:    # before multiplying: an int may overflow a float
+        start = times[0] + skip_cycles * period
+        n_periods = int(math.floor((times[-1] + step - start + tol) / period))
     if n_periods < 1:
         raise InsufficientSamples(
             f"no whole period left after skipping {skip_cycles} cycles "
@@ -188,7 +193,7 @@ def extract(
     derivative = out-of-phase / (k*A), and the in-phase residue over A is
     reported as a contamination diagnostic: the incidence is constant in
     this mode, so for a plant with no apparent-mass physics it must be zero.
-    OscillationSpec guarantees A > 0 and k > 0, so both scalings exist.
+    OscillationSpec keeps A > 0 and k*A finite and > 0, so both scalings exist.
     """
     amp = spec.body_amplitude
     k = spec.reduced_frequency

@@ -9,7 +9,8 @@ back to ``format_value`` for the values it cannot settle exactly, and is
 tested against it cell by cell.  A parse/write round trip is bit-exact and
 the files are diffable.
 Monitor ingestion is deliberately tolerant about naming (solver exports
-vary) and strict about values.
+vary) and strict about values: each column converts with ``float()`` in
+one pass, and the first fault is reported with its line.
 
 Nothing here embeds timestamps or other run-dependent state: identical
 inputs give byte-identical outputs.
@@ -17,9 +18,9 @@ inputs give byte-identical outputs.
 
 from __future__ import annotations
 
-import math
+import contextlib
 import os
-import tempfile
+import stat
 from itertools import chain
 from typing import Mapping
 
@@ -54,13 +55,6 @@ def format_value(x: float) -> str:
     return np.format_float_positional(x, precision=17, unique=False, fractional=False)
 
 
-def _split_row(line: str) -> list[str]:
-    line = line.strip()
-    if "," in line:
-        return [cell.strip() for cell in line.split(",")]
-    return line.split()
-
-
 def _match_channel(header: str, extra_aliases: Mapping[str, str] | None) -> str | None:
     token = header.strip().lower()
     if extra_aliases and token in extra_aliases:
@@ -73,49 +67,22 @@ def _match_channel(header: str, extra_aliases: Mapping[str, str] | None) -> str 
     return None
 
 
-def _parse_well_formed(
-    body: list[str], width: int, columns: Mapping[str, int]
-) -> CoefficientSeries | None:
-    """The series in ``body`` if every row is well formed, else None.
-
-    ``columns`` maps each ``CoefficientSeries`` field to its cell index in
-    rows of ``width`` cells.  Cells convert with ``float()``, as in the row
-    loop, but a whole column at a time.  Any fault (a short row, a bad or
-    non-finite cell, a time that does not increase) gives None, and the row
-    loop then reports it.
-    """
-    # A line holding a comma is comma-split (see _split_row), so whitespace
-    # splitting is only the same when no line holds one.
-    sep = "," if any("," in line for line in body) else None
-    rows = [line.split(sep) for line in body]
-    if not rows or any(len(row) != width for row in rows):
-        return None
-    cells = list(chain.from_iterable(rows))
-    try:
-        arrays = {
-            name: np.fromiter(map(float, cells[idx::width]), np.float64, len(rows))
-            for name, idx in columns.items()
-        }
-    except ValueError:
-        return None
-    if not all(np.isfinite(a).all() for a in arrays.values()):
-        return None
-    if not np.all(np.diff(arrays["times"]) > 0.0):
-        return None
-    return CoefficientSeries(**arrays)
-
-
 def parse_monitor_table(
     text: str,
     extra_aliases: Mapping[str, str] | None = None,
 ) -> CoefficientSeries:
     """Parse a delimited coefficient-monitor export.
 
-    The first non-comment line is the header; '#' starts a comment.  A
-    time column plus at least one of the lift/drag/moment columns must be
+    The first non-comment line is the header; '#' starts a comment.  A line
+    holding a comma is comma-split, any other whitespace-split.  A time
+    column plus at least one of the lift/drag/moment columns must be
     recognizable (``extra_aliases`` maps additional lowercase header names
-    onto 'time', 'CL', 'CD' or 'Cm').  Unrecognized columns are ignored.
-    Non-uniform time stamps are accepted.
+    onto 'time', 'CL', 'CD' or 'Cm'), each role in one column only.
+    Unrecognized columns are ignored; non-uniform time stamps are accepted.
+
+    Cells convert with ``float()`` a column at a time.  The fault in the
+    earliest row is raised, with its line; within a row the cell count goes
+    first, then the time cell, the time order and the channels in header order.
     """
     if extra_aliases:
         extra_aliases = {k.lower(): v for k, v in extra_aliases.items()}
@@ -127,66 +94,76 @@ def parse_monitor_table(
 
     lines = [
         (i, line) for i, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.lstrip().startswith("#")
+        if (lead := line.lstrip()) and lead[0] != "#"
     ]
     if not lines:
         raise MissingTimeColumn("empty document: no header line found")
 
     header_no, header_line = lines[0]
-    headers = _split_row(header_line)
-    roles = [_match_channel(h, extra_aliases) for h in headers]
-    if "time" not in roles:
-        raise MissingTimeColumn(
-            f"no time column among {headers!r} (line {header_no})"
-        )
-    time_idx = roles.index("time")
-    channel_cols = {role: i for i, role in enumerate(roles) if role in CHANNELS}
-    if not channel_cols:
+    if "," in header_line:
+        headers = [cell.strip() for cell in header_line.split(",")]
+    else:
+        headers = header_line.split()
+    columns: dict[str, int] = {}          # role -> cell index, in header order
+    for idx, header in enumerate(headers):
+        role = _match_channel(header, extra_aliases)
+        if role in columns:
+            raise MonitorError(f"columns {headers[columns[role]]!r} and {header!r} both read "
+                               f"as {role!r} (line {header_no})")
+        if role is not None:
+            columns[role] = idx
+    if "time" not in columns:
+        raise MissingTimeColumn(f"no time column among {headers!r} (line {header_no})")
+    time_idx = columns.pop("time")
+    if not columns:
         raise NoCoefficientColumn(
-            f"no lift/drag/moment column among {headers!r} (line {header_no})"
-        )
+            f"no lift/drag/moment column among {headers!r} (line {header_no})")
 
-    columns = {"times": time_idx, **channel_cols}
-    series = _parse_well_formed([line for _, line in lines[1:]], len(headers), columns)
-    if series is not None:
-        return series
-
-    # The row loop finds the first fault and names its line.
-    times: list[float] = []
-    data: dict[str, list[float]] = {ch: [] for ch in channel_cols}
-    for line_no, line in lines[1:]:
-        cells = _split_row(line)
-        if len(cells) != len(headers):
-            raise NonFiniteValue(
-                f"row at line {line_no} has {len(cells)} cells, header has {len(headers)}"
-            )
-        def cell_value(idx: int) -> float:
-            try:
-                value = float(cells[idx])
-            except ValueError as exc:
-                raise NonFiniteValue(
-                    f"column '{headers[idx]}' at line {line_no}: {cells[idx]!r} is not a number"
-                ) from exc
-            if not math.isfinite(value):
-                raise NonFiniteValue(
-                    f"column '{headers[idx]}' at line {line_no}: non-finite value {value}"
+    # Only rows before ``n`` can hold the first fault, which is ``error``.
+    body = lines[1:]
+    width = len(headers)
+    rows = [line.split("," if "," in line else None) for _, line in body]
+    widths = list(map(len, rows))
+    n, error = len(rows), None
+    if widths.count(width) < n:
+        n = next(r for r, w in enumerate(widths) if w != width)
+        error = NonFiniteValue(
+            f"row at line {body[n][0]} has {widths[n]} cells, header has {width}")
+    cells = list(chain.from_iterable(rows[:n]))
+    arrays = {}
+    for name, idx in [("times", time_idx), *columns.items()]:
+        where = f"column '{headers[idx]}' at line"
+        column = cells[idx:n * width:width]
+        try:
+            values = np.fromiter(map(float, column), np.float64, n)
+        except ValueError:
+            for r, cell in enumerate(column):
+                try:
+                    float(cell)
+                except ValueError:
+                    break
+            n, error = r, NonFiniteValue(
+                f"{where} {body[r][0]}: {cell.strip()!r} is not a number")
+            values = np.fromiter(map(float, column[:n]), np.float64, n)
+        finite = np.isfinite(values)
+        if not finite.all():
+            n = int(np.argmin(finite))
+            error = NonFiniteValue(f"{where} {body[n][0]}: non-finite value {float(values[n])}")
+        if name == "times":
+            rises = values[1:n] > values[:n][:-1]
+            if not rises.all():
+                n = int(np.argmin(rises)) + 1
+                error = NonMonotonicTime(
+                    f"time must be strictly increasing; row at line {body[n][0]} "
+                    f"has t={float(values[n])!r} after t={float(values[n - 1])!r}"
                 )
-            return value
+        arrays[name] = values
 
-        t = cell_value(time_idx)
-        if times and t <= times[-1]:
-            raise NonMonotonicTime(
-                f"time must be strictly increasing; row at line {line_no} "
-                f"has t={t!r} after t={times[-1]!r}"
-            )
-        times.append(t)
-        for channel, idx in channel_cols.items():
-            data[channel].append(cell_value(idx))
-
-    if not times:
+    if error is not None:
+        raise error
+    if not n:
         raise NonFiniteValue("no data rows after the header")
-
-    return CoefficientSeries(times, **data)
+    return CoefficientSeries(**arrays)
 
 
 def _csv(header, rows) -> str:
@@ -386,6 +363,10 @@ def _report_rows(report: SweepReport):
             yield [cells[c] if c in cells else _fmt(_derivative(ch, c)) for c in REPORT_COLUMNS]
 
 
+def _summary_cell(value: float | None) -> str:
+    return f"{value:12.6g}" if value is not None else f"{'-':>12}"
+
+
 def write_report(report: SweepReport) -> tuple[str, str]:
     """Render a sweep as (machine CSV, human-readable summary)."""
     machine = _csv(REPORT_COLUMNS, _report_rows(report))
@@ -417,15 +398,11 @@ def write_report(report: SweepReport) -> tuple[str, str]:
             if ch is None:
                 continue
             loop = result.loops.get(channel) if result.loops else None
-
-            def cell(v: float | None) -> str:
-                return f"{v:12.6g}" if v is not None else f"{'-':>12}"
-
             flags = ""
             if ch.fit is not None and result.derivatives.spec is not None:
                 flags = ",".join(validate_fit(ch.fit, result.derivatives.spec)) or "-"
             values = [_derivative(ch, c) for c in _SUMMARY_COLUMNS]
-            cells = [cell(v) for v in values + [loop.signed_area if loop else None]]
+            cells = [_summary_cell(v) for v in values + [loop.signed_area if loop else None]]
             human_lines.append("  " + " ".join([f"{channel:<4}"] + cells + [flags]))
         human_lines.append("")
     return machine, "\n".join(human_lines) + "\n"
@@ -454,13 +431,19 @@ def write_derivative_table(dset) -> str:
 
 
 def atomic_write(path: str | os.PathLike, text: str) -> None:
-    """Write text to path atomically (temp file + rename, same directory)."""
+    """Write text to path atomically (temp file + rename, same directory).
+
+    The file gets the mode ``open(path, "w")`` would leave: a new one gets
+    0o666 less the umask, a replaced one keeps its own.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

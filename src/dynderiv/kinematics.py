@@ -107,6 +107,8 @@ class OscillationSpec:
         check(self.reduced_frequency != 0.0, "reduced_frequency",
               "must be > 0; rate scaling is undefined at 0", 0.0, ZeroReducedFrequency)
         check_fields(self, "> 0", "reduced_frequency")
+        check(0.0 < self.reduced_frequency * self.body_amplitude < math.inf, "reduced_frequency",
+              "must keep the rate scale k * amplitude finite and > 0", self.reduced_frequency)
         for field, minimum in (("cycles", 1), ("samples_per_cycle", 8)):
             value = getattr(self, field)
             check(value % 1 == 0 and value >= minimum, field,

@@ -33,7 +33,7 @@ class CoefficientSeries:
         check(t.ndim == 1 and len(t) >= 1, "times", "must be a non-empty 1-D array", t.shape)
         if not np.all(np.isfinite(t)):
             raise NonFiniteData("times contain non-finite values")
-        check(len(t) == 1 or bool(np.all(np.diff(t) > 0.0)), "times", "must be strictly increasing")
+        check(bool(np.all(t[1:] > t[:-1])), "times", "must be strictly increasing")
         present = 0
         for name in CHANNELS:
             arr = getattr(self, name)

@@ -1,10 +1,16 @@
 """Command-line interface, exercised in-process through main()."""
 
+import io
 import json
 import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_io import fuzzed_monitor_texts
 
 from dynderiv import DomainError, parse_monitor_table, scenarios
 from dynderiv.cli import main
@@ -94,6 +100,12 @@ class TestSimulate:
 
         fit = fit_harmonic(series.times, series.CL, omega)
         assert abs(fit.in_phase) < 1e-12
+
+    def test_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(config_doc(), indent=2), encoding="utf-8-sig")
+        assert main(["simulate", str(config)]) == 0
+        assert len(parse_monitor_table(capsys.readouterr().out)) == 3 * 720
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code = main(["simulate", str(tmp_path / "nope.json")])
@@ -254,6 +266,41 @@ class TestIdentify:
         assert main(argv + flags) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {rule}"]
 
+    @pytest.mark.parametrize("skip", [3, 1000, 10**400], ids=["3", "1000", "10**400"])
+    def test_too_large_skip_is_one_line(self, tmp_path, capsys, skip):
+        path = self._write_fixture(tmp_path, "alpha")
+        argv = ["identify", str(path), "--k", str(AGARD_K), "--mode", "alpha",
+                "--amplitude-deg", str(AGARD_AMP_DEG), "--skip", str(skip)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: no whole period left after skipping {skip} cycles (span 3 s, period 1 s)"]
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--k", "5e-324"], 2,
+         "--k must keep the rate scale k * amplitude finite and > 0, got 5e-324"),
+        (["--k", "1e308", "--amplitude-deg", "1e306"], 2,
+         "--k must keep the rate scale k * amplitude finite and > 0, got 1e+308"),
+        (["--omega", "1e308"], 1, "times up to 2.99861 s at omega 1e+308 rad/s are out of range"),
+        (["--omega", "5e-324"], 1, "times up to 2.99861 s at omega 4.94066e-324 rad/s are out of"),
+    ], ids=["k-underflow", "k-overflow", "omega-huge", "omega-tiny"])
+    def test_extreme_flag_is_one_line(self, tmp_path, capsys, flags, code, message):
+        path = self._write_fixture(tmp_path, "alpha")
+        argv = ["identify", str(path), "--k", str(AGARD_K), "--mode", "alpha",
+                "--amplitude-deg", str(AGARD_AMP_DEG)]
+        assert main(argv + flags) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+    def test_export_with_a_byte_order_mark(self, tmp_path, capsys):
+        t = np.arange(2 * 64) / 64.0
+        cl = 0.1 + 0.05 * np.sin(2 * math.pi * t)
+        rows = [f"{ti!r},{v!r}" for ti, v in zip(t.tolist(), cl.tolist())]
+        path = tmp_path / "export.csv"
+        path.write_text("\n".join(["flow-time,cl-coefficient", *rows]) + "\n", encoding="utf-8-sig")
+        argv = ["identify", str(path), "--k", "0.1", "--mode", "alpha", "--amplitude-deg", "1"]
+        assert main(argv) == 0
+        assert table_to_dict(capsys.readouterr().out)["CL"]["trim"] == pytest.approx(0.1)
+
     def test_bad_alias_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         path.write_text("t,CL\n0,1\n1,2\n")
@@ -398,3 +445,71 @@ class TestValidate:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 6
         assert "[FAIL]" not in out
+
+
+def _periodic_export():
+    t = np.arange(3 * 16) / 16.0
+    cl, cm = 0.1 + np.sin(2 * math.pi * t), np.cos(2 * math.pi * t)
+    return "t,CL,CM\n" + "".join(f"{row[0]!r},{row[1]!r},{row[2]!r}\n"
+                                  for row in zip(t.tolist(), cl.tolist(), cm.tolist()))
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324",
+                     "1" + "0" * 400, "-" + "9" * 400, "x", ""]),
+    st.floats(0.01, 100.0).map(repr),
+    st.floats().map(repr),
+)
+_FLAG_VALUES = {
+    "--k": _NUMBERS, "--amplitude-deg": _NUMBERS, "--mean-deg": _NUMBERS,
+    "--omega": _NUMBERS, "--chord": _NUMBERS, "--speed": _NUMBERS,
+    "--skip": st.one_of(st.integers(-2, 4).map(str), st.integers().map(str),
+                        st.sampled_from(["1" + "0" * 400, "-" + "9" * 400, "nan", "1.5", ""])),
+    "--mode": st.sampled_from(["alpha", "q", "pitch"]),
+    "--alias": st.sampled_from(["lift=CL", "t=time", "cl=Cm", "x", "a=bogus", "=CL"]),
+}
+
+
+@st.composite
+def identify_argvs(draw):
+    """identify flags with random values: required ones now and then missing, any one repeated."""
+    required = [("--k", "0.1"), ("--mode", "alpha"), ("--amplitude-deg", "1")]
+    flags = [(flag, draw(_FLAG_VALUES[flag]) if not draw(st.integers(0, 3)) else value)
+             for flag, value in required if draw(st.integers(0, 9))]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(sorted(_FLAG_VALUES)))
+        flags.append((flag, draw(_FLAG_VALUES[flag])))
+    flags = draw(st.permutations(flags))
+    if draw(st.integers(0, 2)):
+        text, aliases = draw(fuzzed_monitor_texts())
+        flags += [("--alias", f"{header}={target}") for header, target in (aliases or {}).items()]
+    else:
+        text = _periodic_export()
+    return text, [arg for pair in flags for arg in pair]
+
+
+class TestIdentifyArgv:
+    @pytest.fixture(scope="class")
+    def series_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("argv") / "series.csv"
+
+    @given(identify_argvs())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_code_and_one_line_errors(self, series_path, case):
+        text, flags = case
+        series_path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["identify", str(series_path), *flags])
+        assert [str(w.message) for w in caught] == []
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert lines == [] and out.getvalue().startswith("channel,")
+        elif lines[:1] and lines[0].startswith("error: "):
+            assert code in (1, 2) and len(lines) == 1
+        else:                                  # argparse: its usage, then one error line
+            assert code == 2 and lines[0].startswith("usage: ")
+            assert len([line for line in lines if "error: " in line]) == 1

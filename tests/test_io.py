@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import math
+import os
+import stat
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +116,31 @@ class TestParseMonitorTable:
         with pytest.raises(MonitorError, match="bogus"):
             parse_monitor_table("t,CL\n0,1\n", extra_aliases={"t": "bogus"})
 
+    def test_times_across_the_float_range_give_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = parse_monitor_table("t,CL\n-1e308,1\n1e308,2\n")
+        np.testing.assert_array_equal(series.times, [-1e308, 1e308])
+
+    def test_each_line_picks_its_own_delimiter(self):
+        series = parse_monitor_table("t,CL\n0 1\n1 2\n")
+        np.testing.assert_array_equal(series.times, [0.0, 1.0])
+        np.testing.assert_array_equal(series.CL, [1.0, 2.0])
+
+    @pytest.mark.parametrize("text, aliases, message", [
+        ("t,CL,lift-coeff\n0,1,2\n", None,
+         "columns 'CL' and 'lift-coeff' both read as 'CL' (line 1)"),
+        ("# export\ntime CL flow-time\n0 1 2\n", None,
+         "columns 'time' and 'flow-time' both read as 'time' (line 2)"),
+        ("t,CL,lift\n0,1,2\n", {"lift": "CL"},
+         "columns 'CL' and 'lift' both read as 'CL' (line 1)"),
+    ], ids=["channel", "time", "alias"])
+    def test_a_role_read_from_two_columns_is_an_error(self, text, aliases, message):
+        with pytest.raises(MonitorError) as caught:
+            parse_monitor_table(text, extra_aliases=aliases)
+        assert type(caught.value) is MonitorError
+        assert str(caught.value) == message
+
 
 _CELL_FORMATS = ("%r", "%.17g", "%.6e", "%.3f", "%d")
 
@@ -187,45 +215,103 @@ def fuzzed_monitor_texts(draw):
     return "\n".join(lines), aliases
 
 
+def reference_monitor_parse(text, extra_aliases=None):
+    """parse_monitor_table one row and one cell at a time: the oracle.
+
+    The column-at-a-time parser must give the same series as this row loop,
+    or raise the same error type with the same message.
+    """
+    if extra_aliases:
+        extra_aliases = {k.lower(): v for k, v in extra_aliases.items()}
+        for target in extra_aliases.values():
+            if target not in ("time", "CL", "CD", "Cm"):
+                raise MonitorError(
+                    f"alias target must be 'time' or one of ('CL', 'CD', 'Cm'), got {target!r}")
+
+    def split(line):
+        line = line.strip()
+        return [cell.strip() for cell in line.split(",")] if "," in line else line.split()
+
+    lines = [(i, line) for i, line in enumerate(text.splitlines(), start=1)
+             if line.strip() and not line.lstrip().startswith("#")]
+    if not lines:
+        raise MissingTimeColumn("empty document: no header line found")
+    header_no, header_line = lines[0]
+    headers = split(header_line)
+    roles = [dio._match_channel(h, extra_aliases) for h in headers]
+    for j, role in enumerate(roles):
+        if role is not None and role in roles[:j]:
+            raise MonitorError(f"columns {headers[roles.index(role)]!r} and {headers[j]!r} "
+                               f"both read as {role!r} (line {header_no})")
+    if "time" not in roles:
+        raise MissingTimeColumn(f"no time column among {headers!r} (line {header_no})")
+    time_idx = roles.index("time")
+    channel_cols = {role: i for i, role in enumerate(roles) if role in ("CL", "CD", "Cm")}
+    if not channel_cols:
+        raise NoCoefficientColumn(
+            f"no lift/drag/moment column among {headers!r} (line {header_no})")
+
+    times, data = [], {ch: [] for ch in channel_cols}
+    for line_no, line in lines[1:]:
+        cells = split(line)
+        if len(cells) != len(headers):
+            raise NonFiniteValue(
+                f"row at line {line_no} has {len(cells)} cells, header has {len(headers)}")
+
+        def cell_value(idx):
+            try:
+                value = float(cells[idx])
+            except ValueError:
+                raise NonFiniteValue(
+                    f"column '{headers[idx]}' at line {line_no}: {cells[idx]!r} is not a number"
+                ) from None
+            if not math.isfinite(value):
+                raise NonFiniteValue(
+                    f"column '{headers[idx]}' at line {line_no}: non-finite value {value}")
+            return value
+
+        t = cell_value(time_idx)
+        if times and t <= times[-1]:
+            raise NonMonotonicTime(f"time must be strictly increasing; row at line {line_no} "
+                                   f"has t={t!r} after t={times[-1]!r}")
+        times.append(t)
+        for channel, idx in channel_cols.items():
+            data[channel].append(cell_value(idx))
+    if not times:
+        raise NonFiniteValue("no data rows after the header")
+    return CoefficientSeries(times, **data)
+
+
+def _outcome(parse, text, aliases=None):
+    """The series bytes, or the MonitorError's type and message; any other error escapes."""
+    try:
+        series = parse(text, extra_aliases=aliases)
+    except MonitorError as exc:
+        return type(exc), str(exc)
+    return [(name, values.tobytes()) for name, values in [("t", series.times),
+                                                          *series.channels().items()]]
+
+
 class TestParseFuzzed:
     @given(fuzzed_monitor_texts())
     @settings(max_examples=300, deadline=None)
-    def test_only_monitor_errors_and_both_paths_agree(self, case):
+    def test_only_monitor_errors_and_the_reference_agrees(self, case):
         # any other exception escapes and fails the property
         text, aliases = case
-        outcomes = []
-        with pytest.MonkeyPatch.context() as mp:
-            for _ in ("bulk path", "row loop"):
-                try:
-                    series = parse_monitor_table(text, extra_aliases=aliases)
-                except MonitorError as exc:
-                    outcomes.append((type(exc), str(exc)))
-                else:
-                    outcomes.append([(name, values.tobytes()) for name, values in
-                                     [("t", series.times), *series.channels().items()]])
-                mp.setattr(dio, "_parse_well_formed", lambda *args: None)
-        assert outcomes[0] == outcomes[1]
+        assert _outcome(parse_monitor_table, text, aliases) == \
+            _outcome(reference_monitor_parse, text, aliases)
 
 
 class TestParseBulkPath:
-    """The bulk path gives exactly what the row loop gives, or defers to it."""
+    """Whole tables against the reference row loop; single faults against their message."""
 
     @given(monitor_tables())
     @settings(max_examples=60, deadline=None)
     def test_well_formed_tables_parse_bit_identically(self, table):
         text = table[0]
-        bulk_path, returned = dio._parse_well_formed, []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dio, "_parse_well_formed",
-                       lambda *args: returned.append(bulk_path(*args)) or returned[-1])
-            bulk = parse_monitor_table(text)
-            mp.setattr(dio, "_parse_well_formed", lambda *args: None)     # the row loop alone
-            loop = parse_monitor_table(text)
-        assert returned[0] is bulk
-        assert bulk.channels().keys() == loop.channels().keys()
-        assert bulk.times.tobytes() == loop.times.tobytes()
-        for name, values in loop.channels().items():
-            assert getattr(bulk, name).tobytes() == values.tobytes()
+        parsed = _outcome(parse_monitor_table, text)
+        assert isinstance(parsed, list)
+        assert parsed == _outcome(reference_monitor_parse, text)
 
     @given(monitor_tables(), st.sampled_from(["bad", "nan", "inf", "short", "time"]),
            st.randoms(use_true_random=False))
@@ -610,3 +696,24 @@ class TestAtomicWrite:
         assert target.read_text() == "two\n"
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.csv"]
         assert leftovers == []
+
+    @pytest.fixture
+    def umask_022(self):
+        previous = os.umask(0o022)
+        yield
+        os.umask(previous)
+
+    def test_a_new_file_gets_the_mode_open_gives(self, tmp_path, umask_022):
+        with open(tmp_path / "plain.csv", "w") as fh:
+            fh.write("one\n")
+        atomic_write(tmp_path / "out.csv", "one\n")
+        assert stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode) == 0o644
+        assert stat.S_IMODE((tmp_path / "out.csv").stat().st_mode) == 0o644
+
+    def test_a_replaced_file_keeps_its_mode(self, tmp_path, umask_022):
+        target = tmp_path / "out.csv"
+        target.write_text("one\n")
+        target.chmod(0o640)
+        atomic_write(target, "two\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert target.read_text() == "two\n"
