@@ -3,7 +3,11 @@
 A coefficient history recorded under harmonic forcing is regressed onto
 the basis {1, sin(omega*t), cos(omega*t)} by orthogonal least squares
 (never the normal equations, so non-uniform external data does not lose
-precision silently).  The in-phase (sin) component scales with the
+precision silently).  All channels of a series share one fit window and
+one SVD factorization of the design matrix; each channel is then one
+product with its pseudo-inverse.  A fit needs more than two samples per
+period in its window: at two or fewer the basis cannot resolve the
+forcing frequency.  The in-phase (sin) component scales with the
 displacement amplitude and yields static slopes; the out-of-phase (cos)
 component scales with the rate amplitude k*A and yields rate derivatives:
 
@@ -26,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -64,8 +68,16 @@ def _window(times: np.ndarray, omega: float, skip_cycles: int) -> tuple[slice, i
     Returns (index slice, whole periods in the window, window end time).
     The window is half-open; on the canonical endpoint-excluded uniform
     grid it keeps exactly (cycles - skip_cycles) * samples_per_cycle
-    samples.
+    samples.  It must hold at least 8 samples and more than 2 per period:
+    at 2 or fewer the sin/cos basis cannot resolve the forcing frequency
+    and the fit is aliased.
     """
+    check(math.isfinite(omega) and omega > 0.0, "omega", "must be > 0", omega)
+    check(skip_cycles >= 0, "skip_cycles", "must be >= 0", skip_cycles)
+    if not np.all(np.isfinite(times)):
+        raise NonFiniteData("times contain non-finite entries")
+    if len(times) == 0:
+        raise InsufficientSamples("no samples to fit")
     period = 2.0 * math.pi / omega
     # Keeps every difference, span, period count and phase below from overflow.
     t_max = max(abs(float(times[0])), abs(float(times[-1])))
@@ -88,58 +100,86 @@ def _window(times: np.ndarray, omega: float, skip_cycles: int) -> tuple[slice, i
     hi = start + n_periods * period
     i_lo = int(np.searchsorted(times, start - tol))
     i_hi = int(np.searchsorted(times, hi - tol))
-    if i_hi - i_lo < 8:
+    n = i_hi - i_lo
+    if n < 8:
+        raise InsufficientSamples(f"only {n} samples in the fit window; need at least 8")
+    if n <= 2 * n_periods:
         raise InsufficientSamples(
-            f"only {i_hi - i_lo} samples in the fit window; need at least 8"
+            f"only {n} samples over {n_periods:.6g} periods in the fit window; "
+            "need more than 2 per period"
         )
     return slice(i_lo, i_hi), n_periods, hi
 
 
-def fit_harmonic(times, values, omega: float, skip_cycles: int = 0) -> HarmonicFit:
+class _Basis(NamedTuple):
+    """The fit window of one time base and the factorization its channels share."""
+
+    window: slice
+    n_periods: int
+    design: np.ndarray               # window samples x {1, sin(omega*t), cos(omega*t)}
+    pinv: np.ndarray                 # 3 x samples pseudo-inverse of design
+    condition_indicator: float
+
+
+def _harmonic_basis(times: np.ndarray, omega: float, skip_cycles: int) -> _Basis:
+    """Window, design matrix and its pseudo-inverse from one thin SVD.
+
+    Singular values at or below eps * samples * sigma_max count as zero,
+    the rule ``np.linalg.lstsq`` applies with ``rcond=None``; the
+    condition indicator is then infinite.
+    """
+    sel, n_periods, _ = _window(times, omega, skip_cycles)
+    wt = omega * times[sel]
+    design = np.column_stack([np.ones_like(wt), np.sin(wt), np.cos(wt)])
+    u, sigma, vt = np.linalg.svd(design, full_matrices=False)
+    keep = sigma > np.finfo(float).eps * len(wt) * sigma[0]
+    pinv = (vt[keep].T / sigma[keep]) @ u[:, keep].T
+    cond = float(sigma[0] / sigma[-1]) if keep.all() else math.inf
+    return _Basis(sel, n_periods, design, pinv, cond)
+
+
+def fit_harmonic(times, values, omega: float, skip_cycles: int = 0, *,
+                 _basis: _Basis | None = None) -> HarmonicFit:
     """Least-squares fit of one channel onto {1, sin(omega*t), cos(omega*t)}.
 
     ``skip_cycles`` whole periods are dropped from the front (start-up
     transients) and the remaining window is trimmed to a whole number of
     periods.  On a uniform periodic grid the fit is exact linear algebra:
     a signal already in the basis span is recovered to machine precision.
+    ``_basis`` is the basis ``fit_series`` built once for these times.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     check(times.shape == values.shape and times.ndim == 1, "values",
           "must be a 1-D array as long as times", values.shape)
-    check(math.isfinite(omega) and omega > 0.0, "omega", "must be > 0", omega)
-    check(skip_cycles >= 0, "skip_cycles", "must be >= 0", skip_cycles)
     if not np.all(np.isfinite(values)):
         raise NonFiniteData("values contain non-finite entries")
-    if not np.all(np.isfinite(times)):
-        raise NonFiniteData("times contain non-finite entries")
+    basis = _basis if _basis is not None else _harmonic_basis(times, omega, skip_cycles)
 
-    sel, n_periods, _ = _window(times, omega, skip_cycles)
-    t = times[sel]
-    y = values[sel]
-    design = np.column_stack([np.ones_like(t), np.sin(omega * t), np.cos(omega * t)])
-    beta, _, rank, sigma = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 3:
-        cond = math.inf
-    else:
-        cond = float(sigma[0] / sigma[-1])
-    resid = y - design @ beta
+    y = values[basis.window]
+    beta = basis.pinv @ y
+    resid = y - basis.design @ beta
     return HarmonicFit(
         mean=float(beta[0]),
         in_phase=float(beta[1]),
         out_phase=float(beta[2]),
         residual_rms=float(np.sqrt(np.mean(resid * resid))),
-        condition_indicator=cond,
-        n_samples=len(t),
-        n_periods=n_periods,
+        condition_indicator=basis.condition_indicator,
+        n_samples=len(y),
+        n_periods=basis.n_periods,
     )
 
 
 def fit_series(series: CoefficientSeries, omega: float,
                skip_cycles: int = 0) -> dict[str, HarmonicFit]:
-    """Fit every channel present in a series; keys are 'CL', 'CD', 'Cm'."""
+    """Fit every channel present in a series; keys are 'CL', 'CD', 'Cm'.
+
+    The channels share one window and one factorization of the design
+    matrix; each is still fitted by one ``fit_harmonic`` call.
+    """
+    basis = _harmonic_basis(series.times, omega, skip_cycles)
     return {
-        name: fit_harmonic(series.times, values, omega, skip_cycles)
+        name: fit_harmonic(series.times, values, omega, skip_cycles, _basis=basis)
         for name, values in series.channels().items()
     }
 

@@ -291,6 +291,21 @@ class TestIdentify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("omega", ["100", "1e100"])
+    def test_two_or_fewer_samples_per_period_is_one_line(self, tmp_path, capsys, omega):
+        path = tmp_path / "export.csv"
+        path.write_text(_periodic_export())          # 3 periods of 16 samples at omega = 2*pi
+        argv = ["identify", str(path), "--k", "0.1", "--mode", "alpha", "--amplitude-deg", "1"]
+        assert main(argv + ["--omega", repr(2 * math.pi)]) == 0
+        rows = table_to_dict(capsys.readouterr().out)
+        assert rows["CL"]["C_alpha"] == pytest.approx(math.degrees(1.0), rel=1e-12)
+        assert main(argv + ["--omega", omega]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: only ")
+        assert err[0].endswith("need more than 2 per period")
+
     def test_export_with_a_byte_order_mark(self, tmp_path, capsys):
         t = np.arange(2 * 64) / 64.0
         cl = 0.1 + 0.05 * np.sin(2 * math.pi * t)

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import dynderiv.identify as identify
 from dynderiv import (
     ChannelDerivatives,
+    CoefficientSeries,
     ConditionMismatch,
+    DomainError,
     FlightCondition,
     HarmonicFit,
     InsufficientSamples,
@@ -103,6 +106,8 @@ class TestFitHarmonic:
         t = np.linspace(0.0, 0.9, 5)
         with pytest.raises(InsufficientSamples):
             fit_harmonic(t, np.sin(OMEGA * t), OMEGA)
+        with pytest.raises(InsufficientSamples):
+            fit_harmonic([], [], OMEGA)
 
     def test_non_finite_rejected(self):
         t = _grid()
@@ -110,6 +115,19 @@ class TestFitHarmonic:
         y[3] = np.nan
         with pytest.raises(NonFiniteData):
             fit_harmonic(t, y, OMEGA)
+
+    def test_two_samples_per_period_are_aliased(self):
+        # 16 periods of 2 samples: the sin column is zero at every sample
+        t = np.arange(32) / 2.0
+        with pytest.raises(InsufficientSamples, match="need more than 2 per period"):
+            fit_harmonic(t, 0.1 + np.cos(OMEGA * t), OMEGA)
+
+    def test_three_samples_per_period_are_enough(self):
+        t = np.arange(24) / 3.0
+        fit = fit_harmonic(t, 0.1 + 2.0 * np.sin(OMEGA * t) - 0.5 * np.cos(OMEGA * t), OMEGA)
+        assert (fit.n_samples, fit.n_periods) == (24, 8)
+        assert fit.in_phase == pytest.approx(2.0, rel=1e-12)
+        assert fit.out_phase == pytest.approx(-0.5, rel=1e-12)
 
     def test_uniform_grid_conditioning_is_benign(self):
         t = _grid()
@@ -134,6 +152,81 @@ class TestFitHarmonic:
         f2 = fit_harmonic(t, 1.7 * y, OMEGA)
         assert f2.in_phase == pytest.approx(1.7 * f1.in_phase, rel=1e-13)
         assert f2.out_phase == pytest.approx(1.7 * f1.out_phase, rel=1e-13)
+
+
+def _lstsq_fit(times, values, omega, skip_cycles=0):
+    """The fit of one channel by ``np.linalg.lstsq`` on the same window: the reference."""
+    sel, n_periods, _ = identify._window(times, omega, skip_cycles)
+    t, y = times[sel], values[sel]
+    design = np.column_stack([np.ones_like(t), np.sin(omega * t), np.cos(omega * t)])
+    beta, _, rank, sigma = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ beta
+    cond = float(sigma[0] / sigma[-1]) if rank == 3 else math.inf
+    return HarmonicFit(float(beta[0]), float(beta[1]), float(beta[2]),
+                       float(np.sqrt(np.mean(resid * resid))), cond, len(t), n_periods)
+
+
+def _three_channel_series(kind):
+    """CL, CD and Cm with every first-harmonic part nonzero and a second harmonic
+    in the residual, on a uniform, a jittered or a uniform-and-noisy grid."""
+    rng = np.random.default_rng(23)
+    n = 5 * 180
+    t = np.arange(n) / 180.0
+    if kind == "nonuniform":
+        t = t + rng.uniform(-0.3, 0.3, size=n) / 180.0       # jittered, still increasing
+    channels = {}
+    for name, (m, a, b, h) in {"CL": (0.2, 1.3, -0.4, 0.05), "CD": (0.03, 0.2, 0.07, 0.01),
+                               "Cm": (-0.05, -0.6, -0.25, 0.02)}.items():
+        y = m + a * np.sin(OMEGA * t) + b * np.cos(OMEGA * t) + h * np.sin(2 * OMEGA * t)
+        if kind == "noisy":
+            y = y + 0.01 * rng.standard_normal(n)
+        channels[name] = y
+    return CoefficientSeries(t, **channels)
+
+
+class TestFitSeries:
+    @pytest.mark.parametrize("kind", ["uniform", "nonuniform", "noisy"])
+    @pytest.mark.parametrize("skip", [0, 2])
+    def test_each_fit_matches_lstsq(self, kind, skip):
+        series = _three_channel_series(kind)
+        fits = fit_series(series, OMEGA, skip)
+        assert list(fits) == ["CL", "CD", "Cm"]
+        for name, fit in fits.items():
+            want = _lstsq_fit(series.times, getattr(series, name), OMEGA, skip)
+            assert (fit.n_samples, fit.n_periods) == (want.n_samples, want.n_periods)
+            for field in ("mean", "in_phase", "out_phase", "residual_rms", "condition_indicator"):
+                assert getattr(fit, field) == pytest.approx(getattr(want, field), rel=1e-12), field
+
+    def test_numerically_rank_deficient_basis_matches_lstsq(self):
+        # three samples one ulp apart at each half period: only two phases per
+        # period, so the sin column is zero to rounding and the rank is 2
+        half = np.arange(16) / 2.0
+        once = np.nextafter(half, np.inf)
+        t = np.sort(np.concatenate([half, once, np.nextafter(once, np.inf)]))
+        y = 0.3 + 1.5 * np.cos(OMEGA * t) + 0.01 * np.arange(len(t))
+        fit = fit_harmonic(t, y, OMEGA)
+        want = _lstsq_fit(t, y, OMEGA)
+        assert fit.condition_indicator == want.condition_indicator == math.inf
+        assert fit.mean == pytest.approx(want.mean, rel=1e-12)
+        assert fit.out_phase == pytest.approx(want.out_phase, rel=1e-12)
+        assert fit.in_phase == pytest.approx(want.in_phase, abs=1e-12)
+        assert fit.residual_rms == pytest.approx(want.residual_rms, rel=1e-12)
+
+    def test_one_window_per_series_and_one_fit_harmonic_call_per_channel(self, monkeypatch):
+        calls = {"fit_harmonic": 0, "_window": 0}
+        for name in calls:
+            real = getattr(identify, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(identify, name, counted)
+        fit_series(_three_channel_series("uniform"), OMEGA, 1)
+        assert calls == {"fit_harmonic": 3, "_window": 1}
+        t = _grid(2)
+        fit_series(CoefficientSeries(t, CL=np.sin(OMEGA * t), Cm=np.cos(OMEGA * t)), OMEGA)
+        assert calls == {"fit_harmonic": 5, "_window": 2}
 
 
 def _fits(mean=0.0, a=0.0, b=0.0):
@@ -315,6 +408,18 @@ class TestLoopMetrics:
         y[:720] = 77.0  # garbage in the first cycle must not matter
         m = loop_metrics(t, x, y, OMEGA, skip_cycles=1)
         assert m.signed_area == pytest.approx(math.pi * self.AMP * 0.5, rel=1e-3)
+
+    def test_non_finite_time_rejected(self):
+        t, x, y = self._xy(a=1.0, b=2.0)
+        t[5] = np.nan
+        with pytest.raises(NonFiniteData, match="times"):
+            loop_metrics(t, x, y, OMEGA)
+
+    @pytest.mark.parametrize("omega", [0.0, -OMEGA, math.nan])
+    def test_omega_must_be_positive(self, omega):
+        t, x, y = self._xy(a=1.0, b=2.0)
+        with pytest.raises(DomainError, match="omega"):
+            loop_metrics(t, x, y, omega)
 
     def test_area_scales_linearly(self):
         t, x, y = self._xy(a=1.0, b=2.0)
