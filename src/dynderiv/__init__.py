@@ -53,7 +53,6 @@ from .plants import (
     quasi_steady_loads,
     simulate,
     theodorsen_function,
-    wagner_function,
 )
 from .identify import (
     ChannelDerivatives,

@@ -5,11 +5,14 @@ the basis {1, sin(omega*t), cos(omega*t)} by orthogonal least squares
 (never the normal equations, so non-uniform external data does not lose
 precision silently).  All channels of a series share one fit window and
 one SVD factorization of the design matrix; each channel is then one
-product with its pseudo-inverse.  A fit needs more than two samples per
-period in its window: at two or fewer the basis cannot resolve the
-forcing frequency.  The in-phase (sin) component scales with the
-displacement amplitude and yields static slopes; the out-of-phase (cos)
-component scales with the rate amplitude k*A and yields rate derivatives:
+product with its pseudo-inverse.  A sweep shares one basis, built on the
+phase grid omega*t, across both modes, every scenario and the loop metrics,
+so its derivatives may differ from per-series fits at rounding level.  A
+fit needs more than two samples per period in its window: at two or fewer
+the basis cannot resolve the forcing frequency.  The in-phase (sin)
+component scales with the displacement amplitude and yields static slopes;
+the out-of-phase (cos) component scales with the rate amplitude k*A and
+yields rate derivatives:
 
 * incidence mode:  in-phase / A      -> C_alpha
                    out-of-phase/(kA) -> damping sum C_q + C_alphadot
@@ -62,10 +65,10 @@ class HarmonicFit:
         return math.hypot(self.in_phase, self.out_phase)
 
 
-def _window(times: np.ndarray, omega: float, skip_cycles: int) -> tuple[slice, int, float]:
+def _window(times: np.ndarray, omega: float, skip_cycles: int) -> tuple[slice, int, int]:
     """Post-skip fit window trimmed to whole periods.
 
-    Returns (index slice, whole periods in the window, window end time).
+    Returns (index slice, whole periods in it, start index of its last period).
     The window is half-open; on the canonical endpoint-excluded uniform
     grid it keeps exactly (cycles - skip_cycles) * samples_per_cycle
     samples.  It must hold at least 8 samples and more than 2 per period:
@@ -108,7 +111,9 @@ def _window(times: np.ndarray, omega: float, skip_cycles: int) -> tuple[slice, i
             f"only {n} samples over {n_periods:.6g} periods in the fit window; "
             "need more than 2 per period"
         )
-    return slice(i_lo, i_hi), n_periods, hi
+    quarter = 0.25 * (times[i_lo + 1] - times[i_lo])
+    last = i_lo + int(np.searchsorted(times[i_lo:i_hi], hi - period - quarter))
+    return slice(i_lo, i_hi), n_periods, last
 
 
 class _Basis(NamedTuple):
@@ -116,6 +121,7 @@ class _Basis(NamedTuple):
 
     window: slice
     n_periods: int
+    last_cycle: int                  # start index of the window's last whole period
     design: np.ndarray               # window samples x {1, sin(omega*t), cos(omega*t)}
     pinv: np.ndarray                 # 3 x samples pseudo-inverse of design
     condition_indicator: float
@@ -128,14 +134,15 @@ def _harmonic_basis(times: np.ndarray, omega: float, skip_cycles: int) -> _Basis
     the rule ``np.linalg.lstsq`` applies with ``rcond=None``; the
     condition indicator is then infinite.
     """
-    sel, n_periods, _ = _window(times, omega, skip_cycles)
+    sel, n_periods, last = _window(times, omega, skip_cycles)
     wt = omega * times[sel]
     design = np.column_stack([np.ones_like(wt), np.sin(wt), np.cos(wt)])
     u, sigma, vt = np.linalg.svd(design, full_matrices=False)
     keep = sigma > np.finfo(float).eps * len(wt) * sigma[0]
     pinv = (vt[keep].T / sigma[keep]) @ u[:, keep].T
     cond = float(sigma[0] / sigma[-1]) if keep.all() else math.inf
-    return _Basis(sel, n_periods, design, pinv, cond)
+    design.flags.writeable = pinv.flags.writeable = False     # one basis may serve a sweep
+    return _Basis(sel, n_periods, last, design, pinv, cond)
 
 
 def fit_harmonic(times, values, omega: float, skip_cycles: int = 0, *,
@@ -146,7 +153,7 @@ def fit_harmonic(times, values, omega: float, skip_cycles: int = 0, *,
     transients) and the remaining window is trimmed to a whole number of
     periods.  On a uniform periodic grid the fit is exact linear algebra:
     a signal already in the basis span is recovered to machine precision.
-    ``_basis`` is the basis ``fit_series`` built once for these times.
+    ``_basis`` is the basis ``fit_series`` shares among the channels.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -170,14 +177,15 @@ def fit_harmonic(times, values, omega: float, skip_cycles: int = 0, *,
     )
 
 
-def fit_series(series: CoefficientSeries, omega: float,
-               skip_cycles: int = 0) -> dict[str, HarmonicFit]:
+def fit_series(series: CoefficientSeries, omega: float, skip_cycles: int = 0, *,
+               _basis: _Basis | None = None) -> dict[str, HarmonicFit]:
     """Fit every channel present in a series; keys are 'CL', 'CD', 'Cm'.
 
     The channels share one window and one factorization of the design
-    matrix; each is still fitted by one ``fit_harmonic`` call.
+    matrix; each is still fitted by one ``fit_harmonic`` call.  ``_basis``
+    is a basis a caller shares among several series on the same grid.
     """
-    basis = _harmonic_basis(series.times, omega, skip_cycles)
+    basis = _basis if _basis is not None else _harmonic_basis(series.times, omega, skip_cycles)
     return {
         name: fit_harmonic(series.times, values, omega, skip_cycles, _basis=basis)
         for name, values in series.channels().items()
@@ -332,13 +340,15 @@ class LoopMetrics:
         return Orientation.COUNTERCLOCKWISE if self.signed_area > 0.0 else Orientation.CLOCKWISE
 
 
-def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0) -> LoopMetrics:
+def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0, *,
+                 _basis: _Basis | None = None) -> LoopMetrics:
     """Signed loop area and orientation of a hysteresis loop.
 
     x is the angle series (rad), y the coefficient series.  The area is
     the closed trapezoidal integral of y dx over the last full cycle of
     the post-skip window.  Near-zero areas (below the accumulated rounding
-    of the sum) are classified DEGENERATE.
+    of the sum) are classified DEGENERATE.  ``_basis`` is a fit basis on
+    the same grid; its window replaces a second windowing of ``times``.
     """
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -347,10 +357,10 @@ def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0) -> LoopMetrics
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise NonFiniteData("loop series contain non-finite entries")
 
-    sel, _, hi = _window(times, omega, skip_cycles)
-    period = 2.0 * math.pi / omega
-    t_w = times[sel]
-    last = sel.start + int(np.searchsorted(t_w, hi - period - 0.25 * (t_w[1] - t_w[0])))
+    if _basis is None:
+        sel, _, last = _window(times, omega, skip_cycles)
+    else:
+        sel, last = _basis.window, _basis.last_cycle
     xs = x[last:sel.stop]
     ys = y[last:sel.stop]
     if len(xs) < 8:

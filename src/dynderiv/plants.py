@@ -52,15 +52,6 @@ def _check_pitch_axis(a: float) -> None:
           f"must be finite with |a| <= {_PITCH_AXIS_BOUND}", a)
 
 
-def wagner_function(s):
-    """Lift build-up after a step change of incidence, vs distance s in semichords.
-
-    phi(0) = 1 - A1 - A2 = 0.5 and phi -> 1 as s -> infinity.
-    """
-    s = np.asarray(s, dtype=float)
-    return 1.0 - WAGNER_A1 * np.exp(-WAGNER_B1 * s) - WAGNER_A2 * np.exp(-WAGNER_B2 * s)
-
-
 def theodorsen_function(k: float) -> complex:
     """Lift-deficiency function C(k) = H1(k) / (H1(k) + i H0(k)).
 

@@ -7,6 +7,10 @@ an eVTOL transition from hover to wing-borne flight and summarizes the
 incidence-mode loop shapes.  Hover (zero forward speed) is degenerate for
 everything nondimensionalized by speed, so it reports static trim values
 only rather than fabricated dynamics.
+Every scenario of a sweep samples the same phase grid omega*t = 2*pi*n/N,
+so one harmonic basis on that grid serves both modes, every scenario and
+the loop metrics; derivatives may differ at rounding level from fits on
+each scenario's own time stamps.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .identify import (
     ChannelDerivatives,
     DerivativeSet,
     LoopMetrics,
+    _Basis,
+    _harmonic_basis,
     extract,
     fit_series,
     loop_metrics,
@@ -34,6 +40,7 @@ from .kinematics import (
     OscillationMode,
     OscillationSpec,
     make_schedule,
+    sample_grid,
 )
 from .plants import IndicialPlant, Plant, simulate
 from .series import CHANNELS, CoefficientSeries
@@ -206,15 +213,18 @@ def identify_modes(
     cond: FlightCondition,
     modes: tuple[OscillationMode, ...] = (OscillationMode.ALPHA, OscillationMode.Q),
     skip_cycles: int = 0,
+    _basis: _Basis | None = None,
 ) -> tuple[DerivativeSet, tuple[MotionSchedule, CoefficientSeries] | None]:
     """Identify the derivatives of ``plant`` from forced oscillation in ``modes``.
 
     Each mode of ``spec`` (its own mode is ignored) runs schedule ->
     simulate -> fit_series -> extract, fitting after ``skip_cycles``
-    start-up cycles.  With both modes the two sets are merged by
-    separate_rates; with one, that mode's set is returned as it is.
-    Returns (derivatives, incidence), where incidence is the incidence-mode
-    (schedule, series) pair, or None when that mode did not run.
+    start-up cycles; both modes share one basis, built on the first
+    schedule's times, or ``_basis`` from a sweep.  With both modes the two
+    sets are merged by separate_rates; with one, that mode's set is
+    returned as it is.  Returns (derivatives, incidence), where incidence is
+    the incidence-mode (schedule, series) pair, or None when that mode did
+    not run.
     """
     sets: dict[OscillationMode, DerivativeSet] = {}
     incidence = None
@@ -222,7 +232,10 @@ def identify_modes(
         mode_spec = spec.with_mode(mode)
         schedule = make_schedule(mode_spec, cond)
         series = simulate(plant, schedule, cond)
-        sets[mode] = extract(fit_series(series, schedule.omega, skip_cycles), mode_spec, cond)
+        if _basis is None:          # the q schedule's times are the alpha schedule's
+            _basis = _harmonic_basis(series.times, schedule.omega, skip_cycles)
+        fits = fit_series(series, schedule.omega, skip_cycles, _basis=_basis)
+        sets[mode] = extract(fits, mode_spec, cond)
         if mode is OscillationMode.ALPHA:
             incidence = (schedule, series)
     if OscillationMode.ALPHA in sets and OscillationMode.Q in sets:
@@ -231,20 +244,21 @@ def identify_modes(
     return only, incidence
 
 
-def _run_one(plan: SweepPlan, scenario: TransitionScenario) -> ScenarioResult:
+def _run_one(plan: SweepPlan, scenario: TransitionScenario, basis: _Basis | None) -> ScenarioResult:
     cond = plan.scenario_condition(scenario)
     if cond.freestream_speed == 0.0:
         # hover: nondimensional rates are undefined, so no dynamics
         return _static_only_result(plan, scenario, cond)
 
     skip = plan.effective_skip()
-    derivatives, incidence = identify_modes(plan.plant, plan.oscillation, cond, plan.modes, skip)
+    derivatives, incidence = identify_modes(plan.plant, plan.oscillation, cond, plan.modes, skip,
+                                            basis)
     loops = series = history = None
     if incidence is not None:
         schedule, series = incidence
         history = schedule.relative_aoa
         loops = {
-            name: loop_metrics(series.times, history, values, schedule.omega, skip)
+            name: loop_metrics(series.times, history, values, schedule.omega, skip, _basis=basis)
             for name, values in series.channels().items()
         }
     return ScenarioResult(scenario, SweepStatus.OK, derivatives, loops,
@@ -255,12 +269,18 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     """Run every scenario; order follows the plan.
 
     A scenario that raises a ``DynDerivError`` gets a FAILED row and the
-    sweep goes on; any other exception is a bug and propagates.
+    sweep goes on; any other exception is a bug and propagates.  If the
+    sweep's basis cannot be built, each forward-flight scenario builds it
+    again where its fit starts and fails there as it would alone.
     """
+    try:
+        basis = _harmonic_basis(sample_grid(plan.oscillation, 1.0), 1.0, plan.effective_skip())
+    except DynDerivError:
+        basis = None
     results = []
     for scenario in plan.scenarios:
         try:
-            results.append(_run_one(plan, scenario))
+            results.append(_run_one(plan, scenario, basis))
         except DynDerivError as exc:
             results.append(
                 ScenarioResult(

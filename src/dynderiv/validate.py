@@ -17,7 +17,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .identify import Orientation, fit_harmonic, loop_metrics
+from .identify import Orientation, fit_series, loop_metrics
 from .kinematics import FlightCondition, OscillationMode, make_schedule
 from .plants import (
     FlatPlatePlant,
@@ -72,13 +72,9 @@ def indicial_frequency_response(
     spec = replace(spec, mean_incidence=0.0, reduced_frequency=k)
     schedule = make_schedule(spec, _COND)
     series = simulate(IndicialPlant(pitch_axis=pitch_axis), schedule, _COND)
+    fits = fit_series(series, schedule.omega, skip_cycles)
     amp = spec.body_amplitude
-    fit_l = fit_harmonic(series.times, series.CL, schedule.omega, skip_cycles)
-    fit_m = fit_harmonic(series.times, series.Cm, schedule.omega, skip_cycles)
-    return (
-        complex(fit_l.in_phase, fit_l.out_phase) / amp,
-        complex(fit_m.in_phase, fit_m.out_phase) / amp,
-    )
+    return tuple(complex(fits[c].in_phase, fits[c].out_phase) / amp for c in ("CL", "Cm"))
 
 
 def check_deficiency_limits() -> CheckResult:

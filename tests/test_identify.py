@@ -212,6 +212,12 @@ class TestFitSeries:
         assert fit.in_phase == pytest.approx(want.in_phase, abs=1e-12)
         assert fit.residual_rms == pytest.approx(want.residual_rms, rel=1e-12)
 
+    def test_basis_arrays_are_read_only(self):
+        basis = identify._harmonic_basis(_grid(2), OMEGA, 0)
+        for array in (basis.design, basis.pinv):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
     def test_one_window_per_series_and_one_fit_harmonic_call_per_channel(self, monkeypatch):
         calls = {"fit_harmonic": 0, "_window": 0}
         for name in calls:

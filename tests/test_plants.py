@@ -35,7 +35,6 @@ from dynderiv import (
     quasi_steady_loads,
     simulate,
     theodorsen_function,
-    wagner_function,
 )
 from dynderiv.plants import WAGNER_A1, WAGNER_A2, WAGNER_B1, WAGNER_B2
 from dynderiv.validate import THEODORSEN_ORACLE_K01, indicial_frequency_response
@@ -43,6 +42,16 @@ from dynderiv.validate import THEODORSEN_ORACLE_K01, indicial_frequency_response
 # Recorded before the main path was written: 50-digit Bessel-series value
 # of the lift-deficiency function at k = 0.1.
 BESSEL_ORACLE_K01 = complex(0.83192410496527614, -0.17230222873419501)
+
+
+def wagner_function(s):
+    """Lift build-up after a step change of incidence, vs distance s in semichords.
+
+    The two-pole exponential form of the indicial plant's constants:
+    phi(0) = 1 - A1 - A2 = 0.5 and phi -> 1 as s -> infinity.
+    """
+    s = np.asarray(s, dtype=float)
+    return 1.0 - WAGNER_A1 * np.exp(-WAGNER_B1 * s) - WAGNER_A2 * np.exp(-WAGNER_B2 * s)
 
 
 def bessel_series_deficiency(k: float) -> complex:

@@ -1,12 +1,16 @@
 """Scenario sweeps: statuses, round trips, determinism."""
 
 import dataclasses
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynderiv.identify as identify
+import dynderiv.scenarios as scenarios
 from dynderiv import (
     AGARD_CT2_MACH,
     DomainError,
@@ -23,13 +27,19 @@ from dynderiv import (
     TransitionScenario,
     agard_ct2_preset,
     builtin_scenarios,
+    fit_series,
     identify_modes,
+    loop_metrics,
+    make_schedule,
     omega_from_k,
     pitch_oscillation_loads,
     q_mode_oscillation_loads,
+    render_case_config,
     run_sweep,
+    simulate,
     write_report,
 )
+from dynderiv.cli import main
 
 
 class TestBuiltinScenarios:
@@ -274,3 +284,127 @@ class TestPlanValidation:
         plan = SweepPlan(scenarios=tuple(builtin_scenarios()), oscillation=agard_q_spec,
                         condition=condition, plant=linear_plant)
         assert plan.oscillation.mode is OscillationMode.ALPHA
+
+
+def _forward_flight(n):
+    """Hover, then ``n`` forward-flight scenarios at different speeds, some climbing."""
+    return (TransitionScenario("hover", 10.0, 0.0, 0.0),) + tuple(
+        TransitionScenario(f"forward-{i}", 100.0 * i, 0.5 * i, 12.0 + 9.5 * i) for i in range(n))
+
+
+_KINDS = ["quasi-steady", "flat-plate", "indicial"]
+
+
+def _plant(kind, linear_plant):
+    return {"quasi-steady": linear_plant, "flat-plate": FlatPlatePlant(pitch_axis=0.25),
+            "indicial": IndicialPlant(pitch_axis=-0.5)}[kind]      # indicial skips 2 cycles
+
+
+class TestSweepBasis:
+    """One harmonic basis on the phase grid serves a whole sweep."""
+
+    @pytest.mark.parametrize("n_forward", [1, 2, 6])
+    def test_one_basis_per_sweep_and_no_window_in_loop_metrics(
+            self, monkeypatch, linear_plant, condition, agard_alpha_spec, n_forward):
+        calls = {"_harmonic_basis": 0, "_window": 0, "_window in loop_metrics": 0}
+        in_loops = []
+        real_basis, real_window, real_loops = (
+            scenarios._harmonic_basis, identify._window, scenarios.loop_metrics)
+
+        def counted_basis(*args):
+            calls["_harmonic_basis"] += 1
+            return real_basis(*args)
+
+        def counted_window(*args):
+            calls["_window"] += 1
+            calls["_window in loop_metrics"] += len(in_loops)
+            return real_window(*args)
+
+        def marked_loops(*args, **kwargs):
+            in_loops.append(True)
+            try:
+                return real_loops(*args, **kwargs)
+            finally:
+                in_loops.pop()
+
+        monkeypatch.setattr(scenarios, "_harmonic_basis", counted_basis)
+        monkeypatch.setattr(identify, "_window", counted_window)
+        monkeypatch.setattr(scenarios, "loop_metrics", marked_loops)
+        plan = SweepPlan(_forward_flight(n_forward), agard_alpha_spec, condition, linear_plant)
+        report = run_sweep(plan)
+        assert [r.status for r in report.results] == \
+            [SweepStatus.STATIC_ONLY] + [SweepStatus.OK] * n_forward
+        assert calls == {"_harmonic_basis": 1, "_window": 1, "_window in loop_metrics": 0}
+
+        identify_modes(linear_plant, agard_alpha_spec, condition)   # on its own: one for both modes
+        assert calls["_harmonic_basis"] == 2 and calls["_window"] == 2
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_derivatives_match_lstsq_on_each_scenarios_own_times(
+            self, linear_plant, condition, agard_alpha_spec, kind):
+        plant = _plant(kind, linear_plant)
+        plan = SweepPlan(_forward_flight(4), agard_alpha_spec, condition, plant)
+        start = plan.effective_skip() * agard_alpha_spec.samples_per_cycle
+        report = run_sweep(plan)
+        for result in report.results[1:]:
+            assert result.status is SweepStatus.OK
+            cond = plan.scenario_condition(result.scenario)
+            beta = {}
+            for mode in (OscillationMode.ALPHA, OscillationMode.Q):
+                schedule = make_schedule(plan.oscillation.with_mode(mode), cond)
+                series = simulate(plant, schedule, cond)
+                wt = schedule.omega * series.times[start:]
+                design = np.column_stack([np.ones_like(wt), np.sin(wt), np.cos(wt)])
+                for name, values in series.channels().items():
+                    beta[mode, name] = np.linalg.lstsq(design, values[start:], rcond=None)[0]
+            amp, k = agard_alpha_spec.body_amplitude, agard_alpha_spec.reduced_frequency
+            for name, ch in result.derivatives.channels.items():
+                alpha, q = beta[OscillationMode.ALPHA, name], beta[OscillationMode.Q, name]
+                want = {"static_slope": alpha[1] / amp, "damping_sum": alpha[2] / (k * amp),
+                        "rate_derivative": q[2] / (k * amp)}
+                want["aoa_rate_derivative"] = want["damping_sum"] - want["rate_derivative"]
+                scale = max(abs(v) for v in want.values())
+                for field, value in want.items():
+                    assert abs(getattr(ch, field) - value) <= 1e-13 * scale, (kind, name, field)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_loop_areas_equal_loop_metrics_without_a_basis(
+            self, linear_plant, condition, agard_alpha_spec, kind):
+        plant = _plant(kind, linear_plant)
+        plan = SweepPlan(_forward_flight(3), agard_alpha_spec, condition, plant)
+        for result in run_sweep(plan).results[1:]:
+            omega = omega_from_k(agard_alpha_spec.reduced_frequency, result.derivatives.condition)
+            series = result.incidence_series
+            for name, values in series.channels().items():
+                alone = loop_metrics(series.times, result.incidence_history, values, omega,
+                                     plan.effective_skip())
+                assert alone.signed_area == result.loops[name].signed_area, (kind, name)
+
+    def test_too_few_samples_per_cycle_fail_each_forward_scenario_as_alone(
+            self, monkeypatch, tmp_path, capsys, linear_plant, condition):
+        # The spec's own floor of 8 samples per cycle would stop this plan when
+        # it is built; lifted, the sweep basis is what fails.
+        monkeypatch.setattr(OscillationSpec, "__post_init__", lambda self: None)
+        spec = agard_ct2_preset(cycles=8, samples_per_cycle=2)
+        plan = _plan(linear_plant, condition, spec)
+        reason = ("InsufficientSamples: only 16 samples over 8 periods in the fit window; "
+                  "need more than 2 per period")
+        # the reason a fit on one scenario's own time stamps gives
+        cond = plan.scenario_condition(plan.scenarios[1])
+        schedule = make_schedule(spec, cond)
+        with pytest.raises(InsufficientSamples) as alone:
+            fit_series(simulate(linear_plant, schedule, cond), schedule.omega)
+        assert f"InsufficientSamples: {alone.value}" == reason
+
+        report = run_sweep(plan)
+        assert [r.status for r in report.results] == \
+            [SweepStatus.STATIC_ONLY, SweepStatus.FAILED, SweepStatus.FAILED]
+        assert [r.failure_reason for r in report.results[1:]] == [reason, reason]
+
+        config = tmp_path / "case.json"
+        config.write_text(render_case_config(plan))
+        out_dir = tmp_path / "results"
+        assert main(["sweep", str(config), "--out-dir", str(out_dir)]) == 1
+        meta = json.loads((out_dir / "run_meta.json").read_text())
+        assert [s["status"] for s in meta["scenarios"]] == ["STATIC_ONLY", "FAILED", "FAILED"]
+        assert (out_dir / "report.csv").read_text().count(f"FAILED({reason})") == 6
