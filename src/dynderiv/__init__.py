@@ -40,7 +40,6 @@ from .kinematics import (
 )
 from .series import CHANNELS, CoefficientSeries
 from .plants import (
-    ComplexLoads,
     DragPolar,
     FlatPlatePlant,
     IndicialPlant,
@@ -48,9 +47,7 @@ from .plants import (
     QuasiSteadyPlant,
     jones_function,
     pitch_oscillation_loads,
-    prandtl_glauert,
     q_mode_oscillation_loads,
-    quasi_steady_loads,
     simulate,
     theodorsen_function,
 )

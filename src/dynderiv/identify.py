@@ -159,8 +159,12 @@ def fit_harmonic(times, values, omega: float, skip_cycles: int = 0, *,
     values = np.asarray(values, dtype=float)
     check(times.shape == values.shape and times.ndim == 1, "values",
           "must be a 1-D array as long as times", values.shape)
-    if not np.all(np.isfinite(values)):
+    peak = float(np.max(np.abs(values), initial=0.0))
+    if not math.isfinite(peak):
         raise NonFiniteData("values contain non-finite entries")
+    if peak > 1e150:            # coefficients are O(1); keeps the residual's squares finite
+        raise NonFiniteData(f"values up to {peak:.6g} are out of range for a fit "
+                            "(|value| must be <= 1e150)")
     basis = _basis if _basis is not None else _harmonic_basis(times, omega, skip_cycles)
 
     y = values[basis.window]
@@ -366,11 +370,14 @@ def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0, *,
     if len(xs) < 8:
         raise InsufficientSamples(f"only {len(xs)} samples in the last cycle; need at least 8")
 
+    scale = float(np.max(np.abs(xs))) * float(np.max(np.abs(ys)))
+    if scale > 1e300:           # keeps the trapezoid sum below from overflow
+        raise NonFiniteData(f"loop with max|x| * max|y| = {scale:.6g} is out of range "
+                            "(must be <= 1e300)")
     dx = np.diff(xs, append=xs[:1])            # wrap around to close the loop
     area = float(np.sum(0.5 * (ys + np.roll(ys, -1)) * dx))
 
     # classification threshold: accumulated rounding of the trapezoid sum
-    scale = float(np.max(np.abs(xs)) * np.max(np.abs(ys)))
     tol = 32.0 * len(xs) * np.finfo(float).eps * scale
     return LoopMetrics(0.0 if abs(area) <= tol else area)
 

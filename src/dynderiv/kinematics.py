@@ -185,6 +185,7 @@ def sample_grid(spec: OscillationSpec, omega: float) -> np.ndarray:
     check(math.isfinite(omega) and omega > 0.0, "omega", "must be > 0", omega)
     period = 2.0 * math.pi / omega
     n = spec.cycles * spec.samples_per_cycle
+    check(math.isfinite(n * period), "omega", "must keep every time stamp finite", omega)
     return np.arange(n) * period / spec.samples_per_cycle
 
 
@@ -200,6 +201,8 @@ def make_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionSchedul
     isolates the pure pitch-rate derivatives C_q.
     """
     omega = omega_from_k(spec.reduced_frequency, cond)
+    check(math.isfinite(omega * omega * spec.body_amplitude), "omega",
+          "must keep the pitch acceleration omega^2 * amplitude finite", omega)
     t = sample_grid(spec, omega)
     amp = spec.body_amplitude
     s = np.sin(omega * t)

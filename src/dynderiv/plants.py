@@ -165,9 +165,6 @@ class DragPolar:
         return cd
 
 
-_SLOPES = ("CL_alpha", "CL_q", "CL_alphadot", "CD_alpha", "CD_q", "Cm_alpha", "Cm_q", "Cm_alphadot")
-
-
 @dataclass(frozen=True)
 class QuasiSteadyCoefficients:
     """Linear coefficient model: offsets plus incidence and rate slopes.
@@ -208,32 +205,6 @@ class QuasiSteadyCoefficients:
         """The drag channel: CD0 + CD_alpha*alpha + CD_q*qhat (+ kappa*CL^2)."""
         return self._drag
 
-    def scaled_slopes(self, factor: float) -> "QuasiSteadyCoefficients":
-        """Copy with every slope (not the offsets) multiplied by factor."""
-        return replace(self, **{name: getattr(self, name) * factor for name in _SLOPES})
-
-
-def quasi_steady_loads(p: QuasiSteadyCoefficients, s):
-    """Evaluate the linear model over a schedule (or any single sample).
-
-    Accepts anything exposing ``relative_aoa``, ``nondim_pitch_rate`` and
-    ``nondim_aoa_rate`` (scalars or arrays); returns the (CL, CD, Cm)
-    triple with matching shape.
-    """
-    alpha = s.relative_aoa
-    qhat = s.nondim_pitch_rate
-    adot = s.nondim_aoa_rate
-    cl = p.CL0 + p.CL_alpha * alpha + p.CL_q * qhat + p.CL_alphadot * adot
-    cd = p.drag.evaluate(alpha, qhat, cl)
-    cm = p.Cm0 + p.Cm_alpha * alpha + p.Cm_q * qhat + p.Cm_alphadot * adot
-    return cl, cd, cm
-
-
-def prandtl_glauert(mach: float) -> float:
-    """Subsonic compressibility scaling 1/sqrt(1 - M^2)."""
-    check(0.0 <= mach < 1.0, "mach", "must lie in [0, 1)", mach)
-    return 1.0 / math.sqrt(1.0 - mach * mach)
-
 
 def _wagner_lag(d_ae: np.ndarray, r: float) -> np.ndarray:
     """One Wagner lag state: x[0] = d_ae[0], x[n] = r*x[n-1] + sqrt(r)*d_ae[n].
@@ -263,23 +234,28 @@ class QuasiSteadyPlant:
 
     name = "quasi-steady"
 
-    def _effective(self, cond: FlightCondition) -> QuasiSteadyCoefficients:
+    def _loads(self, cond: FlightCondition, alpha, qhat, adot):
+        """(CL, CD, Cm) of the linear model at incidence ``alpha`` and rates ``qhat``, ``adot``.
+
+        With ``mach_scaling`` and a Mach number above 0, every slope takes
+        the Prandtl-Glauert factor 1/sqrt(1 - M^2) (FlightCondition keeps M < 1).
+        """
         p = self.coefficients
+        f = 1.0
         if p.mach_scaling and cond.mach is not None and cond.mach > 0.0:
-            return p.scaled_slopes(prandtl_glauert(cond.mach))
-        return p
+            f = 1.0 / math.sqrt(1.0 - cond.mach * cond.mach)
+        cl = p.CL0 + p.CL_alpha * f * alpha + p.CL_q * f * qhat + p.CL_alphadot * f * adot
+        cd = replace(p.drag, CD_alpha=p.CD_alpha * f, CD_q=p.CD_q * f).evaluate(alpha, qhat, cl)
+        cm = p.Cm0 + p.Cm_alpha * f * alpha + p.Cm_q * f * qhat + p.Cm_alphadot * f * adot
+        return cl, cd, cm
 
     def coefficient_histories(self, schedule: MotionSchedule, cond: FlightCondition):
-        cl, cd, cm = quasi_steady_loads(self._effective(cond), schedule)
-        return np.asarray(cl), np.asarray(cd), np.asarray(cm)
+        return self._loads(cond, schedule.relative_aoa, schedule.nondim_pitch_rate,
+                           schedule.nondim_aoa_rate)
 
     def static_coefficients(self, alpha0: float, cond: FlightCondition):
         """Coefficients at the mean incidence with all rates zero."""
-        p = self._effective(cond)
-        cl = p.CL0 + p.CL_alpha * alpha0
-        cd = p.drag.evaluate(alpha0, 0.0, cl)
-        cm = p.Cm0 + p.Cm_alpha * alpha0
-        return cl, cd, cm
+        return self._loads(cond, alpha0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -387,8 +363,13 @@ Plant = QuasiSteadyPlant | FlatPlatePlant | IndicialPlant
 
 
 def simulate(plant: Plant, schedule: MotionSchedule, cond: FlightCondition) -> CoefficientSeries:
-    """Run a plant over a motion schedule and package the result."""
+    """Run a plant over a motion schedule and package the result.
+
+    An overflow inside the plant is not warned about: CoefficientSeries
+    rejects the non-finite channel it leaves, with the channel's name.
+    """
     if len(schedule) == 0:
         raise InsufficientSamples("schedule is empty")
-    cl, cd, cm = plant.coefficient_histories(schedule, cond)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cl, cd, cm = plant.coefficient_histories(schedule, cond)
     return CoefficientSeries(times=schedule.time.copy(), CL=cl, CD=cd, Cm=cm)

@@ -244,7 +244,7 @@ def identify_modes(
     return only, incidence
 
 
-def _run_one(plan: SweepPlan, scenario: TransitionScenario, basis: _Basis | None) -> ScenarioResult:
+def _run_one(plan: SweepPlan, scenario: TransitionScenario, basis: _Basis) -> ScenarioResult:
     cond = plan.scenario_condition(scenario)
     if cond.freestream_speed == 0.0:
         # hover: nondimensional rates are undefined, so no dynamics
@@ -269,14 +269,11 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     """Run every scenario; order follows the plan.
 
     A scenario that raises a ``DynDerivError`` gets a FAILED row and the
-    sweep goes on; any other exception is a bug and propagates.  If the
-    sweep's basis cannot be built, each forward-flight scenario builds it
-    again where its fit starts and fails there as it would alone.
+    sweep goes on; any other exception is a bug and propagates.  The
+    sweep's basis cannot fail: the spec keeps at least 8 samples per cycle
+    and the plan a skip that leaves at least one cycle.
     """
-    try:
-        basis = _harmonic_basis(sample_grid(plan.oscillation, 1.0), 1.0, plan.effective_skip())
-    except DynDerivError:
-        basis = None
+    basis = _harmonic_basis(sample_grid(plan.oscillation, 1.0), 1.0, plan.effective_skip())
     results = []
     for scenario in plan.scenarios:
         try:

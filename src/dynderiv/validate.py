@@ -18,7 +18,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from .identify import Orientation, fit_series, loop_metrics
-from .kinematics import FlightCondition, OscillationMode, make_schedule
+from .kinematics import FlightCondition, OscillationMode, make_schedule, omega_from_k, sample_grid
 from .plants import (
     FlatPlatePlant,
     IndicialPlant,
@@ -177,8 +177,8 @@ def check_loop_identity(seed: int = 7) -> CheckResult:
     rng = np.random.default_rng(seed)
     spec = agard_ct2_preset()
     amp = spec.body_amplitude
-    omega = 2.0 * spec.reduced_frequency * _COND.freestream_speed / _COND.ref_chord
-    t = np.arange(spec.cycles * 720) * (2.0 * math.pi / omega) / 720
+    omega = omega_from_k(spec.reduced_frequency, _COND)
+    t = sample_grid(spec, omega)
     worst = 0.0
     for _ in range(20):
         a_in = rng.uniform(-20.0, 20.0)

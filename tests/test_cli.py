@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import shutil
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -462,6 +463,18 @@ class TestValidate:
         assert "[FAIL]" not in out
 
 
+def run_warning_free(argv):
+    """main(argv) with stdout and stderr captured; fails on any warning or traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
 def _periodic_export():
     t = np.arange(3 * 16) / 16.0
     cl, cm = 0.1 + np.sin(2 * math.pi * t), np.cos(2 * math.pi * t)
@@ -513,18 +526,126 @@ class TestIdentifyArgv:
     def test_exit_code_and_one_line_errors(self, series_path, case):
         text, flags = case
         series_path.write_text(text)
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                redirect_stdout(out), redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main(["identify", str(series_path), *flags])
-        assert [str(w.message) for w in caught] == []
-        lines = err.getvalue().splitlines()
-        assert "Traceback" not in err.getvalue()
+        code, out, err = run_warning_free(["identify", str(series_path), *flags])
+        lines = err.splitlines()
         if code == 0:
-            assert lines == [] and out.getvalue().startswith("channel,")
+            assert lines == [] and out.startswith("channel,")
         elif lines[:1] and lines[0].startswith("error: "):
             assert code in (1, 2) and len(lines) == 1
         else:                                  # argparse: its usage, then one error line
             assert code == 2 and lines[0].startswith("usage: ")
             assert len([line for line in lines if "error: " in line]) == 1
+
+
+def tiny_doc(kind="flat-plate"):
+    """Flat plate (or ``kind``) at k 0.1, 0.3 m chord, 3 cycles x 16 samples, one scenario."""
+    doc = config_doc(plant={"kind": kind}, scenarios=[
+        {"name": "s", "altitude_m": 10.0, "vertical_velocity_m_s": 0.0,
+         "forward_velocity_m_s": 40.0}])
+    doc["condition"].update(speed_m_s=40.0, chord_m=0.3)
+    doc["oscillation"].update(reduced_frequency=0.1, cycles=3, samples_per_cycle=16)
+    return doc
+
+
+class TestNumericExtremes:
+    """Configs that parse but overflow numpy fail with one line, never a warning."""
+
+    @pytest.mark.parametrize("command, kind, block, key, value, reason", [
+        ("sweep", "flat-plate", "scenario", "forward_velocity_m_s", 1e-308,
+         "DomainError: omega must keep every time stamp finite"),
+        ("simulate", "indicial", "condition", "speed_m_s", 1e-308,
+         "omega must keep every time stamp finite"),
+        ("simulate", "indicial", "oscillation", "reduced_frequency", 1e300,
+         "omega must keep the pitch acceleration omega^2 * amplitude finite"),
+        ("sweep", "indicial", "scenario", "forward_velocity_m_s", 1e-300,
+         "NonFiniteData: channel CL contains non-finite values"),
+        ("simulate", "quasi-steady", "plant", "CL_alpha", 1e300,
+         "channel CD contains non-finite values"),
+    ], ids=["period", "period-indicial", "omega-squared", "semichord-time-squared",
+            "induced-drag"])
+    def test_one_line_and_no_warning(self, tmp_path, command, kind, block, key, value, reason):
+        doc = tiny_doc(kind)
+        if kind == "quasi-steady":
+            doc["plant"]["induced_drag_factor"] = 0.05
+        {"scenario": doc["scenarios"][0], "condition": doc["condition"],
+         "oscillation": doc["oscillation"], "plant": doc["plant"]}[block][key] = value
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(doc))
+        out_dir = tmp_path / "results"
+        out = ["--out-dir", str(out_dir)] if command == "sweep" else ["--out", str(tmp_path / "s")]
+        code, _, err = run_warning_free([command, str(config), *out])
+        assert code == 1
+        if command == "simulate":
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error: {reason}")
+        else:
+            assert err == ""
+            assert f"FAILED({reason}" in (out_dir / "report.csv").read_text()
+
+
+_EXTREMES = st.sampled_from([0, -0.0, 5e-324, 1e-308, 1e300, 1e308, -1, -1e300, 10**400,
+                             -(10**400), "x", "", None])
+# the keys a tiny config may carry, by block; the plant's depend on its kind
+_DRAG_KEYS = ("CD0", "CD_alpha", "CD_q", "induced_drag_factor")
+_PLANT_KEYS = {
+    "quasi-steady": ("CL0", "CL_alpha", "CL_q", "CL_alphadot", "Cm0", "Cm_alpha", "Cm_q",
+                     "Cm_alphadot") + _DRAG_KEYS,
+    "flat-plate": ("pitch_axis",),
+    "indicial": ("pitch_axis",) + _DRAG_KEYS,
+}
+_BLOCK_KEYS = {
+    "condition": ("speed_m_s", "sound_speed_m_s", "density_kg_m3", "chord_m", "span_m",
+                  "area_m2"),
+    "oscillation": ("mean_incidence_deg", "amplitude_deg", "reduced_frequency", "cycles",
+                    "samples_per_cycle", "skip_cycles"),
+    "scenario": ("altitude_m", "vertical_velocity_m_s", "forward_velocity_m_s"),
+}
+
+
+@st.composite
+def tiny_case_argvs(draw):
+    """A tiny config (<= 4 cycles x 32 samples) with a few values drawn from the extremes."""
+    kind = draw(st.sampled_from(sorted(_PLANT_KEYS)))
+    doc = tiny_doc(kind)
+    osc = doc["oscillation"]
+    osc.update(cycles=draw(st.integers(1, 4)), samples_per_cycle=draw(st.integers(8, 32)),
+               skip_cycles=draw(st.sampled_from([None, 0, 1])),
+               modes=draw(st.sampled_from([["alpha"], ["q"], ["alpha", "q"], ["q", "alpha"]])))
+    doc["speed_basis"] = draw(st.sampled_from(["forward", "total"]))
+    if kind == "flat-plate":
+        doc["plant"]["kernel"] = draw(st.sampled_from(["theodorsen", "jones"]))
+    if kind == "quasi-steady":
+        doc["plant"].update(CL_alpha=5.0, Cm_q=-3.0, mach_scaling=draw(st.booleans()))
+    doc["scenarios"].append({"name": "hover", "altitude_m": 5.0, "vertical_velocity_m_s": 1.0,
+                             "forward_velocity_m_s": 0.0})
+    blocks = {"condition": doc["condition"], "oscillation": osc, "scenario": doc["scenarios"][0],
+              "plant": doc["plant"]}
+    keys = [(block, key) for block, names in _BLOCK_KEYS.items() for key in names]
+    keys += [("plant", key) for key in _PLANT_KEYS[kind]]
+    for block, key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        blocks[block][key] = draw(_EXTREMES)
+    return draw(st.sampled_from(["simulate", "sweep"])), doc
+
+
+class TestCaseArgv:
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("case-argv")
+
+    @given(tiny_case_argvs())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_and_one_line_errors(self, work, case):
+        command, doc = case
+        config, out_dir = work / "case.json", work / "results"
+        config.write_text(json.dumps(doc))
+        shutil.rmtree(out_dir, ignore_errors=True)
+        out = ["--out-dir", str(out_dir)] if command == "sweep" else ["--out", str(work / "s")]
+        code, _, err = run_warning_free([command, str(config), *out])
+        lines = err.splitlines()
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert lines == []
+        elif command == "sweep" and code == 1 and (out_dir / "report.csv").exists():
+            assert lines == [] and "FAILED(" in (out_dir / "report.csv").read_text()
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")

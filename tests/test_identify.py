@@ -116,6 +116,13 @@ class TestFitHarmonic:
         with pytest.raises(NonFiniteData):
             fit_harmonic(t, y, OMEGA)
 
+    def test_values_beyond_1e150_are_out_of_range(self):
+        # their squares in the residual would overflow; 1e150 itself still fits
+        t = _grid()
+        fit_harmonic(t, 1e150 * np.sin(OMEGA * t), OMEGA)
+        with pytest.raises(NonFiniteData, match=r"values up to 1e\+200 are out of range"):
+            fit_harmonic(t, 1e200 * np.sin(OMEGA * t), OMEGA)
+
     def test_two_samples_per_period_are_aliased(self):
         # 16 periods of 2 samples: the sin column is zero at every sample
         t = np.arange(32) / 2.0
@@ -426,6 +433,11 @@ class TestLoopMetrics:
         t, x, y = self._xy(a=1.0, b=2.0)
         with pytest.raises(DomainError, match="omega"):
             loop_metrics(t, x, y, omega)
+
+    def test_area_that_could_overflow_is_out_of_range(self):
+        t, x, y = self._xy(a=1.0, b=2.0)
+        with pytest.raises(NonFiniteData, match="out of range"):
+            loop_metrics(t, 1e200 * x, 1e200 * y, OMEGA)
 
     def test_area_scales_linearly(self):
         t, x, y = self._xy(a=1.0, b=2.0)

@@ -1,12 +1,11 @@
 """Scenario sweeps: statuses, round trips, determinism."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dynderiv.identify as identify
@@ -27,19 +26,18 @@ from dynderiv import (
     TransitionScenario,
     agard_ct2_preset,
     builtin_scenarios,
-    fit_series,
     identify_modes,
     loop_metrics,
     make_schedule,
     omega_from_k,
     pitch_oscillation_loads,
     q_mode_oscillation_loads,
-    render_case_config,
     run_sweep,
+    sample_grid,
     simulate,
     write_report,
 )
-from dynderiv.cli import main
+from dynderiv.kinematics import MAX_SAMPLES
 
 
 class TestBuiltinScenarios:
@@ -300,6 +298,14 @@ def _plant(kind, linear_plant):
             "indicial": IndicialPlant(pitch_axis=-0.5)}[kind]      # indicial skips 2 cycles
 
 
+@st.composite
+def _accepted_sampling(draw):
+    """(cycles, samples_per_cycle, skip) that an OscillationSpec and a SweepPlan accept."""
+    n = draw(st.integers(8, MAX_SAMPLES))
+    cycles = draw(st.integers(1, MAX_SAMPLES // n))
+    return cycles, n, draw(st.integers(0, cycles - 1))
+
+
 class TestSweepBasis:
     """One harmonic basis on the phase grid serves a whole sweep."""
 
@@ -380,31 +386,16 @@ class TestSweepBasis:
                                      plan.effective_skip())
                 assert alone.signed_area == result.loops[name].signed_area, (kind, name)
 
-    def test_too_few_samples_per_cycle_fail_each_forward_scenario_as_alone(
-            self, monkeypatch, tmp_path, capsys, linear_plant, condition):
-        # The spec's own floor of 8 samples per cycle would stop this plan when
-        # it is built; lifted, the sweep basis is what fails.
-        monkeypatch.setattr(OscillationSpec, "__post_init__", lambda self: None)
-        spec = agard_ct2_preset(cycles=8, samples_per_cycle=2)
-        plan = _plan(linear_plant, condition, spec)
-        reason = ("InsufficientSamples: only 16 samples over 8 periods in the fit window; "
-                  "need more than 2 per period")
-        # the reason a fit on one scenario's own time stamps gives
-        cond = plan.scenario_condition(plan.scenarios[1])
-        schedule = make_schedule(spec, cond)
-        with pytest.raises(InsufficientSamples) as alone:
-            fit_series(simulate(linear_plant, schedule, cond), schedule.omega)
-        assert f"InsufficientSamples: {alone.value}" == reason
-
-        report = run_sweep(plan)
-        assert [r.status for r in report.results] == \
-            [SweepStatus.STATIC_ONLY, SweepStatus.FAILED, SweepStatus.FAILED]
-        assert [r.failure_reason for r in report.results[1:]] == [reason, reason]
-
-        config = tmp_path / "case.json"
-        config.write_text(render_case_config(plan))
-        out_dir = tmp_path / "results"
-        assert main(["sweep", str(config), "--out-dir", str(out_dir)]) == 1
-        meta = json.loads((out_dir / "run_meta.json").read_text())
-        assert [s["status"] for s in meta["scenarios"]] == ["STATIC_ONLY", "FAILED", "FAILED"]
-        assert (out_dir / "report.csv").read_text().count(f"FAILED({reason})") == 6
+    @settings(max_examples=100, deadline=None)
+    @given(_accepted_sampling())
+    @example((1, 8, 0))
+    @example((125_000, 8, 124_999))
+    @example((1, 1_000_000, 0))
+    def test_phase_grid_basis_of_every_accepted_plan(self, sampling):
+        # run_sweep builds this basis with no fallback: no accepted plan may fail it
+        cycles, n, skip = sampling
+        spec = agard_ct2_preset(cycles=cycles, samples_per_cycle=n)
+        basis = identify._harmonic_basis(sample_grid(spec, 1.0), 1.0, skip)
+        assert basis.window == slice(skip * n, cycles * n)
+        assert basis.n_periods == cycles - skip
+        assert basis.last_cycle == (cycles - 1) * n
