@@ -10,7 +10,6 @@ behind separating C_q from C_alphadot.
 import numpy as np
 
 from dynderiv import (
-    AGARD_CT2_MACH,
     FlightCondition,
     OscillationMode,
     agard_ct2_preset,
@@ -28,7 +27,7 @@ cond = FlightCondition(
 
 spec = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=2)
 omega = omega_from_k(spec.reduced_frequency, cond)
-print(f"AGARD CT2 test point: k = {spec.reduced_frequency}, Mach = {AGARD_CT2_MACH}")
+print(f"AGARD CT2 test point: k = {spec.reduced_frequency}, Mach = 0.6")
 print(f"mean incidence  = {np.degrees(spec.mean_incidence):.2f} deg")
 print(f"pitch amplitude = {np.degrees(spec.body_amplitude):.2f} deg")
 print(f"angular frequency at V = {cond.freestream_speed} m/s, "

@@ -65,7 +65,6 @@ from .identify import (
     validate_fit,
 )
 from .scenarios import (
-    AGARD_CT2_MACH,
     ScenarioResult,
     SweepPlan,
     SweepReport,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -267,16 +267,18 @@ def _same(x: float | None, y: float | None) -> bool:
 
 
 def separate_rates(alpha_set: DerivativeSet, q_set: DerivativeSet) -> DerivativeSet:
-    """Merge the two modes and split the damping sum.
+    """Merge an incidence-mode set and a flow-path-mode set, in that order.
 
-    Each merged channel carries the incidence-mode damping_sum and the
-    flow-path-mode rate_derivative, so its aoa_rate_derivative is their
-    difference.  Both runs must share the same reduced frequency and flight
+    Each merged channel is the flow-path channel with every value the
+    incidence-mode channel holds laid over it (``extract`` gives each mode
+    only what it identifies), so aoa_rate_derivative = damping sum - rate
+    derivative.  Both runs must share the same reduced frequency and flight
     condition (1e-9 relative).
     """
     sa, sq = alpha_set.spec, q_set.spec
-    if sa is None or sq is None:
-        raise ConditionMismatch("both derivative sets need an oscillation spec to be merged")
+    if sa is None or sq is None or (sa.mode, sq.mode) != (OscillationMode.ALPHA, OscillationMode.Q):
+        got = [None if s is None else s.mode.value for s in (sa, sq)]
+        raise ConditionMismatch(f"need an alpha-mode set and a q-mode set, got modes {got}")
     if not _same(sa.reduced_frequency, sq.reduced_frequency):
         raise ConditionMismatch(
             f"reduced frequencies differ: {sa.reduced_frequency} vs {sq.reduced_frequency}"
@@ -294,21 +296,8 @@ def separate_rates(alpha_set: DerivativeSet, q_set: DerivativeSet) -> Derivative
 
     merged: dict[str, ChannelDerivatives] = {}
     for name in alpha_set.channels.keys() & q_set.channels.keys():
-        cha = alpha_set.channels[name]
-        chq = q_set.channels[name]
-        if cha.damping_sum is None:
-            raise ConditionMismatch(f"channel {name}: incidence-mode set carries no damping sum")
-        if chq.rate_derivative is None:
-            raise ConditionMismatch(
-                f"channel {name}: flow-path-mode set carries no rate derivative")
-        merged[name] = ChannelDerivatives(
-            trim_value=cha.trim_value,
-            static_slope=cha.static_slope,
-            rate_derivative=chq.rate_derivative,
-            damping_sum=cha.damping_sum,
-            contamination=chq.contamination,
-            fit=cha.fit,
-        )
+        held = {key: v for key, v in vars(alpha_set.channels[name]).items() if v is not None}
+        merged[name] = replace(q_set.channels[name], **held)
     if not merged:
         raise ConditionMismatch("the two derivative sets share no channels")
     return DerivativeSet(channels=merged, spec=sa, condition=ca)

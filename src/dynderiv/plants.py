@@ -22,7 +22,7 @@ in semichords aft of midchord (a = -1/2 is the quarter chord).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,7 +169,7 @@ class DragPolar:
 class QuasiSteadyCoefficients:
     """Linear coefficient model: offsets plus incidence and rate slopes.
 
-    All slopes are per radian.  The drag channel is the ``drag`` polar: it
+    All slopes are per radian.  The drag channel is a ``DragPolar``: it
     has no incidence-rate term by construction, so its damping sum equals
     CD_q, and the optional ``induced_drag_factor`` adds kappa*CL^2.  With
     ``mach_scaling`` on, every slope is multiplied by the subsonic
@@ -196,14 +196,7 @@ class QuasiSteadyCoefficients:
     def __post_init__(self) -> None:
         check_fields(self, "finite", "CL0", "CL_alpha", "CL_q", "CL_alphadot",
                      "Cm0", "Cm_alpha", "Cm_q", "Cm_alphadot")
-        # built (and so validated) once; not a field, so eq and the config keys ignore it
-        drag = DragPolar(self.CD0, self.CD_alpha, self.CD_q, self.induced_drag_factor)
-        object.__setattr__(self, "_drag", drag)
-
-    @property
-    def drag(self) -> DragPolar:
-        """The drag channel: CD0 + CD_alpha*alpha + CD_q*qhat (+ kappa*CL^2)."""
-        return self._drag
+        DragPolar(self.CD0, self.CD_alpha, self.CD_q, self.induced_drag_factor)  # runs its checks
 
 
 def _wagner_lag(d_ae: np.ndarray, r: float) -> np.ndarray:
@@ -220,6 +213,11 @@ def _wagner_lag(d_ae: np.ndarray, r: float) -> np.ndarray:
         x[stride:] += r**stride * x[:-stride]
         stride *= 2
     return x
+
+
+def _flat_plate_trim(pitch_axis: float, alpha0: float) -> tuple[float, float]:
+    """Steady thin-airfoil (CL, Cm) at incidence ``alpha0``, moment about the pitch axis."""
+    return 2.0 * math.pi * alpha0, math.pi * (pitch_axis + 0.5) * alpha0
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +243,8 @@ class QuasiSteadyPlant:
         if p.mach_scaling and cond.mach is not None and cond.mach > 0.0:
             f = 1.0 / math.sqrt(1.0 - cond.mach * cond.mach)
         cl = p.CL0 + p.CL_alpha * f * alpha + p.CL_q * f * qhat + p.CL_alphadot * f * adot
-        cd = replace(p.drag, CD_alpha=p.CD_alpha * f, CD_q=p.CD_q * f).evaluate(alpha, qhat, cl)
+        drag = DragPolar(p.CD0, p.CD_alpha * f, p.CD_q * f, p.induced_drag_factor)
+        cd = drag.evaluate(alpha, qhat, cl)
         cm = p.Cm0 + p.Cm_alpha * f * alpha + p.Cm_q * f * qhat + p.Cm_alphadot * f * adot
         return cl, cd, cm
 
@@ -292,8 +291,7 @@ class FlatPlatePlant:
         return cl, np.zeros_like(cl), cm
 
     def static_coefficients(self, alpha0: float, cond: FlightCondition):
-        cl = 2.0 * math.pi * alpha0
-        cm = math.pi * (self.pitch_axis + 0.5) * alpha0
+        cl, cm = _flat_plate_trim(self.pitch_axis, alpha0)
         return cl, 0.0, cm
 
 
@@ -353,8 +351,7 @@ class IndicialPlant:
         return cl, cd, cm
 
     def static_coefficients(self, alpha0: float, cond: FlightCondition):
-        cl = 2.0 * math.pi * alpha0
-        cm = math.pi * (self.pitch_axis + 0.5) * alpha0
+        cl, cm = _flat_plate_trim(self.pitch_axis, alpha0)
         cd = self.drag.evaluate(alpha0, 0.0, cl)
         return cl, float(cd), cm
 

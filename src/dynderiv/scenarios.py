@@ -82,7 +82,6 @@ def builtin_scenarios() -> list[TransitionScenario]:
 
 # AGARD CT2 dynamic pitch-oscillation test point, usable as a reference
 # oscillation for any geometry (chord/speed come from the caller).
-AGARD_CT2_MACH = 0.6
 AGARD_CT2_MEAN_INCIDENCE_DEG = 3.16
 AGARD_CT2_AMPLITUDE_DEG = 4.59
 AGARD_CT2_REDUCED_FREQUENCY = 0.0811
@@ -95,8 +94,8 @@ def agard_ct2_preset(
 ) -> OscillationSpec:
     """The AGARD CT2 oscillation spec.
 
-    The test point's Mach number is ``AGARD_CT2_MACH``; chord, speed, and
-    density are the caller's.
+    The test point flies at Mach 0.6; chord, speed, and density are the
+    caller's.
     """
     return OscillationSpec.from_degrees(
         mode=mode,

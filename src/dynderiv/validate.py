@@ -30,7 +30,7 @@ from .plants import (
     simulate,
     theodorsen_function,
 )
-from .scenarios import agard_ct2_preset, identify_modes
+from .scenarios import DEFAULT_SKIP_TRANSIENT, agard_ct2_preset, identify_modes
 
 # Lift-deficiency value at k = 0.1, recorded from an independent
 # arbitrary-precision Bessel-series evaluation (50 significant digits,
@@ -60,7 +60,7 @@ def indicial_frequency_response(
     pitch_axis: float = -0.5,
     cycles: int = 22,
     samples_per_cycle: int = 720,
-    skip_cycles: int = 2,
+    skip_cycles: int = DEFAULT_SKIP_TRANSIENT,
     mode: OscillationMode = OscillationMode.ALPHA,
 ) -> tuple[complex, complex]:
     """First-harmonic complex amplitudes (lift, moment) of the indicial plant.

@@ -1,9 +1,12 @@
 """Harmonic regression, derivative extraction, separation, loop metrics."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynderiv.identify as identify
 from dynderiv import (
@@ -35,6 +38,7 @@ from dynderiv import (
     validate_fit,
 )
 from dynderiv.identify import CONTAMINATION_FLAG, RESIDUAL_FLAG
+from dynderiv.series import CHANNELS
 
 OMEGA = 2.0 * math.pi
 
@@ -341,6 +345,46 @@ class TestSeparation:
         q_set = self._set(OscillationMode.Q, speed=99.0, rate_derivative=1.0)
         with pytest.raises(ConditionMismatch):
             separate_rates(alpha_set, q_set)
+
+    @pytest.mark.parametrize("modes", [(OscillationMode.Q, OscillationMode.ALPHA),
+                                       (OscillationMode.ALPHA, OscillationMode.ALPHA),
+                                       (OscillationMode.Q, OscillationMode.Q)])
+    def test_sets_must_be_alpha_then_q(self, modes):
+        first, second = (self._set(mode) for mode in modes)
+        with pytest.raises(ConditionMismatch, match="alpha-mode set and a q-mode set"):
+            separate_rates(first, second)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_merge_keeps_every_value_either_mode_identifies(self, data):
+        # the incidence channel's values reach the merged channel, and so do the
+        # flow-path channel's values where the incidence channel holds none
+        value = st.floats(-1e3, 1e3)
+        spec = OscillationSpec(OscillationMode.ALPHA, 0.0, data.draw(st.floats(1e-3, 0.5)),
+                               data.draw(st.floats(0.01, 2.0)))
+
+        def fits():
+            names = data.draw(st.sets(st.sampled_from(CHANNELS), min_size=1))
+            return {name: HarmonicFit(data.draw(value), data.draw(value), data.draw(value),
+                                      0.0, 1.0, 720, 1) for name in sorted(names)}
+
+        alpha_set = extract(fits(), spec)
+        q_set = extract(fits(), spec.with_mode(OscillationMode.Q))
+        shared = alpha_set.channels.keys() & q_set.channels.keys()
+        if not shared:
+            with pytest.raises(ConditionMismatch, match="share no channels"):
+                separate_rates(alpha_set, q_set)
+            return
+        merged = separate_rates(alpha_set, q_set)
+        assert merged.channels.keys() == shared
+        assert merged.spec is alpha_set.spec
+        for name in shared:
+            top, base, out = (s.channels[name] for s in (alpha_set, q_set, merged))
+            for field in fields(ChannelDerivatives):
+                held = getattr(top, field.name)
+                want = held if held is not None else getattr(base, field.name)
+                assert getattr(out, field.name) is want, (name, field.name)
+            assert out.aoa_rate_derivative == top.damping_sum - base.rate_derivative
 
     def test_analytic_chain(self):
         # synthesize fits from the two closed-form load sets and separate

@@ -15,15 +15,19 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynderiv import (
     DomainError,
     DragPolar,
     FlatPlatePlant,
+    FlightCondition,
     IndicialPlant,
     MotionSchedule,
     NonDimensionalizationUndefined,
     OscillationMode,
+    OscillationSpec,
     QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     fit_harmonic,
@@ -279,6 +283,35 @@ def reference_indicial_loop(schedule, cond, a):
     return np.array(cl), np.array(cm)
 
 
+# R. T. Jones's two-pole Wagner constants (A_j, b_j), written out here so that
+# the truth below does not read the plant's own copy.
+JONES_POLES = ((0.165, 0.0455), (0.335, 0.3))
+INDICIAL_STEP_TOL = 2e-4    # relative error of the time march at 720 samples per cycle
+
+
+def jones_deficiency(k):
+    """C_J(k) = 1 - sum A_j ik / (ik + b_j): the transform of the two-pole Wagner kernel."""
+    ik = 1j * k
+    return 1.0 - sum(a_j * ik / (ik + b_j) for a_j, b_j in JONES_POLES)
+
+
+def startup_bound(mode, a, k, amp, alpha0, cycles, skip):
+    """Bound on |dH| of CL that the start-up transient leaves after ``skip`` cycles.
+
+    Each lag state starts at rest, at most |alpha0 + rate| plus one excursion
+    of the 3/4-chord incidence away from its periodic state, and decays by
+    exp(-2*pi*b_j/k) per period; its residue is averaged over the fit window.
+    """
+    rate = (0.5 - a) * k * amp
+    excursion = amp * math.hypot(1.0, (0.5 - a) * k) if mode is OscillationMode.ALPHA else abs(rate)
+    offset = abs(alpha0 + rate) + excursion
+    envelope = 0.0
+    for a_j, b_j in JONES_POLES:
+        mu = 2.0 * math.pi * b_j / k
+        envelope += 2.0 * math.pi * a_j * offset * math.exp(-mu * skip) / ((cycles - skip) * mu)
+    return math.sqrt(2.0) * 2.0 * envelope / amp
+
+
 def constant_incidence_schedule(spec, alpha, time):
     """Hand-built schedule: incidence stepped to alpha at t[0], no rates."""
     time = np.asarray(time, dtype=float)
@@ -350,6 +383,32 @@ class TestIndicial:
         truth = pitch_oscillation_loads(k, -0.5, deficiency=jones_function)
         assert abs(lift_sim - truth.lift) / abs(truth.lift) < 0.01
         assert abs(moment_sim - truth.moment) / abs(truth.moment) < 0.01
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.floats(0.05, 0.3), a=st.floats(-0.6, 0.4), mode=st.sampled_from(OscillationMode),
+           alpha0_deg=st.floats(-2.0, 4.0), cycles=st.integers(6, 10))
+    @example(k=0.3, a=0.4, mode=OscillationMode.ALPHA, alpha0_deg=4.0, cycles=6)
+    @example(k=0.3, a=-0.6, mode=OscillationMode.Q, alpha0_deg=-2.0, cycles=6)
+    @example(k=0.05, a=-0.6, mode=OscillationMode.ALPHA, alpha0_deg=4.0, cycles=6)
+    def test_settled_response_matches_jones_flat_plate(self, k, a, mode, alpha0_deg, cycles):
+        # after two skipped cycles the harmonic response is the flat plate's with the
+        # Jones deficiency, within the march error plus the start-up residue's bound;
+        # only the circulatory lift, |a + 1/2|/2 of it, carries the residue into Cm
+        cond = FlightCondition(100.0, 1.225, 0.2299, 0.6096, 0.1238)
+        spec = OscillationSpec.from_degrees(mode, alpha0_deg, 4.59, k, cycles=cycles,
+                                            samples_per_cycle=720)
+        schedule = make_schedule(spec, cond)
+        series = simulate(IndicialPlant(pitch_axis=a), schedule, cond)
+        oscillation_loads = (pitch_oscillation_loads if mode is OscillationMode.ALPHA
+                             else q_mode_oscillation_loads)
+        truth = oscillation_loads(k, a, deficiency=jones_deficiency)
+        amp = spec.body_amplitude
+        dh = startup_bound(mode, a, k, amp, spec.mean_incidence, cycles, 2)
+        for values, h, share in ((series.CL, truth.lift, 1.0),
+                                 (series.Cm, truth.moment, abs(a + 0.5) / 2.0)):
+            fit = fit_harmonic(series.times, values, schedule.omega, skip_cycles=2)
+            err = abs(complex(fit.in_phase, fit.out_phase) / amp - h)
+            assert err <= INDICIAL_STEP_TOL * abs(h) + share * dh
 
     def test_drag_channel_is_quasi_steady(self, condition, agard_alpha_spec):
         plant = IndicialPlant(drag=DragPolar(CD0=0.02, CD_alpha=0.4))
