@@ -42,6 +42,9 @@ from .kinematics import FlightCondition, OscillationMode, OscillationSpec
 from .series import CHANNELS, CoefficientSeries
 
 _REL_TOL = 1e-9   # relative tolerance for condition matching in separate_rates
+# the table above, as the fields extract fills: mode -> (in-phase / A, out-of-phase / (k*A))
+_IDENTIFIES = {OscillationMode.ALPHA: ("static_slope", "damping_sum"),
+               OscillationMode.Q: ("contamination", "rate_derivative")}
 
 
 @dataclass(frozen=True)
@@ -249,13 +252,10 @@ def extract(
     """
     amp = spec.body_amplitude
     k = spec.reduced_frequency
+    in_name, out_name = _IDENTIFIES[spec.mode]
     channels = {}
     for name, fit in fits.items():
-        in_phase, out_phase = fit.in_phase / amp, fit.out_phase / (k * amp)
-        if spec.mode is OscillationMode.ALPHA:
-            parts = {"static_slope": in_phase, "damping_sum": out_phase}
-        else:
-            parts = {"rate_derivative": out_phase, "contamination": in_phase}
+        parts = {in_name: fit.in_phase / amp, out_name: fit.out_phase / (k * amp)}
         channels[name] = ChannelDerivatives(trim_value=fit.mean, fit=fit, **parts)
     return DerivativeSet(channels=channels, spec=spec, condition=condition)
 
@@ -279,6 +279,9 @@ def separate_rates(alpha_set: DerivativeSet, q_set: DerivativeSet) -> Derivative
     if sa is None or sq is None or (sa.mode, sq.mode) != (OscillationMode.ALPHA, OscillationMode.Q):
         got = [None if s is None else s.mode.value for s in (sa, sq)]
         raise ConditionMismatch(f"need an alpha-mode set and a q-mode set, got modes {got}")
+    if any(getattr(c, f) is not None
+           for c in alpha_set.channels.values() for f in _IDENTIFIES[OscillationMode.Q]):
+        raise ConditionMismatch("the alpha-mode set holds flow-path values: it is merged already")
     if not _same(sa.reduced_frequency, sq.reduced_frequency):
         raise ConditionMismatch(
             f"reduced frequencies differ: {sa.reduced_frequency} vs {sq.reduced_frequency}"
@@ -294,10 +297,11 @@ def separate_rates(alpha_set: DerivativeSet, q_set: DerivativeSet) -> Derivative
                     f"{getattr(ca, field)} vs {getattr(cq, field)}"
                 )
 
-    merged: dict[str, ChannelDerivatives] = {}
-    for name in alpha_set.channels.keys() & q_set.channels.keys():
-        held = {key: v for key, v in vars(alpha_set.channels[name]).items() if v is not None}
-        merged[name] = replace(q_set.channels[name], **held)
+    merged = {}
+    for name, cha in alpha_set.channels.items():
+        if name in q_set.channels:
+            held = {key: v for key, v in vars(cha).items() if v is not None}
+            merged[name] = replace(q_set.channels[name], **held)
     if not merged:
         raise ConditionMismatch("the two derivative sets share no channels")
     return DerivativeSet(channels=merged, spec=sa, condition=ca)

@@ -354,6 +354,20 @@ class TestSeparation:
         with pytest.raises(ConditionMismatch, match="alpha-mode set and a q-mode set"):
             separate_rates(first, second)
 
+    def test_merged_set_is_not_an_alpha_set(self):
+        # a merged set keeps the alpha spec; merging it again would hide the new q set
+        merged = separate_rates(self._set(OscillationMode.ALPHA), self._set(OscillationMode.Q))
+        with pytest.raises(ConditionMismatch, match="merged already"):
+            separate_rates(merged, self._set(OscillationMode.Q, rate_derivative=9.0))
+
+    def test_merge_keeps_the_alpha_set_channel_order(self):
+        # not the order of a set of names, which changes with the hash seed
+        spec = OscillationSpec(OscillationMode.ALPHA, 0.0, 0.0801, 0.0811)
+        q_set = extract({name: _fits()["CL"] for name in CHANNELS}, spec.with_mode(OscillationMode.Q))
+        for order in (CHANNELS, CHANNELS[::-1], ("Cm", "CL")):
+            alpha_set = extract({name: _fits()["CL"] for name in order}, spec)
+            assert list(separate_rates(alpha_set, q_set).channels) == list(order)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_merge_keeps_every_value_either_mode_identifies(self, data):

@@ -1,11 +1,11 @@
 """SHA-256 digests of everything the benchmark decks make dynderiv print or write.
 
 Imports dynderiv from the given ``src/`` directory, writes the
-``bench/inputs.generate`` decks of the chosen workloads and seeds into a
-temporary directory, runs every deck command through ``dynderiv.cli.main``
-in this process, and prints one ``key sha256`` line for each command's exit
-code, stdout, stderr and output file, and for ``dynderiv validate``'s
-stdout.  The temporary directory's path is replaced by ``<deck>`` before
+``bench/inputs.generate`` decks of the three benchmark workloads at the
+chosen seeds into a temporary directory, runs every deck command through
+``dynderiv.cli.main`` in this process, and prints one ``key sha256`` line
+for each command's exit code, stdout, stderr and output file, and for
+``dynderiv validate``'s stdout.  The temporary directory's path is replaced by ``<deck>`` before
 hashing, so two runs compare by ``diff``:
 
     python3 tools/deck_digests.py --src OLD/src > old.txt
@@ -27,6 +27,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("sweep-indicial", "sweep-linear", "series-io")
 
 
 def _digest(data: bytes, deck_dir: Path | None = None) -> str:
@@ -53,8 +54,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, required=True,
                         help="the src/ directory to import dynderiv from")
-    parser.add_argument("--workloads", nargs="+",
-                        default=["sweep-indicial", "sweep-linear", "series-io"])
     parser.add_argument("--seeds", nargs="+", type=int, default=[3, 4, 5])
     args = parser.parse_args()
 
@@ -66,7 +65,7 @@ def main() -> None:
     print(f"dynderiv from {Path(dynderiv.__file__).parent}", file=sys.stderr)
 
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             for seed in args.seeds:
                 deck_dir = Path(tmp) / f"{workload}-{seed}"
                 deck = inputs.generate(workload, seed, deck_dir)
