@@ -3,9 +3,13 @@
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_io import fuzzed_monitor_texts
 
+import dynderiv
 from dynderiv import DomainError, parse_monitor_table, scenarios
 from dynderiv.cli import main
 
@@ -463,6 +468,25 @@ class TestValidate:
         assert "[FAIL]" not in out
 
 
+class TestNoScipy:
+    def test_validate_and_theodorsen_sweep_leave_scipy_unimported(self, tmp_path):
+        """numpy is the only runtime dependency; a fresh interpreter shows what gets imported."""
+        doc = tiny_doc("flat-plate")
+        doc["plant"]["kernel"] = "theodorsen"
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(doc))
+        script = ("import sys\n"
+                  "from dynderiv.cli import main\n"
+                  "codes = (main(['validate']),\n"
+                  "         main(['sweep', sys.argv[1], '--out-dir', sys.argv[2]]))\n"
+                  "print(codes, 'scipy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(dynderiv.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "(0, 0) False"
+
+
 def run_warning_free(argv):
     """main(argv) with stdout and stderr captured; fails on any warning or traceback."""
     out, err = io.StringIO(), io.StringIO()
@@ -581,6 +605,15 @@ class TestNumericExtremes:
         else:
             assert err == ""
             assert f"FAILED({reason}" in (out_dir / "report.csv").read_text()
+
+    def test_theodorsen_plate_at_huge_k_simulates(self, tmp_path):
+        doc = tiny_doc("flat-plate")
+        doc["plant"]["kernel"] = "theodorsen"
+        doc["oscillation"]["reduced_frequency"] = 1e17
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(doc))
+        assert run_warning_free(["simulate", str(config), "--out", str(tmp_path / "s")]) \
+            == (0, "", "")
 
 
 _EXTREMES = st.sampled_from([0, -0.0, 5e-324, 1e-308, 1e300, 1e308, -1, -1e300, 10**400,

@@ -1,14 +1,16 @@
 """Surrogate plants against independent oracles.
 
 The lift-deficiency function is checked against an arbitrary-precision
-Bessel evaluation (mpmath) that shares no code with the scipy-based main
-path; the complex load formulas are transcribed inline so a typo in the
-library cannot hide; the time-marching plant is checked against its exact
-frequency-domain transform pair and against a plain per-sample transcription
-of its recurrence.
+Bessel evaluation (mpmath) that shares no code with the main path's
+series, recurrence and asymptotic expansion; the complex load formulas
+are transcribed inline so a typo in the library cannot hide; the
+time-marching plant is checked against its exact frequency-domain
+transform pair and against a plain per-sample transcription of its
+recurrence.
 """
 
 import math
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -92,6 +94,37 @@ class TestTheodorsenFunction:
             c = theodorsen_function(float(k))
             assert 0.5 < c.real <= 1.0
             assert c.imag <= 0.0
+
+
+class TestTheodorsenKernel:
+    """The pure-math kernel over the whole accepted range of k."""
+
+    # the boundaries between the series, Miller's recurrence and Hankel's expansion
+    @example(3.0)
+    @example(math.nextafter(3.0, math.inf))
+    @example(math.nextafter(18.0, 0.0))
+    @example(18.0)
+    @given(st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e))
+    @settings(max_examples=300, deadline=None)
+    def test_against_bessel_series_log_uniform(self, k):
+        # worst seen: 2.5e-16 on a dense grid over [1e-4, 1e3], 2.4e-16 in 15 000 random draws
+        assert abs(theodorsen_function(k) - bessel_series_deficiency(k)) < 3e-16
+
+    def test_against_bessel_series_where_the_methods_hand_over(self):
+        for k in np.linspace(1.0, 25.0, 97):
+            assert abs(theodorsen_function(float(k)) - bessel_series_deficiency(float(k))) < 3e-16
+
+    @pytest.mark.parametrize("k", [5e-324, 1e-310])
+    def test_finite_at_subnormal_k(self, k):
+        c = theodorsen_function(k)
+        assert c.real == 1.0 and math.isfinite(c.imag)
+        assert abs(c - bessel_series_deficiency(k)) < 1e-320
+
+    @pytest.mark.parametrize("k", [1e16, 1e17, 1e300, sys.float_info.max])
+    def test_high_frequency_expansion_at_huge_k(self, k):
+        c = theodorsen_function(k)
+        assert c.real == 0.5
+        assert math.isclose(c.imag, -0.125 / k, rel_tol=1e-12)
 
 
 class TestJonesFunction:
