@@ -10,7 +10,6 @@ the rest of the toolchain stands on.
 from dynderiv import (
     FlightCondition,
     OscillationMode,
-    QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     agard_ct2_preset,
     identify_modes,
@@ -18,12 +17,11 @@ from dynderiv import (
 
 cond = FlightCondition(100.0, 1.225, 0.2299, 0.6096, 0.1238)
 
-injected = QuasiSteadyCoefficients(
+injected = plant = QuasiSteadyPlant(
     CL0=0.2, CL_alpha=5.0, CL_q=4.0, CL_alphadot=6.0,
     CD0=0.02, CD_alpha=0.3, CD_q=0.1,
     Cm0=-0.05, Cm_alpha=-1.2, Cm_q=-3.0, Cm_alphadot=-1.2,
 )
-plant = QuasiSteadyPlant(coefficients=injected)
 
 spec = agard_ct2_preset(mode=OscillationMode.ALPHA)
 

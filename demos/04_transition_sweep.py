@@ -10,7 +10,6 @@ with forward speed.
 from dynderiv import (
     FlightCondition,
     OscillationMode,
-    QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     SweepPlan,
     SweepStatus,
@@ -30,12 +29,10 @@ condition = FlightCondition(
 )
 
 plant = QuasiSteadyPlant(
-    coefficients=QuasiSteadyCoefficients(
-        CL0=0.2, CL_alpha=5.0, CL_q=4.0, CL_alphadot=1.5,
-        CD0=0.02, CD_alpha=0.3, CD_q=0.05,
-        Cm0=-0.05, Cm_alpha=-1.2, Cm_q=-3.0, Cm_alphadot=-1.0,
-        mach_scaling=True,
-    )
+    CL0=0.2, CL_alpha=5.0, CL_q=4.0, CL_alphadot=1.5,
+    CD0=0.02, CD_alpha=0.3, CD_q=0.05,
+    Cm0=-0.05, Cm_alpha=-1.2, Cm_q=-3.0, Cm_alphadot=-1.0,
+    mach_scaling=True,
 )
 
 spec = agard_ct2_preset(mode=OscillationMode.ALPHA)

@@ -40,10 +40,8 @@ from .kinematics import (
 )
 from .series import CHANNELS, CoefficientSeries
 from .plants import (
-    DragPolar,
     FlatPlatePlant,
     IndicialPlant,
-    QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     jones_function,
     pitch_oscillation_loads,

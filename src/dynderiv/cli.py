@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 domain failure (bad data, failed checks, or a
 sweep with any FAILED scenario; its report files are still written),
-2 usage error (bad arguments, unreadable files).  All file output is
+2 usage error (bad arguments, unreadable or non-UTF-8 input files,
+output paths that cannot be written).  All file output is
 written atomically and deterministically.
 """
 
@@ -89,20 +90,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise _UsageError(f"cannot read '{path}': {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:       # offsets count from the start of the file
+        raise _UsageError(f"cannot read '{path}': not UTF-8 text "
+                          f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})") from exc
+    # universal newlines, as read_text gives them
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 class _UsageError(Exception):
     pass
 
 
+def _write(path: str | Path, text: str) -> None:
+    try:
+        atomic_write(path, text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write '{path}': {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        atomic_write(out, text)
+        _write(out, text)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -179,17 +192,20 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     plan = parse_case_config(_read_text(args.config))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"cannot write '{out_dir}': {exc.strerror or exc}") from exc
     report = run_sweep(plan)
     machine, human = write_report(report)
-    atomic_write(out_dir / "report.csv", machine)
-    atomic_write(out_dir / "report.txt", human)
+    _write(out_dir / "report.csv", machine)
+    _write(out_dir / "report.txt", human)
     # loop plot data per successful scenario, plus a run-metadata sidecar;
     # the data files themselves carry no run metadata (byte determinism)
     for result in report.results:
         if result.incidence_series is not None and result.incidence_history is not None:
             text = write_loop_table(result.incidence_history, result.incidence_series)
-            atomic_write(out_dir / f"loops_{result.scenario.name}.csv", text)
+            _write(out_dir / f"loops_{result.scenario.name}.csv", text)
     meta = {
         "tool": "dynderiv",
         "version": __version__,
@@ -209,7 +225,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             for r in report.results
         ],
     }
-    atomic_write(out_dir / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write(out_dir / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(human)
     failed = any(r.status is SweepStatus.FAILED for r in report.results)
     return DOMAIN_ERROR if failed else 0

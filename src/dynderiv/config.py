@@ -27,14 +27,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import DomainError, MalformedDocument, MissingKey, UnitViolation, UnknownKey
 from .kinematics import FlightCondition, OscillationMode, OscillationSpec
-from .plants import (
-    DragPolar,
-    FlatPlatePlant,
-    IndicialPlant,
-    Plant,
-    QuasiSteadyCoefficients,
-    QuasiSteadyPlant,
-)
+from .plants import FlatPlatePlant, IndicialPlant, Plant, QuasiSteadyPlant
 from .scenarios import SweepPlan, TransitionScenario, builtin_scenarios
 
 
@@ -154,15 +147,11 @@ _FLAT_PLATE = {**_optional("number", "pitch_axis"), **_optional("string", "kerne
 _INDICIAL = {**_optional("number", "pitch_axis"), **_DRAG}
 
 
-def _indicial_plant(pitch_axis: float = IndicialPlant.pitch_axis, **drag: Any) -> IndicialPlant:
-    return IndicialPlant(pitch_axis=pitch_axis, drag=DragPolar(**drag))
-
-
-# plant.kind -> (table of the other keys, plant factory taking their fields)
-_PLANTS: dict[str, tuple[dict[str, _Key], Callable[..., Plant]]] = {
-    "quasi-steady": (_QUASI_STEADY, lambda **f: QuasiSteadyPlant(QuasiSteadyCoefficients(**f))),
+# plant.kind -> (table of the other keys, plant class whose fields they are)
+_PLANTS: dict[str, tuple[dict[str, _Key], type[Plant]]] = {
+    "quasi-steady": (_QUASI_STEADY, QuasiSteadyPlant),
     "flat-plate": (_FLAT_PLATE, FlatPlatePlant),
-    "indicial": (_INDICIAL, _indicial_plant),
+    "indicial": (_INDICIAL, IndicialPlant),
 }
 
 
@@ -267,8 +256,8 @@ def _parse_plant(ctx: _Ctx, obj: Any) -> Plant:
         raise UnitViolation(
             f"'plant.kind' must be 'quasi-steady', 'flat-plate' or 'indicial', got {kind!r}"
         )
-    table, factory = _PLANTS[kind]
-    return ctx.build(factory, {k: v for k, v in obj.items() if k != "kind"}, table, "plant")
+    table, cls = _PLANTS[kind]
+    return ctx.build(cls, {k: v for k, v in obj.items() if k != "kind"}, table, "plant")
 
 
 def _parse_scenarios(ctx: _Ctx, obj: Any) -> tuple[TransitionScenario, ...]:
@@ -331,14 +320,6 @@ def _render(table: dict[str, _Key], fields: dict[str, Any]) -> dict[str, Any]:
     return {key: _KINDS[spec.kind].render(fields[spec.field]) for key, spec in table.items()}
 
 
-def _plant_fields(plant: Plant) -> dict[str, Any]:
-    if isinstance(plant, QuasiSteadyPlant):
-        return asdict(plant.coefficients)
-    if isinstance(plant, IndicialPlant):
-        return {"pitch_axis": plant.pitch_axis, **asdict(plant.drag)}
-    return asdict(plant)
-
-
 def render_case_config(plan: SweepPlan) -> str:
     """Canonical JSON rendering of a plan; parse(render(plan)) == plan."""
     oscillation = {**asdict(plan.oscillation), "modes": plan.modes, "skip_cycles": plan.skip_cycles}
@@ -346,7 +327,7 @@ def render_case_config(plan: SweepPlan) -> str:
     doc = {
         "condition": _render(_CONDITION, asdict(plan.condition)),
         "oscillation": _render(_OSCILLATION, oscillation),
-        "plant": {"kind": plan.plant.name, **_render(table, _plant_fields(plan.plant))},
+        "plant": {"kind": plan.plant.name, **_render(table, asdict(plan.plant))},
         "scenarios": [_render(_SCENARIO, asdict(s)) for s in plan.scenarios],
         "speed_basis": plan.speed_basis,
     }

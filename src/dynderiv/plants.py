@@ -222,59 +222,19 @@ _MODE_LOADS = {OscillationMode.ALPHA: pitch_oscillation_loads,
                OscillationMode.Q: q_mode_oscillation_loads}
 
 
-@dataclass(frozen=True)
-class DragPolar:
-    """Quasi-steady drag model used by plants with no unsteady drag physics."""
-
-    CD0: float = 0.0
-    CD_alpha: float = 0.0
-    CD_q: float = 0.0
-    induced_drag_factor: float | None = None
-
-    def __post_init__(self) -> None:
-        check_fields(self, "finite", "CD0", "CD_alpha", "CD_q")
-        if self.induced_drag_factor is not None:
-            check_fields(self, ">= 0", "induced_drag_factor")
-
-    def evaluate(self, alpha, qhat, cl):
-        cd = self.CD0 + self.CD_alpha * alpha + self.CD_q * qhat
-        if self.induced_drag_factor is not None:
-            cd = cd + self.induced_drag_factor * cl * cl
-        return cd
+def _check_drag(plant) -> None:
+    """The drag polar's range rules, for plants that carry one."""
+    check_fields(plant, "finite", "CD0", "CD_alpha", "CD_q")
+    if plant.induced_drag_factor is not None:
+        check_fields(plant, ">= 0", "induced_drag_factor")
 
 
-@dataclass(frozen=True)
-class QuasiSteadyCoefficients:
-    """Linear coefficient model: offsets plus incidence and rate slopes.
-
-    All slopes are per radian.  The drag channel is a ``DragPolar``: it
-    has no incidence-rate term by construction, so its damping sum equals
-    CD_q, and the optional ``induced_drag_factor`` adds kappa*CL^2.  With
-    ``mach_scaling`` on, every slope is multiplied by the subsonic
-    compressibility factor 1/sqrt(1 - M^2) when a Mach number is known.
-
-    ``CL_u``/``CD_u``/``Cm_u`` forward-speed derivatives are deliberately
-    absent: steady-speed oscillation provides no information about them.
-    """
-
-    CL0: float = 0.0
-    CL_alpha: float = 0.0
-    CL_q: float = 0.0
-    CL_alphadot: float = 0.0
-    CD0: float = 0.0
-    CD_alpha: float = 0.0
-    CD_q: float = 0.0
-    Cm0: float = 0.0
-    Cm_alpha: float = 0.0
-    Cm_q: float = 0.0
-    Cm_alphadot: float = 0.0
-    induced_drag_factor: float | None = None
-    mach_scaling: bool = False
-
-    def __post_init__(self) -> None:
-        check_fields(self, "finite", "CL0", "CL_alpha", "CL_q", "CL_alphadot",
-                     "Cm0", "Cm_alpha", "Cm_q", "Cm_alphadot")
-        DragPolar(self.CD0, self.CD_alpha, self.CD_q, self.induced_drag_factor)  # runs its checks
+def _drag(plant, alpha, qhat, cl, f: float = 1.0):
+    """Quasi-steady drag CD0 + f*(CD_alpha*alpha + CD_q*qhat), plus kappa*CL^2 when set."""
+    cd = plant.CD0 + plant.CD_alpha * f * alpha + plant.CD_q * f * qhat
+    if plant.induced_drag_factor is not None:
+        cd = cd + plant.induced_drag_factor * cl * cl
+    return cd
 
 
 def _wagner_lag(d_ae: np.ndarray, r: float) -> np.ndarray:
@@ -304,11 +264,38 @@ def _flat_plate_trim(pitch_axis: float, alpha0: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class QuasiSteadyPlant:
-    """Linear plant; the identification round trip on it is exact."""
+    """Linear plant: offsets plus incidence and rate slopes; the round trip on it is exact.
 
-    coefficients: QuasiSteadyCoefficients
+    All slopes are per radian.  The drag channel has no incidence-rate term
+    by construction, so its damping sum equals CD_q, and the optional
+    ``induced_drag_factor`` adds kappa*CL^2.  With ``mach_scaling`` on,
+    every slope is multiplied by the subsonic compressibility factor
+    1/sqrt(1 - M^2) when a Mach number is known.
+
+    ``CL_u``/``CD_u``/``Cm_u`` forward-speed derivatives are deliberately
+    absent: steady-speed oscillation provides no information about them.
+    """
+
+    CL0: float = 0.0
+    CL_alpha: float = 0.0
+    CL_q: float = 0.0
+    CL_alphadot: float = 0.0
+    CD0: float = 0.0
+    CD_alpha: float = 0.0
+    CD_q: float = 0.0
+    Cm0: float = 0.0
+    Cm_alpha: float = 0.0
+    Cm_q: float = 0.0
+    Cm_alphadot: float = 0.0
+    induced_drag_factor: float | None = None
+    mach_scaling: bool = False
 
     name = "quasi-steady"
+
+    def __post_init__(self) -> None:
+        check_fields(self, "finite", "CL0", "CL_alpha", "CL_q", "CL_alphadot",
+                     "Cm0", "Cm_alpha", "Cm_q", "Cm_alphadot")
+        _check_drag(self)
 
     def _loads(self, cond: FlightCondition, alpha, qhat, adot):
         """(CL, CD, Cm) of the linear model at incidence ``alpha`` and rates ``qhat``, ``adot``.
@@ -316,14 +303,14 @@ class QuasiSteadyPlant:
         With ``mach_scaling`` and a Mach number above 0, every slope takes
         the Prandtl-Glauert factor 1/sqrt(1 - M^2) (FlightCondition keeps M < 1).
         """
-        p = self.coefficients
         f = 1.0
-        if p.mach_scaling and cond.mach is not None and cond.mach > 0.0:
+        if self.mach_scaling and cond.mach is not None and cond.mach > 0.0:
             f = 1.0 / math.sqrt(1.0 - cond.mach * cond.mach)
-        cl = p.CL0 + p.CL_alpha * f * alpha + p.CL_q * f * qhat + p.CL_alphadot * f * adot
-        drag = DragPolar(p.CD0, p.CD_alpha * f, p.CD_q * f, p.induced_drag_factor)
-        cd = drag.evaluate(alpha, qhat, cl)
-        cm = p.Cm0 + p.Cm_alpha * f * alpha + p.Cm_q * f * qhat + p.Cm_alphadot * f * adot
+        cl = (self.CL0 + self.CL_alpha * f * alpha + self.CL_q * f * qhat
+              + self.CL_alphadot * f * adot)
+        cd = _drag(self, alpha, qhat, cl, f)
+        cm = (self.Cm0 + self.Cm_alpha * f * alpha + self.Cm_q * f * qhat
+              + self.Cm_alphadot * f * adot)
         return cl, cd, cm
 
     def coefficient_histories(self, schedule: MotionSchedule, cond: FlightCondition):
@@ -393,12 +380,16 @@ class IndicialPlant:
     """
 
     pitch_axis: float = -0.5
-    drag: DragPolar = DragPolar()
+    CD0: float = 0.0
+    CD_alpha: float = 0.0
+    CD_q: float = 0.0
+    induced_drag_factor: float | None = None
 
     name = "indicial"
 
     def __post_init__(self) -> None:
         _check_pitch_axis(self.pitch_axis)
+        _check_drag(self)
 
     def coefficient_histories(self, schedule: MotionSchedule, cond: FlightCondition):
         if cond.freestream_speed == 0.0:
@@ -425,12 +416,12 @@ class IndicialPlant:
         )
         cl = cl_circ + cl_app
         cm = (a + 0.5) * cl_circ / 2.0 + cm_app
-        cd = self.drag.evaluate(schedule.relative_aoa, schedule.nondim_pitch_rate, cl)
+        cd = _drag(self, schedule.relative_aoa, schedule.nondim_pitch_rate, cl)
         return cl, cd, cm
 
     def static_coefficients(self, alpha0: float, cond: FlightCondition):
         cl, cm = _flat_plate_trim(self.pitch_axis, alpha0)
-        cd = self.drag.evaluate(alpha0, 0.0, cl)
+        cd = _drag(self, alpha0, 0.0, cl)
         return cl, float(cd), cm
 
 

@@ -22,7 +22,6 @@ from .kinematics import FlightCondition, OscillationMode, make_schedule, omega_f
 from .plants import (
     FlatPlatePlant,
     IndicialPlant,
-    QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     jones_function,
     pitch_oscillation_loads,
@@ -135,8 +134,8 @@ def check_round_trip(n_cases: int = 10, seed: int = 20240811) -> CheckResult:
     spec = agard_ct2_preset()
     worst = 0.0
     for _ in range(n_cases):
-        p = QuasiSteadyCoefficients(*rng.uniform(-20.0, 20.0, size=11))
-        merged, _ = identify_modes(QuasiSteadyPlant(coefficients=p), spec, _COND)
+        p = QuasiSteadyPlant(*rng.uniform(-20.0, 20.0, size=11))
+        merged, _ = identify_modes(p, spec, _COND)
         expected = {
             "CL": (p.CL_alpha, p.CL_q, p.CL_alphadot),
             "CD": (p.CD_alpha, p.CD_q, 0.0),

@@ -5,7 +5,6 @@ import pytest
 from dynderiv import (
     FlightCondition,
     OscillationMode,
-    QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     agard_ct2_preset,
 )
@@ -36,9 +35,7 @@ def agard_q_spec(agard_alpha_spec):
 @pytest.fixture
 def linear_plant() -> QuasiSteadyPlant:
     return QuasiSteadyPlant(
-        coefficients=QuasiSteadyCoefficients(
-            CL0=0.2, CL_alpha=5.0, CL_q=4.0, CL_alphadot=6.0,
-            CD0=0.02, CD_alpha=0.3, CD_q=0.1,
-            Cm0=-0.05, Cm_alpha=-1.2, Cm_q=-3.0, Cm_alphadot=-1.2,
-        )
+        CL0=0.2, CL_alpha=5.0, CL_q=4.0, CL_alphadot=6.0,
+        CD0=0.02, CD_alpha=0.3, CD_q=0.1,
+        Cm0=-0.05, Cm_alpha=-1.2, Cm_q=-3.0, Cm_alphadot=-1.2,
     )

@@ -18,7 +18,6 @@ from dynderiv import (
     Orientation,
     OscillationMode,
     OscillationSpec,
-    QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     SweepPlan,
     SweepStatus,
@@ -64,8 +63,8 @@ def test_a1_round_trip_identification_quasi_steady():
     spec = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=3, samples_per_cycle=720)
     worst = 0.0
     for _ in range(100):
-        p = QuasiSteadyCoefficients(*rng.uniform(-20.0, 20.0, size=11))
-        merged, _ = identify_modes(QuasiSteadyPlant(coefficients=p), spec, COND, skip_cycles=0)
+        p = QuasiSteadyPlant(*rng.uniform(-20.0, 20.0, size=11))
+        merged, _ = identify_modes(p, spec, COND, skip_cycles=0)
         injected = {
             "CL": (p.CL_alpha, p.CL_q, p.CL_alphadot),
             "CD": (p.CD_alpha, p.CD_q, 0.0),
@@ -212,9 +211,7 @@ def test_a6_loop_area_identity():
 def test_a7_scenario_semantics():
     """A7: hover is STATIC_ONLY; compressibility raises the lift slope with speed."""
     spec = agard_ct2_preset(mode=OscillationMode.ALPHA)
-    plant = QuasiSteadyPlant(
-        coefficients=QuasiSteadyCoefficients(CL_alpha=5.0, Cm_alpha=-1.0, Cm_q=-3.0)
-    )
+    plant = QuasiSteadyPlant(CL_alpha=5.0, Cm_alpha=-1.0, Cm_q=-3.0)
     plan = SweepPlan(
         scenarios=tuple(builtin_scenarios()),
         oscillation=spec,
@@ -224,9 +221,7 @@ def test_a7_scenario_semantics():
     statuses = [r.status for r in run_sweep(plan).results]
     assert statuses == [SweepStatus.STATIC_ONLY, SweepStatus.OK, SweepStatus.OK]
 
-    mach_plant = QuasiSteadyPlant(
-        coefficients=QuasiSteadyCoefficients(CL_alpha=5.0, Cm_alpha=-1.0, mach_scaling=True)
-    )
+    mach_plant = QuasiSteadyPlant(CL_alpha=5.0, Cm_alpha=-1.0, mach_scaling=True)
     cond = FlightCondition(100.0, 1.225, 0.2299, 0.6096, 0.1238, sound_speed=340.0)
     report = run_sweep(
         SweepPlan(scenarios=tuple(builtin_scenarios()), oscillation=spec,

@@ -460,6 +460,44 @@ class TestSweep:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+class TestUnusableFiles:
+    IDENTIFY_FLAGS = ["--k", "0.1", "--mode", "alpha", "--amplitude-deg", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--out-dir", "afile"],
+        ["simulate", "--out", "nodir/x.csv"],
+        ["simulate", "--out", "."],
+    ], ids=["out-dir-is-a-file", "out-in-missing-dir", "out-is-a-dir"])
+    def test_unwritable_output_is_one_line_usage_error(self, config_file, tmp_path,
+                                                        monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        assert main([argv[0], str(config_file), *argv[1:]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write '{argv[-1]}': ")
+        assert not list(tmp_path.rglob(".tmp-*~"))
+
+    @pytest.mark.parametrize("command", ["identify", "simulate", "sweep"])
+    def test_non_utf8_input_is_one_line_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\xef\xbb\xbft,CL\n0,\xff\n")          # offsets count the BOM
+        argv = [command, str(path)] + (self.IDENTIFY_FLAGS if command == "identify" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read '{path}': not UTF-8 text (byte 0xff at offset 10)"
+        ]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_cr_line_ends_read_as_newlines(self, tmp_path, capsys, newline):
+        doc = config_doc()
+        doc["condition"]["chord_m"] = -1.0
+        path = tmp_path / "case.json"
+        path.write_bytes(json.dumps(doc, indent=2).replace("\n", newline).encode())
+        assert main(["simulate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: 'condition.chord_m' must be > 0, got -1.0 (line 6)\n"
+
+
 class TestValidate:
     def test_exits_zero_and_reports_checks(self, capsys):
         assert main(["validate"]) == 0

@@ -1,5 +1,6 @@
 """Case-config documents: strict validation and the canonical round trip."""
 
+import dataclasses
 import json
 import math
 
@@ -21,7 +22,7 @@ from dynderiv import (
     render_case_config,
     run_sweep,
 )
-from dynderiv.plants import DragPolar
+from dynderiv import config
 
 
 def base_doc():
@@ -66,7 +67,7 @@ class TestParse:
         assert plan.scenarios[0].name == "transition-beginning"
         assert plan.speed_basis == "forward"
         assert isinstance(plan.plant, QuasiSteadyPlant)
-        assert plan.plant.coefficients.Cm_q == -3.0
+        assert plan.plant.Cm_q == -3.0
 
     def test_reference_oscillation_matches_preset(self):
         plan = parse_case_config(doc_text())
@@ -102,8 +103,7 @@ class TestParse:
                         "induced_drag_factor": 0.05}
         plan = parse_case_config(doc_text(doc))
         assert plan.plant == IndicialPlant(
-            pitch_axis=-0.5,
-            drag=DragPolar(CD0=0.02, CD_alpha=0.3, CD_q=0.0, induced_drag_factor=0.05),
+            pitch_axis=-0.5, CD0=0.02, CD_alpha=0.3, CD_q=0.0, induced_drag_factor=0.05
         )
 
 
@@ -351,8 +351,6 @@ def _schema_blocks():
     """(block name, schema object, config key table) for every block of a case config."""
     from importlib import resources
 
-    from dynderiv import config
-
     schema = json.loads(
         resources.files("dynderiv").joinpath("schema/case_config.schema.json").read_text()
     )
@@ -380,6 +378,15 @@ class TestSchemaKeys:
     def test_properties_and_required_match_the_table(self, name, block, table):
         assert set(block["properties"]) == set(table)
         assert set(block.get("required", [])) == {k for k, spec in table.items() if spec.required}
+
+
+class TestPlantFields:
+    @pytest.mark.parametrize("kind", sorted(config._PLANTS))
+    def test_plant_fields_are_its_config_keys(self, kind):
+        """A field with no key, or a key with no field, would be neither parsed nor rendered."""
+        table, cls = config._PLANTS[kind]
+        assert cls.name == kind
+        assert {f.name for f in dataclasses.fields(cls)} == set(table)
 
 
 class TestShippedSchema:

@@ -8,13 +8,11 @@ import pytest
 
 from dynderiv import (
     DomainError,
-    DragPolar,
     FlatPlatePlant,
     FlightCondition,
     IndicialPlant,
     OscillationMode,
     OscillationSpec,
-    QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     SweepPlan,
     TransitionScenario,
@@ -36,7 +34,7 @@ def _plan(**overrides):
     return SweepPlan(**{"scenarios": builtin_scenarios(),
                         "oscillation": OscillationSpec(ALPHA, 0.0, 0.05, 0.1),
                         "condition": _condition(),
-                        "plant": QuasiSteadyPlant(QuasiSteadyCoefficients()), **overrides})
+                        "plant": QuasiSteadyPlant(), **overrides})
 
 
 # (field at fault, constructor call, error type when narrower than DomainError)
@@ -56,10 +54,10 @@ FIELD_CASES = [
     ("altitude", lambda: TransitionScenario("a", -1.0, 0.0, 10.0)),
     ("vertical_velocity", lambda: TransitionScenario("a", 0.0, math.nan, 10.0)),
     ("forward_velocity", lambda: TransitionScenario("a", 0.0, 0.0, -10.0)),
-    ("CD_q", lambda: DragPolar(CD_q=math.inf)),
-    ("induced_drag_factor", lambda: DragPolar(induced_drag_factor=-0.1)),
-    ("Cm_q", lambda: QuasiSteadyCoefficients(Cm_q=math.nan)),
-    ("induced_drag_factor", lambda: QuasiSteadyCoefficients(induced_drag_factor=-0.1)),
+    ("CD_q", lambda: IndicialPlant(CD_q=math.inf)),
+    ("induced_drag_factor", lambda: IndicialPlant(induced_drag_factor=-0.1)),
+    ("Cm_q", lambda: QuasiSteadyPlant(Cm_q=math.nan)),
+    ("induced_drag_factor", lambda: QuasiSteadyPlant(induced_drag_factor=-0.1)),
     ("pitch_axis", lambda: FlatPlatePlant(pitch_axis=5.0)),
     ("kernel", lambda: FlatPlatePlant(kernel="fourier")),
     ("pitch_axis", lambda: IndicialPlant(pitch_axis=-3.0)),

@@ -22,7 +22,6 @@ from dynderiv import (
     Orientation,
     OscillationMode,
     OscillationSpec,
-    QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     extract,
     fit_harmonic,
@@ -418,11 +417,10 @@ class TestSeparation:
     def test_exact_round_trip_at_coarse_sampling(self, condition):
         # spp = 16 is already enough for exact recovery on a linear plant
         rng = np.random.default_rng(5)
-        p = QuasiSteadyCoefficients(*rng.uniform(-20, 20, size=11))
-        plant = QuasiSteadyPlant(coefficients=p)
+        p = QuasiSteadyPlant(*rng.uniform(-20, 20, size=11))
         spec = OscillationSpec(OscillationMode.ALPHA, 0.05, 0.08, 0.1,
                                cycles=1, samples_per_cycle=16)
-        merged, _ = identify_modes(plant, spec, condition)
+        merged, _ = identify_modes(p, spec, condition)
         assert merged.channels["CL"].static_slope == pytest.approx(p.CL_alpha, rel=1e-9)
         assert merged.channels["Cm"].rate_derivative == pytest.approx(p.Cm_q, rel=1e-9)
         assert merged.channels["Cm"].aoa_rate_derivative == pytest.approx(p.Cm_alphadot, rel=1e-9)

@@ -7,6 +7,7 @@ import math
 import os
 import stat
 import warnings
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from dynderiv import (
     CoefficientSeries,
     DomainError,
-    DragPolar,
     FlightCondition,
     IndicialPlant,
     MissingTimeColumn,
@@ -563,7 +563,7 @@ def indicial_case():
                            ref_span=0.6096, ref_area=0.1238)
     spec = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=6)
     schedule = make_schedule(spec, cond)
-    plant = IndicialPlant(pitch_axis=-0.5, drag=DragPolar(CD0=0.02, CD_alpha=0.4))
+    plant = IndicialPlant(pitch_axis=-0.5, CD0=0.02, CD_alpha=0.4)
     return schedule.relative_aoa, simulate(plant, schedule, cond)
 
 
@@ -673,7 +673,7 @@ class TestWriteReport:
             TransitionScenario("fails", 100.0, 30.0, 40.0),     # flies 50 m/s: fails
         )
         plan = SweepPlan(scenarios, agard_alpha_spec, condition,
-                         ExplodingPlant(linear_plant.coefficients), speed_basis="total")
+                         ExplodingPlant(**asdict(linear_plant)), speed_basis="total")
         report = run_sweep(plan)
         assert [r.status for r in report.results] == [SweepStatus.OK, SweepStatus.FAILED]
         rows = list(csv.DictReader(io.StringIO(write_report(report)[0])))

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from dynderiv import (
     DomainError,
-    DragPolar,
     FlatPlatePlant,
     FlightCondition,
     IndicialPlant,
@@ -30,7 +29,6 @@ from dynderiv import (
     NonDimensionalizationUndefined,
     OscillationMode,
     OscillationSpec,
-    QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     fit_harmonic,
     jones_function,
@@ -226,39 +224,39 @@ def _state(alpha=0.0, qhat=0.0, adot_hat=0.0):
 
 
 def _loads(p, state, cond):
-    return QuasiSteadyPlant(p).coefficient_histories(state, cond)
+    return p.coefficient_histories(state, cond)
 
 
 class TestQuasiSteady:
     """The linear model at single samples, through the plant's own histories."""
 
     def test_zero_motion_returns_offsets(self, condition):
-        p = QuasiSteadyCoefficients(CL0=0.2, CD0=0.02, Cm0=-0.05,
-                                    CL_alpha=5, CD_alpha=0.3, Cm_alpha=-1.2)
+        p = QuasiSteadyPlant(CL0=0.2, CD0=0.02, Cm0=-0.05,
+                             CL_alpha=5, CD_alpha=0.3, Cm_alpha=-1.2)
         cl, cd, cm = _loads(p, _state(), condition)
         assert (cl, cd, cm) == (0.2, 0.02, -0.05)
 
     def test_pure_lift_slope(self, condition):
-        p = QuasiSteadyCoefficients(CL_alpha=5.0)
+        p = QuasiSteadyPlant(CL_alpha=5.0)
         cl, _, _ = _loads(p, _state(alpha=0.1), condition)
         assert cl == pytest.approx(0.5, rel=1e-15)
 
     def test_reference_oscillatory_rate_response(self, condition):
         # damping sum of 10 at the reference rate amplitude k*A = 0.006497
-        p = QuasiSteadyCoefficients(CL_alpha=5.0, CL_q=3.0, CL_alphadot=7.0)
+        p = QuasiSteadyPlant(CL_alpha=5.0, CL_q=3.0, CL_alphadot=7.0)
         qhat = 0.0811 * math.radians(4.59)
         cl_rate = _loads(p, _state(qhat=qhat, adot_hat=qhat), condition)[0]
         assert cl_rate == pytest.approx(0.06496, rel=1e-3)
 
     def test_induced_drag_term(self, condition):
-        p = QuasiSteadyCoefficients(CL_alpha=5.0, CD0=0.02, induced_drag_factor=0.05)
+        p = QuasiSteadyPlant(CL_alpha=5.0, CD0=0.02, induced_drag_factor=0.05)
         cl, cd, _ = _loads(p, _state(alpha=0.1), condition)
         assert cd == pytest.approx(0.02 + 0.05 * cl * cl, rel=1e-15)
 
     def test_matches_brute_force_matrix_eval(self, condition):
         rng = np.random.default_rng(3)
         values = rng.uniform(-20, 20, size=11)
-        p = QuasiSteadyCoefficients(*values)
+        p = QuasiSteadyPlant(*values)
         matrix = np.array([
             [p.CL_alpha, p.CL_q, p.CL_alphadot],
             [p.CD_alpha, p.CD_q, 0.0],
@@ -272,7 +270,7 @@ class TestQuasiSteady:
 
     def test_superposition(self, condition):
         rng = np.random.default_rng(4)
-        p = QuasiSteadyCoefficients(*rng.uniform(-5, 5, size=11))
+        p = QuasiSteadyPlant(*rng.uniform(-5, 5, size=11))
         a = rng.uniform(-0.3, 0.3, size=3)
         b = rng.uniform(-0.3, 0.3, size=3)
         both = np.array(_loads(p, _state(*(a + b)), condition))
@@ -444,7 +442,7 @@ class TestIndicial:
             assert err <= INDICIAL_STEP_TOL * abs(h) + share * dh
 
     def test_drag_channel_is_quasi_steady(self, condition, agard_alpha_spec):
-        plant = IndicialPlant(drag=DragPolar(CD0=0.02, CD_alpha=0.4))
+        plant = IndicialPlant(CD0=0.02, CD_alpha=0.4)
         schedule = make_schedule(agard_alpha_spec, condition)
         series = simulate(plant, schedule, condition)
         expected = 0.02 + 0.4 * schedule.relative_aoa
@@ -478,8 +476,7 @@ class TestSimulate:
     def test_mach_scaling_raises_recovered_slope(self, agard_alpha_spec):
         from dynderiv import FlightCondition, extract, fit_series
 
-        p = QuasiSteadyCoefficients(CL_alpha=5.0, mach_scaling=True)
-        plant = QuasiSteadyPlant(coefficients=p)
+        plant = QuasiSteadyPlant(CL_alpha=5.0, mach_scaling=True)
         results = {}
         for speed in (33.0, 66.0):
             cond = FlightCondition(speed, 1.225, 0.2299, 0.6096, 0.1238, sound_speed=340.0)

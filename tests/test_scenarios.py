@@ -18,7 +18,6 @@ from dynderiv import (
     IndicialPlant,
     OscillationMode,
     OscillationSpec,
-    QuasiSteadyCoefficients,
     QuasiSteadyPlant,
     SweepPlan,
     SweepStatus,
@@ -97,9 +96,9 @@ class TestIdentifyModes:
     )
     @settings(max_examples=100, deadline=None)
     def test_quasi_steady_recovered(self, values, k, amp_deg, mean_deg, cycles, spp):
-        p = QuasiSteadyCoefficients(*values)
+        p = QuasiSteadyPlant(*values)
         spec = OscillationSpec.from_degrees(OscillationMode.Q, mean_deg, amp_deg, k, cycles, spp)
-        merged, (schedule, series) = identify_modes(QuasiSteadyPlant(p), spec, COND)
+        merged, (schedule, series) = identify_modes(p, spec, COND)
         assert schedule.spec.mode is OscillationMode.ALPHA and len(series) == cycles * spp
         injected = {
             "CL": (p.CL0 + p.CL_alpha * spec.mean_incidence, p.CL_alpha, p.CL_q, p.CL_alphadot),
@@ -146,7 +145,7 @@ class TestRunSweep:
         report = run_sweep(_plan(linear_plant, condition, agard_alpha_spec))
         hover = report.results[0]
         ch = hover.derivatives.channels["CL"]
-        p = linear_plant.coefficients
+        p = linear_plant
         assert ch.trim_value == pytest.approx(
             p.CL0 + p.CL_alpha * agard_alpha_spec.mean_incidence, rel=1e-12
         )
@@ -178,9 +177,7 @@ class TestRunSweep:
             def coefficient_histories(self, schedule, cond):
                 if cond.freestream_speed == 66.0:
                     raise DomainError("freestream_speed", "blown up on purpose")
-                return QuasiSteadyPlant.coefficient_histories(
-                    QuasiSteadyPlant(coefficients=linear_plant.coefficients), schedule, cond
-                )
+                return linear_plant.coefficient_histories(schedule, cond)
 
             def static_coefficients(self, alpha0, cond):
                 return (0.0, 0.0, 0.0)
@@ -232,7 +229,7 @@ class TestRunSweep:
                     raise DomainError("freestream_speed", "blown up on purpose")
                 return super().coefficient_histories(schedule, cond)
 
-        plant = ExplodingPlant(QuasiSteadyCoefficients(CL_alpha=5.0))
+        plant = ExplodingPlant(CL_alpha=5.0)
         hover, mid, end = run_sweep(_plan(plant, condition, agard_alpha_spec)).results
         assert [r.status for r in (hover, mid, end)] == [
             SweepStatus.STATIC_ONLY, SweepStatus.OK, SweepStatus.FAILED,

@@ -4,9 +4,11 @@ Imports dynderiv from the given ``src/`` directory, writes the
 ``bench/inputs.generate`` decks of the three benchmark workloads at the
 chosen seeds into a temporary directory, runs every deck command through
 ``dynderiv.cli.main`` in this process, and prints one ``key sha256`` line
-for each command's exit code, stdout, stderr and output file, and for
-``dynderiv validate``'s stdout.  The temporary directory's path is replaced by ``<deck>`` before
-hashing, so two runs compare by ``diff``:
+for each command's exit code, stdout, stderr and output file, for the
+canonical rendering of each config a ``sweep`` or ``simulate`` command reads
+(``render_case_config(parse_case_config(text))``), and for ``dynderiv
+validate``'s stdout.  The temporary directory's path is replaced by
+``<deck>`` before hashing, so two runs compare by ``diff``:
 
     python3 tools/deck_digests.py --src OLD/src > old.txt
     python3 tools/deck_digests.py --src src > new.txt
@@ -61,6 +63,7 @@ def main() -> None:
     import inputs
     import dynderiv
     from dynderiv.cli import main as cli_main
+    from dynderiv.config import parse_case_config, render_case_config
 
     print(f"dynderiv from {Path(dynderiv.__file__).parent}", file=sys.stderr)
 
@@ -71,6 +74,10 @@ def main() -> None:
                 deck = inputs.generate(workload, seed, deck_dir)
                 for i, command in enumerate(deck.commands):
                     key = f"{workload}/{seed}/{i:03d}-{command.name}"
+                    if command.kind in ("sweep", "simulate"):
+                        text = Path(command.argv[1]).read_text(encoding="utf-8")
+                        rendered = render_case_config(parse_case_config(text))
+                        print(f"{key}/render {_digest(rendered.encode())}")
                     code, out, err = _run(cli_main, command.argv)
                     print(f"{key}/exit {_digest(str(code).encode())}")
                     print(f"{key}/stdout {_digest(out.encode(), deck_dir)}")
