@@ -16,6 +16,7 @@ written atomically and deterministically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,6 +44,7 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
 
+@functools.cache        # built on first use; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynderiv",
@@ -178,7 +180,8 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         header, _, channel = item.partition("=")
         if channel.strip() not in ("time",) + CHANNELS:
             raise _UsageError(f"--alias target must be 'time', 'CL', 'CD' or 'Cm', got '{item}'")
-        aliases[header.strip().lower()] = channel.strip()
+        aliases.pop(header, None)           # re-inserted last: the last --alias wins
+        aliases[header] = channel.strip()
     spec = _identify_spec(args)
     if args.skip < 0:
         raise _UsageError("--skip must be >= 0")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import os
 import stat
-from itertools import chain
+from itertools import islice
 from typing import Mapping
 
 import numpy as np
@@ -55,8 +55,13 @@ def format_value(x: float) -> str:
     return np.format_float_positional(x, precision=17, unique=False, fractional=False)
 
 
+def _token(name: str) -> str:
+    """A header cell or alias key as it is looked up: stripped, lower-case."""
+    return name.strip().lower()
+
+
 def _match_channel(header: str, extra_aliases: Mapping[str, str] | None) -> str | None:
-    token = header.strip().lower()
+    token = _token(header)
     if extra_aliases and token in extra_aliases:
         return extra_aliases[token]
     if token in TIME_ALIASES:
@@ -65,6 +70,17 @@ def _match_channel(header: str, extra_aliases: Mapping[str, str] | None) -> str 
         if token == channel.lower() or token in aliases:
             return channel
     return None
+
+
+def _kept(lines: list[str]) -> list[str]:
+    """The header and data rows: the lines neither blank nor a '#' comment."""
+    return [line for line in lines if (lead := line.lstrip()) and lead[0] != "#"]
+
+
+def _line_no(text: str, k: int) -> int:
+    """The file line number of kept line ``k`` (the header is 0)."""
+    kept = (i for i, line in enumerate(text.splitlines(), start=1) if _kept([line]))
+    return next(islice(kept, k, None))
 
 
 def parse_monitor_table(
@@ -76,30 +92,29 @@ def parse_monitor_table(
     The first non-comment line is the header; '#' starts a comment.  A line
     holding a comma is comma-split, any other whitespace-split.  A time
     column plus at least one of the lift/drag/moment columns must be
-    recognizable (``extra_aliases`` maps additional lowercase header names
-    onto 'time', 'CL', 'CD' or 'Cm'), each role in one column only.
+    recognizable (``extra_aliases`` maps additional header names onto
+    'time', 'CL', 'CD' or 'Cm'; keys match as header cells do, stripped and
+    case-insensitive), each role in one column only.
     Unrecognized columns are ignored; non-uniform time stamps are accepted.
 
     Cells convert with ``float()`` a column at a time.  The fault in the
     earliest row is raised, with its line; within a row the cell count goes
     first, then the time cell, the time order and the channels in header order.
+    Line numbers are worked out only when a fault is reported.
     """
     if extra_aliases:
-        extra_aliases = {k.lower(): v for k, v in extra_aliases.items()}
+        extra_aliases = {_token(k): v for k, v in extra_aliases.items()}
         for target in extra_aliases.values():
             if target not in ("time",) + CHANNELS:
                 raise MonitorError(
                     f"alias target must be 'time' or one of {CHANNELS}, got {target!r}"
                 )
 
-    lines = [
-        (i, line) for i, line in enumerate(text.splitlines(), start=1)
-        if (lead := line.lstrip()) and lead[0] != "#"
-    ]
+    lines = _kept(text.splitlines())
     if not lines:
         raise MissingTimeColumn("empty document: no header line found")
 
-    header_no, header_line = lines[0]
+    header_line = lines[0]
     if "," in header_line:
         headers = [cell.strip() for cell in header_line.split(",")]
     else:
@@ -109,31 +124,34 @@ def parse_monitor_table(
         role = _match_channel(header, extra_aliases)
         if role in columns:
             raise MonitorError(f"columns {headers[columns[role]]!r} and {header!r} both read "
-                               f"as {role!r} (line {header_no})")
+                               f"as {role!r} (line {_line_no(text, 0)})")
         if role is not None:
             columns[role] = idx
     if "time" not in columns:
-        raise MissingTimeColumn(f"no time column among {headers!r} (line {header_no})")
+        raise MissingTimeColumn(f"no time column among {headers!r} (line {_line_no(text, 0)})")
     time_idx = columns.pop("time")
     if not columns:
         raise NoCoefficientColumn(
-            f"no lift/drag/moment column among {headers!r} (line {header_no})")
+            f"no lift/drag/moment column among {headers!r} (line {_line_no(text, 0)})")
 
-    # Only rows before ``n`` can hold the first fault, which is ``error``.
-    body = lines[1:]
+    # Only rows before ``n`` can hold the first fault, which is ``error``;
+    # row r is kept line r + 1.
     width = len(headers)
-    rows = [line.split("," if "," in line else None) for _, line in body]
+    rows = [line.split("," if "," in line else None) for line in lines[1:]]
     widths = list(map(len, rows))
     n, error = len(rows), None
     if widths.count(width) < n:
         n = next(r for r, w in enumerate(widths) if w != width)
         error = NonFiniteValue(
-            f"row at line {body[n][0]} has {widths[n]} cells, header has {width}")
-    cells = list(chain.from_iterable(rows[:n]))
+            f"row at line {_line_no(text, n + 1)} has {widths[n]} cells, header has {width}")
+    if not n:
+        raise error or NonFiniteValue("no data rows after the header")
+    # cells[idx] is column idx; fromiter reads only the first n of it, as n shrinks
+    cells = list(zip(*rows[:n]))
     arrays = {}
     for name, idx in [("times", time_idx), *columns.items()]:
         where = f"column '{headers[idx]}' at line"
-        column = cells[idx:n * width:width]
+        column = cells[idx]
         try:
             values = np.fromiter(map(float, column), np.float64, n)
         except ValueError:
@@ -143,26 +161,25 @@ def parse_monitor_table(
                 except ValueError:
                     break
             n, error = r, NonFiniteValue(
-                f"{where} {body[r][0]}: {cell.strip()!r} is not a number")
+                f"{where} {_line_no(text, r + 1)}: {cell.strip()!r} is not a number")
             values = np.fromiter(map(float, column[:n]), np.float64, n)
         finite = np.isfinite(values)
         if not finite.all():
             n = int(np.argmin(finite))
-            error = NonFiniteValue(f"{where} {body[n][0]}: non-finite value {float(values[n])}")
+            error = NonFiniteValue(
+                f"{where} {_line_no(text, n + 1)}: non-finite value {float(values[n])}")
         if name == "times":
             rises = values[1:n] > values[:n][:-1]
             if not rises.all():
                 n = int(np.argmin(rises)) + 1
                 error = NonMonotonicTime(
-                    f"time must be strictly increasing; row at line {body[n][0]} "
+                    f"time must be strictly increasing; row at line {_line_no(text, n + 1)} "
                     f"has t={float(values[n])!r} after t={float(values[n - 1])!r}"
                 )
         arrays[name] = values
 
     if error is not None:
         raise error
-    if not n:
-        raise NonFiniteValue("no data rows after the header")
     return CoefficientSeries(**arrays)
 
 

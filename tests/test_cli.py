@@ -1,5 +1,6 @@
 """Command-line interface, exercised in-process through main()."""
 
+import argparse
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from test_io import fuzzed_monitor_texts
 
 import dynderiv
-from dynderiv import DomainError, parse_monitor_table, scenarios
+from dynderiv import DomainError, cli, parse_monitor_table, scenarios
 from dynderiv.cli import main
 
 AGARD_K = 0.0811
@@ -135,6 +136,16 @@ class TestSimulate:
         ]
 
 
+LIFT_FLAGS = ["--k", "0.1", "--mode", "alpha", "--amplitude-deg", "1.0"]
+
+
+def _lift_export():
+    """One period whose only lift header is 'lift', which no built-in alias reads."""
+    t = np.arange(720) / 720.0
+    lines = ["t,lift"] + [f"{float(ti)!r},{float(v)!r}" for ti, v in zip(t, np.sin(2 * math.pi * t))]
+    return "\n".join(lines) + "\n"
+
+
 class TestIdentify:
     def _write_fixture(self, tmp_path, mode="alpha"):
         """Quasi-steady series in period-based time units (omega = 2*pi)."""
@@ -213,14 +224,24 @@ class TestIdentify:
         assert rows["Cm"]["C_alpha"] == pytest.approx(-1.2, rel=1e-9)
 
     def test_alias_flag(self, tmp_path, capsys):
-        t = np.arange(720) / 720.0
-        lines = ["t,lift"] + [f"{float(ti)!r},{float(v)!r}" for ti, v in zip(t, np.sin(2 * math.pi * t))]
         path = tmp_path / "alias.csv"
-        path.write_text("\n".join(lines) + "\n")
-        code = main([
-            "identify", str(path), "--k", "0.1", "--mode", "alpha",
-            "--amplitude-deg", "1.0", "--alias", "lift=CL",
-        ])
+        path.write_text(_lift_export())
+        code = main(["identify", str(path), *LIFT_FLAGS, "--alias", "lift=CL"])
+        assert code == 0
+        assert "CL" in capsys.readouterr().out
+
+    def test_alias_header_is_matched_as_header_cells_are(self, tmp_path, capsys):
+        path = tmp_path / "alias.csv"
+        path.write_text(_lift_export())
+        code = main(["identify", str(path), *LIFT_FLAGS, "--alias", " Lift =CL"])
+        assert code == 0
+        assert "CL" in capsys.readouterr().out
+
+    def test_the_last_alias_for_a_header_wins(self, tmp_path, capsys):
+        path = tmp_path / "alias.csv"
+        path.write_text(_lift_export())
+        code = main(["identify", str(path), *LIFT_FLAGS, "--alias", "lift=CD",
+                     "--alias", " LIFT =time", "--alias", "lift=CL"])
         assert code == 0
         assert "CL" in capsys.readouterr().out
 
@@ -496,6 +517,49 @@ class TestUnusableFiles:
         assert main(["simulate", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: 'condition.chord_m' must be > 0, got -1.0 (line 6)\n"
+
+
+class TestRepeatedCalls:
+    """main() may be called many times in one process; the shared parser keeps no state."""
+
+    @pytest.fixture
+    def identify_argv(self, tmp_path):
+        path = tmp_path / "lift.csv"
+        path.write_text(_lift_export())
+        return ["identify", str(path), *LIFT_FLAGS]
+
+    def test_an_alias_does_not_carry_over_to_the_next_call(self, identify_argv):
+        assert run_warning_free(identify_argv + ["--alias", "lift=CL"])[0] == 0
+        code, out, err = run_warning_free(identify_argv)
+        assert (code, out) == (1, "")
+        assert err == "error: no lift/drag/moment column among ['t', 'lift'] (line 1)\n"
+
+    @pytest.mark.parametrize("first, first_code", [
+        (["--version"], 0), (["--help"], 0), (["identify", "--k", "oops"], 2),
+    ], ids=["version", "help", "usage-error"])
+    def test_an_early_exit_leaves_the_next_call_intact(self, identify_argv, first, first_code):
+        argv = identify_argv + ["--alias", "lift=CL"]
+        expected = run_warning_free(argv)
+        assert expected[0] == 0 and expected[2] == ""
+        assert run_warning_free(first)[0] == first_code
+        assert run_warning_free(argv) == expected
+
+    def test_a_second_call_builds_no_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        assert main(["--version"]) == 0
+        assert built                        # the first call builds the parser tree
+        built.clear()
+        assert main(["--version"]) == 0
+        assert main([]) == 2
+        assert built == []
 
 
 class TestValidate:

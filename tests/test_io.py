@@ -112,6 +112,11 @@ class TestParseMonitorTable:
         series = parse_monitor_table(text, extra_aliases={"lift": "CL"})
         np.testing.assert_array_equal(series.CL, [1.0, 2.0])
 
+    @pytest.mark.parametrize("key", [" lift", "LIFT ", "\tLift"])
+    def test_alias_keys_match_as_header_cells_do(self, key):
+        series = parse_monitor_table("time, Lift\n0,1\n1,2\n", extra_aliases={key: "CL"})
+        np.testing.assert_array_equal(series.CL, [1.0, 2.0])
+
     def test_unknown_alias_target_is_a_monitor_error(self):
         with pytest.raises(MonitorError, match="bogus"):
             parse_monitor_table("t,CL\n0,1\n", extra_aliases={"t": "bogus"})
@@ -375,6 +380,49 @@ class TestParseBulkPath:
         with pytest.raises(NonFiniteValue) as caught:
             parse_monitor_table(text)
         assert str(caught.value) == message
+
+
+# Comments, blank and whitespace-only lines before the header and between
+# rows, so each kept line's file line number differs from its position.
+_SPACED_EXPORT = [
+    "# solver export", "", "   \t", "# columns follow",
+    "time, CL, CD",                         # line 5
+    "0.0, 1.0, 2.0",                        # line 6
+    "  # between rows", "",
+    "0.5, 1.5, 2.5",                        # line 9
+    " \t ", "\t# a, b",
+    "1.0, 2.0, 3.0",                        # line 12
+    "", "# end",
+]
+
+
+class TestFaultLines:
+    """One fault of each kind in a table spaced out by comments and blank lines."""
+
+    @pytest.mark.parametrize("line_no, line, error, message", [
+        (5, "time, CL, lift-coeff", MonitorError,
+         "columns 'CL' and 'lift-coeff' both read as 'CL' (line 5)"),
+        (5, "step, CL, CD", MissingTimeColumn,
+         "no time column among ['step', 'CL', 'CD'] (line 5)"),
+        (12, "1.0, 2.0", NonFiniteValue, "row at line 12 has 2 cells, header has 3"),
+        (9, "0.5, 1.5, oops", NonFiniteValue, "column 'CD' at line 9: 'oops' is not a number"),
+        (12, "1.0, inf, 3.0", NonFiniteValue, "column 'CL' at line 12: non-finite value inf"),
+        (9, "0.0, 1.5, 2.5", NonMonotonicTime,
+         "time must be strictly increasing; row at line 9 has t=0.0 after t=0.0"),
+    ], ids=["repeated-role", "missing-time", "ragged", "not-a-number", "non-finite",
+            "time-not-increasing"])
+    def test_the_fault_names_its_file_line(self, line_no, line, error, message):
+        lines = list(_SPACED_EXPORT)
+        lines[line_no - 1] = line
+        with pytest.raises(MonitorError) as caught:
+            parse_monitor_table("\n".join(lines) + "\n")
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_the_spaced_table_itself_parses(self):
+        series = parse_monitor_table("\n".join(_SPACED_EXPORT) + "\n")
+        np.testing.assert_array_equal(series.times, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(series.CD, [2.0, 2.5, 3.0])
 
 
 class TestWriteSeries:
