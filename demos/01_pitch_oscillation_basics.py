@@ -37,12 +37,14 @@ print()
 
 alpha_mode = make_schedule(spec, cond)
 q_mode = make_schedule(spec.with_mode(OscillationMode.Q), cond)
+# nondimensional pitch rate q-hat = q * c / (2 V)
+qhat_scale = cond.ref_chord / (2.0 * cond.freestream_speed)
 
 print("incidence mode (body pitches, flow fixed):")
 print(f"  alpha swings over [{np.degrees(alpha_mode.relative_aoa.min()):+.2f}, "
       f"{np.degrees(alpha_mode.relative_aoa.max()):+.2f}] deg")
-print(f"  q-hat swings over [{alpha_mode.nondim_pitch_rate.min():+.6f}, "
-      f"{alpha_mode.nondim_pitch_rate.max():+.6f}]")
+print(f"  q-hat swings over [{alpha_mode.pitch_rate.min() * qhat_scale:+.6f}, "
+      f"{alpha_mode.pitch_rate.max() * qhat_scale:+.6f}]")
 print(f"  max |alpha_dot - q| = "
       f"{np.max(np.abs(alpha_mode.aoa_rate - alpha_mode.pitch_rate)):.1e} rad/s"
       "  (they are the same motion)")
@@ -50,8 +52,8 @@ print()
 print("flow-path mode (body and flow direction pitch together):")
 print(f"  alpha stays within {np.max(np.abs(q_mode.relative_aoa - spec.mean_incidence)):.1e} rad "
       "of the mean")
-print(f"  q-hat still swings over [{q_mode.nondim_pitch_rate.min():+.6f}, "
-      f"{q_mode.nondim_pitch_rate.max():+.6f}]")
+print(f"  q-hat still swings over [{q_mode.pitch_rate.min() * qhat_scale:+.6f}, "
+      f"{q_mode.pitch_rate.max() * qhat_scale:+.6f}]")
 print(f"  alpha_dot is identically {np.max(np.abs(q_mode.aoa_rate)):.1f}")
 print()
 print("So the incidence mode responds to (alpha, q, alpha_dot) together,")
@@ -72,7 +74,7 @@ try:
         ax.plot(sched.time, np.degrees(sched.relative_aoa), label="alpha (deg)")
         theta = spec.mean_incidence + spec.body_amplitude * np.sin(sched.omega * sched.time)
         ax.plot(sched.time, np.degrees(theta), "--", label="body pitch (deg)")
-        ax.plot(sched.time, sched.nondim_pitch_rate * 1e3, label="q-hat x1000")
+        ax.plot(sched.time, sched.pitch_rate * qhat_scale * 1e3, label="q-hat x1000")
         ax.set_title(title)
         ax.legend(loc="upper right")
         ax.grid(True)

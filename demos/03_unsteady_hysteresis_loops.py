@@ -43,9 +43,11 @@ for k in (0.05, 0.0811, 0.2):
     exact = pitch_oscillation_loads(k, -0.5, deficiency=jones_function).lift
     rel = abs(sim - exact) / abs(exact)
 
-    metrics = loop_metrics(series.times, schedule.relative_aoa, series.CL, schedule.omega, 2)
+    area = loop_metrics(series.times, schedule.relative_aoa, series.CL, schedule.omega, 2)
+    # the sign of the area is the loop's direction
+    direction = "counterclockwise" if area > 0 else "clockwise" if area < 0 else "degenerate"
     print(f"{k:8.4f} {abs(sim):10.4f} {abs(exact):12.4f} {rel:9.1e} "
-          f"{metrics.signed_area:11.2e} {metrics.orientation.value:>16}")
+          f"{area:11.2e} {direction:>16}")
     # keep the settled last cycle for plotting
     n = len(schedule)
     last = slice(n - spec.samples_per_cycle, n)

@@ -53,8 +53,6 @@ from .identify import (
     ChannelDerivatives,
     DerivativeSet,
     HarmonicFit,
-    LoopMetrics,
-    Orientation,
     extract,
     fit_harmonic,
     fit_series,

@@ -42,6 +42,7 @@ from .validate import run_validation
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
+_MODES = [m.value for m in OscillationMode]
 
 
 @functools.cache        # built on first use; parse_args keeps no state between calls
@@ -57,14 +58,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("config", help="case-config JSON file")
     p_sim.add_argument("--out", help="output series file (default: stdout)")
     p_sim.add_argument(
-        "--mode", choices=["alpha", "q"],
+        "--mode", choices=_MODES,
         help="oscillation mode (default: first mode in the config)",
     )
 
     p_id = sub.add_parser("identify", help="fit a coefficient series, emit derivatives")
     p_id.add_argument("series", help="series/monitor file to fit")
     p_id.add_argument("--k", type=float, required=True, help="reduced frequency omega*c/(2V)")
-    p_id.add_argument("--mode", choices=["alpha", "q"], required=True)
+    p_id.add_argument("--mode", choices=_MODES, required=True)
     p_id.add_argument("--amplitude-deg", type=float, required=True, help="pitch amplitude, deg")
     p_id.add_argument("--mean-deg", type=float, default=0.0, help="mean incidence, deg")
     p_id.add_argument("--skip", type=int, default=0, help="start-up cycles to skip")

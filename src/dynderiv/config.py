@@ -71,6 +71,7 @@ class _Kind(NamedTuple):
     render: Callable[[Any], Any] = _same
 
 
+_MODE_VALUES = tuple(m.value for m in OscillationMode)   # a tuple: entries may be unhashable
 _KINDS = {
     "number": _Kind("a finite number", _is_number, float),
     "degrees": _Kind("a finite number", _is_number, math.radians, _degrees_preimage),
@@ -78,8 +79,8 @@ _KINDS = {
     "boolean": _Kind("a boolean", lambda v: type(v) is bool),
     "string": _Kind("a string", lambda v: type(v) is str),
     "modes": _Kind(
-        "a list of 'alpha' or 'q' entries",
-        lambda v: type(v) is list and all(m in ("alpha", "q") for m in v),
+        f"a list of {' or '.join(map(repr, _MODE_VALUES))} entries",
+        lambda v: type(v) is list and all(m in _MODE_VALUES for m in v),
         lambda v: tuple(OscillationMode(m) for m in v),
         lambda modes: [m.value for m in modes],
     ),

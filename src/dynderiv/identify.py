@@ -30,7 +30,6 @@ crossing of the forcing.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
@@ -311,41 +310,18 @@ def separate_rates(alpha_set: DerivativeSet, q_set: DerivativeSet) -> Derivative
 # Loop metrics
 # ---------------------------------------------------------------------------
 
-class Orientation(enum.Enum):
-    CLOCKWISE = "clockwise"
-    COUNTERCLOCKWISE = "counterclockwise"
-    DEGENERATE = "degenerate"
-
-
-@dataclass(frozen=True)
-class LoopMetrics:
-    """Area and orientation of one coefficient-vs-angle hysteresis loop.
-
-    signed_area is the trapezoidal loop integral of y over x for the last
-    full cycle; for x = A*sin(omega*t) and a first-harmonic response it
-    equals pi * A * out_phase, so its sign is the sign of the out-of-phase
-    (damping-like) component.  Positive area is labelled counterclockwise.
-    """
-
-    signed_area: float
-
-    @property
-    def orientation(self) -> Orientation:
-        """The sign of ``signed_area``; an area of exactly zero is DEGENERATE."""
-        if self.signed_area == 0.0:
-            return Orientation.DEGENERATE
-        return Orientation.COUNTERCLOCKWISE if self.signed_area > 0.0 else Orientation.CLOCKWISE
-
-
 def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0, *,
-                 _basis: _Basis | None = None) -> LoopMetrics:
-    """Signed loop area and orientation of a hysteresis loop.
+                 _basis: _Basis | None = None) -> float:
+    """Signed area of a hysteresis loop of y over x.
 
     x is the angle series (rad), y the coefficient series.  The area is
     the closed trapezoidal integral of y dx over the last full cycle of
-    the post-skip window.  Near-zero areas (below the accumulated rounding
-    of the sum) are classified DEGENERATE.  ``_basis`` is a fit basis on
-    the same grid; its window replaces a second windowing of ``times``.
+    the post-skip window.  For x = A*sin(omega*t) and a first-harmonic
+    response it equals pi * A * out_phase, so its sign is the loop's
+    direction: positive is counterclockwise, negative clockwise.  Areas
+    below the accumulated rounding of the sum are returned as exactly 0.0.
+    ``_basis`` is a fit basis on the same grid; its window replaces a
+    second windowing of ``times``.
     """
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -370,9 +346,9 @@ def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0, *,
     dx = np.diff(xs, append=xs[:1])            # wrap around to close the loop
     area = float(np.sum(0.5 * (ys + np.roll(ys, -1)) * dx))
 
-    # classification threshold: accumulated rounding of the trapezoid sum
+    # zeroing threshold: accumulated rounding of the trapezoid sum
     tol = 32.0 * len(xs) * np.finfo(float).eps * scale
-    return LoopMetrics(0.0 if abs(area) <= tol else area)
+    return 0.0 if abs(area) <= tol else area
 
 
 # ---------------------------------------------------------------------------

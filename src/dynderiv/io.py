@@ -374,7 +374,7 @@ def _report_rows(report: SweepReport):
                 "channel": channel,
                 "V": speed,
                 "k": _fmt(k) if result.status is SweepStatus.OK else "",
-                "loop_area": _fmt(loop.signed_area) if loop else "",
+                "loop_area": _fmt(loop),
                 "status": status,
             }
             yield [cells[c] if c in cells else _fmt(_derivative(ch, c)) for c in REPORT_COLUMNS]
@@ -419,7 +419,7 @@ def write_report(report: SweepReport) -> tuple[str, str]:
             if ch.fit is not None and result.derivatives.spec is not None:
                 flags = ",".join(validate_fit(ch.fit, result.derivatives.spec)) or "-"
             values = [_derivative(ch, c) for c in _SUMMARY_COLUMNS]
-            cells = [_summary_cell(v) for v in values + [loop.signed_area if loop else None]]
+            cells = [_summary_cell(v) for v in values + [loop]]
             human_lines.append("  " + " ".join([f"{channel:<4}"] + cells + [flags]))
         human_lines.append("")
     return machine, "\n".join(human_lines) + "\n"

@@ -155,10 +155,8 @@ class MotionSchedule:
     omega: float                # rad/s
     time: np.ndarray
     relative_aoa: np.ndarray
-    pitch_rate: np.ndarray
-    nondim_pitch_rate: np.ndarray
-    aoa_rate: np.ndarray
-    nondim_aoa_rate: np.ndarray
+    pitch_rate: np.ndarray      # q, rad/s
+    aoa_rate: np.ndarray        # alpha_dot, rad/s; q itself in incidence mode
     pitch_accel: np.ndarray
 
     def __len__(self) -> int:
@@ -209,21 +207,16 @@ def make_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionSchedul
     c = np.cos(omega * t)
     theta = spec.mean_incidence + amp * s
     q = omega * amp * c
-    qhat = q * (cond.ref_chord / (2.0 * cond.freestream_speed))
     if spec.mode is OscillationMode.ALPHA:
-        alpha, aoa_rate, aoa_rate_hat = theta, q.copy(), qhat.copy()
+        alpha, aoa_rate = theta, q
     else:
-        alpha, aoa_rate, aoa_rate_hat = (
-            np.full_like(t, spec.mean_incidence), np.zeros_like(t), np.zeros_like(t)
-        )
+        alpha, aoa_rate = np.full_like(t, spec.mean_incidence), np.zeros_like(t)
     return MotionSchedule(
         spec=spec,
         omega=omega,
         time=t,
         relative_aoa=alpha,
         pitch_rate=q,
-        nondim_pitch_rate=qhat,
         aoa_rate=aoa_rate,
-        nondim_aoa_rate=aoa_rate_hat,
         pitch_accel=-omega * omega * amp * s,
     )

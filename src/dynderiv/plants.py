@@ -314,8 +314,12 @@ class QuasiSteadyPlant:
         return cl, cd, cm
 
     def coefficient_histories(self, schedule: MotionSchedule, cond: FlightCondition):
-        return self._loads(cond, schedule.relative_aoa, schedule.nondim_pitch_rate,
-                           schedule.nondim_aoa_rate)
+        if cond.freestream_speed == 0.0:
+            raise NonDimensionalizationUndefined(
+                "quasi-steady plant needs a nonzero freestream speed")
+        scale = cond.ref_chord / (2.0 * cond.freestream_speed)     # rate -> rate * c / (2 V)
+        return self._loads(cond, schedule.relative_aoa, schedule.pitch_rate * scale,
+                           schedule.aoa_rate * scale)
 
     def static_coefficients(self, alpha0: float, cond: FlightCondition):
         """Coefficients at the mean incidence with all rates zero."""
@@ -416,7 +420,7 @@ class IndicialPlant:
         )
         cl = cl_circ + cl_app
         cm = (a + 0.5) * cl_circ / 2.0 + cm_app
-        cd = _drag(self, schedule.relative_aoa, schedule.nondim_pitch_rate, cl)
+        cd = _drag(self, schedule.relative_aoa, schedule.pitch_rate * b_over_v, cl)
         return cl, cd, cm
 
     def static_coefficients(self, alpha0: float, cond: FlightCondition):

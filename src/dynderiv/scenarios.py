@@ -26,7 +26,6 @@ from .errors import DynDerivError, InsufficientSamples, check, check_fields
 from .identify import (
     ChannelDerivatives,
     DerivativeSet,
-    LoopMetrics,
     _Basis,
     _harmonic_basis,
     extract,
@@ -129,8 +128,9 @@ class SweepPlan:
 
     def __post_init__(self) -> None:
         check(len(self.scenarios) > 0, "scenarios", "must not be empty", self.scenarios)
-        names = [s.name for s in self.scenarios]
-        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        # names differing only in case would share a loops_<name>.csv on some filesystems
+        folded = [s.name.casefold() for s in self.scenarios]
+        repeated = [s.name for i, s in enumerate(self.scenarios) if folded[i] in folded[:i]]
         check(not repeated, "scenarios", f"must not repeat a scenario name: {repeated}")
         check(0 < len(set(self.modes)) == len(self.modes), "modes",
               "must name one or more modes, none twice", self.modes)
@@ -183,7 +183,7 @@ class ScenarioResult:
     scenario: TransitionScenario
     status: SweepStatus
     derivatives: DerivativeSet | None = None
-    loops: dict[str, LoopMetrics] | None = None
+    loops: dict[str, float] | None = None          # channel -> signed loop area
     failure_reason: str | None = None
     incidence_series: "CoefficientSeries | None" = None
     incidence_history: "np.ndarray | None" = None

@@ -17,7 +17,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .identify import Orientation, fit_series, loop_metrics
+from .identify import fit_series, loop_metrics
 from .kinematics import FlightCondition, OscillationMode, make_schedule, omega_from_k, sample_grid
 from .plants import (
     FlatPlatePlant,
@@ -184,11 +184,10 @@ def check_loop_identity(seed: int = 7) -> CheckResult:
         b_out = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 20.0)
         x = amp * np.sin(omega * t)
         y = 1.5 + a_in * np.sin(omega * t) + b_out * np.cos(omega * t)
-        metrics = loop_metrics(t, x, y, omega)
+        area = loop_metrics(t, x, y, omega)
         expected = math.pi * amp * b_out
-        worst = max(worst, abs(metrics.signed_area - expected) / abs(expected))
-        want = Orientation.CLOCKWISE if b_out < 0 else Orientation.COUNTERCLOCKWISE
-        if metrics.orientation is not want:
+        worst = max(worst, abs(area - expected) / abs(expected))
+        if np.sign(area) != np.sign(b_out):
             return CheckResult("loop-area identity", False, f"orientation mismatch for b={b_out}")
     return CheckResult("loop-area identity", worst < 1e-3, f"worst relative error {worst:.2e}")
 

@@ -1,6 +1,7 @@
 """Command-line interface, exercised in-process through main()."""
 
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -19,7 +20,15 @@ from hypothesis import strategies as st
 from test_io import fuzzed_monitor_texts
 
 import dynderiv
-from dynderiv import DomainError, cli, parse_monitor_table, scenarios
+from dynderiv import (
+    DomainError,
+    cli,
+    make_schedule,
+    parse_case_config,
+    parse_monitor_table,
+    scenarios,
+    simulate,
+)
 from dynderiv.cli import main
 
 AGARD_K = 0.0811
@@ -479,6 +488,49 @@ class TestSweep:
         assert names == sorted(p.name for p in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenReport:
+    """report.csv and report.txt of a fixed flat-plate sweep, byte for byte.
+
+    Its CD rows carry loop areas of exactly zero, which must print as
+    numbers, not as the empty cell of an absent value.  The digest of the
+    plant's series tells a platform that samples the case differently from
+    a change in the pipeline.
+    """
+
+    SERIES = "5e9bcb44430a7518016518c8f6b7c7b8a1df67994d3d3adb6da5ea63d82cb880"
+    REPORT_CSV = "35e0e2cd76c049f4a14d4d901fc945def04533d7ea85ca4c226da6171e038934"
+    REPORT_TXT = "34791a94f728b1497a06f29d65dc0eccb372e0734c5c1e2c3d41fc2e817a2ad5"
+
+    def test_golden_digests(self, tmp_path):
+        doc = config_doc(plant={"kind": "flat-plate", "pitch_axis": -0.5})
+        doc["oscillation"].update(reduced_frequency=0.1, cycles=2, samples_per_cycle=64)
+        text = json.dumps(doc, indent=2)
+        plan = parse_case_config(text)
+        series = hashlib.sha256()
+        for scenario in plan.scenarios:
+            cond = plan.scenario_condition(scenario)
+            if cond.freestream_speed > 0.0:
+                for mode in plan.modes:
+                    schedule = make_schedule(plan.oscillation.with_mode(mode), cond)
+                    for values in simulate(plan.plant, schedule, cond).channels().values():
+                        series.update(values.tobytes())
+        if series.hexdigest() != self.SERIES:
+            pytest.skip("this platform samples the case differently")
+        config = tmp_path / "case.json"
+        config.write_text(text)
+        assert main(["sweep", str(config), "--out-dir", str(tmp_path)]) == 0
+        machine = (tmp_path / "report.csv").read_bytes()
+        cd_rows = [row for row in machine.splitlines() if b",CD," in row and row.endswith(b",OK")]
+        assert len(cd_rows) == 2
+        assert all(row.endswith(b",0.0000000000000000,OK") for row in cd_rows)
+        assert _sha256(machine) == self.REPORT_CSV
+        assert _sha256((tmp_path / "report.txt").read_bytes()) == self.REPORT_TXT
 
 
 class TestUnusableFiles:

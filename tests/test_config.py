@@ -173,6 +173,17 @@ class TestErrors:
         assert str(info.value) == (
             f"'scenarios' must not repeat a scenario name: ['a-b'] (line {line})")
 
+    def test_scenario_names_differ_in_more_than_case(self):
+        # loops_Climb.csv and loops_climb.csv are one file on case-insensitive filesystems
+        doc = base_doc()
+        doc["scenarios"] = [dict(ONE_SCENARIO[0], name=name) for name in ("Climb", "x", "climb")]
+        text = doc_text(doc)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1) if '"scenarios"' in row)
+        with pytest.raises(UnitViolation) as info:
+            parse_case_config(text)
+        assert str(info.value) == (
+            f"'scenarios' must not repeat a scenario name: ['climb'] (line {line})")
+
     def test_malformed_json(self):
         with pytest.raises(MalformedDocument):
             parse_case_config("{not json")
@@ -378,6 +389,11 @@ class TestSchemaKeys:
     def test_properties_and_required_match_the_table(self, name, block, table):
         assert set(block["properties"]) == set(table)
         assert set(block.get("required", [])) == {k for k, spec in table.items() if spec.required}
+
+    def test_modes_enum_is_oscillation_mode(self):
+        (oscillation,) = [block for name, block, _ in SCHEMA_BLOCKS if name == "oscillation"]
+        assert oscillation["properties"]["modes"]["items"]["enum"] == \
+            [m.value for m in OscillationMode]
 
 
 class TestPlantFields:

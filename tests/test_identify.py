@@ -17,9 +17,7 @@ from dynderiv import (
     FlightCondition,
     HarmonicFit,
     InsufficientSamples,
-    LoopMetrics,
     NonFiniteData,
-    Orientation,
     OscillationMode,
     OscillationSpec,
     QuasiSteadyPlant,
@@ -438,16 +436,16 @@ class TestLoopMetrics:
 
     def test_reference_clockwise_loop(self):
         t, x, y = self._xy(a=0.0, b=-0.019488)
-        m = loop_metrics(t, x, y, OMEGA)
-        assert m.signed_area == pytest.approx(math.pi * self.AMP * -0.019488, rel=1e-3)
-        assert m.signed_area == pytest.approx(-0.004904, rel=1e-3)
-        assert m.orientation is Orientation.CLOCKWISE
+        area = loop_metrics(t, x, y, OMEGA)
+        assert type(area) is float
+        assert area == pytest.approx(math.pi * self.AMP * -0.019488, rel=1e-3)
+        assert area == pytest.approx(-0.004904, rel=1e-3)
+        assert area < 0.0                   # clockwise
 
     def test_in_phase_only_is_degenerate(self):
         t, x, y = self._xy(a=0.7, b=0.0)
-        m = loop_metrics(t, x, y, OMEGA)
-        assert m.signed_area == 0.0
-        assert m.orientation is Orientation.DEGENERATE
+        area = loop_metrics(t, x, y, OMEGA)
+        assert area == 0.0 and math.copysign(1.0, area) == 1.0   # zeroed to +0.0, no sign
 
     def test_sign_follows_out_of_phase_component(self):
         rng = np.random.default_rng(12)
@@ -455,28 +453,17 @@ class TestLoopMetrics:
             a = rng.uniform(-20, 20)
             b = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 20.0)
             t, x, y = self._xy(a=a, b=b, mean=rng.uniform(-2, 2))
-            m = loop_metrics(t, x, y, OMEGA)
-            assert math.copysign(1.0, m.signed_area) == math.copysign(1.0, b)
-            want = Orientation.CLOCKWISE if b < 0 else Orientation.COUNTERCLOCKWISE
-            assert m.orientation is want
-
-    @pytest.mark.parametrize("area, want", [
-        (-1e-300, Orientation.CLOCKWISE), (0.0, Orientation.DEGENERATE),
-        (2.5, Orientation.COUNTERCLOCKWISE),
-    ])
-    def test_orientation_is_the_sign_of_the_area(self, area, want):
-        import dataclasses
-
-        assert LoopMetrics(area).orientation is want
-        assert [f.name for f in dataclasses.fields(LoopMetrics)] == ["signed_area"]
+            area = loop_metrics(t, x, y, OMEGA)
+            assert area != 0.0
+            assert math.copysign(1.0, area) == math.copysign(1.0, b)
 
     def test_uses_last_cycle_after_skip(self):
         t = _grid(cycles=3)
         x = self.AMP * np.sin(OMEGA * t)
         y = 0.5 * np.cos(OMEGA * t)
         y[:720] = 77.0  # garbage in the first cycle must not matter
-        m = loop_metrics(t, x, y, OMEGA, skip_cycles=1)
-        assert m.signed_area == pytest.approx(math.pi * self.AMP * 0.5, rel=1e-3)
+        area = loop_metrics(t, x, y, OMEGA, skip_cycles=1)
+        assert area == pytest.approx(math.pi * self.AMP * 0.5, rel=1e-3)
 
     def test_non_finite_time_rejected(self):
         t, x, y = self._xy(a=1.0, b=2.0)
@@ -497,8 +484,8 @@ class TestLoopMetrics:
 
     def test_area_scales_linearly(self):
         t, x, y = self._xy(a=1.0, b=2.0)
-        area1 = loop_metrics(t, x, y, OMEGA).signed_area
-        area2 = loop_metrics(t, x, 2.0 * y, OMEGA).signed_area
+        area1 = loop_metrics(t, x, y, OMEGA)
+        area2 = loop_metrics(t, x, 2.0 * y, OMEGA)
         assert area2 == pytest.approx(2.0 * area1, rel=1e-13)
 
 

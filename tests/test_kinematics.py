@@ -11,6 +11,7 @@ from dynderiv import (
     NonDimensionalizationUndefined,
     OscillationMode,
     OscillationSpec,
+    QuasiSteadyPlant,
     ZeroAmplitude,
     ZeroReducedFrequency,
     make_schedule,
@@ -22,6 +23,12 @@ from dynderiv.kinematics import MAX_SAMPLES
 AGARD_K = 0.0811
 AGARD_AMP_DEG = 4.59
 AGARD_MEAN_DEG = 3.16
+
+
+def _rate_hats(schedule, cond):
+    """(q-hat, alpha_dot-hat) as a plant sees them: a linear plant's CL and Cm."""
+    cl, _, cm = QuasiSteadyPlant(CL_q=1.0, Cm_alphadot=1.0).coefficient_histories(schedule, cond)
+    return cl, cm
 
 
 class TestOmegaFromK:
@@ -104,10 +111,12 @@ class TestAlphaModeSchedule:
     def schedule(self, agard_alpha_spec, condition):
         return make_schedule(agard_alpha_spec, condition)
 
-    def test_start_state(self, schedule, agard_alpha_spec):
+    def test_start_state(self, schedule, agard_alpha_spec, condition):
         spec = agard_alpha_spec
         assert schedule.relative_aoa[0] == spec.mean_incidence
-        qhat0 = schedule.nondim_pitch_rate[0]
+        qhat, adot_hat = _rate_hats(schedule, condition)
+        np.testing.assert_array_equal(adot_hat, qhat)
+        qhat0 = qhat[0]
         assert qhat0 == pytest.approx(spec.reduced_frequency * spec.body_amplitude, rel=1e-12)
         # reference arithmetic: 0.0811 * 0.0801 rad
         assert qhat0 == pytest.approx(0.006496, rel=5e-4)
@@ -162,12 +171,11 @@ class TestQModeSchedule:
     def test_aoa_constant(self, schedule, agard_q_spec):
         assert np.max(np.abs(schedule.relative_aoa - agard_q_spec.mean_incidence)) == 0.0
 
-    def test_start_rates(self, schedule, agard_q_spec):
+    def test_start_rates(self, schedule, agard_q_spec, condition):
         spec = agard_q_spec
-        assert schedule.nondim_pitch_rate[0] == pytest.approx(
-            spec.reduced_frequency * spec.body_amplitude, rel=1e-12
-        )
-        np.testing.assert_array_equal(schedule.nondim_aoa_rate, 0.0)
+        qhat, adot_hat = _rate_hats(schedule, condition)
+        assert qhat[0] == pytest.approx(spec.reduced_frequency * spec.body_amplitude, rel=1e-12)
+        np.testing.assert_array_equal(adot_hat, 0.0)
         np.testing.assert_array_equal(schedule.aoa_rate, 0.0)
 
     def test_randomized_decoupling(self, condition):

@@ -220,11 +220,17 @@ class TestFlatPlateLoads:
 
 
 def _state(alpha=0.0, qhat=0.0, adot_hat=0.0):
-    return SimpleNamespace(relative_aoa=alpha, nondim_pitch_rate=qhat, nondim_aoa_rate=adot_hat)
+    """Incidence and the nondimensional rates q-hat, alpha_dot-hat of one sample."""
+    return alpha, qhat, adot_hat
 
 
 def _loads(p, state, cond):
-    return p.coefficient_histories(state, cond)
+    """The plant's coefficients at ``state``, handed over as dimensional rates."""
+    alpha, qhat, adot_hat = state
+    per_hat = 2.0 * cond.freestream_speed / cond.ref_chord     # rate = rate-hat * 2V / c
+    schedule = SimpleNamespace(relative_aoa=alpha, pitch_rate=qhat * per_hat,
+                               aoa_rate=adot_hat * per_hat)
+    return p.coefficient_histories(schedule, cond)
 
 
 class TestQuasiSteady:
@@ -278,6 +284,20 @@ class TestQuasiSteady:
                  + np.array(_loads(p, _state(*b), condition)))
         offsets = np.array(_loads(p, _state(), condition))
         np.testing.assert_allclose(both, parts - offsets, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("mode", list(OscillationMode))
+    def test_rates_enter_as_rate_times_chord_over_2v(self, condition, agard_alpha_spec, mode):
+        """q-hat = q*c/(2V) and alpha_dot-hat = alpha_dot*c/(2V), bit for bit, in both plants."""
+        schedule = make_schedule(agard_alpha_spec.with_mode(mode), condition)
+        scale = condition.ref_chord / (2.0 * condition.freestream_speed)
+        qhat, adot_hat = schedule.pitch_rate * scale, schedule.aoa_rate * scale
+        cl, cd, cm = QuasiSteadyPlant(CL_q=1.0, CD_q=1.0, Cm_alphadot=1.0).coefficient_histories(
+            schedule, condition)
+        np.testing.assert_array_equal(cl, qhat)
+        np.testing.assert_array_equal(cd, qhat)
+        np.testing.assert_array_equal(cm, adot_hat)
+        _, cd, _ = IndicialPlant(CD_q=1.0).coefficient_histories(schedule, condition)
+        np.testing.assert_array_equal(cd, qhat)
 
 
 def reference_indicial_loop(schedule, cond, a):
@@ -350,8 +370,7 @@ def constant_incidence_schedule(spec, alpha, time):
     return MotionSchedule(
         spec=spec, omega=1.0, time=time,
         relative_aoa=np.full_like(time, alpha),
-        pitch_rate=zeros, nondim_pitch_rate=zeros, aoa_rate=zeros,
-        nondim_aoa_rate=zeros, pitch_accel=zeros,
+        pitch_rate=zeros, aoa_rate=zeros, pitch_accel=zeros,
     )
 
 
@@ -385,8 +404,9 @@ class TestIndicial:
 
         hover = FlightCondition(0.0, 1.225, 0.2299, 0.6096, 0.1238)
         schedule = constant_incidence_schedule(agard_alpha_spec, 0.1, np.arange(4) * 0.01)
-        with pytest.raises(NonDimensionalizationUndefined):
-            IndicialPlant().coefficient_histories(schedule, hover)
+        for plant in (IndicialPlant(), QuasiSteadyPlant(CL_q=1.0)):     # both scale rates by V
+            with pytest.raises(NonDimensionalizationUndefined):
+                plant.coefficient_histories(schedule, hover)
 
     def test_nonuniform_grid_rejected(self, condition, agard_alpha_spec):
         time = np.arange(10) * 0.01
