@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import parse_case_config
+from .config import _SCENARIO, _render, parse_case_config
 from .errors import DomainError, DynDerivError
 from .identify import extract, fit_series
 from .io import (
@@ -218,16 +218,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "speed_basis": plan.speed_basis,
             "angles": "degrees at this boundary, radians internally",
         },
-        "scenarios": [
-            {
-                "name": r.scenario.name,
-                "altitude_m": r.scenario.altitude,
-                "vertical_velocity_m_s": r.scenario.vertical_velocity,
-                "forward_velocity_m_s": r.scenario.forward_velocity,
-                "status": r.status.value,
-            }
-            for r in report.results
-        ],
+        "scenarios": [{**_render(_SCENARIO, vars(r.scenario)), "status": r.status.value}
+                      for r in report.results],
     }
     _write(out_dir / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(human)

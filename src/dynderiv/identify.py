@@ -316,10 +316,12 @@ def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0, *,
 
     x is the angle series (rad), y the coefficient series.  The area is
     the closed trapezoidal integral of y dx over the last full cycle of
-    the post-skip window.  For x = A*sin(omega*t) and a first-harmonic
-    response it equals pi * A * out_phase, so its sign is the loop's
-    direction: positive is counterclockwise, negative clockwise.  Areas
-    below the accumulated rounding of the sum are returned as exactly 0.0.
+    the post-skip window.  For x = A*sin(omega*t) on N samples per cycle
+    and a first-harmonic response it equals pi * A * out_phase * sin(h)/h
+    with h = 2*pi/N (2.6% below pi * A * out_phase at N = 16, 1.3e-5 below
+    at N = 720), so its sign is the loop's direction: positive is
+    counterclockwise, negative clockwise.  Areas below the accumulated
+    rounding of the sum are returned as exactly 0.0.
     ``_basis`` is a fit basis on the same grid; its window replaces a
     second windowing of ``times``.
     """

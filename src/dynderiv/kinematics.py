@@ -100,6 +100,9 @@ class OscillationSpec:
     samples_per_cycle: int = 720
 
     def __post_init__(self) -> None:
+        # make_schedule tests ``mode is OscillationMode.ALPHA``: a string would run the q motion
+        check(isinstance(self.mode, OscillationMode), "mode", "must be an OscillationMode",
+              self.mode)
         check_fields(self, "finite", "mean_incidence")
         check(self.body_amplitude != 0.0, "body_amplitude",
               "must be > 0; a zero-amplitude case has no motion", 0.0, ZeroAmplitude)
@@ -111,8 +114,9 @@ class OscillationSpec:
               "must keep the rate scale k * amplitude finite and > 0", self.reduced_frequency)
         for field, minimum in (("cycles", 1), ("samples_per_cycle", 8)):
             value = getattr(self, field)
-            check(value % 1 == 0 and value >= minimum, field,
-                  f"must be an integer >= {minimum}", value)
+            # a float or bool would render as a config that does not parse back
+            whole = isinstance(value, int) and not isinstance(value, bool)
+            check(whole and value >= minimum, field, f"must be an integer >= {minimum}", value)
         check(self.cycles * self.samples_per_cycle <= MAX_SAMPLES, "samples_per_cycle",
               f"must keep cycles * samples_per_cycle <= {MAX_SAMPLES}", self.samples_per_cycle)
 

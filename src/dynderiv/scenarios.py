@@ -50,6 +50,11 @@ from .series import CHANNELS, CoefficientSeries
 DEFAULT_SKIP_TRANSIENT = 2
 
 
+def _settling_cycles(plant: Plant) -> int:
+    """Start-up cycles a fit skips when the caller names none."""
+    return DEFAULT_SKIP_TRANSIENT if isinstance(plant, IndicialPlant) else 0
+
+
 # a scenario name is part of a file name and a CSV cell
 _NAME = re.compile(r"[A-Za-z0-9._-]+")
 
@@ -123,7 +128,7 @@ class SweepPlan:
     condition: FlightCondition
     plant: Plant
     modes: tuple[OscillationMode, ...] = (OscillationMode.ALPHA, OscillationMode.Q)
-    skip_cycles: int | None = None      # None -> 0, or 2 for the indicial plant
+    skip_cycles: int | None = None      # None -> the plant's default
     speed_basis: str = "forward"
 
     def __post_init__(self) -> None:
@@ -132,12 +137,15 @@ class SweepPlan:
         folded = [s.name.casefold() for s in self.scenarios]
         repeated = [s.name for i, s in enumerate(self.scenarios) if folded[i] in folded[:i]]
         check(not repeated, "scenarios", f"must not repeat a scenario name: {repeated}")
-        check(0 < len(set(self.modes)) == len(self.modes), "modes",
-              "must name one or more modes, none twice", self.modes)
+        modes = set(self.modes)
+        check(0 < len(modes) == len(self.modes) and modes <= set(OscillationMode), "modes",
+              "must name one or more OscillationModes, none twice", self.modes)
         check(self.speed_basis in ("forward", "total"), "speed_basis",
               "must be 'forward' or 'total'", self.speed_basis)
-        check(self.skip_cycles is None or self.skip_cycles >= 0, "skip_cycles", "must be >= 0",
-              self.skip_cycles)
+        skip = self.skip_cycles
+        check(skip is None or isinstance(skip, int) and not isinstance(skip, bool), "skip_cycles",
+              "must be an integer", skip)
+        check(skip is None or skip >= 0, "skip_cycles", "must be >= 0", skip)
         # canonical form: the template's mode is the first planned mode
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -151,9 +159,7 @@ class SweepPlan:
             )
 
     def effective_skip(self) -> int:
-        if self.skip_cycles is not None:
-            return self.skip_cycles
-        return DEFAULT_SKIP_TRANSIENT if isinstance(self.plant, IndicialPlant) else 0
+        return _settling_cycles(self.plant) if self.skip_cycles is None else self.skip_cycles
 
     def scenario_speed(self, scenario: TransitionScenario) -> float:
         if self.speed_basis == "total":
@@ -211,20 +217,22 @@ def identify_modes(
     spec: OscillationSpec,
     cond: FlightCondition,
     modes: tuple[OscillationMode, ...] = (OscillationMode.ALPHA, OscillationMode.Q),
-    skip_cycles: int = 0,
+    skip_cycles: int | None = None,
     _basis: _Basis | None = None,
 ) -> tuple[DerivativeSet, tuple[MotionSchedule, CoefficientSeries] | None]:
     """Identify the derivatives of ``plant`` from forced oscillation in ``modes``.
 
     Each mode of ``spec`` (its own mode is ignored) runs schedule ->
     simulate -> fit_series -> extract, fitting after ``skip_cycles``
-    start-up cycles; both modes share one basis, built on the first
-    schedule's times, or ``_basis`` from a sweep.  With both modes the two
-    sets are merged by separate_rates; with one, that mode's set is
-    returned as it is.  Returns (derivatives, incidence), where incidence is
-    the incidence-mode (schedule, series) pair, or None when that mode did
-    not run.
+    start-up cycles (None: the plant's default, as in a sweep); both modes
+    share one basis, built on the first schedule's times, or ``_basis``
+    from a sweep.  With both modes the two sets are merged by
+    separate_rates; with one, that mode's set is returned as it is.
+    Returns (derivatives, incidence), where incidence is the incidence-mode
+    (schedule, series) pair, or None when that mode did not run.
     """
+    if skip_cycles is None:
+        skip_cycles = _settling_cycles(plant)
     sets: dict[OscillationMode, DerivativeSet] = {}
     incidence = None
     for mode in modes:

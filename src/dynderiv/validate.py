@@ -17,19 +17,16 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .identify import fit_series, loop_metrics
-from .kinematics import FlightCondition, OscillationMode, make_schedule, omega_from_k, sample_grid
+from .identify import loop_metrics
+from .kinematics import FlightCondition, OscillationMode, make_schedule
 from .plants import (
     FlatPlatePlant,
     IndicialPlant,
     QuasiSteadyPlant,
     jones_function,
-    pitch_oscillation_loads,
-    q_mode_oscillation_loads,
-    simulate,
     theodorsen_function,
 )
-from .scenarios import DEFAULT_SKIP_TRANSIENT, agard_ct2_preset, identify_modes
+from .scenarios import agard_ct2_preset, identify_modes
 
 # Lift-deficiency value at k = 0.1, recorded from an independent
 # arbitrary-precision Bessel-series evaluation (50 significant digits,
@@ -59,21 +56,21 @@ def indicial_frequency_response(
     pitch_axis: float = -0.5,
     cycles: int = 22,
     samples_per_cycle: int = 720,
-    skip_cycles: int = DEFAULT_SKIP_TRANSIENT,
+    skip_cycles: int | None = None,
     mode: OscillationMode = OscillationMode.ALPHA,
 ) -> tuple[complex, complex]:
     """First-harmonic complex amplitudes (lift, moment) of the indicial plant.
 
-    Drives the plant with an oscillation of the given mode about zero mean
-    and projects the settled cycles back onto the harmonic basis.
+    Identifies the plant in the given mode about zero mean, skipping
+    ``skip_cycles`` start-up cycles (None: the plant's default), and reads
+    each channel's fit.
     """
     spec = agard_ct2_preset(mode=mode, cycles=cycles, samples_per_cycle=samples_per_cycle)
     spec = replace(spec, mean_incidence=0.0, reduced_frequency=k)
-    schedule = make_schedule(spec, _COND)
-    series = simulate(IndicialPlant(pitch_axis=pitch_axis), schedule, _COND)
-    fits = fit_series(series, schedule.omega, skip_cycles)
-    amp = spec.body_amplitude
-    return tuple(complex(fits[c].in_phase, fits[c].out_phase) / amp for c in ("CL", "Cm"))
+    plant = IndicialPlant(pitch_axis=pitch_axis)
+    dset, _ = identify_modes(plant, spec, _COND, (mode,), skip_cycles)
+    fits = [dset.channels[c].fit for c in ("CL", "Cm")]
+    return tuple(complex(f.in_phase, f.out_phase) / spec.body_amplitude for f in fits)
 
 
 def check_deficiency_limits() -> CheckResult:
@@ -155,14 +152,12 @@ def check_round_trip(n_cases: int = 10, seed: int = 20240811) -> CheckResult:
 
 def check_separation_chain() -> CheckResult:
     """Identified C_q and separated incidence-rate derivative match the formulas."""
-    k = 0.0811
-    a = -0.5
     spec = agard_ct2_preset()
-    merged, _ = identify_modes(FlatPlatePlant(pitch_axis=a, kernel="jones"), spec, _COND)
-    truth_pitch = pitch_oscillation_loads(k, a, deficiency=jones_function)
-    truth_q = q_mode_oscillation_loads(k, a, deficiency=jones_function)
-    cmq_true = truth_q.moment.imag / k
-    damping_true = truth_pitch.moment.imag / k
+    k = spec.reduced_frequency
+    plant = FlatPlatePlant(pitch_axis=-0.5, kernel="jones")
+    merged, _ = identify_modes(plant, spec, _COND)
+    cmq_true = plant.loads(k, OscillationMode.Q).moment.imag / k
+    damping_true = plant.loads(k, OscillationMode.ALPHA).moment.imag / k
     ch = merged.channels["Cm"]
     rel_q = abs(ch.rate_derivative - cmq_true) / abs(cmq_true)
     rel_ad = abs(ch.aoa_rate_derivative - (damping_true - cmq_true)) / abs(damping_true - cmq_true)
@@ -174,15 +169,14 @@ def check_separation_chain() -> CheckResult:
 def check_loop_identity(seed: int = 7) -> CheckResult:
     """Trapezoidal loop area equals pi*A*b within 0.1%; sign follows b."""
     rng = np.random.default_rng(seed)
-    spec = agard_ct2_preset()
+    spec = replace(agard_ct2_preset(), mean_incidence=0.0)
+    schedule = make_schedule(spec, _COND)
     amp = spec.body_amplitude
-    omega = omega_from_k(spec.reduced_frequency, _COND)
-    t = sample_grid(spec, omega)
+    t, x, omega = schedule.time, schedule.relative_aoa, schedule.omega
     worst = 0.0
     for _ in range(20):
         a_in = rng.uniform(-20.0, 20.0)
         b_out = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 20.0)
-        x = amp * np.sin(omega * t)
         y = 1.5 + a_in * np.sin(omega * t) + b_out * np.cos(omega * t)
         area = loop_metrics(t, x, y, omega)
         expected = math.pi * amp * b_out

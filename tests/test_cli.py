@@ -1,6 +1,7 @@
 """Command-line interface, exercised in-process through main()."""
 
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -836,3 +837,122 @@ class TestCaseArgv:
             assert lines == [] and "FAILED(" in (out_dir / "report.csv").read_text()
         else:
             assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# Zero or at least 1e-6 in size: near the underflow limit no float pipeline keeps
+# the relative precision the checks ask for.
+_COEFFICIENTS = st.floats(-20.0, 20.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+# Flown speeds are 0 (hover) or at least 0.5 m/s: near 1e-300 m/s the time stamps
+# overflow and the scenario fails, which TestNumericExtremes covers.
+_FORWARD = st.one_of(st.just(0.0), st.floats(1.0, 150.0))
+_CLIMB = st.one_of(st.just(0.0), st.floats(0.5, 10.0), st.floats(-10.0, -0.5))
+
+
+@st.composite
+def quasi_steady_docs(draw):
+    """An accepted quasi-steady config: both modes, 1-4 scenarios, hover and climbs among them."""
+    plant = {key: draw(_COEFFICIENTS) for key in _PLANT_KEYS["quasi-steady"]}
+    plant.update(kind="quasi-steady", mach_scaling=draw(st.booleans()),
+                 induced_drag_factor=draw(st.one_of(st.none(), st.floats(0.0, 2.0))))
+    scenarios = [{"name": f"s{i}", "altitude_m": 10.0, "forward_velocity_m_s": draw(_FORWARD),
+                  "vertical_velocity_m_s": draw(_CLIMB)} for i in range(draw(st.integers(1, 4)))]
+    doc = config_doc(plant=plant, scenarios=scenarios,
+                     speed_basis=draw(st.sampled_from(["forward", "total"])))
+    doc["condition"]["sound_speed_m_s"] = draw(st.sampled_from([None, 340.0]))
+    cycles = draw(st.integers(1, 3))
+    doc["oscillation"].update(
+        mean_incidence_deg=draw(st.floats(-10.0, 10.0)), amplitude_deg=draw(st.floats(0.1, 10.0)),
+        reduced_frequency=draw(st.floats(0.01, 2.0)), cycles=cycles,
+        samples_per_cycle=draw(st.integers(8, 64)),
+        skip_cycles=draw(st.one_of(st.none(), st.integers(0, cycles - 1))))
+    return doc
+
+
+def quasi_steady_report(doc):
+    """report.csv's cells by (scenario, channel), in closed form from the config.
+
+    In incidence mode CL = c0 + c1 sin(wt) + c2 cos(wt).  The induced drag kappa*CL^2
+    adds 2*kappa*c0 times CL's in-phase and out-of-phase parts to CD's, and
+    kappa*(c0^2 + (c1^2 + c2^2)/2) to its mean.  The closed trapezoid over the N
+    samples of one cycle gives the loop area pi*A*b*sin(h)/h, with b the
+    out-of-phase coefficient and h = 2*pi/N.  Each row's "size" bounds its channel's
+    coefficient history, which sets the rounding a fit of it may carry.
+    """
+    p, osc = doc["plant"], doc["oscillation"]
+    k, sound = osc["reduced_frequency"], doc["condition"]["sound_speed_m_s"]
+    amp, alpha0 = math.radians(osc["amplitude_deg"]), math.radians(osc["mean_incidence_deg"])
+    kappa = p["induced_drag_factor"] or 0.0
+    h = 2.0 * math.pi / osc["samples_per_cycle"]
+    cells = {}
+    for s in doc["scenarios"]:
+        v = s["forward_velocity_m_s"]
+        if doc["speed_basis"] == "total":
+            v = math.sqrt(v * v + s["vertical_velocity_m_s"] ** 2)
+        f = 1.0 / math.sqrt(1.0 - (v / sound) ** 2) if p["mach_scaling"] and sound else 1.0
+        # channel -> (trim, C_alpha, C_q, C_alphadot), and the size of its history
+        truth, size = {}, {}
+        for ch in ("CL", "CD", "Cm"):
+            x0, slope, rate, adot = (p[f"{ch}0"], f * p[f"{ch}_alpha"], f * p[f"{ch}_q"],
+                                     f * p.get(f"{ch}_alphadot", 0.0))
+            truth[ch] = (x0 + slope * alpha0, slope, rate, adot)
+            size[ch] = (abs(x0) + abs(slope) * (abs(alpha0) + amp)
+                        + (abs(rate) + abs(adot)) * k * amp)
+        c0, cla, clq, clad = truth["CL"]
+        c1, c2 = cla * amp, (clq + clad) * k * amp
+        size["CD"] += kappa * (abs(c0) + abs(c1) + abs(c2)) ** 2
+        if v == 0.0:
+            trims = {"CL": c0, "CD": truth["CD"][0] + kappa * c0 * c0, "Cm": truth["Cm"][0]}
+            for ch, trim in trims.items():
+                cells[s["name"], ch] = {"V": 0.0, "trim": trim, "status": "STATIC_ONLY",
+                                        "size": size[ch]}
+            continue
+        cd0, cda, cdq, cdad = truth["CD"]
+        truth["CD"] = (cd0 + kappa * (c0 * c0 + (c1 * c1 + c2 * c2) / 2.0),
+                       cda + 2.0 * kappa * c0 * cla, cdq + 2.0 * kappa * c0 * clq,
+                       cdad + 2.0 * kappa * c0 * clad)
+        for ch, (trim, slope, rate, adot) in truth.items():
+            b = (rate + adot) * k * amp
+            cells[s["name"], ch] = {
+                "V": v, "k": k, "C_alpha": slope, "C_q": rate, "C_alphadot": adot,
+                "damping_sum": rate + adot, "trim": trim,
+                "loop_area": math.pi * amp * b * math.sin(h) / h, "status": "OK",
+                "size": size[ch]}
+    return cells
+
+
+class TestQuasiSteadySweepTruth:
+    """Whole sweeps through the CLI against closed forms, over the configs it accepts."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("quasi-steady-sweep")
+
+    @given(quasi_steady_docs())
+    @settings(max_examples=100, deadline=None)
+    def test_every_report_cell(self, work, doc):
+        config, out_dir = work / "case.json", work / "results"
+        config.write_text(json.dumps(doc))
+        shutil.rmtree(out_dir, ignore_errors=True)
+        code, _, err = run_warning_free(["sweep", str(config), "--out-dir", str(out_dir)])
+        assert (code, err) == (0, "")
+        with open(out_dir / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        truth = quasi_steady_report(doc)
+        assert [(r["scenario"], r["channel"]) for r in rows] == list(truth)
+        amp = math.radians(doc["oscillation"]["amplitude_deg"])
+        k = doc["oscillation"]["reduced_frequency"]
+        # extract divides a fitted part by A or by k*A; the loop area is a sum of y*dx
+        per = {"trim": 1.0, "C_alpha": amp, "loop_area": 1.0 / amp}
+        for row in rows:
+            want = truth[row["scenario"], row["channel"]]
+            assert row["status"] == want["status"]
+            for column in ("V", "k", "C_alpha", "C_q", "C_alphadot", "damping_sum", "trim",
+                           "loop_area"):
+                got = float(row[column]) if row[column] else None
+                if column not in want:
+                    assert got is None, column
+                elif column in ("V", "k"):
+                    assert math.isclose(got, want[column], rel_tol=1e-15), column
+                else:
+                    tol = 1e-13 * want["size"] / per.get(column, k * amp)
+                    assert abs(got - want[column]) <= tol, (column, row)

@@ -85,7 +85,8 @@ class TestOscillationSpec:
         with pytest.raises(ZeroReducedFrequency):
             OscillationSpec(OscillationMode.ALPHA, 0.0, 0.1, 0.0)
 
-    @pytest.mark.parametrize("cycles,spp", [(0, 720), (3, 7), (-1, 720)])
+    @pytest.mark.parametrize("cycles,spp", [(0, 720), (3, 7), (-1, 720),
+                                            (3.0, 720), (True, 720), (3, 720.0)])
     def test_bad_sampling(self, cycles, spp):
         with pytest.raises(ValueError):
             OscillationSpec(OscillationMode.ALPHA, 0.0, 0.1, 0.1, cycles=cycles, samples_per_cycle=spp)

@@ -133,6 +133,20 @@ class TestIdentifyModes:
         assert dset.spec.mode is OscillationMode.Q and incidence is None
         assert dset.channels["Cm"].rate_derivative == pytest.approx(-3.0, rel=1e-9)
 
+    @pytest.mark.parametrize("a", [-0.5, 0.25])
+    def test_default_skip_settles_the_indicial_plant(self, a):
+        # no skip_cycles given: the Wagner start-up cycles are skipped, as in a sweep
+        spec = agard_ct2_preset(cycles=6)
+        k = spec.reduced_frequency
+        merged, _ = identify_modes(IndicialPlant(pitch_axis=a), spec, COND)
+        truth = FlatPlatePlant(pitch_axis=a, kernel="jones")
+        for channel, field in (("CL", "lift"), ("Cm", "moment")):
+            ch = merged.channels[channel]
+            rate = getattr(truth.loads(k, OscillationMode.Q), field).imag / k
+            damping = getattr(truth.loads(k, OscillationMode.ALPHA), field).imag / k
+            assert abs(ch.rate_derivative - rate) <= 1e-3, (channel, "C_q")
+            assert abs(ch.damping_sum - damping) <= 1e-3, (channel, "damping sum")
+
 
 class TestRunSweep:
     def test_builtin_statuses(self, linear_plant, condition, agard_alpha_spec):
@@ -279,6 +293,21 @@ class TestPlanValidation:
     def test_negative_altitude(self):
         with pytest.raises(ValueError):
             TransitionScenario("bad", -1.0, 0.0, 10.0)
+
+    @pytest.mark.parametrize("skip", [1.0, 1.5, True])
+    def test_skip_must_be_an_integer(self, linear_plant, condition, agard_alpha_spec, skip):
+        # a float or bool skip renders as a config that does not parse back
+        with pytest.raises(DomainError, match="^skip_cycles must be an integer"):
+            _plan(linear_plant, condition, agard_alpha_spec, skip_cycles=skip)
+
+    def test_a_string_mode_is_a_domain_error(self, linear_plant, condition, agard_alpha_spec):
+        with pytest.raises(DomainError, match="^mode must be an OscillationMode"):
+            OscillationSpec("alpha", 0.0, 0.1, 0.1)
+        for modes in (("alpha",), (OscillationMode.ALPHA, "q")):
+            with pytest.raises(DomainError, match="^modes must name"):
+                _plan(linear_plant, condition, agard_alpha_spec, modes=modes)
+        with pytest.raises(DomainError, match="^mode must be an OscillationMode"):
+            identify_modes(linear_plant, agard_alpha_spec, condition, modes=("alpha",))
 
     def test_template_mode_normalized(self, linear_plant, condition, agard_q_spec):
         plan = SweepPlan(scenarios=tuple(builtin_scenarios()), oscillation=agard_q_spec,

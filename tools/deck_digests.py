@@ -1,7 +1,7 @@
 """SHA-256 digests of everything the benchmark decks make dynderiv print or write.
 
 Imports dynderiv from the given ``src/`` directory, writes the
-``bench/inputs.generate`` decks of the three benchmark workloads at the
+``bench/inputs.generate`` decks of every ``bench/inputs.WORKLOADS`` entry at the
 chosen seeds into a temporary directory, runs every deck command through
 ``dynderiv.cli.main`` in this process, and prints one ``key sha256`` line
 for each command's exit code, stdout, stderr and output file, for the
@@ -29,7 +29,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("sweep-indicial", "sweep-linear", "series-io")
 
 
 def _digest(data: bytes, deck_dir: Path | None = None) -> str:
@@ -68,7 +67,7 @@ def main() -> None:
     print(f"dynderiv from {Path(dynderiv.__file__).parent}", file=sys.stderr)
 
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in WORKLOADS:
+        for workload in inputs.WORKLOADS:
             for seed in args.seeds:
                 deck_dir = Path(tmp) / f"{workload}-{seed}"
                 deck = inputs.generate(workload, seed, deck_dir)
