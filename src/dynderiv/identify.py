@@ -67,6 +67,14 @@ class HarmonicFit:
         return math.hypot(self.in_phase, self.out_phase)
 
 
+def _whole_skip(skip_cycles: int) -> int:
+    """``skip_cycles`` once it is a whole number of cycles: an int >= 0, not a bool."""
+    check(isinstance(skip_cycles, int) and not isinstance(skip_cycles, bool), "skip_cycles",
+          "must be an integer", skip_cycles)
+    check(skip_cycles >= 0, "skip_cycles", "must be >= 0", skip_cycles)
+    return skip_cycles
+
+
 def _window(times: np.ndarray, omega: float, skip_cycles: int) -> tuple[slice, int, int]:
     """Post-skip fit window trimmed to whole periods.
 
@@ -78,7 +86,7 @@ def _window(times: np.ndarray, omega: float, skip_cycles: int) -> tuple[slice, i
     and the fit is aliased.
     """
     check(math.isfinite(omega) and omega > 0.0, "omega", "must be > 0", omega)
-    check(skip_cycles >= 0, "skip_cycles", "must be >= 0", skip_cycles)
+    _whole_skip(skip_cycles)
     if not np.all(np.isfinite(times)):
         raise NonFiniteData("times contain non-finite entries")
     if len(times) == 0:
@@ -151,10 +159,11 @@ def fit_harmonic(times, values, omega: float, skip_cycles: int = 0, *,
                  _basis: _Basis | None = None) -> HarmonicFit:
     """Least-squares fit of one channel onto {1, sin(omega*t), cos(omega*t)}.
 
-    ``skip_cycles`` whole periods are dropped from the front (start-up
-    transients) and the remaining window is trimmed to a whole number of
-    periods.  On a uniform periodic grid the fit is exact linear algebra:
-    a signal already in the basis span is recovered to machine precision.
+    ``skip_cycles``, a whole number (an int >= 0, not a bool), counts the
+    periods dropped from the front (start-up transients); the remaining
+    window is trimmed to a whole number of periods.  On a uniform periodic
+    grid the fit is exact linear algebra: a signal already in the basis
+    span is recovered to machine precision.
     ``_basis`` is the basis ``fit_series`` shares among the channels.
     """
     times = np.asarray(times, dtype=float)
@@ -247,7 +256,9 @@ def extract(
     derivative = out-of-phase / (k*A), and the in-phase residue over A is
     reported as a contamination diagnostic: the incidence is constant in
     this mode, so for a plant with no apparent-mass physics it must be zero.
-    OscillationSpec keeps A > 0 and k*A finite and > 0, so both scalings exist.
+    OscillationSpec keeps A and k*A finite and no smaller than the smallest
+    normal float, so both scalings exist; a quotient that still overflows
+    raises NonFiniteData naming its channel.
     """
     amp = spec.body_amplitude
     k = spec.reduced_frequency
@@ -255,6 +266,9 @@ def extract(
     channels = {}
     for name, fit in fits.items():
         parts = {in_name: fit.in_phase / amp, out_name: fit.out_phase / (k * amp)}
+        if not all(map(math.isfinite, parts.values())):
+            raise NonFiniteData(f"{name}: in-phase / A and out-of-phase / (k*A) must be finite, "
+                                f"got {parts[in_name]} and {parts[out_name]} (A = {amp:.6g})")
         channels[name] = ChannelDerivatives(trim_value=fit.mean, fit=fit, **parts)
     return DerivativeSet(channels=channels, spec=spec, condition=condition)
 

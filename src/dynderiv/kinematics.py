@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,11 +108,18 @@ class OscillationSpec:
         check(self.body_amplitude != 0.0, "body_amplitude",
               "must be > 0; a zero-amplitude case has no motion", 0.0, ZeroAmplitude)
         check_fields(self, "> 0", "body_amplitude")
+        # below the smallest normal float, extract's quotients lose digits or overflow
+        tiny = sys.float_info.min
+        check(self.body_amplitude >= tiny, "body_amplitude",
+              f"must be >= {tiny!r} rad, the smallest normal float", self.body_amplitude)
         check(self.reduced_frequency != 0.0, "reduced_frequency",
               "must be > 0; rate scaling is undefined at 0", 0.0, ZeroReducedFrequency)
         check_fields(self, "> 0", "reduced_frequency")
-        check(0.0 < self.reduced_frequency * self.body_amplitude < math.inf, "reduced_frequency",
+        rate_scale = self.reduced_frequency * self.body_amplitude
+        check(0.0 < rate_scale < math.inf, "reduced_frequency",
               "must keep the rate scale k * amplitude finite and > 0", self.reduced_frequency)
+        check(rate_scale >= tiny, "reduced_frequency",
+              f"must keep the rate scale k * amplitude >= {tiny!r}", self.reduced_frequency)
         for field, minimum in (("cycles", 1), ("samples_per_cycle", 8)):
             value = getattr(self, field)
             # a float or bool would render as a config that does not parse back

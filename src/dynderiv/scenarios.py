@@ -28,6 +28,7 @@ from .identify import (
     DerivativeSet,
     _Basis,
     _harmonic_basis,
+    _whole_skip,
     extract,
     fit_series,
     loop_metrics,
@@ -50,9 +51,18 @@ from .series import CHANNELS, CoefficientSeries
 DEFAULT_SKIP_TRANSIENT = 2
 
 
-def _settling_cycles(plant: Plant) -> int:
-    """Start-up cycles a fit skips when the caller names none."""
-    return DEFAULT_SKIP_TRANSIENT if isinstance(plant, IndicialPlant) else 0
+def _run_skip(plant: Plant, cycles: int, modes: tuple, skip_cycles: int | None) -> int:
+    """The start-up cycles a run skips, by the one rule of SweepPlan and identify_modes."""
+    # the types first: set() of an unhashable entry is a bare TypeError
+    check(all(isinstance(m, OscillationMode) for m in modes) and 0 < len(set(modes)) == len(modes),
+          "modes", "must name one or more OscillationModes, none twice", modes)
+    settling = DEFAULT_SKIP_TRANSIENT if isinstance(plant, IndicialPlant) else 0
+    skip = settling if skip_cycles is None else _whole_skip(skip_cycles)
+    if skip >= cycles:
+        default = " (the plant's default)" if skip_cycles is None else ""
+        raise InsufficientSamples(f"oscillation.skip_cycles is {skip}{default} but "
+                                  f"oscillation.cycles is {cycles}: no cycle is left to fit")
+    return skip
 
 
 # a scenario name is part of a file name and a CSV cell
@@ -137,29 +147,16 @@ class SweepPlan:
         folded = [s.name.casefold() for s in self.scenarios]
         repeated = [s.name for i, s in enumerate(self.scenarios) if folded[i] in folded[:i]]
         check(not repeated, "scenarios", f"must not repeat a scenario name: {repeated}")
-        modes = set(self.modes)
-        check(0 < len(modes) == len(self.modes) and modes <= set(OscillationMode), "modes",
-              "must name one or more OscillationModes, none twice", self.modes)
         check(self.speed_basis in ("forward", "total"), "speed_basis",
               "must be 'forward' or 'total'", self.speed_basis)
-        skip = self.skip_cycles
-        check(skip is None or isinstance(skip, int) and not isinstance(skip, bool), "skip_cycles",
-              "must be an integer", skip)
-        check(skip is None or skip >= 0, "skip_cycles", "must be >= 0", skip)
+        self.effective_skip()           # checks modes and skip_cycles
         # canonical form: the template's mode is the first planned mode
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "oscillation", self.oscillation.with_mode(self.modes[0]))
-        skip, cycles = self.effective_skip(), self.oscillation.cycles
-        if skip >= cycles:
-            default = " (the plant's default)" if self.skip_cycles is None else ""
-            raise InsufficientSamples(
-                f"oscillation.skip_cycles is {skip}{default} but oscillation.cycles is "
-                f"{cycles}: no cycle is left to fit"
-            )
 
     def effective_skip(self) -> int:
-        return _settling_cycles(self.plant) if self.skip_cycles is None else self.skip_cycles
+        return _run_skip(self.plant, self.oscillation.cycles, self.modes, self.skip_cycles)
 
     def scenario_speed(self, scenario: TransitionScenario) -> float:
         if self.speed_basis == "total":
@@ -224,15 +221,14 @@ def identify_modes(
 
     Each mode of ``spec`` (its own mode is ignored) runs schedule ->
     simulate -> fit_series -> extract, fitting after ``skip_cycles``
-    start-up cycles (None: the plant's default, as in a sweep); both modes
-    share one basis, built on the first schedule's times, or ``_basis``
-    from a sweep.  With both modes the two sets are merged by
+    start-up cycles, by a sweep plan's rule (None: the plant's default);
+    both modes share one basis, built on the first schedule's times, or
+    ``_basis`` from a sweep.  With both modes the two sets are merged by
     separate_rates; with one, that mode's set is returned as it is.
     Returns (derivatives, incidence), where incidence is the incidence-mode
     (schedule, series) pair, or None when that mode did not run.
     """
-    if skip_cycles is None:
-        skip_cycles = _settling_cycles(plant)
+    skip_cycles = _run_skip(plant, spec.cycles, modes, skip_cycles)
     sets: dict[OscillationMode, DerivativeSet] = {}
     incidence = None
     for mode in modes:
@@ -257,15 +253,14 @@ def _run_one(plan: SweepPlan, scenario: TransitionScenario, basis: _Basis) -> Sc
         # hover: nondimensional rates are undefined, so no dynamics
         return _static_only_result(plan, scenario, cond)
 
-    skip = plan.effective_skip()
-    derivatives, incidence = identify_modes(plan.plant, plan.oscillation, cond, plan.modes, skip,
-                                            basis)
+    derivatives, incidence = identify_modes(plan.plant, plan.oscillation, cond, plan.modes,
+                                            plan.skip_cycles, basis)
     loops = series = history = None
     if incidence is not None:
         schedule, series = incidence
         history = schedule.relative_aoa
         loops = {
-            name: loop_metrics(series.times, history, values, schedule.omega, skip, _basis=basis)
+            name: loop_metrics(series.times, history, values, schedule.omega, _basis=basis)
             for name, values in series.channels().items()
         }
     return ScenarioResult(scenario, SweepStatus.OK, derivatives, loops,

@@ -52,23 +52,18 @@ class CheckResult:
 
 
 def indicial_frequency_response(
-    k: float,
-    pitch_axis: float = -0.5,
-    cycles: int = 22,
-    samples_per_cycle: int = 720,
-    skip_cycles: int | None = None,
-    mode: OscillationMode = OscillationMode.ALPHA,
+    k: float, pitch_axis: float = -0.5, mode: OscillationMode = OscillationMode.ALPHA
 ) -> tuple[complex, complex]:
     """First-harmonic complex amplitudes (lift, moment) of the indicial plant.
 
-    Identifies the plant in the given mode about zero mean, skipping
-    ``skip_cycles`` start-up cycles (None: the plant's default), and reads
+    Identifies the plant in the given mode about zero mean over 22 cycles of
+    720 samples, skipping the plant's default start-up cycles, and reads
     each channel's fit.
     """
-    spec = agard_ct2_preset(mode=mode, cycles=cycles, samples_per_cycle=samples_per_cycle)
+    spec = agard_ct2_preset(mode=mode, cycles=22, samples_per_cycle=720)
     spec = replace(spec, mean_incidence=0.0, reduced_frequency=k)
     plant = IndicialPlant(pitch_axis=pitch_axis)
-    dset, _ = identify_modes(plant, spec, _COND, (mode,), skip_cycles)
+    dset, _ = identify_modes(plant, spec, _COND, (mode,))
     fits = [dset.channels[c].fit for c in ("CL", "Cm")]
     return tuple(complex(f.in_phase, f.out_phase) / spec.body_amplitude for f in fits)
 
@@ -125,12 +120,12 @@ def _relative_error(measured: float, injected: float) -> float:
     return abs(measured - injected) / max(abs(injected), 1.0)
 
 
-def check_round_trip(n_cases: int = 10, seed: int = 20240811) -> CheckResult:
-    """Injected quasi-steady derivatives are recovered to 1e-9 relative."""
-    rng = np.random.default_rng(seed)
+def check_round_trip() -> CheckResult:
+    """Injected quasi-steady derivatives of 10 seeded plants are recovered to 1e-9 relative."""
+    rng = np.random.default_rng(20240811)
     spec = agard_ct2_preset()
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(10):
         p = QuasiSteadyPlant(*rng.uniform(-20.0, 20.0, size=11))
         merged, _ = identify_modes(p, spec, _COND)
         expected = {
@@ -166,9 +161,9 @@ def check_separation_chain() -> CheckResult:
     return CheckResult("rate separation vs analytic loads", passed, detail)
 
 
-def check_loop_identity(seed: int = 7) -> CheckResult:
+def check_loop_identity() -> CheckResult:
     """Trapezoidal loop area equals pi*A*b within 0.1%; sign follows b."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     spec = replace(agard_ct2_preset(), mean_incidence=0.0)
     schedule = make_schedule(spec, _COND)
     amp = spec.body_amplitude

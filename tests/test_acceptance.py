@@ -115,9 +115,7 @@ def test_a3_time_frequency_consistency():
     """A3: indicial plant matches its frequency-domain transform pair to 1%."""
     details = []
     for k in (0.05, 0.0811, 0.2):
-        lift_sim, moment_sim = indicial_frequency_response(
-            k, pitch_axis=-0.5, cycles=22, samples_per_cycle=720, skip_cycles=2
-        )
+        lift_sim, moment_sim = indicial_frequency_response(k, pitch_axis=-0.5)
         truth = pitch_oscillation_loads(k, -0.5, deficiency=jones_function)
         rel_l = abs(lift_sim - truth.lift) / abs(truth.lift)
         rel_m = abs(moment_sim - truth.moment) / abs(truth.moment)

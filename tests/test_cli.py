@@ -615,6 +615,20 @@ class TestRepeatedCalls:
         assert built == []
 
 
+class TestDeckDigests:
+    def test_two_interpreters_print_the_same_digests(self):
+        """Reruns are byte-identical across processes, whatever the string hash seed."""
+        root = Path(__file__).resolve().parents[1]
+        argv = [sys.executable, str(root / "tools" / "deck_digests.py"),
+                "--src", str(root / "src"), "--seeds", "3"]
+        procs = [subprocess.Popen(argv, env=dict(os.environ, PYTHONHASHSEED=seed), cwd=root,
+                                  stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+                 for seed in ("0", "1")]
+        outs = [proc.communicate(timeout=120)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert outs[0] and outs[0] == outs[1]
+
+
 class TestValidate:
     def test_exits_zero_and_reports_checks(self, capsys):
         assert main(["validate"]) == 0
@@ -760,6 +774,32 @@ class TestNumericExtremes:
         else:
             assert err == ""
             assert f"FAILED({reason}" in (out_dir / "report.csv").read_text()
+
+    @pytest.mark.parametrize("case, code, message", [
+        ("config", 1, "'oscillation.amplitude_deg' must be >= 2.2250738585072014e-308 rad, "
+                      "the smallest normal float, got 1e-320"),
+        ("flag", 2, "--amplitude-deg must be >= 2.2250738585072014e-308 rad, "
+                    "the smallest normal float, got 1e-320"),
+        ("export", 1, "CL: in-phase / A and out-of-phase / (k*A) must be finite, got inf and "),
+    ])
+    def test_a_scale_below_the_smallest_normal_float_fails(self, tmp_path, case, code, message):
+        # each exited 0, with C_alpha 5.14 for an injected 5, or inf, in its report
+        if case == "config":
+            doc = config_doc()
+            doc["oscillation"]["amplitude_deg"] = 1e-320
+            (tmp_path / "case.json").write_text(json.dumps(doc))
+            argv = ["sweep", str(tmp_path / "case.json"), "--out-dir", str(tmp_path / "out")]
+        else:
+            t = np.arange(3 * 16) / 16.0
+            cl = np.sin(2 * math.pi * t) * (1.0 if case == "flag" else 1e150)
+            rows = "".join(f"{ti!r},{v!r}\n" for ti, v in zip(t.tolist(), cl.tolist()))
+            (tmp_path / "export.csv").write_text("t,CL\n" + rows)
+            amp = "1e-320" if case == "flag" else "1e-300"
+            argv = ["identify", str(tmp_path / "export.csv"), "--k", "1", "--mode", "alpha",
+                    "--amplitude-deg", amp]
+        code_, out, err = run_warning_free(argv)
+        assert (code_, out) == (code, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
     def test_theodorsen_plate_at_huge_k_simulates(self, tmp_path):
         doc = tiny_doc("flat-plate")

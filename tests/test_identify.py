@@ -162,6 +162,19 @@ class TestFitHarmonic:
         assert f2.out_phase == pytest.approx(1.7 * f1.out_phase, rel=1e-13)
 
 
+@pytest.mark.parametrize("skip", ["1", None, 1.5, True], ids=["str", "None", "1.5", "True"])
+@pytest.mark.parametrize("fit", [
+    lambda t, y, skip: fit_harmonic(t, y, OMEGA, skip),
+    lambda t, y, skip: fit_series(CoefficientSeries(t, CL=y), OMEGA, skip),
+    lambda t, y, skip: loop_metrics(t, np.sin(OMEGA * t), y, OMEGA, skip),
+], ids=["fit_harmonic", "fit_series", "loop_metrics"])
+def test_skip_is_a_whole_number_of_cycles(fit, skip):
+    # 1.5 would fit from half a period in, True as 1; "1" and None were a bare TypeError
+    t = _grid(cycles=4, spp=16)
+    with pytest.raises(DomainError, match="^skip_cycles must be an integer"):
+        fit(t, np.cos(OMEGA * t), skip)
+
+
 def _lstsq_fit(times, values, omega, skip_cycles=0):
     """The fit of one channel by ``np.linalg.lstsq`` on the same window: the reference."""
     sel, n_periods, _ = identify._window(times, omega, skip_cycles)
@@ -255,6 +268,13 @@ class TestExtraction:
         assert dset.channels["CL"].trim_value == 0.25
         assert dset.channels["CL"].rate_derivative is None
         assert dset.spec == spec
+
+    @pytest.mark.parametrize("mode", list(OscillationMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("a, b", [(1e150, 0.0), (0.0, -1e150)], ids=["in", "out"])
+    def test_a_quotient_that_overflows_names_its_channel(self, mode, a, b):
+        spec = OscillationSpec(mode, 0.0, 1e-300, 1.0)
+        with pytest.raises(NonFiniteData, match=r"^CL: in-phase / A and out-of-phase / \(k\*A\)"):
+            extract(_fits(a=a, b=b), spec)
 
     def test_alpha_mode_damping_arithmetic(self):
         spec = OscillationSpec(OscillationMode.ALPHA, 0.0, 0.0801, 0.0811)

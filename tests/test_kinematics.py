@@ -1,6 +1,7 @@
 """Harmonic motion schedules: conventions, grids, and the two modes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +91,18 @@ class TestOscillationSpec:
     def test_bad_sampling(self, cycles, spp):
         with pytest.raises(ValueError):
             OscillationSpec(OscillationMode.ALPHA, 0.0, 0.1, 0.1, cycles=cycles, samples_per_cycle=spp)
+
+    @pytest.mark.parametrize("amp, k, field", [
+        (1e-320, 1.0, "body_amplitude"),
+        (sys.float_info.min, 0.5, "reduced_frequency"),
+        (1e-300, 1e-10, "reduced_frequency"),
+    ])
+    def test_amplitude_and_rate_scale_are_normal_floats(self, amp, k, field):
+        # below the smallest normal float the derivative quotients drift or overflow
+        with pytest.raises(DomainError) as info:
+            OscillationSpec(OscillationMode.ALPHA, 0.0, amp, k)
+        assert info.value.field == field
+        assert repr(sys.float_info.min) in info.value.rule
 
     @pytest.mark.parametrize("cycles,spp", [(10**30, 720), (3, 10**30)])
     def test_sample_count_bound(self, cycles, spp):

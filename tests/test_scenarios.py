@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import dynderiv.identify as identify
 import dynderiv.scenarios as scenarios
 from dynderiv import (
     DomainError,
+    DynDerivError,
     FlatPlatePlant,
     FlightCondition,
     InsufficientSamples,
@@ -126,6 +128,12 @@ class TestIdentifyModes:
             assert _within(ch.static_slope, h_alpha.real), (channel, "C_alpha")
             assert _within(ch.rate_derivative, h_q.imag / k), (channel, "C_q")
             assert _within(ch.aoa_rate_derivative, (h_alpha.imag - h_q.imag) / k), (channel, "C_alphadot")
+
+    def test_smallest_normal_amplitude_round_trips(self, condition):
+        spec = OscillationSpec(OscillationMode.ALPHA, 0.0, sys.float_info.min, 1.0)
+        merged, _ = identify_modes(QuasiSteadyPlant(CL_alpha=5.0, Cm_q=-3.0), spec, condition)
+        assert merged.channels["CL"].static_slope == pytest.approx(5.0, rel=1e-15)
+        assert merged.channels["Cm"].rate_derivative == pytest.approx(-3.0, rel=1e-15)
 
     def test_single_mode_runs_alone(self, linear_plant, condition, agard_alpha_spec):
         dset, incidence = identify_modes(linear_plant, agard_alpha_spec, condition,
@@ -303,16 +311,70 @@ class TestPlanValidation:
     def test_a_string_mode_is_a_domain_error(self, linear_plant, condition, agard_alpha_spec):
         with pytest.raises(DomainError, match="^mode must be an OscillationMode"):
             OscillationSpec("alpha", 0.0, 0.1, 0.1)
-        for modes in (("alpha",), (OscillationMode.ALPHA, "q")):
+        for modes in (("alpha",), (OscillationMode.ALPHA, "q"), ([1],)):   # [1]: unhashable
             with pytest.raises(DomainError, match="^modes must name"):
                 _plan(linear_plant, condition, agard_alpha_spec, modes=modes)
-        with pytest.raises(DomainError, match="^mode must be an OscillationMode"):
+        with pytest.raises(DomainError, match="^modes must name"):
             identify_modes(linear_plant, agard_alpha_spec, condition, modes=("alpha",))
+
+    @pytest.mark.parametrize("modes, skip, match", [
+        ((), None, "^modes must name"),
+        ((OscillationMode.Q, OscillationMode.Q), None, "^modes must name"),
+        ((OscillationMode.ALPHA,), 1.5, "^skip_cycles must be an integer"),
+        ((OscillationMode.ALPHA,), True, "^skip_cycles must be an integer"),
+    ], ids=["empty", "repeated", "1.5", "True"])
+    def test_identify_modes_keeps_the_plan_rule(self, linear_plant, condition, agard_alpha_spec,
+                                                modes, skip, match):
+        with pytest.raises(DomainError, match=match):
+            identify_modes(linear_plant, agard_alpha_spec, condition, modes, skip)
+
+    def test_identify_modes_says_a_rejected_skip_is_the_plants_default(self, condition):
+        spec = agard_ct2_preset(cycles=2)
+        with pytest.raises(InsufficientSamples) as info:
+            identify_modes(IndicialPlant(), spec, condition)
+        assert str(info.value) == ("oscillation.skip_cycles is 2 (the plant's default) but "
+                                   "oscillation.cycles is 2: no cycle is left to fit")
 
     def test_template_mode_normalized(self, linear_plant, condition, agard_q_spec):
         plan = SweepPlan(scenarios=tuple(builtin_scenarios()), oscillation=agard_q_spec,
                         condition=condition, plant=linear_plant)
         assert plan.oscillation.mode is OscillationMode.ALPHA
+
+
+_RUN_CYCLES = 3
+_RUN_MODES = st.one_of(
+    st.just(()),
+    st.sampled_from(OscillationMode).map(lambda m: (m, m)),
+    st.sampled_from(["alpha", ("alpha",), (OscillationMode.ALPHA, "q")]),
+    st.sampled_from([([1],), (OscillationMode.Q, [OscillationMode.ALPHA])]),
+    st.permutations(list(OscillationMode)).map(tuple),
+    st.sampled_from(OscillationMode).map(lambda m: (m,)),
+)
+_RUN_SKIPS = st.one_of(
+    st.none(), st.integers(-3, -1), st.sampled_from([1.5, True, "1"]),
+    st.integers(_RUN_CYCLES, _RUN_CYCLES + 2), st.integers(0, _RUN_CYCLES - 1),
+)
+
+
+def _outcome(call):
+    """None if ``call()`` returns, else the type and message of its DynDerivError."""
+    try:
+        call()
+    except DynDerivError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestRunRule:
+    """A sweep plan and identify_modes accept and reject the same runs alike."""
+
+    @given(plant=st.sampled_from([QuasiSteadyPlant(CL_alpha=5.0), IndicialPlant()]),
+           modes=_RUN_MODES, skip=_RUN_SKIPS)
+    @settings(max_examples=150, deadline=None)
+    def test_plan_and_identify_modes_agree(self, plant, modes, skip):
+        spec = agard_ct2_preset(cycles=_RUN_CYCLES, samples_per_cycle=16)
+        plan = _outcome(lambda: _plan(plant, COND, spec, modes=modes, skip_cycles=skip))
+        assert plan == _outcome(lambda: identify_modes(plant, spec, COND, modes, skip))
 
 
 def _forward_flight(n):
