@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import _SCENARIO, _render, parse_case_config
+from .config import parse_case_config, render_case_config
 from .errors import DomainError, DynDerivError
 from .identify import extract, fit_series
 from .io import (
@@ -67,7 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--k", type=float, required=True, help="reduced frequency omega*c/(2V)")
     p_id.add_argument("--mode", choices=_MODES, required=True)
     p_id.add_argument("--amplitude-deg", type=float, required=True, help="pitch amplitude, deg")
-    p_id.add_argument("--mean-deg", type=float, default=0.0, help="mean incidence, deg")
+    p_id.add_argument("--mean-deg", type=float, default=0.0,
+                      help="mean incidence, deg; range-checked, but the table does not depend "
+                           "on it: the trim is the fitted mean")
     p_id.add_argument("--skip", type=int, default=0, help="start-up cycles to skip")
     p_id.add_argument(
         "--omega", type=float, default=None,
@@ -218,8 +220,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "speed_basis": plan.speed_basis,
             "angles": "degrees at this boundary, radians internally",
         },
-        "scenarios": [{**_render(_SCENARIO, vars(r.scenario)), "status": r.status.value}
-                      for r in report.results],
+        "scenarios": [{**entry, "status": r.status.value} for entry, r in
+                      zip(json.loads(render_case_config(plan))["scenarios"], report.results)],
     }
     _write(out_dir / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(human)

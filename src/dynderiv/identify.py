@@ -31,7 +31,7 @@ crossing of the forcing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -279,45 +279,46 @@ def _same(x: float | None, y: float | None) -> bool:
     return math.isclose(x, y, rel_tol=_REL_TOL, abs_tol=0.0) or x == y
 
 
-def separate_rates(alpha_set: DerivativeSet, q_set: DerivativeSet) -> DerivativeSet:
-    """Merge an incidence-mode set and a flow-path-mode set, in that order.
+def separate_rates(*sets: DerivativeSet) -> DerivativeSet:
+    """Merge the derivative sets of distinct modes, given in OscillationMode order.
 
-    Each merged channel is the flow-path channel with every value the
-    incidence-mode channel holds laid over it (``extract`` gives each mode
-    only what it identifies), so aoa_rate_derivative = damping sum - rate
-    derivative.  Both runs must share the same reduced frequency and flight
-    condition (1e-9 relative).
+    A merged channel holds every value some set identified (``extract``
+    gives each mode only what ``_IDENTIFIES`` names); where two sets hold a
+    value, the first set's wins, as do its spec, condition and channel
+    order.  With the alpha and q modes, aoa_rate_derivative = damping sum -
+    rate derivative.  All runs must share the same reduced frequency and
+    flight condition (1e-9 relative).
     """
-    sa, sq = alpha_set.spec, q_set.spec
-    if sa is None or sq is None or (sa.mode, sq.mode) != (OscillationMode.ALPHA, OscillationMode.Q):
-        got = [None if s is None else s.mode.value for s in (sa, sq)]
-        raise ConditionMismatch(f"need an alpha-mode set and a q-mode set, got modes {got}")
-    if any(getattr(c, f) is not None
-           for c in alpha_set.channels.values() for f in _IDENTIFIES[OscillationMode.Q]):
-        raise ConditionMismatch("the alpha-mode set holds flow-path values: it is merged already")
-    if not _same(sa.reduced_frequency, sq.reduced_frequency):
-        raise ConditionMismatch(
-            f"reduced frequencies differ: {sa.reduced_frequency} vs {sq.reduced_frequency}"
-        )
-    ca, cq = alpha_set.condition, q_set.condition
-    if (ca is None) != (cq is None):
-        raise ConditionMismatch("one derivative set has a flight condition, the other does not")
-    if ca is not None and cq is not None:
+    modes = [getattr(s.spec, "mode", None) for s in sets]
+    if not sets or None in modes or modes != sorted(set(modes), key=list(OscillationMode).index):
+        got = [getattr(m, "value", None) for m in modes]
+        raise ConditionMismatch(f"need sets of distinct modes in OscillationMode order, got {got}")
+    first = sets[0]
+    for s in sets:
+        own = {"trim_value", "fit", *_IDENTIFIES[s.spec.mode]}
+        if any(v is not None and f not in own
+               for c in s.channels.values() for f, v in vars(c).items()):
+            raise ConditionMismatch(f"the {s.spec.mode.value}-mode set holds values another mode "
+                                    "identifies: it is merged already")
+        if not _same(first.spec.reduced_frequency, s.spec.reduced_frequency):
+            raise ConditionMismatch(f"reduced frequencies differ: "
+                                    f"{first.spec.reduced_frequency} vs {s.spec.reduced_frequency}")
+        ca, cs = first.condition, s.condition
+        if (ca is None) != (cs is None):
+            raise ConditionMismatch("one derivative set has a flight condition, another does not")
         for field in ("freestream_speed", "density", "ref_chord", "sound_speed"):
-            if not _same(getattr(ca, field), getattr(cq, field)):
-                raise ConditionMismatch(
-                    f"flight conditions differ in {field}: "
-                    f"{getattr(ca, field)} vs {getattr(cq, field)}"
-                )
+            if cs is not None and not _same(getattr(ca, field), getattr(cs, field)):
+                raise ConditionMismatch(f"flight conditions differ in {field}: "
+                                        f"{getattr(ca, field)} vs {getattr(cs, field)}")
 
     merged = {}
-    for name, cha in alpha_set.channels.items():
-        if name in q_set.channels:
-            held = {key: v for key, v in vars(cha).items() if v is not None}
-            merged[name] = replace(q_set.channels[name], **held)
+    for name in first.channels:
+        if all(name in s.channels for s in sets):
+            held = [vars(s.channels[name]).items() for s in reversed(sets)]   # the first set wins
+            merged[name] = ChannelDerivatives(**{f: v for h in held for f, v in h if v is not None})
     if not merged:
-        raise ConditionMismatch("the two derivative sets share no channels")
-    return DerivativeSet(channels=merged, spec=sa, condition=ca)
+        raise ConditionMismatch("the derivative sets share no channels")
+    return DerivativeSet(channels=merged, spec=first.spec, condition=first.condition)
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +375,23 @@ def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0, *,
 RESIDUAL_FLAG = "RESIDUAL"
 CONDITIONING_FLAG = "CONDITIONING"
 CONTAMINATION_FLAG = "CONTAMINATION"
+RESOLUTION_FLAG = "RESOLUTION"
 # flag thresholds; residual and contamination are relative to the fitted amplitude
 _RESIDUAL_THRESHOLD = 1e-3
 _CONDITIONING_THRESHOLD = 1e6
 _CONTAMINATION_THRESHOLD = 0.1
+_RESOLUTION_THRESHOLD = 1e-6     # per rad, in any derivative
 
 
 def validate_fit(fit: HarmonicFit, spec: OscillationSpec) -> list[str]:
     """Quality flags for one harmonic fit; empty means clean.
 
-    The contamination check only applies in flow-path mode, where in-phase
-    content beyond apparent-mass effects indicates an amplitude mismatch
-    upstream.  Never mutates the fit.
+    The contamination check applies where ``_IDENTIFIES`` makes the
+    in-phase quotient the contamination diagnostic (flow-path mode): there
+    in-phase content beyond apparent-mass effects indicates an amplitude
+    mismatch upstream.  RESOLUTION is raised when eps * |mean| exceeds
+    1e-6 * min(A, k*A): the rounding of the trim alone then moves a
+    derivative by more than 1e-6 per rad.  Never mutates the fit.
     """
     flags: list[str] = []
     amp = fit.amplitude
@@ -393,6 +399,10 @@ def validate_fit(fit: HarmonicFit, spec: OscillationSpec) -> list[str]:
         flags.append(RESIDUAL_FLAG)
     if fit.condition_indicator > _CONDITIONING_THRESHOLD:
         flags.append(CONDITIONING_FLAG)
-    if spec.mode is OscillationMode.Q and abs(fit.in_phase) > _CONTAMINATION_THRESHOLD * amp:
+    if (_IDENTIFIES[spec.mode][0] == "contamination"
+            and abs(fit.in_phase) > _CONTAMINATION_THRESHOLD * amp):
         flags.append(CONTAMINATION_FLAG)
+    scale = min(spec.body_amplitude, spec.reduced_frequency * spec.body_amplitude)
+    if np.finfo(float).eps * abs(fit.mean) > _RESOLUTION_THRESHOLD * scale:
+        flags.append(RESOLUTION_FLAG)
     return flags

@@ -223,8 +223,8 @@ def identify_modes(
     simulate -> fit_series -> extract, fitting after ``skip_cycles``
     start-up cycles, by a sweep plan's rule (None: the plant's default);
     both modes share one basis, built on the first schedule's times, or
-    ``_basis`` from a sweep.  With both modes the two sets are merged by
-    separate_rates; with one, that mode's set is returned as it is.
+    ``_basis`` from a sweep.  The mode sets are merged by separate_rates,
+    so one mode gives a set equal to its own.
     Returns (derivatives, incidence), where incidence is the incidence-mode
     (schedule, series) pair, or None when that mode did not run.
     """
@@ -241,10 +241,7 @@ def identify_modes(
         sets[mode] = extract(fits, mode_spec, cond)
         if mode is OscillationMode.ALPHA:
             incidence = (schedule, series)
-    if OscillationMode.ALPHA in sets and OscillationMode.Q in sets:
-        return separate_rates(sets[OscillationMode.ALPHA], sets[OscillationMode.Q]), incidence
-    (only,) = sets.values()
-    return only, incidence
+    return separate_rates(*(sets[m] for m in OscillationMode if m in sets)), incidence
 
 
 def _run_one(plan: SweepPlan, scenario: TransitionScenario, basis: _Basis) -> ScenarioResult:

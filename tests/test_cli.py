@@ -14,6 +14,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -618,15 +619,15 @@ class TestRepeatedCalls:
 class TestDeckDigests:
     def test_two_interpreters_print_the_same_digests(self):
         """Reruns are byte-identical across processes, whatever the string hash seed."""
+        # --against runs the second interpreter under hash seed 1 beside this one's 0
         root = Path(__file__).resolve().parents[1]
-        argv = [sys.executable, str(root / "tools" / "deck_digests.py"),
-                "--src", str(root / "src"), "--seeds", "3"]
-        procs = [subprocess.Popen(argv, env=dict(os.environ, PYTHONHASHSEED=seed), cwd=root,
-                                  stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-                 for seed in ("0", "1")]
-        outs = [proc.communicate(timeout=120)[0] for proc in procs]
-        assert [proc.returncode for proc in procs] == [0, 0]
-        assert outs[0] and outs[0] == outs[1]
+        src = str(root / "src")
+        proc = subprocess.run([sys.executable, str(root / "tools" / "deck_digests.py"),
+                               "--src", src, "--against", src, "--seeds", "3"],
+                              env=dict(os.environ, PYTHONHASHSEED="0"), cwd=root,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "")
+        assert proc.stderr.count("dynderiv from ") == 2
 
 
 class TestValidate:
@@ -888,12 +889,8 @@ _FORWARD = st.one_of(st.just(0.0), st.floats(1.0, 150.0))
 _CLIMB = st.one_of(st.just(0.0), st.floats(0.5, 10.0), st.floats(-10.0, -0.5))
 
 
-@st.composite
-def quasi_steady_docs(draw):
-    """An accepted quasi-steady config: both modes, 1-4 scenarios, hover and climbs among them."""
-    plant = {key: draw(_COEFFICIENTS) for key in _PLANT_KEYS["quasi-steady"]}
-    plant.update(kind="quasi-steady", mach_scaling=draw(st.booleans()),
-                 induced_drag_factor=draw(st.one_of(st.none(), st.floats(0.0, 2.0))))
+def _sweep_doc(draw, plant, reduced_frequency):
+    """An accepted config for ``plant``: both modes, 1-4 scenarios, hover and climbs among them."""
     scenarios = [{"name": f"s{i}", "altitude_m": 10.0, "forward_velocity_m_s": draw(_FORWARD),
                   "vertical_velocity_m_s": draw(_CLIMB)} for i in range(draw(st.integers(1, 4)))]
     doc = config_doc(plant=plant, scenarios=scenarios,
@@ -902,10 +899,19 @@ def quasi_steady_docs(draw):
     cycles = draw(st.integers(1, 3))
     doc["oscillation"].update(
         mean_incidence_deg=draw(st.floats(-10.0, 10.0)), amplitude_deg=draw(st.floats(0.1, 10.0)),
-        reduced_frequency=draw(st.floats(0.01, 2.0)), cycles=cycles,
+        reduced_frequency=draw(reduced_frequency), cycles=cycles,
         samples_per_cycle=draw(st.integers(8, 64)),
         skip_cycles=draw(st.one_of(st.none(), st.integers(0, cycles - 1))))
     return doc
+
+
+@st.composite
+def quasi_steady_docs(draw):
+    """An accepted quasi-steady config, every coefficient drawn."""
+    plant = {key: draw(_COEFFICIENTS) for key in _PLANT_KEYS["quasi-steady"]}
+    plant.update(kind="quasi-steady", mach_scaling=draw(st.booleans()),
+                 induced_drag_factor=draw(st.one_of(st.none(), st.floats(0.0, 2.0))))
+    return _sweep_doc(draw, plant, st.floats(0.01, 2.0))
 
 
 def quasi_steady_report(doc):
@@ -960,6 +966,39 @@ def quasi_steady_report(doc):
     return cells
 
 
+def check_sweep_report(work, doc, truth):
+    """Run ``doc`` through ``dynderiv sweep`` and hold every report.csv cell to ``truth``.
+
+    ``truth`` maps (scenario, channel) to the row's cells, its status and the
+    "size" that bounds its channel's coefficient history.
+    """
+    config, out_dir = work / "case.json", work / "results"
+    config.write_text(json.dumps(doc))
+    shutil.rmtree(out_dir, ignore_errors=True)
+    code, _, err = run_warning_free(["sweep", str(config), "--out-dir", str(out_dir)])
+    assert (code, err) == (0, "")
+    with open(out_dir / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["scenario"], r["channel"]) for r in rows] == list(truth)
+    amp = math.radians(doc["oscillation"]["amplitude_deg"])
+    k = doc["oscillation"]["reduced_frequency"]
+    # extract divides a fitted part by A or by k*A; the loop area is a sum of y*dx
+    per = {"trim": 1.0, "C_alpha": amp, "loop_area": 1.0 / amp}
+    for row in rows:
+        want = truth[row["scenario"], row["channel"]]
+        assert row["status"] == want["status"]
+        for column in ("V", "k", "C_alpha", "C_q", "C_alphadot", "damping_sum", "trim",
+                       "loop_area"):
+            got = float(row[column]) if row[column] else None
+            if column not in want:
+                assert got is None, column
+            elif column in ("V", "k"):
+                assert math.isclose(got, want[column], rel_tol=1e-15), column
+            else:
+                tol = 1e-13 * want["size"] / per.get(column, k * amp)
+                assert abs(got - want[column]) <= tol, (column, row)
+
+
 class TestQuasiSteadySweepTruth:
     """Whole sweeps through the CLI against closed forms, over the configs it accepts."""
 
@@ -970,29 +1009,93 @@ class TestQuasiSteadySweepTruth:
     @given(quasi_steady_docs())
     @settings(max_examples=100, deadline=None)
     def test_every_report_cell(self, work, doc):
-        config, out_dir = work / "case.json", work / "results"
-        config.write_text(json.dumps(doc))
-        shutil.rmtree(out_dir, ignore_errors=True)
-        code, _, err = run_warning_free(["sweep", str(config), "--out-dir", str(out_dir)])
-        assert (code, err) == (0, "")
-        with open(out_dir / "report.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        truth = quasi_steady_report(doc)
-        assert [(r["scenario"], r["channel"]) for r in rows] == list(truth)
-        amp = math.radians(doc["oscillation"]["amplitude_deg"])
-        k = doc["oscillation"]["reduced_frequency"]
-        # extract divides a fitted part by A or by k*A; the loop area is a sum of y*dx
-        per = {"trim": 1.0, "C_alpha": amp, "loop_area": 1.0 / amp}
-        for row in rows:
-            want = truth[row["scenario"], row["channel"]]
-            assert row["status"] == want["status"]
-            for column in ("V", "k", "C_alpha", "C_q", "C_alphadot", "damping_sum", "trim",
-                           "loop_area"):
-                got = float(row[column]) if row[column] else None
-                if column not in want:
-                    assert got is None, column
-                elif column in ("V", "k"):
-                    assert math.isclose(got, want[column], rel_tol=1e-15), column
-                else:
-                    tol = 1e-13 * want["size"] / per.get(column, k * amp)
-                    assert abs(got - want[column]) <= tol, (column, row)
+        check_sweep_report(work, doc, quasi_steady_report(doc))
+
+
+@st.composite
+def flat_plate_docs(draw):
+    """An accepted flat-plate config: either kernel, any pitch axis within two semichords.
+
+    k reaches past 3 and 18, where theodorsen_function changes its method.
+    """
+    plant = {"kind": "flat-plate", "pitch_axis": draw(st.floats(-2.0, 2.0)),
+             "kernel": draw(st.sampled_from(["theodorsen", "jones"]))}
+    return _sweep_doc(draw, plant, st.one_of(st.floats(0.01, 3.0), st.floats(3.0, 25.0)))
+
+
+def theodorsen_c(k):
+    """C(k) = H1(k) / (H1(k) + i H0(k)), Hankel functions of the second kind, from mpmath."""
+    with mpmath.workdps(30):
+        h0, h1 = mpmath.hankel2(0, k), mpmath.hankel2(1, k)
+        return complex(h1 / (h1 + 1j * h0))
+
+
+def jones_c(k):
+    """R. T. Jones's two-pole approximation of C(k)."""
+    ik = 1j * k
+    return 1.0 - 0.165 * ik / (ik + 0.0455) - 0.335 * ik / (ik + 0.3)
+
+
+def theodorsen_loads(a, s, c, w, hdd):
+    """(CL, Cm) per radian of pitch e^(iwt) about the axis a semichords aft of midchord.
+
+    Theodorsen's lift and moment, with s = ik the nondimensional pitch rate,
+    c the lift-deficiency value, w = hdot/V and hdd = hddot*b/V^2 the plunge
+    (positive down) per radian of pitch; 3/4-chord downwash w + 1 + (1/2 - a)s.
+    """
+    circulatory = c * (w + 1.0 + (0.5 - a) * s)
+    cl = math.pi * (hdd + s - a * s * s) + 2.0 * math.pi * circulatory
+    cm = (0.5 * math.pi * (a * hdd - (0.5 - a) * s - (0.125 + a * a) * s * s)
+          + math.pi * (a + 0.5) * circulatory)
+    return cl, cm
+
+
+def flat_plate_report(doc):
+    """report.csv's cells by (scenario, channel), from Theodorsen's loads.
+
+    Incidence mode pitches the plate alone (w = hdd = 0).  Flow-path mode
+    adds the plunge that holds the incidence at its mean: w = -1, hdd = -s.
+    The response to pitch A sin(wt) is A (Re H sin(wt) + Im H cos(wt)), so
+    C_alpha = Re H_alpha, damping sum = Im H_alpha / k, C_q = Im H_q / k,
+    and the loop area is pi*A*b*sin(h)/h with b = A Im H_alpha and h = 2*pi/N.
+    The trims are the steady loads (s = 0, C = 1) at the mean incidence, and
+    the drag channel is zero.
+    """
+    p, osc = doc["plant"], doc["oscillation"]
+    a, k = p["pitch_axis"], osc["reduced_frequency"]
+    amp, alpha0 = math.radians(osc["amplitude_deg"]), math.radians(osc["mean_incidence_deg"])
+    c = (theodorsen_c if p["kernel"] == "theodorsen" else jones_c)(k)
+    h = 2.0 * math.pi / osc["samples_per_cycle"]
+    (cl_p, cm_p), (cl_q, cm_q) = (theodorsen_loads(a, 1j * k, c, 0.0, 0.0),
+                                  theodorsen_loads(a, 1j * k, c, -1.0, -1j * k))
+    cl_0, cm_0 = theodorsen_loads(a, 0.0, 1.0, 0.0, 0.0)
+    # channel -> (trim, incidence-mode H, flow-path-mode H)
+    truth = {"CL": (alpha0 * cl_0, cl_p, cl_q), "CD": (0.0, 0j, 0j),
+             "Cm": (alpha0 * cm_0, cm_p, cm_q)}
+    cells = {}
+    for s in doc["scenarios"]:
+        v = s["forward_velocity_m_s"]
+        if doc["speed_basis"] == "total":
+            v = math.sqrt(v * v + s["vertical_velocity_m_s"] ** 2)
+        for ch, (trim, hp, hq) in truth.items():
+            size = abs(trim) + amp * max(abs(hp.real) + abs(hp.imag), abs(hq.real) + abs(hq.imag))
+            row = {"V": v, "trim": trim, "status": "STATIC_ONLY", "size": size}
+            if v != 0.0:
+                row.update(k=k, C_alpha=hp.real, C_q=hq.imag / k, damping_sum=hp.imag / k,
+                           C_alphadot=(hp.imag - hq.imag) / k, status="OK",
+                           loop_area=math.pi * amp * amp * hp.imag * math.sin(h) / h)
+            cells[s["name"], ch] = row
+    return cells
+
+
+class TestFlatPlateSweepTruth:
+    """Whole flat-plate sweeps through the CLI against Theodorsen's loads written out here."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("flat-plate-sweep")
+
+    @given(flat_plate_docs())
+    @settings(max_examples=100, deadline=None)
+    def test_every_report_cell(self, work, doc):
+        check_sweep_report(work, doc, flat_plate_report(doc))

@@ -34,7 +34,7 @@ from dynderiv import (
     simulate,
     validate_fit,
 )
-from dynderiv.identify import CONTAMINATION_FLAG, RESIDUAL_FLAG
+from dynderiv.identify import CONTAMINATION_FLAG, RESIDUAL_FLAG, RESOLUTION_FLAG
 from dynderiv.series import CHANNELS
 
 OMEGA = 2.0 * math.pi
@@ -368,7 +368,7 @@ class TestSeparation:
                                        (OscillationMode.Q, OscillationMode.Q)])
     def test_sets_must_be_alpha_then_q(self, modes):
         first, second = (self._set(mode) for mode in modes)
-        with pytest.raises(ConditionMismatch, match="alpha-mode set and a q-mode set"):
+        with pytest.raises(ConditionMismatch, match="distinct modes in OscillationMode order"):
             separate_rates(first, second)
 
     def test_merged_set_is_not_an_alpha_set(self):
@@ -376,6 +376,26 @@ class TestSeparation:
         merged = separate_rates(self._set(OscillationMode.ALPHA), self._set(OscillationMode.Q))
         with pytest.raises(ConditionMismatch, match="merged already"):
             separate_rates(merged, self._set(OscillationMode.Q, rate_derivative=9.0))
+
+    def test_a_q_set_holding_an_alpha_value_is_merged_already(self):
+        q_set = self._set(OscillationMode.Q, static_slope=5.0)
+        with pytest.raises(ConditionMismatch, match="q-mode set .* merged already"):
+            separate_rates(self._set(OscillationMode.ALPHA), q_set)
+        with pytest.raises(ConditionMismatch, match="merged already"):
+            separate_rates(q_set)
+
+    @pytest.mark.parametrize("mode", list(OscillationMode))
+    def test_one_set_merges_to_an_equal_set(self, mode):
+        spec = OscillationSpec(mode, 0.0, 0.0801, 0.0811)
+        dset = extract({name: _fits()["CL"] for name in CHANNELS[::-1]}, spec,
+                       FlightCondition(100.0, 1.225, 0.2299, 0.6096, 0.1238))
+        merged = separate_rates(dset)
+        assert merged == dset and merged.spec is dset.spec
+        assert list(merged.channels) == list(dset.channels)
+
+    def test_no_set_is_rejected(self):
+        with pytest.raises(ConditionMismatch, match="distinct modes"):
+            separate_rates()
 
     def test_merge_keeps_the_alpha_set_channel_order(self):
         # not the order of a set of names, which changes with the hash seed
@@ -532,6 +552,25 @@ class TestValidateFit:
         assert CONTAMINATION_FLAG not in validate_fit(clean, spec)
         # in incidence mode, in-phase content is signal, not contamination
         assert validate_fit(dirty, self.SPEC) == []
+
+    @pytest.mark.parametrize("mode", list(OscillationMode))
+    def test_resolution_flag_where_the_trim_swamps_the_oscillation(self, condition, mode):
+        # eps * |trim| against 1e-6 * min(A, k*A): CL 0.2 and Cm -0.05 at A = 1e-12 rad
+        # are over the bar, the all-zero CD is not, and no channel is at A = 1e-6
+        plant = QuasiSteadyPlant(CL0=0.2, CL_alpha=5.0, Cm_q=-3.0, Cm0=-0.05)
+        flagged = {}
+        for amp in (1e-12, 1e-6):
+            spec = OscillationSpec(mode, 0.0, amp, 0.1)
+            dset, _ = identify_modes(plant, spec, condition, modes=(mode,))
+            flagged[amp] = {name for name, ch in dset.channels.items()
+                            if RESOLUTION_FLAG in validate_fit(ch.fit, spec)}
+        assert flagged == {1e-12: {"CL", "Cm"}, 1e-6: set()}
+
+    def test_agard_point_raises_no_flag(self, linear_plant, condition, agard_alpha_spec):
+        for mode in OscillationMode:
+            spec = agard_alpha_spec.with_mode(mode)
+            dset, _ = identify_modes(linear_plant, spec, condition, modes=(mode,))
+            assert [validate_fit(ch.fit, spec) for ch in dset.channels.values()] == [[]] * 3
 
     def test_noise_monte_carlo(self):
         # flag iff residual exceeds threshold; error shrinks like 1/sqrt(N)

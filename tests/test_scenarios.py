@@ -26,6 +26,8 @@ from dynderiv import (
     TransitionScenario,
     agard_ct2_preset,
     builtin_scenarios,
+    extract,
+    fit_series,
     identify_modes,
     loop_metrics,
     make_schedule,
@@ -140,6 +142,16 @@ class TestIdentifyModes:
                                          modes=(OscillationMode.Q,))
         assert dset.spec.mode is OscillationMode.Q and incidence is None
         assert dset.channels["Cm"].rate_derivative == pytest.approx(-3.0, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", list(OscillationMode))
+    def test_one_mode_gives_that_modes_extract(self, linear_plant, condition, agard_alpha_spec,
+                                               mode):
+        dset, _ = identify_modes(linear_plant, agard_alpha_spec, condition, modes=(mode,))
+        spec = agard_alpha_spec.with_mode(mode)
+        schedule = make_schedule(spec, condition)
+        series = simulate(linear_plant, schedule, condition)
+        want = extract(fit_series(series, schedule.omega), spec, condition)
+        assert dset == want and list(dset.channels) == list(want.channels)
 
     @pytest.mark.parametrize("a", [-0.5, 0.25])
     def test_default_skip_settles_the_indicial_plant(self, a):
