@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import parse_case_config, render_case_config
-from .errors import DomainError, DynDerivError
+from .errors import DomainError, DynDerivError, _choices
 from .identify import extract, fit_series
 from .io import (
     atomic_write,
@@ -55,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run a plant over one oscillation case")
+    p_sim.set_defaults(run=_cmd_simulate)
     p_sim.add_argument("config", help="case-config JSON file")
     p_sim.add_argument("--out", help="output series file (default: stdout)")
     p_sim.add_argument(
@@ -63,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_id = sub.add_parser("identify", help="fit a coefficient series, emit derivatives")
+    p_id.set_defaults(run=_cmd_identify)
     p_id.add_argument("series", help="series/monitor file to fit")
     p_id.add_argument("--k", type=float, required=True, help="reduced frequency omega*c/(2V)")
     p_id.add_argument("--mode", choices=_MODES, required=True)
@@ -86,10 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--out", help="output table file (default: stdout)")
 
     p_sweep = sub.add_parser("sweep", help="run the scenario matrix from a config")
+    p_sweep.set_defaults(run=_cmd_sweep)
     p_sweep.add_argument("config", help="case-config JSON file")
     p_sweep.add_argument("--out-dir", default=".", help="output directory (default: .)")
 
-    sub.add_parser("validate", help="run the built-in oracle suite")
+    sub.add_parser("validate", help="run the built-in oracle suite").set_defaults(
+        run=lambda args: run_validation(sys.stdout))
     return parser
 
 
@@ -176,13 +180,13 @@ def _identify_spec(args: argparse.Namespace) -> OscillationSpec:
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:
-    aliases = {}
+    aliases, targets = {}, ("time",) + CHANNELS
     for item in args.alias:
         if "=" not in item:
             raise _UsageError(f"--alias needs HEADER=CHANNEL, got '{item}'")
         header, _, channel = item.partition("=")
-        if channel.strip() not in ("time",) + CHANNELS:
-            raise _UsageError(f"--alias target must be 'time', 'CL', 'CD' or 'Cm', got '{item}'")
+        if channel.strip() not in targets:
+            raise _UsageError(f"--alias target must be {_choices(targets)}, got '{item}'")
         aliases.pop(header, None)           # re-inserted last: the last --alias wins
         aliases[header] = channel.strip()
     spec = _identify_spec(args)
@@ -237,21 +241,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "identify":
-            return _cmd_identify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "validate":
-            return run_validation(sys.stdout)
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except DynDerivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

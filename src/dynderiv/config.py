@@ -23,11 +23,11 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple, get_args, get_type_hints
 
-from .errors import DomainError, MalformedDocument, MissingKey, UnitViolation, UnknownKey
+from .errors import DomainError, MalformedDocument, MissingKey, UnitViolation, UnknownKey, _choices
 from .kinematics import FlightCondition, OscillationMode, OscillationSpec
-from .plants import FlatPlatePlant, IndicialPlant, Plant, QuasiSteadyPlant
+from .plants import Plant
 from .scenarios import SweepPlan, TransitionScenario, builtin_scenarios
 
 
@@ -79,7 +79,7 @@ _KINDS = {
     "boolean": _Kind("a boolean", lambda v: type(v) is bool),
     "string": _Kind("a string", lambda v: type(v) is str),
     "modes": _Kind(
-        f"a list of {' or '.join(map(repr, _MODE_VALUES))} entries",
+        f"a list of {_choices(_MODE_VALUES)} entries",
         lambda v: type(v) is list and all(m in _MODE_VALUES for m in v),
         lambda v: tuple(OscillationMode(m) for m in v),
         lambda modes: [m.value for m in modes],
@@ -95,11 +95,6 @@ class _Key(NamedTuple):
     kind: str
     required: bool = True
     nullable: bool = False      # JSON null is accepted and means None
-
-
-def _optional(kind: str, *names: str, nullable: bool = False) -> dict[str, _Key]:
-    """Optional keys, each named like the field it fills."""
-    return {name: _Key(name, kind, required=False, nullable=nullable) for name in names}
 
 
 # top-level keys -> SweepPlan fields; ``modes`` and ``skip_cycles`` sit in
@@ -134,26 +129,18 @@ _SCENARIO = {
     "vertical_velocity_m_s": _Key("vertical_velocity", "number"),
     "forward_velocity_m_s": _Key("forward_velocity", "number"),
 }
-_DRAG = {
-    **_optional("number", "CD0", "CD_alpha", "CD_q"),
-    **_optional("number", "induced_drag_factor", nullable=True),
-}
-_QUASI_STEADY = {
-    **_optional("number", "CL0", "CL_alpha", "CL_q", "CL_alphadot"),
-    **_optional("number", "Cm0", "Cm_alpha", "Cm_q", "Cm_alphadot"),
-    **_DRAG,
-    **_optional("boolean", "mach_scaling"),
-}
-_FLAT_PLATE = {**_optional("number", "pitch_axis"), **_optional("string", "kernel")}
-_INDICIAL = {**_optional("number", "pitch_axis"), **_DRAG}
+# a plant field's type hint -> the kind of its config key
+_HINTS = {float: {"kind": "number"}, float | None: {"kind": "number", "nullable": True},
+          bool: {"kind": "boolean"}, str: {"kind": "string"}}
+
+
+def _plant_keys(cls: type[Plant]) -> dict[str, _Key]:
+    """A plant's config keys: one optional key per dataclass field, named like the field."""
+    return {k: _Key(k, required=False, **_HINTS[h]) for k, h in get_type_hints(cls).items()}
 
 
 # plant.kind -> (table of the other keys, plant class whose fields they are)
-_PLANTS: dict[str, tuple[dict[str, _Key], type[Plant]]] = {
-    "quasi-steady": (_QUASI_STEADY, QuasiSteadyPlant),
-    "flat-plate": (_FLAT_PLATE, FlatPlatePlant),
-    "indicial": (_INDICIAL, IndicialPlant),
-}
+_PLANTS = {cls.name: (_plant_keys(cls), cls) for cls in get_args(Plant)}
 
 
 def _join(path: str, key: str) -> str:
@@ -254,9 +241,7 @@ def _parse_plant(ctx: _Ctx, obj: Any) -> Plant:
         raise ctx.missing("plant.kind")
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _PLANTS:
-        raise UnitViolation(
-            f"'plant.kind' must be 'quasi-steady', 'flat-plate' or 'indicial', got {kind!r}"
-        )
+        raise UnitViolation(f"'plant.kind' must be {_choices(_PLANTS)}, got {kind!r}")
     table, cls = _PLANTS[kind]
     return ctx.build(cls, {k: v for k, v in obj.items() if k != "kind"}, table, "plant")
 

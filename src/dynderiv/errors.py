@@ -40,6 +40,12 @@ def check(ok: bool, field: str, rule: str, value: object = None, error: type = D
         raise error(field, rule, value)
 
 
+def _choices(values) -> str:
+    """A closed list for a message: 'a', 'b' or 'c', and 'a' for a single value."""
+    *rest, last = map(repr, values)
+    return f"{', '.join(rest)} or {last}" if rest else last
+
+
 _STANDARD_RULES = {
     "finite": math.isfinite,
     "> 0": lambda v: math.isfinite(v) and v > 0.0,

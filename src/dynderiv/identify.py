@@ -376,7 +376,8 @@ RESIDUAL_FLAG = "RESIDUAL"
 CONDITIONING_FLAG = "CONDITIONING"
 CONTAMINATION_FLAG = "CONTAMINATION"
 RESOLUTION_FLAG = "RESOLUTION"
-# flag thresholds; residual and contamination are relative to the fitted amplitude
+# flag thresholds; residual and contamination are relative to the fitted amplitude,
+# and never below the rounding of the fit (validate_fit)
 _RESIDUAL_THRESHOLD = 1e-3
 _CONDITIONING_THRESHOLD = 1e6
 _CONTAMINATION_THRESHOLD = 0.1
@@ -389,18 +390,22 @@ def validate_fit(fit: HarmonicFit, spec: OscillationSpec) -> list[str]:
     The contamination check applies where ``_IDENTIFIES`` makes the
     in-phase quotient the contamination diagnostic (flow-path mode): there
     in-phase content beyond apparent-mass effects indicates an amplitude
-    mismatch upstream.  RESOLUTION is raised when eps * |mean| exceeds
-    1e-6 * min(A, k*A): the rounding of the trim alone then moves a
-    derivative by more than 1e-6 per rad.  Never mutates the fit.
+    mismatch upstream.  RESIDUAL and CONTAMINATION need their quantity above
+    eps * |mean| * n_samples too, the rounding bound of the fit's sums: a
+    channel with no first harmonic otherwise flags its own rounding.
+    RESOLUTION is raised when eps * |mean| exceeds 1e-6 * min(A, k*A): the
+    rounding of the trim alone then moves a derivative by more than 1e-6
+    per rad.  Never mutates the fit.
     """
     flags: list[str] = []
     amp = fit.amplitude
-    if fit.residual_rms > _RESIDUAL_THRESHOLD * amp:
+    rounding = np.finfo(float).eps * abs(fit.mean) * fit.n_samples
+    if fit.residual_rms > max(_RESIDUAL_THRESHOLD * amp, rounding):
         flags.append(RESIDUAL_FLAG)
     if fit.condition_indicator > _CONDITIONING_THRESHOLD:
         flags.append(CONDITIONING_FLAG)
     if (_IDENTIFIES[spec.mode][0] == "contamination"
-            and abs(fit.in_phase) > _CONTAMINATION_THRESHOLD * amp):
+            and abs(fit.in_phase) > max(_CONTAMINATION_THRESHOLD * amp, rounding)):
         flags.append(CONTAMINATION_FLAG)
     scale = min(spec.body_amplitude, spec.reduced_frequency * spec.body_amplitude)
     if np.finfo(float).eps * abs(fit.mean) > _RESOLUTION_THRESHOLD * scale:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DynDerivError, InsufficientSamples, check, check_fields
+from .errors import DynDerivError, InsufficientSamples, _choices, check, check_fields
 from .identify import (
     ChannelDerivatives,
     DerivativeSet,
@@ -67,6 +67,9 @@ def _run_skip(plant: Plant, cycles: int, modes: tuple, skip_cycles: int | None) 
 
 # a scenario name is part of a file name and a CSV cell
 _NAME = re.compile(r"[A-Za-z0-9._-]+")
+# speed_basis -> the freestream speed a scenario flies at, m/s
+_SPEED_BASES = {"forward": lambda s: s.forward_velocity,
+                "total": lambda s: math.hypot(s.forward_velocity, s.vertical_velocity)}
 
 
 @dataclass(frozen=True)
@@ -147,8 +150,8 @@ class SweepPlan:
         folded = [s.name.casefold() for s in self.scenarios]
         repeated = [s.name for i, s in enumerate(self.scenarios) if folded[i] in folded[:i]]
         check(not repeated, "scenarios", f"must not repeat a scenario name: {repeated}")
-        check(self.speed_basis in ("forward", "total"), "speed_basis",
-              "must be 'forward' or 'total'", self.speed_basis)
+        check(isinstance(self.speed_basis, str) and self.speed_basis in _SPEED_BASES,
+              "speed_basis", f"must be {_choices(_SPEED_BASES)}", self.speed_basis)
         self.effective_skip()           # checks modes and skip_cycles
         # canonical form: the template's mode is the first planned mode
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
@@ -159,9 +162,7 @@ class SweepPlan:
         return _run_skip(self.plant, self.oscillation.cycles, self.modes, self.skip_cycles)
 
     def scenario_speed(self, scenario: TransitionScenario) -> float:
-        if self.speed_basis == "total":
-            return math.hypot(scenario.forward_velocity, scenario.vertical_velocity)
-        return scenario.forward_velocity
+        return _SPEED_BASES[self.speed_basis](scenario)
 
     def scenario_condition(self, scenario: TransitionScenario) -> FlightCondition:
         """The condition template at the speed ``scenario`` flies."""

@@ -19,6 +19,7 @@ from dynderiv import (
     ZeroAmplitude,
     ZeroReducedFrequency,
     builtin_scenarios,
+    errors,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dynderiv"
@@ -65,6 +66,7 @@ FIELD_CASES = [
     ("modes", lambda: _plan(modes=())),
     ("modes", lambda: _plan(modes=(ALPHA, ALPHA))),
     ("speed_basis", lambda: _plan(speed_basis="diagonal")),
+    ("speed_basis", lambda: _plan(speed_basis=["forward"])),
     ("skip_cycles", lambda: _plan(skip_cycles=-1)),
 ]
 
@@ -76,6 +78,12 @@ def test_value_object_domain_error_names_its_field(field, build, error):
         build()
     assert info.value.field == field
     assert str(info.value).startswith(f"{field} {info.value.rule}")
+
+
+@pytest.mark.parametrize("values, spelled", [
+    (["one"], "'one'"), (("a", "b"), "'a' or 'b'"), ({"a": 1, "b": 2, "c": 3}, "'a', 'b' or 'c'")])
+def test_a_closed_list_is_spelled_as_its_values(values, spelled):
+    assert errors._choices(values) == spelled
 
 
 @pytest.mark.parametrize("name", ["a b", "a,b", "../x", "a\n"])

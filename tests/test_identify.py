@@ -566,6 +566,22 @@ class TestValidateFit:
                             if RESOLUTION_FLAG in validate_fit(ch.fit, spec)}
         assert flagged == {1e-12: {"CL", "Cm"}, 1e-6: set()}
 
+    def test_rounding_is_no_residual_or_contamination_but_noise_is(self, condition,
+                                                                   agard_alpha_spec):
+        # CL is constant: its fitted amplitude (~1e-17) and residual (~1e-15) are rounding,
+        # under eps * |mean| * n_samples (~1e-13); the amplitude-relative bars alone flag them
+        flow_path = OscillationSpec(OscillationMode.Q, agard_alpha_spec.mean_incidence, 1e-6, 0.1)
+        for plant, spec in [(QuasiSteadyPlant(CL0=0.2, Cm_alpha=-1.0), agard_alpha_spec),
+                            (QuasiSteadyPlant(CL0=0.2, CL_alpha=5.0, Cm_q=-3.0, Cm0=-0.05),
+                             flow_path)]:
+            dset, _ = identify_modes(plant, spec, condition, modes=(spec.mode,))
+            fit = dset.channels["CL"].fit
+            assert fit.amplitude < 1e-15 < fit.residual_rms
+            assert validate_fit(fit, spec) == []
+        t = _grid(3)
+        noisy = 0.2 + 1e-6 * np.random.default_rng(5).standard_normal(len(t))
+        assert validate_fit(fit_harmonic(t, noisy, OMEGA), agard_alpha_spec) == [RESIDUAL_FLAG]
+
     def test_agard_point_raises_no_flag(self, linear_plant, condition, agard_alpha_spec):
         for mode in OscillationMode:
             spec = agard_alpha_spec.with_mode(mode)
