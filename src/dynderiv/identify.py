@@ -376,8 +376,7 @@ RESIDUAL_FLAG = "RESIDUAL"
 CONDITIONING_FLAG = "CONDITIONING"
 CONTAMINATION_FLAG = "CONTAMINATION"
 RESOLUTION_FLAG = "RESOLUTION"
-# flag thresholds; residual and contamination are relative to the fitted amplitude,
-# and never below the rounding of the fit (validate_fit)
+# flag thresholds; residual and contamination are relative to the amplitude, over a floor
 _RESIDUAL_THRESHOLD = 1e-3
 _CONDITIONING_THRESHOLD = 1e6
 _CONTAMINATION_THRESHOLD = 0.1

@@ -1130,7 +1130,7 @@ class TestFlatPlateSweepTruth:
 def indicial_docs(draw):
     """An accepted indicial config: any pitch axis and drag polar, a skip the run leaves room for.
 
-    Past the drawn skip (None: the plant's default of 2) the run fits 1-2 cycles
+    Past the drawn skip (None: the plant's default) the run fits 1-2 cycles
     of 32-256 samples each.
     """
     plant = {key: draw(_COEFFICIENTS) for key in _DRAG_KEYS[:3]}
@@ -1138,8 +1138,9 @@ def indicial_docs(draw):
                  induced_drag_factor=draw(st.one_of(st.none(), st.floats(0.0, 2.0))))
     doc = _sweep_doc(draw, plant, st.floats(0.01, 1.0))
     skip = draw(st.one_of(st.none(), st.integers(0, 8)))
+    skipped = scenarios.DEFAULT_SKIP_TRANSIENT if skip is None else skip
     doc["oscillation"].update(skip_cycles=skip, samples_per_cycle=draw(st.integers(32, 256)),
-                              cycles=(2 if skip is None else skip) + draw(st.integers(1, 2)))
+                              cycles=skipped + draw(st.integers(1, 2)))
     return doc
 
 
@@ -1175,7 +1176,7 @@ def indicial_report(doc):
     a, k, spc = p["pitch_axis"], osc["reduced_frequency"], osc["samples_per_cycle"]
     amp, alpha0 = math.radians(osc["amplitude_deg"]), math.radians(osc["mean_incidence_deg"])
     kappa = p["induced_drag_factor"] or 0.0
-    skip = 2 if osc["skip_cycles"] is None else osc["skip_cycles"]
+    skip = scenarios.DEFAULT_SKIP_TRANSIENT if osc["skip_cycles"] is None else osc["skip_cycles"]
     ds, ae = 2.0 * math.pi / (k * spc), amp * (1.0 + abs(0.5 - a) * k)
     d_cl = 2.0 * math.pi * sum(
         aj * (ds * ds * ae * (k * k / 12.0 + bj * k * math.exp(bj * ds / 2.0) / 24.0)
@@ -1254,15 +1255,17 @@ class TestCommandPaths:
         config, out_dir = work / "case.json", work / "results"
         config.write_text(json.dumps(doc))
         shutil.rmtree(out_dir, ignore_errors=True)
-        assert run_warning_free(["sweep", str(config), "--out-dir", str(out_dir)])[:3:2] == (0, "")
+        code, _, err = run_warning_free(["sweep", str(config), "--out-dir", str(out_dir)])
+        assert (code, err) == (0, "")
         with open(out_dir / "report.csv", newline="") as fh:
             sweep = {row["channel"]: row for row in csv.DictReader(fh)}
         osc, cond = doc["oscillation"], doc["condition"]
         tables = {}
         for mode in ("alpha", "q"):
             export = work / f"{mode}.csv"
-            assert run_warning_free(["simulate", str(config), "--mode", mode,
-                                     "--out", str(export)])[:3:2] == (0, "")
+            code, _, err = run_warning_free(["simulate", str(config), "--mode", mode,
+                                             "--out", str(export)])
+            assert (code, err) == (0, "")
             code, out, err = run_warning_free([   # flag=value: a value may start with '-'
                 "identify", str(export), "--mode", mode, f"--k={osc['reduced_frequency']!r}",
                 f"--amplitude-deg={osc['amplitude_deg']!r}",
