@@ -16,7 +16,6 @@ from dynderiv import (
     extract,
     fit_series,
     parse_monitor_table,
-    validate_fit,
 )
 
 # the solver's test setup (the user always knows these)
@@ -58,7 +57,7 @@ fits = fit_series(series, OMEGA)
 dset = extract(fits, spec)
 
 for name, ch in dset.channels.items():
-    flags = validate_fit(ch.fit, spec) or ["clean"]
+    flags = ch.flags or ("clean",)
     print(f"{name}: C_alpha = {ch.static_slope:+.4f}, damping sum = {ch.damping_sum:+.4f}, "
           f"residual rms = {ch.fit.residual_rms:.1e}, flags: {','.join(flags)}")
 

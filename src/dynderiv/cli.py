@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -45,9 +46,22 @@ DOMAIN_ERROR = 1
 _MODES = [m.value for m in OscillationMode]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes any negative float literal as a value.
+
+    argparse reads only '-1' and '-1.5' as negative numbers, so '-1e-05' or
+    '-inf' after a flag would be taken for an option.  No dynderiv option
+    looks like a number; subparsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 @functools.cache        # built on first use; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dynderiv",
         description="Forced-oscillation identification of longitudinal dynamic derivatives.",
     )
@@ -213,8 +227,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # loop plot data per successful scenario, plus a run-metadata sidecar;
     # the data files themselves carry no run metadata (byte determinism)
     for result in report.results:
-        if result.incidence_series is not None and result.incidence_history is not None:
-            text = write_loop_table(result.incidence_history, result.incidence_series)
+        if result.incidence is not None:
+            text = write_loop_table(*result.incidence)
             _write(out_dir / f"loops_{result.scenario.name}.csv", text)
     meta = {
         "tool": "dynderiv",

@@ -36,7 +36,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ConditionMismatch, InsufficientSamples, NonFiniteData, check
+from .errors import ConditionMismatch, InsufficientSamples, NonFiniteData, _choices, check
 from .kinematics import FlightCondition, OscillationMode, OscillationSpec
 from .series import CHANNELS, CoefficientSeries
 
@@ -220,6 +220,7 @@ class ChannelDerivatives:
     damping_sum: float | None = None           # rate + aoa_rate, per rad
     contamination: float | None = None         # flow-path-mode in-phase residue / A
     fit: HarmonicFit | None = None
+    flags: tuple[str, ...] | None = None       # validate_fit(fit, the run's spec)
 
     @property
     def aoa_rate_derivative(self) -> float | None:
@@ -240,7 +241,7 @@ class DerivativeSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", dict(self.channels))
         for name in self.channels:
-            check(name in CHANNELS, "channels", f"must be named from {CHANNELS}", name)
+            check(name in CHANNELS, "channels", f"must be named {_choices(CHANNELS)}", name)
 
 
 def extract(
@@ -256,6 +257,7 @@ def extract(
     derivative = out-of-phase / (k*A), and the in-phase residue over A is
     reported as a contamination diagnostic: the incidence is constant in
     this mode, so for a plant with no apparent-mass physics it must be zero.
+    Each channel records its fit and ``validate_fit``'s flags for it.
     OscillationSpec keeps A and k*A finite and no smaller than the smallest
     normal float, so both scalings exist; a quotient that still overflows
     raises NonFiniteData naming its channel.
@@ -269,7 +271,8 @@ def extract(
         if not all(map(math.isfinite, parts.values())):
             raise NonFiniteData(f"{name}: in-phase / A and out-of-phase / (k*A) must be finite, "
                                 f"got {parts[in_name]} and {parts[out_name]} (A = {amp:.6g})")
-        channels[name] = ChannelDerivatives(trim_value=fit.mean, fit=fit, **parts)
+        channels[name] = ChannelDerivatives(trim_value=fit.mean, fit=fit,
+                                            flags=tuple(validate_fit(fit, spec)), **parts)
     return DerivativeSet(channels=channels, spec=spec, condition=condition)
 
 
@@ -284,10 +287,10 @@ def separate_rates(*sets: DerivativeSet) -> DerivativeSet:
 
     A merged channel holds every value some set identified (``extract``
     gives each mode only what ``_IDENTIFIES`` names); where two sets hold a
-    value, the first set's wins, as do its spec, condition and channel
-    order.  With the alpha and q modes, aoa_rate_derivative = damping sum -
-    rate derivative.  All runs must share the same reduced frequency and
-    flight condition (1e-9 relative).
+    value (trim, fit, flags), the first set's wins, as do its spec,
+    condition and channel order.  With the alpha and q modes,
+    aoa_rate_derivative = damping sum - rate derivative.  All runs must
+    share the same reduced frequency and flight condition (1e-9 relative).
     """
     modes = [getattr(s.spec, "mode", None) for s in sets]
     if not sets or None in modes or modes != sorted(set(modes), key=list(OscillationMode).index):
@@ -295,7 +298,7 @@ def separate_rates(*sets: DerivativeSet) -> DerivativeSet:
         raise ConditionMismatch(f"need sets of distinct modes in OscillationMode order, got {got}")
     first = sets[0]
     for s in sets:
-        own = {"trim_value", "fit", *_IDENTIFIES[s.spec.mode]}
+        own = {"trim_value", "fit", "flags", *_IDENTIFIES[s.spec.mode]}
         if any(v is not None and f not in own
                for c in s.channels.values() for f, v in vars(c).items()):
             raise ConditionMismatch(f"the {s.spec.mode.value}-mode set holds values another mode "

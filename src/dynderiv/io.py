@@ -32,9 +32,10 @@ from .errors import (
     NoCoefficientColumn,
     NonFiniteValue,
     NonMonotonicTime,
+    _choices,
     check,
 )
-from .identify import ChannelDerivatives, validate_fit
+from .identify import ChannelDerivatives
 from .scenarios import SweepReport, SweepStatus
 from .series import CHANNELS, CoefficientSeries
 
@@ -107,8 +108,7 @@ def parse_monitor_table(
         for target in extra_aliases.values():
             if target not in ("time",) + CHANNELS:
                 raise MonitorError(
-                    f"alias target must be 'time' or one of {CHANNELS}, got {target!r}"
-                )
+                    f"alias target must be {_choices(('time',) + CHANNELS)}, got {target!r}")
 
     lines = _kept(text.splitlines())
     if not lines:
@@ -415,9 +415,7 @@ def write_report(report: SweepReport) -> tuple[str, str]:
             if ch is None:
                 continue
             loop = result.loops.get(channel) if result.loops else None
-            flags = ""
-            if ch.fit is not None and result.derivatives.spec is not None:
-                flags = ",".join(validate_fit(ch.fit, result.derivatives.spec)) or "-"
+            flags = "" if ch.flags is None else ",".join(ch.flags) or "-"
             values = [_derivative(ch, c) for c in _SUMMARY_COLUMNS]
             cells = [_summary_cell(v) for v in values + [loop]]
             human_lines.append("  " + " ".join([f"{channel:<4}"] + cells + [flags]))

@@ -30,6 +30,7 @@ from .errors import (
     DomainError,
     InsufficientSamples,
     NonDimensionalizationUndefined,
+    _choices,
     check,
     check_fields,
 )
@@ -342,7 +343,8 @@ class FlatPlatePlant:
 
     def __post_init__(self) -> None:
         _check_pitch_axis(self.pitch_axis)
-        check(self.kernel in _KERNELS, "kernel", f"must be one of {sorted(_KERNELS)}", self.kernel)
+        check(isinstance(self.kernel, str) and self.kernel in _KERNELS, "kernel",
+              f"must be {_choices(_KERNELS)}", self.kernel)
 
     def loads(self, k: float, mode: OscillationMode) -> ComplexLoads:
         return _MODE_LOADS[mode](k, self.pitch_axis, deficiency=_KERNELS[self.kernel])

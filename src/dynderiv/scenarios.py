@@ -46,8 +46,9 @@ from .plants import IndicialPlant, Plant, simulate
 from .series import CHANNELS, CoefficientSeries
 
 # Skip no cycles for transient-free plants, two for anything with start-up
-# lag dynamics (the slow Wagner pole decays below 0.2% within two cycles
-# at k >= 0.05).
+# lag dynamics.  Two cycles leave exp(-4*pi*0.0455/k) of the slow Wagner
+# pole's start-up term: 1.1e-5 at k = 0.05, 3.3e-3 at 0.1, 5.7e-2 at 0.2
+# and 0.15 at 0.3, so below 0.2% only for k <= 0.092 (ROADMAP item 8).
 DEFAULT_SKIP_TRANSIENT = 2
 
 
@@ -179,9 +180,9 @@ class SweepStatus(enum.Enum):
 class ScenarioResult:
     """Outcome for one scenario of a sweep.
 
-    For successful scenarios the incidence-mode coefficient series and its
-    incidence history ride along so report writers can emit loop data
-    without re-running the plant.
+    A scenario that ran the incidence mode keeps that run as ``incidence``,
+    the pair (incidence history in rad, coefficient series), so report
+    writers can emit loop data without re-running the plant.
     """
 
     scenario: TransitionScenario
@@ -189,8 +190,7 @@ class ScenarioResult:
     derivatives: DerivativeSet | None = None
     loops: dict[str, float] | None = None          # channel -> signed loop area
     failure_reason: str | None = None
-    incidence_series: "CoefficientSeries | None" = None
-    incidence_history: "np.ndarray | None" = None
+    incidence: tuple[np.ndarray, CoefficientSeries] | None = None
 
 
 @dataclass(frozen=True)
@@ -253,16 +253,15 @@ def _run_one(plan: SweepPlan, scenario: TransitionScenario, basis: _Basis) -> Sc
 
     derivatives, incidence = identify_modes(plan.plant, plan.oscillation, cond, plan.modes,
                                             plan.skip_cycles, basis)
-    loops = series = history = None
-    if incidence is not None:
-        schedule, series = incidence
-        history = schedule.relative_aoa
-        loops = {
-            name: loop_metrics(series.times, history, values, schedule.omega, _basis=basis)
-            for name, values in series.channels().items()
-        }
+    if incidence is None:
+        return ScenarioResult(scenario, SweepStatus.OK, derivatives)
+    schedule, series = incidence
+    loops = {
+        name: loop_metrics(series.times, schedule.relative_aoa, y, schedule.omega, _basis=basis)
+        for name, y in series.channels().items()
+    }
     return ScenarioResult(scenario, SweepStatus.OK, derivatives, loops,
-                          incidence_series=series, incidence_history=history)
+                          incidence=(schedule.relative_aoa, series))
 
 
 def run_sweep(plan: SweepPlan) -> SweepReport:

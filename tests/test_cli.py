@@ -119,6 +119,15 @@ class TestSimulate:
         fit = fit_harmonic(series.times, series.CL, omega)
         assert abs(fit.in_phase) < 1e-12
 
+    def test_a_mode_the_config_does_not_list_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "case.json"
+        doc = config_doc()
+        doc["oscillation"]["modes"] = ["alpha"]
+        config.write_text(json.dumps(doc))
+        assert main(["simulate", str(config), "--mode", "q"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: mode 'q' is not listed in the config's modes"]
+
     def test_config_with_a_byte_order_mark(self, tmp_path, capsys):
         config = tmp_path / "case.json"
         config.write_text(json.dumps(config_doc(), indent=2), encoding="utf-8-sig")
@@ -303,6 +312,21 @@ class TestIdentify:
                 "--amplitude-deg", str(AGARD_AMP_DEG)]
         assert main(argv + flags) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {rule}"]
+
+    @pytest.mark.parametrize("flags, code, err", [
+        (["--mean-deg", "-1e-05"], 0, []),
+        (["--mean-deg", "-.5E+1"], 0, []),
+        (["--k", "-1E2"], 2, ["error: --k must be > 0, got -100.0"]),
+        (["--amplitude-deg", "-inf"], 2, ["error: --amplitude-deg must be > 0, got -inf"]),
+    ], ids=["mean-exponent", "mean-point-exponent", "k-exponent", "amplitude-inf"])
+    def test_a_negative_value_in_any_float_form_is_read_as_a_value(self, tmp_path, capsys,
+                                                                   flags, code, err):
+        # argparse alone takes '-1e-05' after a flag for an option and exits 2
+        path = self._write_fixture(tmp_path, "alpha")
+        argv = ["identify", str(path), "--k", str(AGARD_K), "--mode", "alpha",
+                "--amplitude-deg", str(AGARD_AMP_DEG)]
+        assert main(argv + flags) == code
+        assert capsys.readouterr().err.splitlines() == err
 
     @pytest.mark.parametrize("skip", [3, 1000, 10**400], ids=["3", "1000", "10**400"])
     def test_too_large_skip_is_one_line(self, tmp_path, capsys, skip):

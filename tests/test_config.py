@@ -279,7 +279,7 @@ RANGE_CASES = [
     ("plant.induced_drag_factor", -0.1, {"kind": "indicial"}, "must be >= 0"),
     ("plant.pitch_axis", 5.0, {"kind": "flat-plate"}, "|a| <= 2"),
     ("plant.pitch_axis", -3, {"kind": "indicial"}, "|a| <= 2"),
-    ("plant.kernel", "fourier", {"kind": "flat-plate"}, "must be one of"),
+    ("plant.kernel", "fourier", {"kind": "flat-plate"}, "must be 'theodorsen' or 'jones'"),
     ("scenarios[0].altitude_m", -10.0, None, "must be >= 0"),
     ("scenarios[0].forward_velocity_m_s", -1, None, "must be >= 0"),
     ("scenarios[0].forward_velocity_m_s", 400.0, None, "Mach must be < 1"),

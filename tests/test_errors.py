@@ -85,6 +85,12 @@ def test_an_unhashable_speed_basis_is_a_domain_error():
     assert info.value.field == "speed_basis"
 
 
+def test_an_unhashable_kernel_is_a_domain_error():
+    with pytest.raises(DomainError) as info:
+        FlatPlatePlant(kernel=["jones"])
+    assert (info.value.field, info.value.rule) == ("kernel", "must be 'theodorsen' or 'jones'")
+
+
 @pytest.mark.parametrize("values, spelled", [
     (["one"], "'one'"), (("a", "b"), "'a' or 'b'"), ({"a": 1, "b": 2, "c": 3}, "'a', 'b' or 'c'")])
 def test_a_closed_list_is_spelled_as_its_values(values, spelled):

@@ -1,5 +1,6 @@
 """Harmonic regression, derivative extraction, separation, loop metrics."""
 
+import dataclasses
 import math
 from dataclasses import fields
 
@@ -34,7 +35,12 @@ from dynderiv import (
     simulate,
     validate_fit,
 )
-from dynderiv.identify import CONTAMINATION_FLAG, RESIDUAL_FLAG, RESOLUTION_FLAG
+from dynderiv.identify import (
+    CONDITIONING_FLAG,
+    CONTAMINATION_FLAG,
+    RESIDUAL_FLAG,
+    RESOLUTION_FLAG,
+)
 from dynderiv.series import CHANNELS
 
 OMEGA = 2.0 * math.pi
@@ -363,6 +369,16 @@ class TestSeparation:
         with pytest.raises(ConditionMismatch):
             separate_rates(alpha_set, q_set)
 
+    def test_a_set_without_a_condition_is_rejected(self):
+        alpha_set = self._set(OscillationMode.ALPHA)
+        q_set = self._set(OscillationMode.Q)
+        bare = dataclasses.replace(q_set, condition=None)
+        for sets in [(alpha_set, bare), (dataclasses.replace(alpha_set, condition=None), q_set)]:
+            with pytest.raises(ConditionMismatch, match="one derivative set has a flight "
+                                                        "condition, another does not"):
+                separate_rates(*sets)
+        assert separate_rates(dataclasses.replace(alpha_set, condition=None), bare).condition is None
+
     @pytest.mark.parametrize("modes", [(OscillationMode.Q, OscillationMode.ALPHA),
                                        (OscillationMode.ALPHA, OscillationMode.ALPHA),
                                        (OscillationMode.Q, OscillationMode.Q)])
@@ -511,6 +527,21 @@ class TestLoopMetrics:
         with pytest.raises(NonFiniteData, match="times"):
             loop_metrics(t, x, y, OMEGA)
 
+    @pytest.mark.parametrize("series", ["x", "y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_loop_series_rejected(self, series, value):
+        t, x, y = self._xy(a=1.0, b=2.0)
+        {"x": x, "y": y}[series][5] = value
+        with pytest.raises(NonFiniteData, match="loop series contain non-finite entries"):
+            loop_metrics(t, x, y, OMEGA)
+
+    def test_last_cycle_needs_8_samples(self):
+        # 3 periods of 4 samples: the window holds 12, its last cycle 4
+        t, x, y = self._xy(a=1.0, b=2.0, cycles=3, spp=4)
+        assert fit_harmonic(t, y, OMEGA).n_samples == 12
+        with pytest.raises(InsufficientSamples, match="only 4 samples in the last cycle"):
+            loop_metrics(t, x, y, OMEGA)
+
     @pytest.mark.parametrize("omega", [0.0, -OMEGA, math.nan])
     def test_omega_must_be_positive(self, omega):
         t, x, y = self._xy(a=1.0, b=2.0)
@@ -552,6 +583,14 @@ class TestValidateFit:
         assert CONTAMINATION_FLAG not in validate_fit(clean, spec)
         # in incidence mode, in-phase content is signal, not contamination
         assert validate_fit(dirty, self.SPEC) == []
+
+    def test_conditioning_flag_above_1e6(self):
+        fit = HarmonicFit(0.0, 0.0, 1.0, 0.0, 1e6, 720, 1)
+        assert validate_fit(fit, self.SPEC) == []
+        ill = dataclasses.replace(fit, condition_indicator=1.01e6)
+        assert validate_fit(ill, self.SPEC) == [CONDITIONING_FLAG]
+        assert validate_fit(dataclasses.replace(fit, condition_indicator=math.inf),
+                            self.SPEC) == [CONDITIONING_FLAG]
 
     @pytest.mark.parametrize("mode", list(OscillationMode))
     def test_resolution_flag_where_the_trim_swamps_the_oscillation(self, condition, mode):

@@ -246,7 +246,7 @@ def reference_monitor_parse(text, extra_aliases=None):
         for target in extra_aliases.values():
             if target not in ("time", "CL", "CD", "Cm"):
                 raise MonitorError(
-                    f"alias target must be 'time' or one of ('CL', 'CD', 'Cm'), got {target!r}")
+                    f"alias target must be 'time', 'CL', 'CD' or 'Cm', got {target!r}")
 
     def split(line):
         line = line.strip()

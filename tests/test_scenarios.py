@@ -37,8 +37,10 @@ from dynderiv import (
     run_sweep,
     sample_grid,
     simulate,
+    validate_fit,
     write_report,
 )
+from dynderiv.identify import CONTAMINATION_FLAG
 from dynderiv.kinematics import MAX_SAMPLES
 
 
@@ -187,6 +189,26 @@ class TestRunSweep:
         assert ch.rate_derivative is None
         assert ch.damping_sum is None
         assert hover.loops is None
+
+    def test_flags_are_judged_once_with_the_spec_of_each_run(self, condition, agard_alpha_spec):
+        # a plate pitching about its 3/4 chord flags CONTAMINATION in flow-path mode only
+        plant = FlatPlatePlant(pitch_axis=0.25)
+        flags = {}
+        for mode in OscillationMode:
+            spec = agard_alpha_spec.with_mode(mode)
+            dset, _ = identify_modes(plant, spec, condition, modes=(mode,))
+            for ch in dset.channels.values():
+                assert ch.flags == tuple(validate_fit(ch.fit, spec)), mode
+            flags[mode] = {name: ch.flags for name, ch in dset.channels.items()}
+        assert flags[OscillationMode.Q]["Cm"] == (CONTAMINATION_FLAG,)
+        assert flags[OscillationMode.ALPHA] == {"CL": (), "CD": (), "Cm": ()}
+        # the merged channel keeps the incidence-mode fit, and so that fit's flags
+        merged, _ = identify_modes(plant, agard_alpha_spec, condition)
+        assert {name: ch.flags for name, ch in merged.channels.items()} == flags[
+            OscillationMode.ALPHA]
+        hover = run_sweep(SweepPlan(builtin_scenarios(), agard_alpha_spec, condition, plant))
+        assert hover.results[0].status is SweepStatus.STATIC_ONLY
+        assert [ch.flags for ch in hover.results[0].derivatives.channels.values()] == [None] * 3
 
     def test_injected_rate_derivative_round_trip(self, linear_plant, condition, agard_alpha_spec):
         report = run_sweep(_plan(linear_plant, condition, agard_alpha_spec))
@@ -485,10 +507,9 @@ class TestSweepBasis:
         plan = SweepPlan(_forward_flight(3), agard_alpha_spec, condition, plant)
         for result in run_sweep(plan).results[1:]:
             omega = omega_from_k(agard_alpha_spec.reduced_frequency, result.derivatives.condition)
-            series = result.incidence_series
+            history, series = result.incidence
             for name, values in series.channels().items():
-                alone = loop_metrics(series.times, result.incidence_history, values, omega,
-                                     plan.effective_skip())
+                alone = loop_metrics(series.times, history, values, omega, plan.effective_skip())
                 assert alone == result.loops[name], (kind, name)
 
     @settings(max_examples=100, deadline=None)
