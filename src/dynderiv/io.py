@@ -9,8 +9,11 @@ back to ``format_value`` for the values it cannot settle exactly, and is
 tested against it cell by cell.  A parse/write round trip is bit-exact and
 the files are diffable.
 Monitor ingestion is deliberately tolerant about naming (solver exports
-vary) and strict about values: each column converts with ``float()`` in
-one pass, and the first fault is reported with its line.
+vary) and strict about values: when every data line splits the same way
+the rows are split in one pass over the whole body (mixed or ragged bodies
+are split line by line, with the same result and the same messages), each
+column converts with ``float()`` in one pass, and the first fault is
+reported with its line.
 
 Nothing here embeds timestamps or other run-dependent state: identical
 inputs give byte-identical outputs.
@@ -84,6 +87,36 @@ def _line_no(text: str, k: int) -> int:
     return next(islice(kept, k, None))
 
 
+def _split_lines(data: list[str]) -> list[list[str]]:
+    """Each line's cells: comma-split when it holds a comma, else whitespace-split."""
+    return [line.split("," if "," in line else None) for line in data]
+
+
+def _bulk_columns(text: str, data: list[str], width: int) -> list[list[str]] | None:
+    """The columns of ``data`` from one split of the whole body, or None.
+
+    Rows are joined around a NUL cell and split once: by commas when the
+    first line holds one, else on whitespace (then no line may hold a
+    comma).  With no NUL in ``text``, a NUL at every ``width + 1``-th cell
+    proves that each line splits as ``_split_lines`` splits it, into
+    ``width`` cells; a comma-free line is one cell here, fewer than the two
+    a header has at least.  None sends mixed or ragged bodies line by line.
+    """
+    if not data or "\0" in text:
+        return None
+    if "," in data[0]:
+        cells = ",\0,".join(data).split(",")
+    else:
+        body = " \0 ".join(data)
+        if "," in body:
+            return None
+        cells = body.split()
+    step = width + 1
+    if len(cells) != len(data) * step - 1 or cells[width::step].count("\0") != len(data) - 1:
+        return None
+    return [cells[idx::step] for idx in range(width)]
+
+
 def parse_monitor_table(
     text: str,
     extra_aliases: Mapping[str, str] | None = None,
@@ -98,6 +131,9 @@ def parse_monitor_table(
     case-insensitive), each role in one column only.
     Unrecognized columns are ignored; non-uniform time stamps are accepted.
 
+    When every data line splits the same way, the rows are split in one pass
+    over the whole body; mixed or ragged bodies are split line by line, with
+    the same result and the same messages.
     Cells convert with ``float()`` a column at a time.  The fault in the
     earliest row is raised, with its line; within a row the cell count goes
     first, then the time cell, the time order and the channels in header order.
@@ -136,18 +172,20 @@ def parse_monitor_table(
 
     # Only rows before ``n`` can hold the first fault, which is ``error``;
     # row r is kept line r + 1.
-    width = len(headers)
-    rows = [line.split("," if "," in line else None) for line in lines[1:]]
-    widths = list(map(len, rows))
-    n, error = len(rows), None
-    if widths.count(width) < n:
-        n = next(r for r, w in enumerate(widths) if w != width)
-        error = NonFiniteValue(
-            f"row at line {_line_no(text, n + 1)} has {widths[n]} cells, header has {width}")
+    width, data = len(headers), lines[1:]
+    n, error = len(data), None
+    # cells[idx] is column idx; fromiter reads only the first n of it, as n shrinks
+    cells = _bulk_columns(text, data, width)
+    if cells is None:
+        rows = _split_lines(data)
+        widths = list(map(len, rows))
+        if widths.count(width) < n:
+            n = next(r for r, w in enumerate(widths) if w != width)
+            error = NonFiniteValue(
+                f"row at line {_line_no(text, n + 1)} has {widths[n]} cells, header has {width}")
+        cells = list(zip(*rows[:n]))
     if not n:
         raise error or NonFiniteValue("no data rows after the header")
-    # cells[idx] is column idx; fromiter reads only the first n of it, as n shrinks
-    cells = list(zip(*rows[:n]))
     arrays = {}
     for name, idx in [("times", time_idx), *columns.items()]:
         where = f"column '{headers[idx]}' at line"
@@ -446,7 +484,7 @@ def write_derivative_table(dset) -> str:
 
 
 def atomic_write(path: str | os.PathLike, text: str) -> None:
-    """Write text to path atomically (temp file + rename, same directory).
+    """Write text to path as UTF-8, atomically (temp file + rename, same directory).
 
     The file gets the mode ``open(path, "w")`` would leave: a new one gets
     0o666 less the umask, a replaced one keeps its own.
@@ -455,7 +493,7 @@ def atomic_write(path: str | os.PathLike, text: str) -> None:
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         with contextlib.suppress(FileNotFoundError):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))

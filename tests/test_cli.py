@@ -681,6 +681,30 @@ class TestNoScipy:
         assert proc.stdout.splitlines()[-1] == "(0, 0) False"
 
 
+class TestEncoding:
+    def test_outputs_are_written_as_utf8_not_in_the_locale_encoding(self, tmp_path):
+        """Under warn_default_encoding a file opened in the locale's encoding is an error."""
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(tiny_doc("quasi-steady")), encoding="utf-8")
+        script = ("import sys\n"
+                  "from dynderiv.cli import main\n"
+                  "case, out = sys.argv[1:]\n"
+                  "codes = (main(['simulate', case, '--out', out + '/s.csv', '--mode', 'alpha']),\n"
+                  "         main(['identify', out + '/s.csv', '--k=0.1', '--mode=alpha',\n"
+                  "               '--amplitude-deg=1', '--chord=0.3', '--speed=40', '--out',\n"
+                  "               out + '/d.csv']),\n"
+                  "         main(['sweep', case, '--out-dir', out]))\n"
+                  "print(codes)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(dynderiv.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-c", script,
+                               str(config), str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "(0, 0, 0)"
+        assert (tmp_path / "d.csv").read_text(encoding="utf-8").startswith("channel,")
+
+
 def run_warning_free(argv):
     """main(argv) with stdout and stderr captured; fails on any warning or traceback."""
     out, err = io.StringIO(), io.StringIO()

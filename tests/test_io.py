@@ -424,6 +424,31 @@ class TestFaultLines:
         np.testing.assert_array_equal(series.CD, [2.0, 2.5, 3.0])
 
 
+class TestOneSplitGuards:
+    """Bodies that one split of the whole text would misread go line by line."""
+
+    @pytest.mark.parametrize("text", [
+        "t,CL\n0,1\n1 2\n",                          # a comma body, then a line without one
+        "t,CL\n0,1\n1\n",
+        "t CL\n0 1\n1,2\n",                          # a whitespace body, then a comma line
+        "t CL\n0 1\n1, 2\n",
+        "t CL\n0 1\n1,2,3\n",
+        "t,CL\n0\n1,2,3\n",                          # ragged rows adding up to whole rows
+        "t CL\n0\n1 2 3\n",
+        "t,CL,CD\n0,1\n1,2,3,4\n",
+        "t,CL\n0,1\x00\n1,2\n",                      # a NUL inside a cell
+        "t,CL\n0,1\n1,\x00\n",
+        "t CL\n0 1 \x00\n2\n",                       # NUL cells where the row marks would be
+        "t,CL\n0,1,\x00\n2\n",
+        "t CL\n0\t1\n1\x1f2\n2\xa03\n3\u30004\n",    # whitespace other than spaces
+        "t, CL\n0, 1\n1, 2\n",
+        "t,CL\n0,1\n",                               # a single data row
+        "t CL\n0 1\n",
+    ])
+    def test_the_reference_agrees(self, text):
+        assert _outcome(parse_monitor_table, text) == _outcome(reference_monitor_parse, text)
+
+
 class TestWriteSeries:
     def _series(self, n=2, channels=("CL", "CD", "Cm")):
         rng = np.random.default_rng(1)
@@ -640,6 +665,28 @@ class TestRealTables:
         assert len(series) == 6 * 720
         write_loop_table(incidence, series)
         assert calls == []
+
+    def test_real_tables_are_split_in_one_pass(self, indicial_case, monkeypatch):
+        def per_line(data):
+            raise AssertionError("split line by line")
+        monkeypatch.setattr(dio, "_split_lines", per_line)
+        _, series = indicial_case
+        columns = [series.times, *series.channels().values()]
+        want = [column.tobytes() for column in columns]
+        rows = [[repr(v) for v in row] for row in zip(*(c.tolist() for c in columns))]
+
+        def export(sep, header):
+            lines = ["# solver monitor export", sep.join(["iter", *header])]
+            for i, row in enumerate(rows):
+                lines += ["# checkpoint"] * (i % 500 == 0) + [sep.join([str(i), *row])]
+            return "\n".join(lines) + "\n"
+
+        header = ["flow-time", "lift-coeff", "drag-coeff", "pitch-mom-coeff"]
+        for text in [write_series(series), export(",", header), export(", ", header),
+                     export("  ", header)]:
+            parsed = parse_monitor_table(text)
+            assert [column.tobytes() for column in
+                    [parsed.times, *parsed.channels().values()]] == want
 
 
 class TestWriteReport:

@@ -104,7 +104,7 @@ def main() -> int:
         child = subprocess.Popen(
             [sys.executable, __file__, "--src", str(args.against),
              "--seeds", *map(str, args.seeds)],
-            env=dict(os.environ, PYTHONHASHSEED=seed), stdout=subprocess.PIPE, text=True)
+            env=dict(os.environ, PYTHONHASHSEED=seed), stdout=subprocess.PIPE, encoding="utf-8")
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
     lines = _digest_lines(args.seeds)
     if args.against is None:
