@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import parse_case_config, render_case_config
+from .config import _plan_doc, parse_case_config
 from .errors import DomainError, DynDerivError, _choices
 from .identify import extract, fit_series
 from .io import (
@@ -239,7 +239,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "angles": "degrees at this boundary, radians internally",
         },
         "scenarios": [{**entry, "status": r.status.value} for entry, r in
-                      zip(json.loads(render_case_config(plan))["scenarios"], report.results)],
+                      zip(_plan_doc(plan)["scenarios"], report.results)],
     }
     _write(out_dir / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(human)

@@ -306,15 +306,19 @@ def _render(table: dict[str, _Key], fields: dict[str, Any]) -> dict[str, Any]:
     return {key: _KINDS[spec.kind].render(fields[spec.field]) for key, spec in table.items()}
 
 
-def render_case_config(plan: SweepPlan) -> str:
-    """Canonical JSON rendering of a plan; parse(render(plan)) == plan."""
+def _plan_doc(plan: SweepPlan) -> dict[str, Any]:
+    """The canonical config document of a plan, which a JSON round trip leaves unchanged."""
     oscillation = {**asdict(plan.oscillation), "modes": plan.modes, "skip_cycles": plan.skip_cycles}
     table, _ = _PLANTS[plan.plant.name]
-    doc = {
+    return {
         "condition": _render(_CONDITION, asdict(plan.condition)),
         "oscillation": _render(_OSCILLATION, oscillation),
         "plant": {"kind": plan.plant.name, **_render(table, asdict(plan.plant))},
         "scenarios": [_render(_SCENARIO, asdict(s)) for s in plan.scenarios],
         "speed_basis": plan.speed_basis,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def render_case_config(plan: SweepPlan) -> str:
+    """Canonical JSON rendering of a plan; parse(render(plan)) == plan."""
+    return json.dumps(_plan_doc(plan), indent=2, sort_keys=True) + "\n"

@@ -170,7 +170,7 @@ def fit_harmonic(times, values, omega: float, skip_cycles: int = 0, *,
     values = np.asarray(values, dtype=float)
     check(times.shape == values.shape and times.ndim == 1, "values",
           "must be a 1-D array as long as times", values.shape)
-    peak = float(np.max(np.abs(values), initial=0.0))
+    peak = float(np.abs(values).max(initial=0.0))
     if not math.isfinite(peak):
         raise NonFiniteData("values contain non-finite entries")
     if peak > 1e150:            # coefficients are O(1); keeps the residual's squares finite
@@ -185,7 +185,7 @@ def fit_harmonic(times, values, omega: float, skip_cycles: int = 0, *,
         mean=float(beta[0]),
         in_phase=float(beta[1]),
         out_phase=float(beta[2]),
-        residual_rms=float(np.sqrt(np.mean(resid * resid))),
+        residual_rms=math.sqrt((resid * resid).mean()),
         condition_indicator=basis.condition_indicator,
         n_samples=len(y),
         n_periods=basis.n_periods,
@@ -230,6 +230,9 @@ class ChannelDerivatives:
         return self.damping_sum - self.rate_derivative
 
 
+_CHANNEL_RULE = f"must be named {_choices(CHANNELS)}"
+
+
 @dataclass(frozen=True)
 class DerivativeSet:
     """Per-channel derivatives plus the spec and condition of the runs behind them."""
@@ -241,7 +244,7 @@ class DerivativeSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", dict(self.channels))
         for name in self.channels:
-            check(name in CHANNELS, "channels", f"must be named {_choices(CHANNELS)}", name)
+            check(name in CHANNELS, "channels", _CHANNEL_RULE, name)
 
 
 def extract(
@@ -347,7 +350,7 @@ def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0, *,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     check(times.shape == x.shape == y.shape, "x, y", "must have the shape of times", times.shape)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFiniteData("loop series contain non-finite entries")
 
     if _basis is None:
@@ -359,12 +362,14 @@ def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0, *,
     if len(xs) < 8:
         raise InsufficientSamples(f"only {len(xs)} samples in the last cycle; need at least 8")
 
-    scale = float(np.max(np.abs(xs))) * float(np.max(np.abs(ys)))
+    scale = float(np.abs(xs).max()) * float(np.abs(ys).max())
     if scale > 1e300:           # keeps the trapezoid sum below from overflow
         raise NonFiniteData(f"loop with max|x| * max|y| = {scale:.6g} is out of range "
                             "(must be <= 1e300)")
-    dx = np.diff(xs, append=xs[:1])            # wrap around to close the loop
-    area = float(np.sum(0.5 * (ys + np.roll(ys, -1)) * dx))
+    # each sample's successor, wrapping around to close the loop
+    dx = np.concatenate((xs[1:], xs[:1]))
+    dx -= xs
+    area = float((0.5 * (ys + np.concatenate((ys[1:], ys[:1]))) * dx).sum())
 
     # zeroing threshold: accumulated rounding of the trapezoid sum
     tol = 32.0 * len(xs) * np.finfo(float).eps * scale

@@ -1,8 +1,9 @@
 """Prescribed harmonic pitch motions for forced-oscillation testing.
 
 One generator, ``make_schedule``, samples either motion mode on a uniform,
-endpoint-excluded time grid.  Both modes pitch the body the same way; they
-differ only in what the freestream does:
+endpoint-excluded time grid, and ``MotionSchedule.with_mode`` flies the
+same body motion in the other mode.  Both modes pitch the body the same
+way; they differ only in what the freestream does:
 
 * incidence mode (``ALPHA``) -- the body pitches in a fixed freestream, so
   the relative angle of attack and the pitch rate vary together;
@@ -149,8 +150,8 @@ class OscillationSpec:
         )
 
     def with_mode(self, mode: OscillationMode) -> "OscillationSpec":
-        """Copy of this spec switched to the given oscillation mode."""
-        return replace(self, mode=mode)
+        """This spec switched to the given oscillation mode (itself when unchanged)."""
+        return self if mode is self.mode else replace(self, mode=mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +160,10 @@ class MotionSchedule:
 
     Field arrays all share one length: cycles * samples_per_cycle.
     ``pitch_accel`` is the analytic second derivative of the body pitch;
-    the time-marching plant needs it for apparent-mass terms.  Plants
-    consume the schedule as whole arrays.
+    the time-marching plant needs it for apparent-mass terms.
+    ``phase_sin`` and ``phase_cos`` are sin(omega*t) and cos(omega*t), the
+    body motion's phase, for plants that work in the frequency domain.
+    Plants consume the schedule as whole arrays.
     """
 
     spec: OscillationSpec
@@ -170,9 +173,24 @@ class MotionSchedule:
     pitch_rate: np.ndarray      # q, rad/s
     aoa_rate: np.ndarray        # alpha_dot, rad/s; q itself in incidence mode
     pitch_accel: np.ndarray
+    phase_sin: np.ndarray
+    phase_cos: np.ndarray
 
     def __len__(self) -> int:
         return len(self.time)
+
+    def with_mode(self, mode: OscillationMode) -> "MotionSchedule":
+        """The same body motion flown in ``mode`` (this schedule when unchanged).
+
+        Only the spec and the two incidence arrays differ between the modes;
+        the time grid, the pitch rate and acceleration and the phase are
+        shared, and the incidence arrays come from ``make_schedule``'s rule.
+        """
+        if mode is self.spec.mode:
+            return self
+        spec = self.spec.with_mode(mode)
+        alpha, aoa_rate = _incidence(spec, self.phase_sin, self.pitch_rate)
+        return replace(self, spec=spec, relative_aoa=alpha, aoa_rate=aoa_rate)
 
 
 def omega_from_k(k: float, cond: FlightCondition) -> float:
@@ -199,6 +217,14 @@ def sample_grid(spec: OscillationSpec, omega: float) -> np.ndarray:
     return np.arange(n) * period / spec.samples_per_cycle
 
 
+def _incidence(spec: OscillationSpec, phase_sin: np.ndarray,
+               pitch_rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relative incidence and its rate in ``spec.mode``, where the two modes differ."""
+    if spec.mode is OscillationMode.ALPHA:
+        return spec.mean_incidence + spec.body_amplitude * phase_sin, pitch_rate
+    return np.full_like(phase_sin, spec.mean_incidence), np.zeros_like(phase_sin)
+
+
 def make_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionSchedule:
     """Sample the motion of ``spec.mode`` on its uniform time grid.
 
@@ -217,12 +243,8 @@ def make_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionSchedul
     amp = spec.body_amplitude
     s = np.sin(omega * t)
     c = np.cos(omega * t)
-    theta = spec.mean_incidence + amp * s
     q = omega * amp * c
-    if spec.mode is OscillationMode.ALPHA:
-        alpha, aoa_rate = theta, q
-    else:
-        alpha, aoa_rate = np.full_like(t, spec.mean_incidence), np.zeros_like(t)
+    alpha, aoa_rate = _incidence(spec, s, q)
     return MotionSchedule(
         spec=spec,
         omega=omega,
@@ -231,4 +253,6 @@ def make_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionSchedul
         pitch_rate=q,
         aoa_rate=aoa_rate,
         pitch_accel=-omega * omega * amp * s,
+        phase_sin=s,
+        phase_cos=c,
     )

@@ -354,8 +354,7 @@ class FlatPlatePlant:
         loads = self.loads(spec.reduced_frequency, spec.mode)
         amp = spec.body_amplitude
         alpha0 = spec.mean_incidence
-        phase = schedule.omega * schedule.time
-        sin_p, cos_p = np.sin(phase), np.cos(phase)
+        sin_p, cos_p = schedule.phase_sin, schedule.phase_cos
         cl0, _, cm0 = self.static_coefficients(alpha0, cond)
         cl = cl0 + amp * (loads.lift.real * sin_p + loads.lift.imag * cos_p)
         cm = cm0 + amp * (loads.moment.real * sin_p + loads.moment.imag * cos_p)

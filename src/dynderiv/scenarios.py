@@ -220,11 +220,12 @@ def identify_modes(
 ) -> tuple[DerivativeSet, tuple[MotionSchedule, CoefficientSeries] | None]:
     """Identify the derivatives of ``plant`` from forced oscillation in ``modes``.
 
-    Each mode of ``spec`` (its own mode is ignored) runs schedule ->
-    simulate -> fit_series -> extract, fitting after ``skip_cycles``
-    start-up cycles, by a sweep plan's rule (None: the plant's default);
-    both modes share one basis, built on the first schedule's times, or
-    ``_basis`` from a sweep.  The mode sets are merged by separate_rates,
+    One schedule of ``spec``'s body motion (its own mode is ignored) is
+    flown in each mode, and each mode runs simulate -> fit_series ->
+    extract, fitting after ``skip_cycles`` start-up cycles, by a sweep
+    plan's rule (None: the plant's default); the modes share the motion's
+    time grid, pitch rate and phase, and one basis, built on those times,
+    or ``_basis`` from a sweep.  The mode sets are merged by separate_rates,
     so one mode gives a set equal to its own.
     Returns (derivatives, incidence), where incidence is the incidence-mode
     (schedule, series) pair, or None when that mode did not run.
@@ -232,14 +233,14 @@ def identify_modes(
     skip_cycles = _run_skip(plant, spec.cycles, modes, skip_cycles)
     sets: dict[OscillationMode, DerivativeSet] = {}
     incidence = None
+    motion = make_schedule(spec.with_mode(modes[0]), cond)
     for mode in modes:
-        mode_spec = spec.with_mode(mode)
-        schedule = make_schedule(mode_spec, cond)
+        schedule = motion.with_mode(mode)
         series = simulate(plant, schedule, cond)
-        if _basis is None:          # the q schedule's times are the alpha schedule's
+        if _basis is None:          # every mode flies on the motion's times
             _basis = _harmonic_basis(series.times, schedule.omega, skip_cycles)
         fits = fit_series(series, schedule.omega, skip_cycles, _basis=_basis)
-        sets[mode] = extract(fits, mode_spec, cond)
+        sets[mode] = extract(fits, schedule.spec, cond)
         if mode is OscillationMode.ALPHA:
             incidence = (schedule, series)
     return separate_rates(*(sets[m] for m in OscillationMode if m in sets)), incidence

@@ -31,9 +31,9 @@ class CoefficientSeries:
         t = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", t)
         check(t.ndim == 1 and len(t) >= 1, "times", "must be a non-empty 1-D array", t.shape)
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise NonFiniteData("times contain non-finite values")
-        check(bool(np.all(t[1:] > t[:-1])), "times", "must be strictly increasing")
+        check(bool((t[1:] > t[:-1]).all()), "times", "must be strictly increasing")
         present = 0
         for name in CHANNELS:
             arr = getattr(self, name)
@@ -42,7 +42,7 @@ class CoefficientSeries:
             arr = np.asarray(arr, dtype=float)
             object.__setattr__(self, name, arr)
             check(arr.shape == t.shape, name, f"must have the shape of times {t.shape}", arr.shape)
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise NonFiniteData(f"channel {name} contains non-finite values")
             present += 1
         check(present > 0, "CL/CD/Cm", "must not all be None")

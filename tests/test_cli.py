@@ -28,6 +28,7 @@ from dynderiv import (
     make_schedule,
     parse_case_config,
     parse_monitor_table,
+    render_case_config,
     scenarios,
     simulate,
 )
@@ -1079,6 +1080,28 @@ class TestQuasiSteadySweepTruth:
     @settings(max_examples=100, deadline=None)
     def test_every_report_cell(self, work, doc):
         check_sweep_report(work, doc, quasi_steady_report(doc))
+
+
+class TestRunMeta:
+    """run_meta.json lists each scenario as the canonical config renders it, with its status."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("run-meta")
+
+    @given(quasi_steady_docs())
+    @example(config_doc())                  # the builtin scenarios
+    @settings(max_examples=25, deadline=None)
+    def test_scenarios_are_the_rendered_plans(self, work, doc):
+        config, out_dir = work / "case.json", work / "results"
+        config.write_text(json.dumps(doc))
+        assert main(["sweep", str(config), "--out-dir", str(out_dir)]) == 0
+        plan = parse_case_config(config.read_text())
+        statuses = [r.status.value for r in scenarios.run_sweep(plan).results]
+        rendered = json.loads(render_case_config(plan))["scenarios"]
+        meta = json.loads((out_dir / "run_meta.json").read_text())
+        assert meta["scenarios"] == [{**entry, "status": status}
+                                     for entry, status in zip(rendered, statuses, strict=True)]
 
 
 @st.composite

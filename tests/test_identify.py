@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dynderiv.identify as identify
@@ -558,6 +558,60 @@ class TestLoopMetrics:
         area1 = loop_metrics(t, x, y, OMEGA)
         area2 = loop_metrics(t, x, 2.0 * y, OMEGA)
         assert area2 == pytest.approx(2.0 * area1, rel=1e-13)
+
+
+def reference_loop_area(times, x, y, omega, skip_cycles=0):
+    """(scale, area) of loop_metrics as np.diff and np.roll wrote its closed trapezoid."""
+    sel, _, last = identify._window(times, omega, skip_cycles)
+    xs, ys = x[last:sel.stop], y[last:sel.stop]
+    scale = float(np.max(np.abs(xs))) * float(np.max(np.abs(ys)))
+    area = float(np.sum(0.5 * (ys + np.roll(ys, -1)) * np.diff(xs, append=xs[:1])))
+    tol = 32.0 * len(xs) * np.finfo(float).eps * scale
+    return scale, 0.0 if abs(area) <= tol else area
+
+
+@st.composite
+def loop_cases(draw):
+    """(times, x, y, skip): noise, or loops whose area sits near the zeroing threshold.
+
+    x and y are scaled from 1e-300 to 1e150, and some of their samples are -0.0.
+    A threshold loop y = sin + b*cos over x = sin has area / threshold = ratio.
+    """
+    spc, cycles = draw(st.integers(8, 64)), draw(st.integers(1, 3))
+    skip = draw(st.integers(0, cycles - 1))
+    t = _grid(cycles, spc)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x_scale, y_scale = (10.0 ** draw(st.floats(-300.0, 150.0)) for _ in "xy")
+    if draw(st.booleans()):
+        x, y = x_scale * rng.uniform(-1.0, 1.0, len(t)), y_scale * rng.uniform(-1.0, 1.0, len(t))
+    else:
+        b = draw(st.floats(0.5, 2.0)) * 32.0 * spc * np.finfo(float).eps / math.pi
+        x = x_scale * np.sin(OMEGA * t)
+        y = y_scale * (np.sin(OMEGA * t) + draw(st.sampled_from([-b, b])) * np.cos(OMEGA * t))
+    negative_zero = draw(st.floats(0.0, 1.0))
+    x[rng.random(len(t)) < negative_zero] = -0.0
+    y[rng.random(len(t)) < negative_zero] = -0.0
+    return t, x, y, skip
+
+
+class TestLoopAreaArithmetic:
+    """The closed trapezoid keeps the operands and order of np.diff(append=) and np.roll."""
+
+    @given(loop_cases())
+    @example((_grid(1, 8), np.sin(OMEGA * _grid(1, 8)), np.full(8, -0.0), 0))
+    @example((_grid(2, 8), -np.cos(OMEGA * _grid(2, 8)), np.sin(OMEGA * _grid(2, 8)), 1))
+    @settings(max_examples=300, deadline=None)
+    def test_area_equals_the_wrapper_form(self, case):
+        t, x, y, skip = case
+        scale, expected = reference_loop_area(t, x, y, OMEGA, skip)
+        basis = identify._harmonic_basis(t, OMEGA, skip)
+        for kwargs in ({}, {"_basis": basis}):
+            if scale > 1e300:
+                with pytest.raises(NonFiniteData, match="out of range"):
+                    loop_metrics(t, x, y, OMEGA, skip, **kwargs)
+                continue
+            area = loop_metrics(t, x, y, OMEGA, skip, **kwargs)
+            assert area == expected and math.copysign(1.0, area) == math.copysign(1.0, expected)
 
 
 class TestValidateFit:

@@ -1,10 +1,13 @@
 """Harmonic motion schedules: conventions, grids, and the two modes."""
 
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynderiv import (
     DomainError,
@@ -19,7 +22,7 @@ from dynderiv import (
     omega_from_k,
     sample_grid,
 )
-from dynderiv.kinematics import MAX_SAMPLES
+from dynderiv.kinematics import MAX_SAMPLES, MotionSchedule
 
 AGARD_K = 0.0811
 AGARD_AMP_DEG = 4.59
@@ -205,3 +208,56 @@ class TestQModeSchedule:
             )
             sched = make_schedule(spec, condition)
             assert np.max(np.abs(sched.relative_aoa - spec.mean_incidence)) < 1e-12
+
+
+# the arrays of one body motion, which every mode flies unchanged
+_SHARED = ("time", "pitch_rate", "pitch_accel", "phase_sin", "phase_cos")
+
+
+class TestSharedMotion:
+    """One schedule flown in another mode is the schedule made in that mode."""
+
+    @given(mean_deg=st.floats(-30.0, 30.0), amp_deg=st.floats(1e-6, 30.0),
+           k=st.floats(0.01, 5.0), cycles=st.integers(1, 4), spc=st.integers(8, 256),
+           speed=st.floats(0.5, 300.0), chord=st.floats(0.01, 10.0),
+           first=st.sampled_from(list(OscillationMode)))
+    @example(mean_deg=AGARD_MEAN_DEG, amp_deg=AGARD_AMP_DEG, k=AGARD_K, cycles=3, spc=720,
+             speed=100.0, chord=0.2299, first=OscillationMode.ALPHA)
+    @settings(max_examples=100, deadline=None)
+    def test_with_mode_equals_the_schedule_made_in_that_mode(
+            self, mean_deg, amp_deg, k, cycles, spc, speed, chord, first):
+        cond = FlightCondition(speed, 1.225, chord, 1.0, 1.0)
+        spec = OscillationSpec.from_degrees(first, mean_deg, amp_deg, k, cycles, spc)
+        second = next(m for m in OscillationMode if m is not first)
+        for a, b in ((first, second), (second, first)):
+            flown = make_schedule(spec.with_mode(a), cond).with_mode(b)
+            made = make_schedule(spec.with_mode(b), cond)
+            assert flown.spec == made.spec and flown.omega == made.omega
+            for field in dataclasses.fields(MotionSchedule):
+                if field.name not in ("spec", "omega"):
+                    assert np.array_equal(getattr(flown, field.name), getattr(made, field.name)), \
+                        field.name
+
+    @pytest.mark.parametrize("mode", list(OscillationMode))
+    def test_own_mode_is_the_schedule_itself(self, agard_alpha_spec, condition, mode):
+        schedule = make_schedule(agard_alpha_spec.with_mode(mode), condition)
+        assert schedule.with_mode(mode) is schedule
+        assert schedule.spec.with_mode(mode) is schedule.spec
+
+    def test_modes_share_the_body_motion(self, agard_alpha_spec, condition):
+        alpha = make_schedule(agard_alpha_spec, condition)
+        q = alpha.with_mode(OscillationMode.Q)
+        for name in _SHARED:
+            assert np.shares_memory(getattr(alpha, name), getattr(q, name)), name
+        assert not np.shares_memory(alpha.relative_aoa, q.relative_aoa)
+        assert q.with_mode(OscillationMode.ALPHA).aoa_rate is alpha.pitch_rate
+
+    def test_phase_is_the_motions_sine_and_cosine(self, agard_q_spec, condition):
+        schedule = make_schedule(agard_q_spec, condition)
+        np.testing.assert_array_equal(schedule.phase_sin, np.sin(schedule.omega * schedule.time))
+        np.testing.assert_array_equal(schedule.phase_cos, np.cos(schedule.omega * schedule.time))
+
+    def test_with_mode_rejects_a_mode_name(self, agard_alpha_spec, condition):
+        schedule = make_schedule(agard_alpha_spec, condition)
+        with pytest.raises(DomainError, match="mode"):
+            schedule.with_mode("q")

@@ -371,6 +371,7 @@ def constant_incidence_schedule(spec, alpha, time):
         spec=spec, omega=1.0, time=time,
         relative_aoa=np.full_like(time, alpha),
         pitch_rate=zeros, aoa_rate=zeros, pitch_accel=zeros,
+        phase_sin=zeros, phase_cos=zeros,
     )
 
 
@@ -467,6 +468,41 @@ class TestIndicial:
         series = simulate(plant, schedule, condition)
         expected = 0.02 + 0.4 * schedule.relative_aoa
         np.testing.assert_allclose(series.CD, expected, rtol=1e-12)
+
+
+def flat_plate_histories(plant, schedule, cond):
+    """FlatPlatePlant's CL and Cm with the phase taken from the schedule's own time stamps."""
+    spec = schedule.spec
+    loads = plant.loads(spec.reduced_frequency, spec.mode)
+    amp = spec.body_amplitude
+    phase = schedule.omega * schedule.time
+    sin_p, cos_p = np.sin(phase), np.cos(phase)
+    cl0, _, cm0 = plant.static_coefficients(spec.mean_incidence, cond)
+    cl = cl0 + amp * (loads.lift.real * sin_p + loads.lift.imag * cos_p)
+    cm = cm0 + amp * (loads.moment.real * sin_p + loads.moment.imag * cos_p)
+    return cl, cm
+
+
+class TestFlatPlatePhase:
+    """The flat plate reads the schedule's stored phase, bit for bit sin and cos of omega*t."""
+
+    @pytest.mark.parametrize("kernel", ["theodorsen", "jones"])
+    @pytest.mark.parametrize("mode", list(OscillationMode))
+    @pytest.mark.parametrize("flown", [False, True], ids=["made", "flown"])
+    @given(mean_deg=st.floats(-10.0, 10.0), amp_deg=st.floats(0.01, 10.0),
+           k=st.floats(0.01, 25.0), spc=st.integers(8, 256), pitch_axis=st.floats(-2.0, 2.0))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_sine_of_the_time_stamps(self, kernel, mode, flown,
+                                                  mean_deg, amp_deg, k, spc, pitch_axis):
+        condition = FlightCondition(100.0, 1.225, 0.2299, 0.6096, 0.1238)
+        plant = FlatPlatePlant(pitch_axis=pitch_axis, kernel=kernel)
+        other = next(m for m in OscillationMode if m is not mode)
+        spec = OscillationSpec.from_degrees(other if flown else mode, mean_deg, amp_deg, k, 2, spc)
+        schedule = make_schedule(spec, condition).with_mode(mode)
+        series = simulate(plant, schedule, condition)
+        cl, cm = flat_plate_histories(plant, schedule, condition)
+        assert np.array_equal(series.CL, cl) and np.array_equal(series.Cm, cm)
+        assert not series.CD.any()
 
 
 class TestSimulate:

@@ -472,6 +472,30 @@ class TestSweepBasis:
         identify_modes(linear_plant, agard_alpha_spec, condition)   # on its own: one for both modes
         assert calls["_harmonic_basis"] == 2 and calls["_window"] == 2
 
+    @pytest.mark.parametrize("modes", [(OscillationMode.ALPHA, OscillationMode.Q),
+                                       (OscillationMode.Q, OscillationMode.ALPHA),
+                                       (OscillationMode.ALPHA,), (OscillationMode.Q,)])
+    @pytest.mark.parametrize("n_forward", [1, 2, 6])
+    def test_one_schedule_per_flying_scenario(self, monkeypatch, linear_plant, condition,
+                                              agard_alpha_spec, n_forward, modes):
+        made = []
+        real_make = scenarios.make_schedule
+
+        def counted_make(spec, cond):
+            made.append(spec.mode)
+            return real_make(spec, cond)
+
+        monkeypatch.setattr(scenarios, "make_schedule", counted_make)
+        plan = SweepPlan(_forward_flight(n_forward), agard_alpha_spec, condition, linear_plant,
+                         modes)
+        report = run_sweep(plan)
+        assert [r.status for r in report.results] == \
+            [SweepStatus.STATIC_ONLY] + [SweepStatus.OK] * n_forward
+        assert made == [modes[0]] * n_forward        # the hover row makes none
+        made.clear()
+        identify_modes(linear_plant, agard_alpha_spec, condition, modes)
+        assert made == [modes[0]]
+
     @pytest.mark.parametrize("kind", _KINDS)
     def test_derivatives_match_lstsq_on_each_scenarios_own_times(
             self, linear_plant, condition, agard_alpha_spec, kind):
