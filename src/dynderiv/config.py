@@ -22,7 +22,7 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Any, Callable, Iterator, NamedTuple, get_args, get_type_hints
 
 from .errors import DomainError, MalformedDocument, MissingKey, UnitViolation, UnknownKey, _choices
@@ -177,82 +177,78 @@ def _key_line(text: str, path: str) -> str:
     return f" (line {text.count(chr(10), 0, at) + 1})"
 
 
-@dataclass(frozen=True)
-class _Ctx:
-    """Carries the raw text around so every error can cite key and line."""
+def _missing(text: str, path: str) -> MissingKey:
+    """The absent key is nowhere in the text, so the error cites its block's line."""
+    block = _key_line(text, path.rpartition(".")[0])
+    return MissingKey(f"missing required key '{path}'{block}")
 
-    text: str
 
-    def missing(self, path: str) -> MissingKey:
-        """The absent key is nowhere in the text, so the error cites its block's line."""
-        block = _key_line(self.text, path.rpartition(".")[0])
-        return MissingKey(f"missing required key '{path}'{block}")
-
-    def fields(self, obj: Any, table: dict[str, _Key], path: str) -> dict[str, Any]:
-        """Constructor arguments from the keys of ``table`` that ``obj`` holds."""
-        if not isinstance(obj, dict):
-            raise MalformedDocument(f"'{path}' must be an object")
-        for key in obj:
-            if key not in table:
-                where = _join(path, key)
-                raise UnknownKey(f"unknown key '{where}'{_key_line(self.text, where)}")
-        out = {}
-        for key, spec in table.items():
-            if key not in obj:
-                if spec.required:
-                    raise self.missing(_join(path, key))
-                continue
-            raw, kind = obj[key], _KINDS[spec.kind]
-            if raw is None and spec.nullable:
-                out[spec.field] = None
-            elif kind.accepts(raw):
-                out[spec.field] = kind.parse(raw)
-            else:
-                where = _join(path, key)
-                raise UnitViolation(f"'{where}' must be {kind.noun}{_key_line(self.text, where)}")
-        return out
-
-    @contextmanager
-    def reported(self, obj: dict, table: dict[str, _Key], path: str) -> Iterator[None]:
-        """Re-raise a constructor's DomainError under the key of its field."""
-        try:
-            yield
-        except DomainError as exc:
-            key = next((k for k, spec in table.items() if spec.field == exc.field), None)
-            if key is None:
-                raise
+def _fields(text: str, obj: Any, table: dict[str, _Key], path: str) -> dict[str, Any]:
+    """Constructor arguments from the keys of ``table`` that ``obj`` holds."""
+    if not isinstance(obj, dict):
+        raise MalformedDocument(f"'{path}' must be an object")
+    for key in obj:
+        if key not in table:
             where = _join(path, key)
-            # a whole block is not worth echoing back
-            written = "" if table[key].kind == "block" else f", got {obj.get(key)!r}"
-            line = _key_line(self.text, where)
-            raise UnitViolation(f"'{where}' {exc.rule}{written}{line}") from exc
+            raise UnknownKey(f"unknown key '{where}'{_key_line(text, where)}")
+    out = {}
+    for key, spec in table.items():
+        if key not in obj:
+            if spec.required:
+                raise _missing(text, _join(path, key))
+            continue
+        raw, kind = obj[key], _KINDS[spec.kind]
+        if raw is None and spec.nullable:
+            out[spec.field] = None
+        elif kind.accepts(raw):
+            out[spec.field] = kind.parse(raw)
+        else:
+            where = _join(path, key)
+            raise UnitViolation(f"'{where}' must be {kind.noun}{_key_line(text, where)}")
+    return out
 
-    def build(self, factory: Callable[..., Any], obj: Any, table: dict[str, _Key], path: str):
-        """``factory`` called with the fields of ``obj``; range errors name their key."""
-        kwargs = self.fields(obj, table, path)
-        with self.reported(obj, table, path):
-            return factory(**kwargs)
+
+@contextmanager
+def _reported(text: str, obj: dict, table: dict[str, _Key], path: str) -> Iterator[None]:
+    """Re-raise a constructor's DomainError under the key of its field."""
+    try:
+        yield
+    except DomainError as exc:
+        key = next((k for k, spec in table.items() if spec.field == exc.field), None)
+        if key is None:
+            raise
+        where = _join(path, key)
+        # a whole block is not worth echoing back
+        written = "" if table[key].kind == "block" else f", got {obj.get(key)!r}"
+        raise UnitViolation(f"'{where}' {exc.rule}{written}{_key_line(text, where)}") from exc
 
 
-def _parse_plant(ctx: _Ctx, obj: Any) -> Plant:
+def _build(text: str, factory: Callable[..., Any], obj: Any, table: dict[str, _Key], path: str):
+    """``factory`` called with the fields of ``obj``; range errors name their key."""
+    kwargs = _fields(text, obj, table, path)
+    with _reported(text, obj, table, path):
+        return factory(**kwargs)
+
+
+def _parse_plant(text: str, obj: Any) -> Plant:
     if not isinstance(obj, dict):
         raise MalformedDocument("'plant' must be an object")
     if "kind" not in obj:
-        raise ctx.missing("plant.kind")
+        raise _missing(text, "plant.kind")
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _PLANTS:
         raise UnitViolation(f"'plant.kind' must be {_choices(_PLANTS)}, got {kind!r}")
     table, cls = _PLANTS[kind]
-    return ctx.build(cls, {k: v for k, v in obj.items() if k != "kind"}, table, "plant")
+    return _build(text, cls, {k: v for k, v in obj.items() if k != "kind"}, table, "plant")
 
 
-def _parse_scenarios(ctx: _Ctx, obj: Any) -> tuple[TransitionScenario, ...]:
+def _parse_scenarios(text: str, obj: Any) -> tuple[TransitionScenario, ...]:
     if obj == "builtin":
         return tuple(builtin_scenarios())
     if not isinstance(obj, list):
         raise UnitViolation("'scenarios' must be \"builtin\" or a non-empty list")
     return tuple(
-        ctx.build(TransitionScenario, entry, _SCENARIO, f"scenarios[{i}]")
+        _build(text, TransitionScenario, entry, _SCENARIO, f"scenarios[{i}]")
         for i, entry in enumerate(obj)
     )
 
@@ -265,25 +261,24 @@ def parse_case_config(text: str) -> SweepPlan:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocument("top level must be a JSON object")
-    ctx = _Ctx(text)
-    args = ctx.fields(doc, _PLAN, "")
-    args["condition"] = ctx.build(FlightCondition, doc["condition"], _CONDITION, "condition")
-    oscillation = ctx.fields(doc["oscillation"], _OSCILLATION, "oscillation")
+    args = _fields(text, doc, _PLAN, "")
+    args["condition"] = _build(text, FlightCondition, doc["condition"], _CONDITION, "condition")
+    oscillation = _fields(text, doc["oscillation"], _OSCILLATION, "oscillation")
     args["modes"] = oscillation.pop("modes")
     args["skip_cycles"] = oscillation.pop("skip_cycles", None)
-    with ctx.reported(doc["oscillation"], _OSCILLATION, "oscillation"):
+    with _reported(text, doc["oscillation"], _OSCILLATION, "oscillation"):
         # a template: SweepPlan gives it the first planned mode
         args["oscillation"] = OscillationSpec(mode=OscillationMode.ALPHA, **oscillation)
-    args["plant"] = _parse_plant(ctx, doc["plant"])
-    args["scenarios"] = _parse_scenarios(ctx, doc["scenarios"])
-    with ctx.reported(doc, _PLAN, ""):
-        with ctx.reported(doc["oscillation"], _OSCILLATION, "oscillation"):
+    args["plant"] = _parse_plant(text, doc["plant"])
+    args["scenarios"] = _parse_scenarios(text, doc["scenarios"])
+    with _reported(text, doc, _PLAN, ""):
+        with _reported(text, doc["oscillation"], _OSCILLATION, "oscillation"):
             plan = SweepPlan(**args)
-    _check_flown_speeds(ctx, plan)
+    _check_flown_speeds(text, plan)
     return plan
 
 
-def _check_flown_speeds(ctx: _Ctx, plan: SweepPlan) -> None:
+def _check_flown_speeds(text: str, plan: SweepPlan) -> None:
     """Each scenario's condition must hold (Mach < 1) at the speed it flies.
 
     The speed follows ``speed_basis``; the error names the scenario's
@@ -297,7 +292,7 @@ def _check_flown_speeds(ctx: _Ctx, plan: SweepPlan) -> None:
             raise UnitViolation(
                 f"'{where}' gives a {plan.speed_basis} speed that {exc.rule}, "
                 f"got {plan.scenario_speed(scenario)!r} m/s against "
-                f"{plan.condition.sound_speed!r} m/s{_key_line(ctx.text, where)}"
+                f"{plan.condition.sound_speed!r} m/s{_key_line(text, where)}"
             ) from exc
 
 

@@ -282,7 +282,7 @@ def extract(
 def _same(x: float | None, y: float | None) -> bool:
     if x is None or y is None:
         return x is y
-    return math.isclose(x, y, rel_tol=_REL_TOL, abs_tol=0.0) or x == y
+    return math.isclose(x, y, rel_tol=_REL_TOL, abs_tol=0.0)
 
 
 def separate_rates(*sets: DerivativeSet) -> DerivativeSet:

@@ -71,7 +71,7 @@ def _match_channel(header: str, extra_aliases: Mapping[str, str] | None) -> str 
     if token in TIME_ALIASES:
         return "time"
     for channel, aliases in CHANNEL_ALIASES.items():
-        if token == channel.lower() or token in aliases:
+        if token in aliases:
             return channel
     return None
 

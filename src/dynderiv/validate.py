@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, TextIO
 
 import numpy as np
@@ -44,13 +44,6 @@ _COND = FlightCondition(
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
 def indicial_frequency_response(
     k: float, pitch_axis: float = -0.5, mode: OscillationMode = OscillationMode.ALPHA
 ) -> tuple[complex, complex]:
@@ -68,7 +61,7 @@ def indicial_frequency_response(
     return tuple(complex(f.in_phase, f.out_phase) / spec.body_amplitude for f in fits)
 
 
-def check_deficiency_limits() -> CheckResult:
+def check_deficiency_limits() -> tuple[bool, str]:
     """Quasi-steady and high-frequency limits plus the recorded oracle point."""
     c0 = theodorsen_function(0.0)
     c_inf = theodorsen_function(100.0)
@@ -80,10 +73,10 @@ def check_deficiency_limits() -> CheckResult:
     }
     passed = errs["C(0)-1"] == 0.0 and errs["C(100)-0.5"] < 0.01 and errs["C(0.1)-oracle"] < 5e-3
     detail = ", ".join(f"{k}={v:.3g}" for k, v in errs.items())
-    return CheckResult("lift-deficiency limits", passed, detail)
+    return passed, detail
 
 
-def check_jones_cross() -> CheckResult:
+def check_jones_cross() -> tuple[bool, str]:
     """Rational approximation stays within 0.03 per part of the exact function."""
     ks = np.logspace(math.log10(0.01), 0.0, 200)
     gap_re = gap_im = 0.0
@@ -94,10 +87,10 @@ def check_jones_cross() -> CheckResult:
         gap_im = max(gap_im, abs(exact.imag - approx.imag))
     passed = gap_re <= 0.03 and gap_im <= 0.03
     detail = f"max|dRe|={gap_re:.4f}, max|dIm|={gap_im:.4f} on k in [0.01, 1]"
-    return CheckResult("jones cross-check", passed, detail)
+    return passed, detail
 
 
-def check_indicial_consistency() -> CheckResult:
+def check_indicial_consistency() -> tuple[bool, str]:
     """Time-marching response matches its frequency-domain transform pair to 1%.
 
     Both modes, with the Jones-kernel flat-plate loads of each mode as the
@@ -113,14 +106,14 @@ def check_indicial_consistency() -> CheckResult:
         rel_m = abs(hm_sim - truth.moment) / abs(truth.moment)
         worst = max(worst, rel_l, rel_m)
         details.append(f"{mode.value} a={a} k={k}: CL {rel_l:.2e}, Cm {rel_m:.2e}")
-    return CheckResult("indicial consistency", worst < 0.01, "; ".join(details))
+    return worst < 0.01, "; ".join(details)
 
 
 def _relative_error(measured: float, injected: float) -> float:
     return abs(measured - injected) / max(abs(injected), 1.0)
 
 
-def check_round_trip() -> CheckResult:
+def check_round_trip() -> tuple[bool, str]:
     """Injected quasi-steady derivatives of 10 seeded plants are recovered to 1e-9 relative."""
     rng = np.random.default_rng(20240811)
     spec = agard_ct2_preset()
@@ -142,10 +135,10 @@ def check_round_trip() -> CheckResult:
                 _relative_error(ch.aoa_rate_derivative, adot),
                 _relative_error(ch.damping_sum, rate + adot),
             )
-    return CheckResult("round-trip recovery", worst < 1e-9, f"worst relative error {worst:.2e}")
+    return worst < 1e-9, f"worst relative error {worst:.2e}"
 
 
-def check_separation_chain() -> CheckResult:
+def check_separation_chain() -> tuple[bool, str]:
     """Identified C_q and separated incidence-rate derivative match the formulas."""
     spec = agard_ct2_preset()
     k = spec.reduced_frequency
@@ -158,10 +151,10 @@ def check_separation_chain() -> CheckResult:
     rel_ad = abs(ch.aoa_rate_derivative - (damping_true - cmq_true)) / abs(damping_true - cmq_true)
     passed = rel_q < 1e-6 and rel_ad < 1e-6
     detail = f"C_mq rel {rel_q:.2e}, C_malphadot rel {rel_ad:.2e}"
-    return CheckResult("rate separation vs analytic loads", passed, detail)
+    return passed, detail
 
 
-def check_loop_identity() -> CheckResult:
+def check_loop_identity() -> tuple[bool, str]:
     """Trapezoidal loop area equals pi*A*b within 0.1%; sign follows b."""
     rng = np.random.default_rng(7)
     spec = replace(agard_ct2_preset(), mean_incidence=0.0)
@@ -177,27 +170,25 @@ def check_loop_identity() -> CheckResult:
         expected = math.pi * amp * b_out
         worst = max(worst, abs(area - expected) / abs(expected))
         if np.sign(area) != np.sign(b_out):
-            return CheckResult("loop-area identity", False, f"orientation mismatch for b={b_out}")
-    return CheckResult("loop-area identity", worst < 1e-3, f"worst relative error {worst:.2e}")
+            return False, f"orientation mismatch for b={b_out}"
+    return worst < 1e-3, f"worst relative error {worst:.2e}"
 
 
-ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
-    check_deficiency_limits,
-    check_jones_cross,
-    check_indicial_consistency,
-    check_round_trip,
-    check_separation_chain,
-    check_loop_identity,
-)
+ALL_CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
+    "lift-deficiency limits": check_deficiency_limits,
+    "jones cross-check": check_jones_cross,
+    "indicial consistency": check_indicial_consistency,
+    "round-trip recovery": check_round_trip,
+    "rate separation vs analytic loads": check_separation_chain,
+    "loop-area identity": check_loop_identity,
+}
 
 
 def run_validation(stream: TextIO) -> int:
     """Run every check, write one PASS/FAIL line each to ``stream``; 0 if all pass."""
     failures = 0
-    for check in ALL_CHECKS:
-        result = check()
-        if not result.passed:
-            failures += 1
-        status = "PASS" if result.passed else "FAIL"
-        stream.write(f"[{status}] {result.name}: {result.detail}\n")
+    for name, check in ALL_CHECKS.items():
+        passed, detail = check()
+        failures += not passed
+        stream.write(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}\n")
     return 0 if failures == 0 else 1

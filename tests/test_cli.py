@@ -33,6 +33,7 @@ from dynderiv import (
     simulate,
 )
 from dynderiv.cli import main
+from dynderiv.validate import ALL_CHECKS
 
 AGARD_K = 0.0811
 AGARD_AMP_DEG = 4.59
@@ -411,6 +412,33 @@ class TestSweep:
             alpha0 = float(first.split(",")[0])
             assert alpha0 == pytest.approx(AGARD_MEAN_DEG, rel=1e-9)
 
+    @pytest.mark.parametrize("kind", ["quasi-steady", "flat-plate", "indicial"])
+    def test_loop_table_closes_to_the_reported_loop_area(self, kind, tmp_path):
+        """The last cycle of each loops_<name>.csv is the loop whose area report.csv gives."""
+        doc = config_doc() if kind == "quasi-steady" else config_doc(plant={"kind": kind})
+        osc = doc["oscillation"]
+        cycles, spc = osc["cycles"], osc["samples_per_cycle"]
+        assert cycles >= 3 and spc == 720
+        config, out_dir = tmp_path / "case.json", tmp_path / "results"
+        config.write_text(json.dumps(doc))
+        assert main(["sweep", str(config), "--out-dir", str(out_dir)]) == 0
+        with open(out_dir / "report.csv", newline="") as fh:
+            areas = {(r["scenario"], r["channel"]): r["loop_area"] for r in csv.DictReader(fh)}
+        flying = ("mid-transition", "transition-end")
+        for name in flying:
+            table = np.loadtxt(out_dir / f"loops_{name}.csv", delimiter=",", skiprows=1)
+            assert table.shape == (cycles * spc, 4)
+            last = table[-spc:]
+            x = np.radians(last[:, 0])
+            for column, channel in enumerate(("CL", "CD", "Cm"), start=1):
+                y = last[:, column]
+                # the closed trapezoid of y dx, as loop_metrics forms it
+                area = float((0.5 * (y + np.roll(y, -1)) * (np.roll(x, -1) - x)).sum())
+                # loop_metrics' zero threshold, plus the degrees round trip of x
+                tol = 64 * spc * np.finfo(float).eps * np.abs(x).max() * np.abs(y).max()
+                assert abs(area - float(areas[name, channel])) <= tol, (name, channel)
+        assert {s for s, _ in areas} - set(flying) == {"transition-beginning"}
+
     def test_writes_metadata_sidecar(self, config_file, tmp_path):
         out_dir = tmp_path / "results"
         assert main(["sweep", str(config_file), "--out-dir", str(out_dir)]) == 0
@@ -658,9 +686,11 @@ class TestDeckDigests:
 class TestValidate:
     def test_exits_zero_and_reports_checks(self, capsys):
         assert main(["validate"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") == 6
-        assert "[FAIL]" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert len(ALL_CHECKS) == 6
+        assert [line.partition(": ")[0] for line in lines] == [
+            f"[PASS] {name}" for name in ALL_CHECKS]
+        assert all(line.partition(": ")[2] for line in lines)
 
 
 class TestNoScipy:
