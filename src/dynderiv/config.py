@@ -11,8 +11,10 @@ names the key, its line, and the value as written.
 
 ``render_case_config`` emits the canonical form: sorted keys, explicit
 scenario list, two-space indent.  Rendering picks degree values whose
-parse reproduces the stored radians bit-for-bit, so
-``parse_case_config(render_case_config(plan)) == plan``.
+parse reproduces the stored radians bit-for-bit where such a value
+exists, so ``parse_case_config(render_case_config(plan)) == plan`` for
+every plan whose angles came from degrees (every parsed config).  Other
+radians may have no degree preimage; those parse back one ulp off.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Any, Callable, Iterator, NamedTuple, get_args, get_type_hints
 
-from .errors import DomainError, MalformedDocument, MissingKey, UnitViolation, UnknownKey, _choices
+from .errors import (
+    DomainError,
+    InsufficientSamples,
+    MalformedDocument,
+    MissingKey,
+    UnitViolation,
+    UnknownKey,
+    _choices,
+)
 from .kinematics import FlightCondition, OscillationMode, OscillationSpec
 from .plants import Plant
 from .scenarios import SweepPlan, TransitionScenario, builtin_scenarios
@@ -37,7 +47,8 @@ def _degrees_preimage(radians_value: float) -> float:
     math.radians(math.degrees(x)) can land one ulp off; searching the
     immediate neighbors restores the exact preimage whenever the value is
     reachable from a degree input at all (it always is for values that
-    entered through a config).
+    entered through a config).  Other values get math.degrees(x), whose
+    radians are the next float up or down.
     """
     d = math.degrees(radians_value)
     if math.radians(d) == radians_value:
@@ -186,7 +197,7 @@ def _missing(text: str, path: str) -> MissingKey:
 def _fields(text: str, obj: Any, table: dict[str, _Key], path: str) -> dict[str, Any]:
     """Constructor arguments from the keys of ``table`` that ``obj`` holds."""
     if not isinstance(obj, dict):
-        raise MalformedDocument(f"'{path}' must be an object")
+        raise MalformedDocument(f"'{path}' must be an object{_key_line(text, path)}")
     for key in obj:
         if key not in table:
             where = _join(path, key)
@@ -232,12 +243,13 @@ def _build(text: str, factory: Callable[..., Any], obj: Any, table: dict[str, _K
 
 def _parse_plant(text: str, obj: Any) -> Plant:
     if not isinstance(obj, dict):
-        raise MalformedDocument("'plant' must be an object")
+        raise MalformedDocument(f"'plant' must be an object{_key_line(text, 'plant')}")
     if "kind" not in obj:
         raise _missing(text, "plant.kind")
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _PLANTS:
-        raise UnitViolation(f"'plant.kind' must be {_choices(_PLANTS)}, got {kind!r}")
+        raise UnitViolation(f"'plant.kind' must be {_choices(_PLANTS)}, got {kind!r}"
+                            f"{_key_line(text, 'plant.kind')}")
     table, cls = _PLANTS[kind]
     return _build(text, cls, {k: v for k, v in obj.items() if k != "kind"}, table, "plant")
 
@@ -246,7 +258,8 @@ def _parse_scenarios(text: str, obj: Any) -> tuple[TransitionScenario, ...]:
     if obj == "builtin":
         return tuple(builtin_scenarios())
     if not isinstance(obj, list):
-        raise UnitViolation("'scenarios' must be \"builtin\" or a non-empty list")
+        raise UnitViolation("'scenarios' must be \"builtin\" or a non-empty list"
+                            + _key_line(text, "scenarios"))
     return tuple(
         _build(text, TransitionScenario, entry, _SCENARIO, f"scenarios[{i}]")
         for i, entry in enumerate(obj)
@@ -271,9 +284,13 @@ def parse_case_config(text: str) -> SweepPlan:
         args["oscillation"] = OscillationSpec(mode=OscillationMode.ALPHA, **oscillation)
     args["plant"] = _parse_plant(text, doc["plant"])
     args["scenarios"] = _parse_scenarios(text, doc["scenarios"])
-    with _reported(text, doc, _PLAN, ""):
-        with _reported(text, doc["oscillation"], _OSCILLATION, "oscillation"):
-            plan = SweepPlan(**args)
+    try:
+        with _reported(text, doc, _PLAN, ""):
+            with _reported(text, doc["oscillation"], _OSCILLATION, "oscillation"):
+                plan = SweepPlan(**args)
+    except InsufficientSamples as exc:      # the run rule: no cycle is left after the skip
+        line = _key_line(text, "oscillation.skip_cycles") or _key_line(text, "oscillation.cycles")
+        raise InsufficientSamples(f"{exc}{line}") from exc
     _check_flown_speeds(text, plan)
     return plan
 
@@ -315,5 +332,9 @@ def _plan_doc(plan: SweepPlan) -> dict[str, Any]:
 
 
 def render_case_config(plan: SweepPlan) -> str:
-    """Canonical JSON rendering of a plan; parse(render(plan)) == plan."""
+    """Canonical JSON rendering of a plan.
+
+    parse(render(plan)) == plan when the plan's angles came from degrees;
+    otherwise each angle parses back within one ulp.
+    """
     return json.dumps(_plan_doc(plan), indent=2, sort_keys=True) + "\n"

@@ -98,7 +98,7 @@ class MissingKey(ConfigError):
 
 
 class UnknownKey(ConfigError):
-    """A key is present that the schema does not define."""
+    """A key is present that the config tables do not define."""
 
 
 class UnitViolation(ConfigError):

@@ -48,7 +48,8 @@ from .series import CHANNELS, CoefficientSeries
 # Skip no cycles for transient-free plants, two for anything with start-up
 # lag dynamics.  Two cycles leave exp(-4*pi*0.0455/k) of the slow Wagner
 # pole's start-up term: 1.1e-5 at k = 0.05, 3.3e-3 at 0.1, 5.7e-2 at 0.2
-# and 0.15 at 0.3, so below 0.2% only for k <= 0.092 (ROADMAP item 8).
+# and 0.15 at 0.3, so below 0.2% only for k <= 0.092 (the ROADMAP item on
+# the indicial start-up skip derives it from k and that pole instead).
 DEFAULT_SKIP_TRANSIENT = 2
 
 

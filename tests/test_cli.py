@@ -31,6 +31,7 @@ from dynderiv import (
     render_case_config,
     scenarios,
     simulate,
+    validate,
 )
 from dynderiv.cli import main
 from dynderiv.validate import ALL_CHECKS
@@ -478,12 +479,16 @@ class TestSweep:
         if plant is not None:
             doc["plant"] = plant
         config = tmp_path / "case.json"
-        config.write_text(json.dumps(doc))
+        text = json.dumps(doc, indent=2)
+        config.write_text(text)
         assert main(["sweep", str(config), "--out-dir", str(tmp_path / "results")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert f"oscillation.skip_cycles is {skip}" in err[0]
         assert f"oscillation.cycles is {oscillation['cycles']}" in err[0]
+        # skip_cycles is written (null when the plant's default applies), so its line is cited
+        line = next(i for i, row in enumerate(text.splitlines(), start=1) if '"skip_cycles"' in row)
+        assert err[0].endswith(f"no cycle is left to fit (line {line})")
 
     @pytest.mark.parametrize("kind", ["flat-plate", "indicial"])
     def test_out_of_range_pitch_axis_is_one_line(self, tmp_path, capsys, kind):
@@ -691,6 +696,15 @@ class TestValidate:
         assert [line.partition(": ")[0] for line in lines] == [
             f"[PASS] {name}" for name in ALL_CHECKS]
         assert all(line.partition(": ")[2] for line in lines)
+
+    def test_a_loop_of_the_wrong_orientation_fails_its_check(self, capsys, monkeypatch):
+        true_area = validate.loop_metrics
+        monkeypatch.setattr(validate, "loop_metrics", lambda *args: -true_area(*args))
+        passed, detail = validate.check_loop_identity()
+        assert not passed and detail.startswith("orientation mismatch for b=")
+        assert float(detail.rpartition("=")[2]) != 0.0
+        assert main(["validate"]) == 1
+        assert f"[FAIL] loop-area identity: {detail}" in capsys.readouterr().out.splitlines()
 
 
 class TestNoScipy:

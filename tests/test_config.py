@@ -2,14 +2,16 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynderiv import (
     FlatPlatePlant,
     IndicialPlant,
+    InsufficientSamples,
     MalformedDocument,
     MissingKey,
     OscillationMode,
@@ -21,7 +23,6 @@ from dynderiv import (
     render_case_config,
     run_sweep,
 )
-from dynderiv import config
 
 
 def base_doc():
@@ -287,6 +288,50 @@ RANGE_CASES = [
 ]
 
 
+def _indicial_default_skip(doc):
+    # the indicial plant skips 2 cycles by default, and skip_cycles is not written
+    doc["oscillation"].pop("skip_cycles")
+    doc["oscillation"]["cycles"] = 2
+    doc["plant"] = {"kind": "indicial"}
+
+
+# (document edit, error type, message before its line, start of the line the error cites)
+LINE_CASES = [
+    (lambda d: d.update(condition=[1]), MalformedDocument,
+     "'condition' must be an object", '"condition": ['),
+    (lambda d: d.update(oscillation="fast"), MalformedDocument,
+     "'oscillation' must be an object", '"oscillation": "fast"'),
+    (lambda d: d.update(scenarios=[*ONE_SCENARIO, 7]), MalformedDocument,
+     "'scenarios[1]' must be an object", "7"),
+    (lambda d: d.update(plant=None), MalformedDocument,
+     "'plant' must be an object", '"plant": null'),
+    (lambda d: d["plant"].update(kind=3), UnitViolation,
+     "'plant.kind' must be 'quasi-steady', 'flat-plate' or 'indicial', got 3", '"kind": 3'),
+    (lambda d: d.update(scenarios={}), UnitViolation,
+     "'scenarios' must be \"builtin\" or a non-empty list", '"scenarios": {}'),
+    (lambda d: d["oscillation"].update(skip_cycles=3), InsufficientSamples,
+     "oscillation.skip_cycles is 3 but oscillation.cycles is 3: no cycle is left to fit",
+     '"skip_cycles": 3'),
+    (_indicial_default_skip, InsufficientSamples,
+     "oscillation.skip_cycles is 2 (the plant's default) but oscillation.cycles is 2: "
+     "no cycle is left to fit", '"cycles": 2'),
+]
+
+
+@pytest.mark.parametrize("edit, error, message, written", LINE_CASES,
+                         ids=["condition", "oscillation", "scenarios-entry", "plant", "plant-kind",
+                              "scenarios", "skip-written", "skip-default"])
+def test_error_ends_with_the_line_its_key_is_written_on(edit, error, message, written):
+    doc = base_doc()
+    edit(doc)
+    text = doc_text(doc)
+    (line,) = [i for i, row in enumerate(text.splitlines(), start=1)
+               if row.strip().startswith(written)]
+    with pytest.raises(error) as info:
+        parse_case_config(text)
+    assert str(info.value) == f"{message} (line {line})"
+
+
 class TestRangeRules:
     """Every range rule a config can reach is reported under its key, line and value."""
 
@@ -357,82 +402,23 @@ class TestRoundTrip:
         plan = parse_case_config(doc_text(doc))
         assert parse_case_config(render_case_config(plan)) == plan
 
+    @given(mean=st.floats(-1.5, 1.5), amplitude=st.floats(1e-300, 1.5))
+    @example(mean=0.09959158233129625, amplitude=0.08)    # no degree value gives this mean
+    @settings(max_examples=200, deadline=None)
+    def test_free_radians_parse_back_within_one_ulp(self, mean, amplitude):
+        # radians that came from no degree value render to the nearest degrees there are
+        plan = parse_case_config(doc_text())
+        oscillation = replace(plan.oscillation, mean_incidence=mean, body_amplitude=amplitude)
+        plan = replace(plan, oscillation=oscillation)
+        back = parse_case_config(render_case_config(plan))
+        for x, y in ((mean, back.oscillation.mean_incidence),
+                     (amplitude, back.oscillation.body_amplitude)):
+            assert y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+        assert replace(back, oscillation=oscillation) == plan
+
     def test_rendered_plan_runs(self, condition):
         # a rendered config is a complete, runnable case description
         plan = parse_case_config(render_case_config(parse_case_config(doc_text())))
         report = run_sweep(plan)
         assert len(report.results) == 3
 
-
-def _schema_blocks():
-    """(block name, schema object, config key table) for every block of a case config."""
-    from importlib import resources
-
-    schema = json.loads(
-        resources.files("dynderiv").joinpath("schema/case_config.schema.json").read_text()
-    )
-    props = schema["properties"]
-    plants = {p["properties"]["kind"]["const"]: p for p in props["plant"]["oneOf"]}
-    assert set(plants) == set(config._PLANTS)
-    kind = {"kind": config._Key("kind", "string")}      # read before the plant's own table
-    return [
-        ("top level", schema, config._PLAN),
-        ("condition", props["condition"], config._CONDITION),
-        ("oscillation", props["oscillation"], config._OSCILLATION),
-        ("scenarios[]", props["scenarios"]["oneOf"][1]["items"], config._SCENARIO),
-    ] + [(f"plant {name}", plants[name], {**kind, **table})
-         for name, (table, _) in config._PLANTS.items()]
-
-
-SCHEMA_BLOCKS = _schema_blocks()
-
-
-class TestSchemaKeys:
-    """The shipped schema and the config tables name the same keys, block by block."""
-
-    @pytest.mark.parametrize("name, block, table", SCHEMA_BLOCKS,
-                             ids=[name for name, _, _ in SCHEMA_BLOCKS])
-    def test_properties_and_required_match_the_table(self, name, block, table):
-        assert set(block["properties"]) == set(table)
-        assert set(block.get("required", [])) == {k for k, spec in table.items() if spec.required}
-
-    def test_modes_enum_is_oscillation_mode(self):
-        (oscillation,) = [block for name, block, _ in SCHEMA_BLOCKS if name == "oscillation"]
-        assert oscillation["properties"]["modes"]["items"]["enum"] == \
-            [m.value for m in OscillationMode]
-
-
-class TestShippedSchema:
-    @pytest.fixture
-    def schema(self):
-        jsonschema = pytest.importorskip("jsonschema")
-        from importlib import resources
-
-        with resources.files("dynderiv").joinpath("schema/case_config.schema.json").open() as fh:
-            return jsonschema, json.load(fh)
-
-    def test_rendered_config_satisfies_schema(self, schema):
-        jsonschema, doc_schema = schema
-        plan = parse_case_config(doc_text())
-        jsonschema.validate(json.loads(render_case_config(plan)), doc_schema)
-
-    def test_schema_rejects_negative_chord(self, schema):
-        jsonschema, doc_schema = schema
-        doc = base_doc()
-        doc["condition"]["chord_m"] = -1.0
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(doc, doc_schema)
-
-    def test_schema_rejects_unsafe_scenario_names(self, schema):
-        jsonschema, doc_schema = schema
-        doc = base_doc()
-        doc["scenarios"] = [dict(ONE_SCENARIO[0], name="a,b")]
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(doc, doc_schema)
-
-    def test_schema_rejects_unknown_keys(self, schema):
-        jsonschema, doc_schema = schema
-        doc = base_doc()
-        doc["condition"]["color"] = "red"
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(doc, doc_schema)

@@ -239,6 +239,14 @@ class TestFitSeries:
         assert fit.in_phase == pytest.approx(want.in_phase, abs=1e-12)
         assert fit.residual_rms == pytest.approx(want.residual_rms, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_series_rejects_a_non_finite_time(self, bad):
+        t = _grid(1)
+        y = np.sin(OMEGA * t)
+        t[5] = bad
+        with pytest.raises(NonFiniteData, match="^times contain non-finite values$"):
+            CoefficientSeries(t, CL=y)
+
     def test_basis_arrays_are_read_only(self):
         basis = identify._harmonic_basis(_grid(2), OMEGA, 0)
         for array in (basis.design, basis.pinv):

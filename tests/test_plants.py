@@ -25,6 +25,7 @@ from dynderiv import (
     FlatPlatePlant,
     FlightCondition,
     IndicialPlant,
+    InsufficientSamples,
     MotionSchedule,
     NonDimensionalizationUndefined,
     OscillationMode,
@@ -506,6 +507,14 @@ class TestFlatPlatePhase:
 
 
 class TestSimulate:
+    def test_empty_schedule_is_insufficient(self, linear_plant, agard_alpha_spec, condition):
+        schedule = make_schedule(agard_alpha_spec, condition)
+        empty = replace(schedule, **{name: getattr(schedule, name)[:0] for name in (
+            "time", "relative_aoa", "pitch_rate", "aoa_rate", "pitch_accel", "phase_sin",
+            "phase_cos")})
+        with pytest.raises(InsufficientSamples, match="^schedule is empty$"):
+            simulate(linear_plant, empty, condition)
+
     def test_q_mode_quasi_steady_is_pure_cosine(self, linear_plant, agard_q_spec, condition):
         schedule = make_schedule(agard_q_spec, condition)
         series = simulate(linear_plant, schedule, condition)
