@@ -163,6 +163,8 @@ def _require_positive(flag: str, value: float) -> None:
 
 def _identify_omega(args: argparse.Namespace) -> float:
     if args.omega is not None:
+        if args.chord is not None or args.speed is not None:
+            raise _UsageError("--omega cannot be given with --chord or --speed")
         _require_positive("--omega", args.omega)
         return args.omega
     if args.chord is not None or args.speed is not None:

@@ -301,9 +301,8 @@ def separate_rates(*sets: DerivativeSet) -> DerivativeSet:
         raise ConditionMismatch(f"need sets of distinct modes in OscillationMode order, got {got}")
     first = sets[0]
     for s in sets:
-        own = {"trim_value", "fit", "flags", *_IDENTIFIES[s.spec.mode]}
-        if any(v is not None and f not in own
-               for c in s.channels.values() for f, v in vars(c).items()):
+        others = [f for m, fields in _IDENTIFIES.items() if m is not s.spec.mode for f in fields]
+        if any(getattr(c, f) is not None for c in s.channels.values() for f in others):
             raise ConditionMismatch(f"the {s.spec.mode.value}-mode set holds values another mode "
                                     "identifies: it is merged already")
         if not _same(first.spec.reduced_frequency, s.spec.reduced_frequency):

@@ -14,12 +14,13 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_config import AGARD_AMP_DEG, AGARD_K, AGARD_MEAN_DEG, config_doc
 from test_io import fuzzed_monitor_texts
+from truth import JONES_POLES, jones_c, theodorsen_c, theodorsen_loads
 
 import dynderiv
 from dynderiv import (
@@ -35,41 +36,6 @@ from dynderiv import (
 )
 from dynderiv.cli import main
 from dynderiv.validate import ALL_CHECKS
-
-AGARD_K = 0.0811
-AGARD_AMP_DEG = 4.59
-AGARD_MEAN_DEG = 3.16
-
-
-def config_doc(**overrides):
-    doc = {
-        "condition": {
-            "speed_m_s": 100.0,
-            "sound_speed_m_s": None,
-            "density_kg_m3": 1.225,
-            "chord_m": 0.2299,
-            "span_m": 0.6096,
-            "area_m2": 0.1238,
-        },
-        "oscillation": {
-            "modes": ["alpha", "q"],
-            "mean_incidence_deg": AGARD_MEAN_DEG,
-            "amplitude_deg": AGARD_AMP_DEG,
-            "reduced_frequency": AGARD_K,
-            "cycles": 3,
-            "samples_per_cycle": 720,
-            "skip_cycles": None,
-        },
-        "plant": {
-            "kind": "quasi-steady",
-            "CL0": 0.2, "CL_alpha": 5.0, "CL_q": 4.0, "CL_alphadot": 6.0,
-            "CD0": 0.02, "CD_alpha": 0.3, "CD_q": 0.1,
-            "Cm0": -0.05, "Cm_alpha": -1.2, "Cm_q": -3.0, "Cm_alphadot": -1.2,
-        },
-        "scenarios": "builtin",
-    }
-    doc.update(overrides)
-    return doc
 
 
 @pytest.fixture
@@ -95,6 +61,13 @@ class TestVersionHelp:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "dynderiv" in capsys.readouterr().out
+
+    def test_version_from_python_dash_m(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(dynderiv.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "dynderiv.cli", "--version"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("dynderiv ")
 
     def test_help(self, capsys):
         assert main(["--help"]) == 0
@@ -295,6 +268,8 @@ class TestIdentify:
     @pytest.mark.parametrize("flags", [
         ["--k", "nan"], ["--k", "inf"], ["--amplitude-deg", "nan"], ["--mean-deg", "inf"],
         ["--omega", "inf"], ["--chord", "nan", "--speed", "10"], ["--alias", "t=bogus"],
+        ["--omega", "6.283185307179586", "--chord", "0.2", "--speed", "50"],
+        ["--omega", "1", "--speed", "50"],
     ])
     def test_non_finite_or_unknown_flag_is_one_line_usage_error(self, tmp_path, capsys, flags):
         path = self._write_fixture(tmp_path, "alpha")
@@ -677,13 +652,15 @@ class TestRepeatedCalls:
 class TestDeckDigests:
     def test_two_interpreters_print_the_same_digests(self):
         """Reruns are byte-identical across processes, whatever the string hash seed."""
-        # --against runs the second interpreter under hash seed 1 beside this one's 0
+        # --against runs the second interpreter under hash seed 1 beside this one's 0; both
+        # turn a read or write in the locale's encoding into an error
         root = Path(__file__).resolve().parents[1]
         src = str(root / "src")
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONWARNDEFAULTENCODING="1",
+                   PYTHONWARNINGS="error::EncodingWarning")
         proc = subprocess.run([sys.executable, str(root / "tools" / "deck_digests.py"),
                                "--src", src, "--against", src, "--seeds", "3"],
-                              env=dict(os.environ, PYTHONHASHSEED="0"), cwd=root,
-                              capture_output=True, text=True, timeout=120)
+                              env=env, cwd=root, capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "")
         assert proc.stderr.count("dynderiv from ") == 2
 
@@ -1159,42 +1136,9 @@ def flat_plate_docs(draw):
     return _sweep_doc(draw, plant, st.one_of(st.floats(0.01, 3.0), st.floats(3.0, 25.0)))
 
 
-def theodorsen_c(k):
-    """C(k) = H1(k) / (H1(k) + i H0(k)), Hankel functions of the second kind, from mpmath."""
-    with mpmath.workdps(30):
-        h0, h1 = mpmath.hankel2(0, k), mpmath.hankel2(1, k)
-        return complex(h1 / (h1 + 1j * h0))
-
-
-# (A_j, b_j) of R. T. Jones's two-pole approximation of the Wagner function
-JONES_POLES = ((0.165, 0.0455), (0.335, 0.3))
-
-
-def jones_c(k):
-    """R. T. Jones's two-pole approximation of C(k)."""
-    ik = 1j * k
-    return 1.0 - sum(a * ik / (ik + b) for a, b in JONES_POLES)
-
-
-def theodorsen_loads(a, s, c, w, hdd):
-    """(CL, Cm) per radian of pitch e^(iwt) about the axis a semichords aft of midchord.
-
-    Theodorsen's lift and moment, with s = ik the nondimensional pitch rate,
-    c the lift-deficiency value, w = hdot/V and hdd = hddot*b/V^2 the plunge
-    (positive down) per radian of pitch; 3/4-chord downwash w + 1 + (1/2 - a)s.
-    """
-    circulatory = c * (w + 1.0 + (0.5 - a) * s)
-    cl = math.pi * (hdd + s - a * s * s) + 2.0 * math.pi * circulatory
-    cm = (0.5 * math.pi * (a * hdd - (0.5 - a) * s - (0.125 + a * a) * s * s)
-          + math.pi * (a + 0.5) * circulatory)
-    return cl, cm
-
-
 def flat_plate_report(doc):
-    """report.csv's cells by (scenario, channel), from Theodorsen's loads.
+    """report.csv's cells by (scenario, channel), from Theodorsen's loads in each mode.
 
-    Incidence mode pitches the plate alone (w = hdd = 0).  Flow-path mode
-    adds the plunge that holds the incidence at its mean: w = -1, hdd = -s.
     The response to pitch A sin(wt) is A (Re H sin(wt) + Im H cos(wt)), so
     C_alpha = Re H_alpha, damping sum = Im H_alpha / k, C_q = Im H_q / k,
     and the loop area is pi*A*b*sin(h)/h with b = A Im H_alpha and h = 2*pi/N.
@@ -1229,7 +1173,7 @@ def flat_plate_report(doc):
 
 
 class TestFlatPlateSweepTruth:
-    """Whole flat-plate sweeps through the CLI against Theodorsen's loads written out here."""
+    """Whole flat-plate sweeps through the CLI against Theodorsen's loads from ``truth``."""
 
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):

@@ -25,8 +25,14 @@ from dynderiv import (
 )
 
 
-def base_doc():
-    return {
+AGARD_K = 0.0811
+AGARD_AMP_DEG = 4.59
+AGARD_MEAN_DEG = 3.16
+
+
+def config_doc(**overrides):
+    """The reference case config, with the top-level keys in ``overrides`` replaced."""
+    doc = {
         "condition": {
             "speed_m_s": 100.0,
             "sound_speed_m_s": None,
@@ -37,9 +43,9 @@ def base_doc():
         },
         "oscillation": {
             "modes": ["alpha", "q"],
-            "mean_incidence_deg": 3.16,
-            "amplitude_deg": 4.59,
-            "reduced_frequency": 0.0811,
+            "mean_incidence_deg": AGARD_MEAN_DEG,
+            "amplitude_deg": AGARD_AMP_DEG,
+            "reduced_frequency": AGARD_K,
             "cycles": 3,
             "samples_per_cycle": 720,
             "skip_cycles": None,
@@ -54,10 +60,12 @@ def base_doc():
         },
         "scenarios": "builtin",
     }
+    doc.update(overrides)
+    return doc
 
 
 def doc_text(doc=None):
-    return json.dumps(doc if doc is not None else base_doc(), indent=2)
+    return json.dumps(doc if doc is not None else config_doc(), indent=2)
 
 
 class TestParse:
@@ -81,7 +89,7 @@ class TestParse:
         assert plan.oscillation.body_amplitude == math.radians(4.59)
 
     def test_explicit_scenario_list(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["scenarios"] = [
             {"name": "one", "altitude_m": 10.0, "vertical_velocity_m_s": 0.0,
              "forward_velocity_m_s": 20.0},
@@ -91,13 +99,13 @@ class TestParse:
         assert plan.scenarios[0].forward_velocity == 20.0
 
     def test_flat_plate_plant(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["plant"] = {"kind": "flat-plate", "pitch_axis": -0.5, "kernel": "jones"}
         plan = parse_case_config(doc_text(doc))
         assert plan.plant == FlatPlatePlant(pitch_axis=-0.5, kernel="jones")
 
     def test_indicial_plant(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["plant"] = {"kind": "indicial", "pitch_axis": -0.5,
                         "CD0": 0.02, "CD_alpha": 0.3, "CD_q": 0.0,
                         "induced_drag_factor": 0.05}
@@ -109,7 +117,7 @@ class TestParse:
 
 class TestErrors:
     def test_negative_chord_names_the_key(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["condition"]["chord_m"] = -1.0
         with pytest.raises(UnitViolation, match="chord_m"):
             parse_case_config(doc_text(doc))
@@ -123,7 +131,7 @@ class TestErrors:
             ("plant.kind", '  "plant": {', lambda d: d["plant"].pop("kind")),
             ("scenarios[1].name", '    {', lambda d: d.update(scenarios=[*ONE_SCENARIO, nameless])),
         ):
-            doc = base_doc()
+            doc = config_doc()
             drop(doc)
             text = doc_text(doc)
             line = [i for i, row in enumerate(text.splitlines(), start=1) if row == block][-1]
@@ -132,19 +140,19 @@ class TestErrors:
             assert str(info.value) == f"missing required key '{path}' (line {line})"
 
     def test_unknown_key_rejected(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["condition"]["color"] = "red"
         with pytest.raises(UnknownKey, match="condition.color"):
             parse_case_config(doc_text(doc))
 
     def test_unknown_top_level_key(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["extra"] = 1
         with pytest.raises(UnknownKey, match="extra"):
             parse_case_config(doc_text(doc))
 
     def test_error_carries_line_number(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["condition"]["chord_m"] = -1.0
         text = doc_text(doc)
         expected_line = next(
@@ -154,7 +162,7 @@ class TestErrors:
             parse_case_config(text)
 
     def test_error_in_a_later_scenario_cites_its_own_line(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["scenarios"] = [dict(ONE_SCENARIO[0]), dict(ONE_SCENARIO[0], name="two", altitude_m=-1)]
         text = doc_text(doc)
         first, second = [i for i, row in enumerate(text.splitlines(), start=1)
@@ -164,7 +172,7 @@ class TestErrors:
         assert str(info.value) == f"'scenarios[1].altitude_m' must be >= 0, got -1 (line {second})"
 
     def test_scenario_names_are_distinct(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["scenarios"] = [dict(ONE_SCENARIO[0], name=name) for name in ("a-b", "x", "a-b")]
         text = doc_text(doc)
         line = next(i for i, row in enumerate(text.splitlines(), start=1) if '"scenarios"' in row)
@@ -175,7 +183,7 @@ class TestErrors:
 
     def test_scenario_names_differ_in_more_than_case(self):
         # loops_Climb.csv and loops_climb.csv are one file on case-insensitive filesystems
-        doc = base_doc()
+        doc = config_doc()
         doc["scenarios"] = [dict(ONE_SCENARIO[0], name=name) for name in ("Climb", "x", "climb")]
         text = doc_text(doc)
         line = next(i for i, row in enumerate(text.splitlines(), start=1) if '"scenarios"' in row)
@@ -193,7 +201,7 @@ class TestErrors:
             parse_case_config("[1, 2, 3]")
 
     def test_supersonic_condition_rejected(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["condition"]["sound_speed_m_s"] = 50.0
         with pytest.raises(UnitViolation, match="Mach"):
             parse_case_config(doc_text(doc))
@@ -203,7 +211,7 @@ class TestErrors:
         ("total", 300.0, 200.0),      # 360 m/s in total
     ])
     def test_supersonic_scenario_rejected_at_parse_time(self, speed_basis, forward, climb):
-        doc = base_doc()
+        doc = config_doc()
         doc["condition"]["sound_speed_m_s"] = 340.0
         doc["speed_basis"] = speed_basis
         doc["scenarios"] = [
@@ -225,7 +233,7 @@ class TestErrors:
             assert parse_case_config(doc_text(doc)).scenarios[1].forward_velocity == 300.0
 
     def test_supersonic_builtin_scenario_is_named_without_a_line(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["condition"].update(speed_m_s=50.0, sound_speed_m_s=60.0)   # transition-end flies 66
         doc["scenarios"] = "builtin"
         with pytest.raises(UnitViolation) as info:
@@ -235,26 +243,26 @@ class TestErrors:
             "the sound speed (Mach must be < 1), got 66.0 m/s against 60.0 m/s")
 
     def test_bad_mode_name(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["oscillation"]["modes"] = ["alpha", "roll"]
         with pytest.raises(UnitViolation, match="modes"):
             parse_case_config(doc_text(doc))
 
     def test_bad_plant_kind(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["plant"] = {"kind": "wind-tunnel"}
         with pytest.raises(UnitViolation, match="plant.kind"):
             parse_case_config(doc_text(doc))
 
     def test_wrongly_typed_plant_keys_are_reported_in_field_order(self):
         # the quasi-steady fields run CL*, CD*, Cm*: CD0 is reported before Cm0
-        doc = base_doc()
+        doc = config_doc()
         doc["plant"].update(Cm0="low", CD0="high")
         with pytest.raises(UnitViolation, match=r"^'plant\.CD0' must be a finite number \(line"):
             parse_case_config(doc_text(doc))
 
     def test_string_where_number_expected(self):
-        doc = base_doc()
+        doc = config_doc()
         doc["condition"]["speed_m_s"] = "fast"
         with pytest.raises(UnitViolation, match="speed_m_s"):
             parse_case_config(doc_text(doc))
@@ -322,7 +330,7 @@ LINE_CASES = [
                          ids=["condition", "oscillation", "scenarios-entry", "plant", "plant-kind",
                               "scenarios", "skip-written", "skip-default"])
 def test_error_ends_with_the_line_its_key_is_written_on(edit, error, message, written):
-    doc = base_doc()
+    doc = config_doc()
     edit(doc)
     text = doc_text(doc)
     (line,) = [i for i, row in enumerate(text.splitlines(), start=1)
@@ -341,7 +349,7 @@ class TestRangeRules:
              for path, value, plant, _ in RANGE_CASES],
     )
     def test_bad_value_names_key_line_and_value_as_written(self, path, value, plant, rule):
-        doc = base_doc()
+        doc = config_doc()
         doc["condition"]["sound_speed_m_s"] = 340.0
         if plant is not None:
             doc["plant"] = dict(plant)
@@ -375,7 +383,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("kind", ["flat-plate", "indicial"])
     def test_other_plants_round_trip(self, kind):
-        doc = base_doc()
+        doc = config_doc()
         if kind == "flat-plate":
             doc["plant"] = {"kind": kind, "pitch_axis": 0.25, "kernel": "theodorsen"}
         else:
@@ -393,7 +401,7 @@ class TestRoundTrip:
     )
     @settings(max_examples=60, deadline=None)
     def test_round_trip_identity_property(self, mean_deg, amp_deg, k, speed, slope):
-        doc = base_doc()
+        doc = config_doc()
         doc["condition"]["speed_m_s"] = speed
         doc["oscillation"]["mean_incidence_deg"] = mean_deg
         doc["oscillation"]["amplitude_deg"] = amp_deg

@@ -7,7 +7,7 @@ import math
 import os
 import stat
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -418,6 +418,13 @@ class TestFaultLines:
         assert type(caught.value) is error
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("text", ["", "# solver export\n  # no columns\n", "\n \t\n\n"],
+                             ids=["empty", "comments-only", "blank-only"])
+    def test_a_document_without_a_header_is_empty(self, text):
+        empty = (MissingTimeColumn, "empty document: no header line found")
+        assert _outcome(parse_monitor_table, text) == empty
+        assert _outcome(reference_monitor_parse, text) == empty
+
     def test_the_spaced_table_itself_parses(self):
         series = parse_monitor_table("\n".join(_SPACED_EXPORT) + "\n")
         np.testing.assert_array_equal(series.times, [0.0, 0.5, 1.0])
@@ -750,6 +757,18 @@ class TestWriteReport:
         last = machine.splitlines()[-1]
         assert last.endswith("FAILED(RuntimeError: boom; with commas)")
         assert "boom" in human
+
+    def test_a_channel_the_result_lacks_is_an_empty_row(self, report):
+        mid = report.results[1]
+        kept = {name: ch for name, ch in mid.derivatives.channels.items() if name != "CD"}
+        lacking = replace(mid, derivatives=replace(mid.derivatives, channels=kept),
+                          loops={name: area for name, area in mid.loops.items() if name != "CD"})
+        machine, human = write_report(replace(report, results=(lacking,)))
+        rows = {row["channel"]: row for row in csv.DictReader(io.StringIO(machine))}
+        assert list(rows) == ["CL", "CD", "Cm"]
+        assert [c for c, cell in rows["CD"].items() if cell] == ["scenario", "channel", "V", "k",
+                                                                  "status"]
+        assert "\n  CL " in human and "\n  CD " not in human
 
     def test_v_is_the_flown_speed_in_every_row(self, linear_plant, condition, agard_alpha_spec):
         class ExplodingPlant(QuasiSteadyPlant):

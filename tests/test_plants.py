@@ -1,12 +1,12 @@
 """Surrogate plants against independent oracles.
 
 The lift-deficiency function is checked against an arbitrary-precision
-Bessel evaluation (mpmath) that shares no code with the main path's
-series, recurrence and asymptotic expansion; the complex load formulas
-are transcribed inline so a typo in the library cannot hide; the
-time-marching plant is checked against its exact frequency-domain
-transform pair and against a plain per-sample transcription of its
-recurrence.
+Hankel-function evaluation (mpmath, ``truth.theodorsen_c``) that shares no
+code with the main path's series, recurrence and asymptotic expansion; the
+load formulas and the Wagner step come from ``truth`` so a typo in the
+library cannot hide; the time-marching plant is checked against its exact
+frequency-domain transform pair and against a plain per-sample
+transcription of its recurrence.
 """
 
 import math
@@ -14,11 +14,11 @@ import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from truth import JONES_POLES, jones_c, theodorsen_c, theodorsen_loads, wagner_step
 
 from dynderiv import (
     DomainError,
@@ -47,25 +47,6 @@ from dynderiv.validate import THEODORSEN_ORACLE_K01, indicial_frequency_response
 BESSEL_ORACLE_K01 = complex(0.83192410496527614, -0.17230222873419501)
 
 
-def wagner_function(s):
-    """Lift build-up after a step change of incidence, vs distance s in semichords.
-
-    The two-pole exponential form of the indicial plant's constants:
-    phi(0) = 1 - A1 - A2 = 0.5 and phi -> 1 as s -> infinity.
-    """
-    s = np.asarray(s, dtype=float)
-    return 1.0 - WAGNER_A1 * np.exp(-WAGNER_B1 * s) - WAGNER_A2 * np.exp(-WAGNER_B2 * s)
-
-
-def bessel_series_deficiency(k: float) -> complex:
-    """Independent oracle: H1/(H1 + i*H0) from mpmath Bessel series."""
-    mp.mp.dps = 50
-    h1 = mp.besselj(1, k) - 1j * mp.bessely(1, k)
-    h0 = mp.besselj(0, k) - 1j * mp.bessely(0, k)
-    c = h1 / (h1 + 1j * h0)
-    return complex(float(c.real), float(c.imag))
-
-
 class TestTheodorsenFunction:
     def test_quasi_steady_limit_exact(self):
         assert theodorsen_function(0.0) == 1.0 + 0.0j
@@ -74,14 +55,14 @@ class TestTheodorsenFunction:
         assert abs(theodorsen_function(100.0) - 0.5) < 0.01
 
     def test_recorded_oracle_value(self):
-        assert abs(theodorsen_function(0.1) - BESSEL_ORACLE_K01) < 5e-3
+        assert abs(theodorsen_function(0.1) - BESSEL_ORACLE_K01) < 1e-14
         # and the recorded constant itself still matches a live evaluation
-        assert abs(bessel_series_deficiency(0.1) - BESSEL_ORACLE_K01) < 1e-15
+        assert abs(theodorsen_c(0.1) - BESSEL_ORACLE_K01) < 1e-15
         assert THEODORSEN_ORACLE_K01 == BESSEL_ORACLE_K01
 
     @pytest.mark.parametrize("k", [0.03, 0.0811, 0.3, 2.0])
     def test_against_bessel_series(self, k):
-        assert abs(theodorsen_function(k) - bessel_series_deficiency(k)) < 1e-12
+        assert abs(theodorsen_function(k) - theodorsen_c(k)) < 1e-12
 
     def test_negative_k_rejected(self):
         with pytest.raises(DomainError):
@@ -107,17 +88,17 @@ class TestTheodorsenKernel:
     @settings(max_examples=300, deadline=None)
     def test_against_bessel_series_log_uniform(self, k):
         # worst seen: 2.5e-16 on a dense grid over [1e-4, 1e3], 2.4e-16 in 15 000 random draws
-        assert abs(theodorsen_function(k) - bessel_series_deficiency(k)) < 3e-16
+        assert abs(theodorsen_function(k) - theodorsen_c(k)) < 3e-16
 
     def test_against_bessel_series_where_the_methods_hand_over(self):
         for k in np.linspace(1.0, 25.0, 97):
-            assert abs(theodorsen_function(float(k)) - bessel_series_deficiency(float(k))) < 3e-16
+            assert abs(theodorsen_function(float(k)) - theodorsen_c(float(k))) < 3e-16
 
     @pytest.mark.parametrize("k", [5e-324, 1e-310])
     def test_finite_at_subnormal_k(self, k):
         c = theodorsen_function(k)
         assert c.real == 1.0 and math.isfinite(c.imag)
-        assert abs(c - bessel_series_deficiency(k)) < 1e-320
+        assert abs(c - theodorsen_c(k)) < 1e-320
 
     @pytest.mark.parametrize("k", [1e16, 1e17, 1e300, sys.float_info.max])
     def test_high_frequency_expansion_at_huge_k(self, k):
@@ -147,37 +128,18 @@ class TestJonesFunction:
 
 class TestWagnerFunction:
     def test_initial_value(self):
-        assert wagner_function(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert wagner_step(0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_recorded_checkpoint(self):
         # frozen from direct evaluation of 1 - A1*exp(-b1) - A2*exp(-b2)
-        assert wagner_function(1.0) == pytest.approx(0.594165161647252, abs=1e-5)
+        assert wagner_step(1.0) == pytest.approx(0.594165161647252, abs=1e-5)
 
     def test_monotone_and_bounded(self):
         s = np.linspace(0.0, 400.0, 2000)
-        phi = wagner_function(s)
+        phi = wagner_step(s)
         assert np.all(np.diff(phi) > 0.0)
         assert np.all(phi < 1.0)
         assert phi[-1] > 0.99999
-
-
-def inline_pitch_loads(k, a, C):
-    """Literal transcription of the flat-plate pitch response formulas."""
-    lift = 2 * math.pi * C * (1 + 1j * k * (0.5 - a)) + math.pi * k * (1j + a * k)
-    moment = math.pi * (a + 0.5) * C * (1 + 1j * k * (0.5 - a)) + (math.pi / 2) * (
-        (1 / 8 + a * a) * k * k - 1j * k * (0.5 - a)
-    )
-    return lift, moment
-
-
-def inline_q_mode_loads(k, a, C):
-    lift = math.pi * a * k * k + 2 * math.pi * C * 1j * k * (0.5 - a)
-    moment = (
-        math.pi * (a + 0.5) * (0.5 - a) * C * 1j * k
-        + (math.pi / 2) * (1 / 8 + a * a) * k * k
-        - (math.pi / 4) * 1j * k
-    )
-    return lift, moment
 
 
 class TestFlatPlateLoads:
@@ -193,7 +155,7 @@ class TestFlatPlateLoads:
     @pytest.mark.parametrize("k", [0.05, 0.0811, 0.2])
     def test_pitch_matches_inline_formula(self, k, a):
         loads = pitch_oscillation_loads(k, a)
-        lift, moment = inline_pitch_loads(k, a, theodorsen_function(k))
+        lift, moment = theodorsen_loads(a, 1j * k, theodorsen_function(k), 0.0, 0.0)
         assert loads.lift == pytest.approx(lift, rel=1e-14)
         assert loads.moment == pytest.approx(moment, rel=1e-14)
 
@@ -211,7 +173,7 @@ class TestFlatPlateLoads:
     @pytest.mark.parametrize("k", [0.05, 0.0811, 0.2])
     def test_q_mode_matches_inline_formula(self, k, a):
         loads = q_mode_oscillation_loads(k, a, deficiency=jones_function)
-        lift, moment = inline_q_mode_loads(k, a, jones_function(k))
+        lift, moment = theodorsen_loads(a, 1j * k, jones_function(k), -1.0, -1j * k)
         assert loads.lift == pytest.approx(lift, rel=1e-14)
         assert loads.moment == pytest.approx(moment, rel=1e-14)
 
@@ -335,16 +297,7 @@ def reference_indicial_loop(schedule, cond, a):
     return np.array(cl), np.array(cm)
 
 
-# R. T. Jones's two-pole Wagner constants (A_j, b_j), written out here so that
-# the truth below does not read the plant's own copy.
-JONES_POLES = ((0.165, 0.0455), (0.335, 0.3))
 INDICIAL_STEP_TOL = 2e-4    # relative error of the time march at 720 samples per cycle
-
-
-def jones_deficiency(k):
-    """C_J(k) = 1 - sum A_j ik / (ik + b_j): the transform of the two-pole Wagner kernel."""
-    ik = 1j * k
-    return 1.0 - sum(a_j * ik / (ik + b_j) for a_j, b_j in JONES_POLES)
 
 
 def startup_bound(mode, a, k, amp, alpha0, cycles, skip):
@@ -399,7 +352,7 @@ class TestIndicial:
         n = 40
         cl = self._step_response(agard_alpha_spec, condition, n)
         s = np.arange(n) * self.DT * 2.0 * condition.freestream_speed / condition.ref_chord
-        np.testing.assert_allclose(cl, 2.0 * math.pi * self.ALPHA * wagner_function(s), rtol=1e-12)
+        np.testing.assert_allclose(cl, 2.0 * math.pi * self.ALPHA * wagner_step(s), rtol=1e-12)
 
     def test_hover_rejected(self, agard_alpha_spec):
         from dynderiv import FlightCondition
@@ -433,9 +386,9 @@ class TestIndicial:
     def test_transform_pair_consistency(self, k):
         # settled harmonic response matches the rational-kernel flat plate to 1%
         lift_sim, moment_sim = indicial_frequency_response(k)
-        truth = pitch_oscillation_loads(k, -0.5, deficiency=jones_function)
-        assert abs(lift_sim - truth.lift) / abs(truth.lift) < 0.01
-        assert abs(moment_sim - truth.moment) / abs(truth.moment) < 0.01
+        lift, moment = theodorsen_loads(-0.5, 1j * k, jones_c(k), 0.0, 0.0)
+        assert abs(lift_sim - lift) / abs(lift) < 0.01
+        assert abs(moment_sim - moment) / abs(moment) < 0.01
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.floats(0.05, 0.3), a=st.floats(-0.6, 0.4), mode=st.sampled_from(OscillationMode),
@@ -452,13 +405,11 @@ class TestIndicial:
                                             samples_per_cycle=720)
         schedule = make_schedule(spec, cond)
         series = simulate(IndicialPlant(pitch_axis=a), schedule, cond)
-        oscillation_loads = (pitch_oscillation_loads if mode is OscillationMode.ALPHA
-                             else q_mode_oscillation_loads)
-        truth = oscillation_loads(k, a, deficiency=jones_deficiency)
+        w, hdd = (0.0, 0.0) if mode is OscillationMode.ALPHA else (-1.0, -1j * k)
+        lift, moment = theodorsen_loads(a, 1j * k, jones_c(k), w, hdd)
         amp = spec.body_amplitude
         dh = startup_bound(mode, a, k, amp, spec.mean_incidence, cycles, 2)
-        for values, h, share in ((series.CL, truth.lift, 1.0),
-                                 (series.Cm, truth.moment, abs(a + 0.5) / 2.0)):
+        for values, h, share in ((series.CL, lift, 1.0), (series.Cm, moment, abs(a + 0.5) / 2.0)):
             fit = fit_harmonic(series.times, values, schedule.omega, skip_cycles=2)
             err = abs(complex(fit.in_phase, fit.out_phase) / amp - h)
             assert err <= INDICIAL_STEP_TOL * abs(h) + share * dh
@@ -530,12 +481,11 @@ class TestSimulate:
         schedule = make_schedule(agard_alpha_spec, condition)
         series = simulate(plant, schedule, condition)
         fit = fit_harmonic(series.times, series.CL, schedule.omega)
-        truth = pitch_oscillation_loads(
-            agard_alpha_spec.reduced_frequency, -0.5, deficiency=jones_function
-        )
+        k = agard_alpha_spec.reduced_frequency
+        lift, _ = theodorsen_loads(-0.5, 1j * k, jones_c(k), 0.0, 0.0)
         amp = agard_alpha_spec.body_amplitude
-        assert fit.in_phase == pytest.approx(truth.lift.real * amp, rel=1e-12)
-        assert fit.out_phase == pytest.approx(truth.lift.imag * amp, rel=1e-12)
+        assert fit.in_phase == pytest.approx(lift.real * amp, rel=1e-12)
+        assert fit.out_phase == pytest.approx(lift.imag * amp, rel=1e-12)
         assert fit.residual_rms < 1e-14
 
     def test_mach_scaling_raises_recovered_slope(self, agard_alpha_spec):
