@@ -348,7 +348,8 @@ def loop_metrics(times, x, y, omega: float, skip_cycles: int = 0, *,
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    check(times.shape == x.shape == y.shape, "x, y", "must have the shape of times", times.shape)
+    check(times.shape == x.shape == y.shape and times.ndim == 1, "x, y",
+          "must be 1-D arrays as long as times", times.shape)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFiniteData("loop series contain non-finite entries")
 

@@ -44,7 +44,7 @@ _COND = FlightCondition(
 )
 
 
-def indicial_frequency_response(
+def _indicial_frequency_response(
     k: float, pitch_axis: float = -0.5, mode: OscillationMode = OscillationMode.ALPHA
 ) -> tuple[complex, complex]:
     """First-harmonic complex amplitudes (lift, moment) of the indicial plant.
@@ -100,7 +100,7 @@ def check_indicial_consistency() -> tuple[bool, str]:
     worst = 0.0
     details = []
     for mode, a, k in itertools.product(OscillationMode, (-0.5, 0.25), (0.05, 0.0811, 0.2)):
-        hl_sim, hm_sim = indicial_frequency_response(k, pitch_axis=a, mode=mode)
+        hl_sim, hm_sim = _indicial_frequency_response(k, pitch_axis=a, mode=mode)
         truth = FlatPlatePlant(pitch_axis=a, kernel="jones").loads(k, mode)
         rel_l = abs(hl_sim - truth.lift) / abs(truth.lift)
         rel_m = abs(hm_sim - truth.moment) / abs(truth.moment)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,11 @@ def test_readme_quick_start_prints_injected_derivatives():
         exec(compile(_readme_quick_start(), "README.md", "exec"), {})
     printed = [float(line) for line in out.getvalue().split()]
     assert printed == pytest.approx([-3.0, -1.2], rel=1e-9)
+
+
+def test_paths_in_readme_code_blocks_exist():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = "".join(re.findall(r"```[^\n]*\n(.*?)```", text, re.S))
+    paths = re.findall(r"(?<![\w/.-])(?:tests|demos|tools|bench)/[\w./-]*\w", blocks)
+    assert paths
+    assert [p for p in paths if not (ROOT / p).exists()] == []

@@ -518,7 +518,7 @@ class TestLoopMetrics:
             b = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 20.0)
             t, x, y = self._xy(a=a, b=b, mean=rng.uniform(-2, 2))
             area = loop_metrics(t, x, y, OMEGA)
-            assert area != 0.0
+            assert area == pytest.approx(math.pi * self.AMP * b, rel=1e-4)
             assert math.copysign(1.0, area) == math.copysign(1.0, b)
 
     def test_uses_last_cycle_after_skip(self):
@@ -549,6 +549,19 @@ class TestLoopMetrics:
         assert fit_harmonic(t, y, OMEGA).n_samples == 12
         with pytest.raises(InsufficientSamples, match="only 4 samples in the last cycle"):
             loop_metrics(t, x, y, OMEGA)
+
+    @pytest.mark.parametrize("shape", ["short", "column", "rows", "scalar"])
+    @pytest.mark.parametrize("function", ["fit_harmonic", "loop_metrics"])
+    def test_arrays_must_be_1d_and_as_long_as_times(self, function, shape):
+        t, x, y = self._xy(a=1.0, b=2.0, cycles=2, spp=16)
+        t, x, y = {"short": (t, x[:-1], y[:-1]), "column": (t[:, None], x[:, None], y[:, None]),
+                   "rows": (t.reshape(2, 16), x.reshape(2, 16), y.reshape(2, 16)),
+                   "scalar": (t[0], x[0], y[0])}[shape]
+        with pytest.raises(DomainError, match="1-D array"):
+            if function == "fit_harmonic":
+                fit_harmonic(t, y, OMEGA)
+            else:
+                loop_metrics(t, x, y, OMEGA)
 
     @pytest.mark.parametrize("omega", [0.0, -OMEGA, math.nan])
     def test_omega_must_be_positive(self, omega):

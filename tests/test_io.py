@@ -461,7 +461,7 @@ class TestWriteSeries:
         rng = np.random.default_rng(1)
         data = {ch: rng.uniform(-2, 2, size=n) for ch in channels}
         return CoefficientSeries(
-            times=np.arange(n) * 0.125,
+            times=np.cumsum(rng.uniform(0.01, 0.2, size=n)),    # non-uniform stamps
             CL=data.get("CL"),
             CD=data.get("CD"),
             Cm=data.get("Cm"),
