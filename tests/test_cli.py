@@ -12,6 +12,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,11 @@ import dynderiv
 from dynderiv import (
     DomainError,
     cli,
+    identify,
     make_schedule,
     parse_case_config,
     parse_monitor_table,
+    plants,
     render_case_config,
     scenarios,
     simulate,
@@ -665,6 +668,47 @@ class TestDeckDigests:
         assert proc.stderr.count("dynderiv from ") == 2
 
 
+def _scaled(module, name, factor):
+    """Setup that makes ``module.name`` return ``factor`` times its value."""
+    def setup(monkeypatch):
+        true_fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: factor * true_fn(*args))
+    return setup
+
+
+def _slower_wagner_lag(monkeypatch):
+    true_lag = plants._wagner_lag
+    monkeypatch.setattr(plants, "_wagner_lag", lambda d_ae, r: true_lag(d_ae, r**1.02))
+
+
+def _extract_over_1_001_k_amp(monkeypatch):
+    true_extract = scenarios.extract
+    monkeypatch.setattr(scenarios, "extract", lambda fits, spec, cond=None: true_extract(
+        {name: replace(fit, out_phase=fit.out_phase / 1.001) for name, fit in fits.items()},
+        spec, cond))
+
+
+def _adot_with_cq_off_by_1e_6(monkeypatch):
+    monkeypatch.setattr(identify.ChannelDerivatives, "aoa_rate_derivative",
+                        property(lambda ch: ch.damping_sum - 1.000001 * ch.rate_derivative))
+
+
+# One fault per case in the code a check covers, each small against what
+# the check's bound forgives elsewhere: the acceptance run must report it.
+VALIDATE_FAULTS = {
+    "series-hankel-ratio": ("lift-deficiency limits",
+                            _scaled(plants, "_hankel_ratio_series", 1.0 + 1e-12)),
+    "asymptotic-hankel-ratio": ("lift-deficiency limits",
+                                _scaled(plants, "_hankel_ratio_asymptotic", 1.05)),
+    "jones-a1": ("jones cross-check",
+                 lambda monkeypatch: monkeypatch.setattr(plants, "WAGNER_A1", 0.2)),
+    "wagner-lag-decay": ("indicial consistency", _slower_wagner_lag),
+    "extract-ka-divisor": ("round-trip recovery", _extract_over_1_001_k_amp),
+    "adot-cq": ("rate separation vs analytic loads", _adot_with_cq_off_by_1e_6),
+    "loop-area": ("loop-area identity", _scaled(validate, "loop_metrics", 1.001)),
+}
+
+
 class TestValidate:
     def test_exits_zero_and_reports_checks(self, capsys):
         assert main(["validate"]) == 0
@@ -682,6 +726,16 @@ class TestValidate:
         assert float(detail.rpartition("=")[2]) != 0.0
         assert main(["validate"]) == 1
         assert f"[FAIL] loop-area identity: {detail}" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("fault", VALIDATE_FAULTS)
+    def test_a_fault_in_what_a_check_covers_fails_it(self, fault, capsys, monkeypatch):
+        name, setup = VALIDATE_FAULTS[fault]
+        assert ALL_CHECKS[name]()[0]
+        setup(monkeypatch)
+        passed, detail = ALL_CHECKS[name]()
+        assert not passed
+        assert main(["validate"]) == 1
+        assert f"[FAIL] {name}: {detail}" in capsys.readouterr().out.splitlines()
 
 
 class TestNoScipy:
