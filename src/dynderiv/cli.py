@@ -28,6 +28,7 @@ from .config import _plan_doc, parse_case_config
 from .errors import DomainError, DynDerivError, _choices
 from .identify import extract, fit_series
 from .io import (
+    ALIAS_TARGETS,
     atomic_write,
     parse_monitor_table,
     write_derivative_table,
@@ -38,7 +39,6 @@ from .io import (
 from .kinematics import OscillationMode, OscillationSpec, make_schedule
 from .plants import simulate as run_plant
 from .scenarios import SweepStatus, run_sweep
-from .series import CHANNELS
 from .validate import run_validation
 
 USAGE_ERROR = 2
@@ -196,13 +196,13 @@ def _identify_spec(args: argparse.Namespace) -> OscillationSpec:
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:
-    aliases, targets = {}, ("time",) + CHANNELS
+    aliases = {}
     for item in args.alias:
-        if "=" not in item:
+        header, eq, channel = item.partition("=")
+        if not (eq and header.strip()):
             raise _UsageError(f"--alias needs HEADER=CHANNEL, got '{item}'")
-        header, _, channel = item.partition("=")
-        if channel.strip() not in targets:
-            raise _UsageError(f"--alias target must be {_choices(targets)}, got '{item}'")
+        if channel.strip() not in ALIAS_TARGETS:
+            raise _UsageError(f"--alias target must be {_choices(ALIAS_TARGETS)}, got '{item}'")
         aliases.pop(header, None)           # re-inserted last: the last --alias wins
         aliases[header] = channel.strip()
     spec = _identify_spec(args)

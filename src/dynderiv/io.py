@@ -51,6 +51,8 @@ CHANNEL_ALIASES: Mapping[str, tuple[str, ...]] = {
            "pitching-moment-coeff"),
 }
 
+ALIAS_TARGETS = ("time",) + CHANNELS        # the roles a header alias may name
+
 _FILE_LABELS = {"CL": "CL", "CD": "CD", "Cm": "CM"}   # canonical header names
 
 
@@ -76,6 +78,14 @@ def _match_channel(header: str, extra_aliases: Mapping[str, str] | None) -> str 
     return None
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, broken at LF, CR LF and CR only: ``str.splitlines``
+    would also break at form feed, vertical tab, 0x1c-0x1e, NEL, U+2028 and U+2029."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _kept(lines: list[str]) -> list[str]:
     """The header and data rows: the lines neither blank nor a '#' comment."""
     return [line for line in lines if (lead := line.lstrip()) and lead[0] != "#"]
@@ -83,7 +93,7 @@ def _kept(lines: list[str]) -> list[str]:
 
 def _line_no(text: str, k: int) -> int:
     """The file line number of kept line ``k`` (the header is 0)."""
-    kept = (i for i, line in enumerate(text.splitlines(), start=1) if _kept([line]))
+    kept = (i for i, line in enumerate(_lines(text), start=1) if _kept([line]))
     return next(islice(kept, k, None))
 
 
@@ -123,12 +133,13 @@ def parse_monitor_table(
 ) -> CoefficientSeries:
     """Parse a delimited coefficient-monitor export.
 
-    The first non-comment line is the header; '#' starts a comment.  A line
-    holding a comma is comma-split, any other whitespace-split.  A time
-    column plus at least one of the lift/drag/moment columns must be
-    recognizable (``extra_aliases`` maps additional header names onto
-    'time', 'CL', 'CD' or 'Cm'; keys match as header cells do, stripped and
-    case-insensitive), each role in one column only.
+    Lines end at LF, CR LF or CR only.  The first non-comment line is the
+    header; '#' starts a comment.  A line holding a comma is comma-split,
+    any other whitespace-split.  A time column plus at least one of the
+    lift/drag/moment columns must be recognizable (``extra_aliases`` maps
+    additional header names onto 'time', 'CL', 'CD' or 'Cm'; keys match as
+    header cells do, stripped and case-insensitive), each role in one
+    column only.
     Unrecognized columns are ignored; non-uniform time stamps are accepted.
 
     When every data line splits the same way, the rows are split in one pass
@@ -142,11 +153,11 @@ def parse_monitor_table(
     if extra_aliases:
         extra_aliases = {_token(k): v for k, v in extra_aliases.items()}
         for target in extra_aliases.values():
-            if target not in ("time",) + CHANNELS:
+            if target not in ALIAS_TARGETS:
                 raise MonitorError(
-                    f"alias target must be {_choices(('time',) + CHANNELS)}, got {target!r}")
+                    f"alias target must be {_choices(ALIAS_TARGETS)}, got {target!r}")
 
-    lines = _kept(text.splitlines())
+    lines = _kept(_lines(text))
     if not lines:
         raise MissingTimeColumn("empty document: no header line found")
 

@@ -1,9 +1,11 @@
 """Prescribed harmonic pitch motions for forced-oscillation testing.
 
-One generator, ``make_schedule``, samples either motion mode on a uniform,
-endpoint-excluded time grid, and ``MotionSchedule.with_mode`` flies the
-same body motion in the other mode.  Both modes pitch the body the same
-way; they differ only in what the freestream does:
+One generator, ``make_schedule``, samples the body motion's phase on a
+uniform, endpoint-excluded time grid.  A ``MotionSchedule`` stores only
+that grid and phase; each mode's incidence and rates follow from them and
+its spec by one rule, so ``MotionSchedule.with_mode`` flies the same body
+motion in another mode by swapping the spec.  Both modes pitch the body the
+same way; they differ only in what the freestream does:
 
 * incidence mode (``ALPHA``) -- the body pitches in a fixed freestream, so
   the relative angle of attack and the pitch rate vary together;
@@ -102,7 +104,7 @@ class OscillationSpec:
     samples_per_cycle: int = 720
 
     def __post_init__(self) -> None:
-        # make_schedule tests ``mode is OscillationMode.ALPHA``: a string would run the q motion
+        # MotionSchedule tests ``mode is OscillationMode.ALPHA``: a string would run the q motion
         check(isinstance(self.mode, OscillationMode), "mode", "must be an OscillationMode",
               self.mode)
         check_fields(self, "finite", "mean_incidence")
@@ -156,41 +158,56 @@ class OscillationSpec:
 
 @dataclass(frozen=True, eq=False)
 class MotionSchedule:
-    """A prescribed motion sampled on a uniform, endpoint-excluded grid.
+    """A body motion sampled on a uniform, endpoint-excluded grid, flown in ``spec.mode``.
 
-    Field arrays all share one length: cycles * samples_per_cycle.
-    ``pitch_accel`` is the analytic second derivative of the body pitch;
-    the time-marching plant needs it for apparent-mass terms.
-    ``phase_sin`` and ``phase_cos`` are sin(omega*t) and cos(omega*t), the
-    body motion's phase, for plants that work in the frequency domain.
-    Plants consume the schedule as whole arrays.
+    The fields are what every mode shares: the time grid and the phase
+    ``phase_sin``, ``phase_cos`` = sin, cos of omega*t, each of length
+    cycles * samples_per_cycle.  The body pitches as theta = alpha0 +
+    A*sin(omega*t) in both modes, so q and its rate follow from the phase.
+    Incidence mode holds the flow at 0: the relative incidence tracks theta
+    and alpha_dot = q, so the out-of-phase response carries C_q + C_alphadot.
+    Flow-path mode turns the flow with the body: the incidence stays alpha0
+    and alpha_dot = 0, isolating C_q.  Those four arrays are properties,
+    computed from ``spec`` and the phase on each read; a plant reads each once.
     """
 
     spec: OscillationSpec
     omega: float                # rad/s
     time: np.ndarray
-    relative_aoa: np.ndarray
-    pitch_rate: np.ndarray      # q, rad/s
-    aoa_rate: np.ndarray        # alpha_dot, rad/s; q itself in incidence mode
-    pitch_accel: np.ndarray
     phase_sin: np.ndarray
     phase_cos: np.ndarray
 
     def __len__(self) -> int:
         return len(self.time)
 
-    def with_mode(self, mode: OscillationMode) -> "MotionSchedule":
-        """The same body motion flown in ``mode`` (this schedule when unchanged).
+    @property
+    def relative_aoa(self) -> np.ndarray:
+        """Relative incidence, rad."""
+        if self.spec.mode is OscillationMode.ALPHA:
+            return self.spec.mean_incidence + self.spec.body_amplitude * self.phase_sin
+        return np.full_like(self.phase_sin, self.spec.mean_incidence)
 
-        Only the spec and the two incidence arrays differ between the modes;
-        the time grid, the pitch rate and acceleration and the phase are
-        shared, and the incidence arrays come from ``make_schedule``'s rule.
-        """
-        if mode is self.spec.mode:
-            return self
+    @property
+    def aoa_rate(self) -> np.ndarray:
+        """alpha_dot, rad/s."""
+        if self.spec.mode is OscillationMode.ALPHA:
+            return self.pitch_rate
+        return np.zeros_like(self.phase_sin)
+
+    @property
+    def pitch_rate(self) -> np.ndarray:
+        """q, rad/s."""
+        return self.omega * self.spec.body_amplitude * self.phase_cos
+
+    @property
+    def pitch_accel(self) -> np.ndarray:
+        """The body pitch's second derivative, rad/s^2."""
+        return -self.omega * self.omega * self.spec.body_amplitude * self.phase_sin
+
+    def with_mode(self, mode: OscillationMode) -> "MotionSchedule":
+        """The same body motion flown in ``mode`` (this schedule when unchanged)."""
         spec = self.spec.with_mode(mode)
-        alpha, aoa_rate = _incidence(spec, self.phase_sin, self.pitch_rate)
-        return replace(self, spec=spec, relative_aoa=alpha, aoa_rate=aoa_rate)
+        return self if spec is self.spec else replace(self, spec=spec)
 
 
 def omega_from_k(k: float, cond: FlightCondition) -> float:
@@ -217,42 +234,11 @@ def sample_grid(spec: OscillationSpec, omega: float) -> np.ndarray:
     return np.arange(n) * period / spec.samples_per_cycle
 
 
-def _incidence(spec: OscillationSpec, phase_sin: np.ndarray,
-               pitch_rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Relative incidence and its rate in ``spec.mode``, where the two modes differ."""
-    if spec.mode is OscillationMode.ALPHA:
-        return spec.mean_incidence + spec.body_amplitude * phase_sin, pitch_rate
-    return np.full_like(phase_sin, spec.mean_incidence), np.zeros_like(phase_sin)
-
-
 def make_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionSchedule:
-    """Sample the motion of ``spec.mode`` on its uniform time grid.
-
-    Both modes pitch the body as theta(t) = alpha0 + A*sin(omega*t), so
-    q = omega*A*cos(omega*t) in both.  Incidence mode holds the flow angle
-    at 0: the relative incidence tracks theta and alpha_dot = q, and the
-    out-of-phase response carries the damping sum C_q + C_alphadot.
-    Flow-path mode turns the flow with the body, lambda(t) = A*sin(omega*t):
-    the relative incidence stays alpha0 and alpha_dot = 0, so the response
-    isolates the pure pitch-rate derivatives C_q.
-    """
+    """Sample the body motion of ``spec`` on its uniform time grid, flown in ``spec.mode``."""
     omega = omega_from_k(spec.reduced_frequency, cond)
     check(math.isfinite(omega * omega * spec.body_amplitude), "omega",
           "must keep the pitch acceleration omega^2 * amplitude finite", omega)
     t = sample_grid(spec, omega)
-    amp = spec.body_amplitude
-    s = np.sin(omega * t)
-    c = np.cos(omega * t)
-    q = omega * amp * c
-    alpha, aoa_rate = _incidence(spec, s, q)
-    return MotionSchedule(
-        spec=spec,
-        omega=omega,
-        time=t,
-        relative_aoa=alpha,
-        pitch_rate=q,
-        aoa_rate=aoa_rate,
-        pitch_accel=-omega * omega * amp * s,
-        phase_sin=s,
-        phase_cos=c,
-    )
+    return MotionSchedule(spec=spec, omega=omega, time=t,
+                          phase_sin=np.sin(omega * t), phase_cos=np.cos(omega * t))

@@ -406,12 +406,13 @@ class IndicialPlant:
         b_over_v = cond.ref_chord / (2.0 * cond.freestream_speed)   # semichord / speed, s
         ds = dt[0] / b_over_v if dt.size else 0.0
 
-        alpha_e = schedule.relative_aoa + (0.5 - a) * b_over_v * schedule.pitch_rate
+        alpha, q = schedule.relative_aoa, schedule.pitch_rate
+        alpha_e = alpha + (0.5 - a) * b_over_v * q
         d_ae = np.diff(alpha_e, prepend=0.0)
         x1 = _wagner_lag(d_ae, math.exp(-WAGNER_B1 * ds))
         x2 = _wagner_lag(d_ae, math.exp(-WAGNER_B2 * ds))
 
-        q, adot, accel = schedule.pitch_rate, schedule.aoa_rate, schedule.pitch_accel
+        adot, accel = schedule.aoa_rate, schedule.pitch_accel
         cl_circ = 2.0 * math.pi * (alpha_e - WAGNER_A1 * x1 - WAGNER_A2 * x2)
         cl_app = math.pi * (b_over_v * adot - a * b_over_v * b_over_v * accel)
         cm_app = (math.pi / 2.0) * (
@@ -421,7 +422,7 @@ class IndicialPlant:
         )
         cl = cl_circ + cl_app
         cm = (a + 0.5) * cl_circ / 2.0 + cm_app
-        cd = _drag(self, schedule.relative_aoa, schedule.pitch_rate * b_over_v, cl)
+        cd = _drag(self, alpha, q * b_over_v, cl)
         return cl, cd, cm
 
     def static_coefficients(self, alpha0: float, cond: FlightCondition):

@@ -225,9 +225,9 @@ def identify_modes(
     flown in each mode, and each mode runs simulate -> fit_series ->
     extract, fitting after ``skip_cycles`` start-up cycles, by a sweep
     plan's rule (None: the plant's default); the modes share the motion's
-    time grid, pitch rate and phase, and one basis, built on those times,
-    or ``_basis`` from a sweep.  The mode sets are merged by separate_rates,
-    so one mode gives a set equal to its own.
+    time grid and phase, and one basis, built on those times, or ``_basis``
+    from a sweep.  The mode sets are merged by separate_rates, so one mode
+    gives a set equal to its own.
     Returns (derivatives, incidence), where incidence is the incidence-mode
     (schedule, series) pair, or None when that mode did not run.
     """
@@ -258,12 +258,13 @@ def _run_one(plan: SweepPlan, scenario: TransitionScenario, basis: _Basis) -> Sc
     if incidence is None:
         return ScenarioResult(scenario, SweepStatus.OK, derivatives)
     schedule, series = incidence
+    alpha = schedule.relative_aoa
     loops = {
-        name: loop_metrics(series.times, schedule.relative_aoa, y, schedule.omega, _basis=basis)
+        name: loop_metrics(series.times, alpha, y, schedule.omega, _basis=basis)
         for name, y in series.channels().items()
     }
     return ScenarioResult(scenario, SweepStatus.OK, derivatives, loops,
-                          incidence=(schedule.relative_aoa, series))
+                          incidence=(alpha, series))
 
 
 def run_sweep(plan: SweepPlan) -> SweepReport:

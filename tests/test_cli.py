@@ -362,11 +362,14 @@ class TestIdentify:
     def test_bad_alias_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         path.write_text("t,CL\n0,1\n1,2\n")
-        code = main([
-            "identify", str(path), "--k", "0.1", "--mode", "alpha",
-            "--amplitude-deg", "1", "--alias", "nonsense",
-        ])
-        assert code == 2
+        for alias in ("nonsense", "=CL", " =CL"):       # no '=', or a header no cell can match
+            code = main([
+                "identify", str(path), "--k", "0.1", "--mode", "alpha",
+                "--amplitude-deg", "1", "--alias", alias,
+            ])
+            assert code == 2, alias
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: --alias needs HEADER=CHANNEL, got '{alias}'"]
 
 
 class TestSweep:

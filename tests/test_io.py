@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import stat
 import warnings
 from dataclasses import asdict, replace
@@ -252,7 +253,7 @@ def reference_monitor_parse(text, extra_aliases=None):
         line = line.strip()
         return [cell.strip() for cell in line.split(",")] if "," in line else line.split()
 
-    lines = [(i, line) for i, line in enumerate(text.splitlines(), start=1)
+    lines = [(i, line) for i, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1)
              if line.strip() and not line.lstrip().startswith("#")]
     if not lines:
         raise MissingTimeColumn("empty document: no header line found")
@@ -429,6 +430,24 @@ class TestFaultLines:
         series = parse_monitor_table("\n".join(_SPACED_EXPORT) + "\n")
         np.testing.assert_array_equal(series.times, [0.0, 0.5, 1.0])
         np.testing.assert_array_equal(series.CD, [2.0, 2.5, 3.0])
+
+    # str.splitlines breaks at each of these too; a monitor line keeps them
+    _NOT_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+    @pytest.mark.parametrize("text, message", [
+        ("# run 1\x0cpage 2\nt,CL\n0,1\n1,x\n", "column 'CL' at line 4: 'x' is not a number"),
+        ("t,CL\r0,1\r\r\n1,x\n", "column 'CL' at line 4: 'x' is not a number"),
+        *((f"t,CL\n0,1{ch}2,3\n", "row at line 2 has 3 cells, header has 2")
+          for ch in _NOT_BREAKS),
+    ], ids=["form-feed-in-a-comment", "cr-and-crlf", *(f"U+{ord(ch):04X}" for ch in _NOT_BREAKS)])
+    def test_lines_break_at_lf_crlf_and_cr_only(self, text, message):
+        assert _outcome(parse_monitor_table, text) == (NonFiniteValue, message)
+        assert _outcome(reference_monitor_parse, text) == (NonFiniteValue, message)
+
+    def test_cr_and_crlf_read_as_lf(self):
+        lf = _outcome(parse_monitor_table, "t,CL\n0,1\n\n1,2\n2,3")
+        assert isinstance(lf, list)
+        assert _outcome(parse_monitor_table, "t,CL\r\n0,1\r\r\n1,2\r2,3") == lf
 
 
 class TestOneSplitGuards:

@@ -213,7 +213,22 @@ class TestQModeSchedule:
 
 
 # the arrays of one body motion, which every mode flies unchanged
-_SHARED = ("time", "pitch_rate", "pitch_accel", "phase_sin", "phase_cos")
+_SHARED = ("time", "phase_sin", "phase_cos")
+# what each mode derives from the spec and the phase
+_DERIVED = ("relative_aoa", "aoa_rate", "pitch_rate", "pitch_accel")
+
+
+def _closed_form(spec, omega, time):
+    """The derived arrays written out from the motion's closed form, operand for operand."""
+    s, c = np.sin(omega * time), np.cos(omega * time)
+    amp = spec.body_amplitude
+    q = omega * amp * c
+    if spec.mode is OscillationMode.ALPHA:
+        alpha, aoa_rate = spec.mean_incidence + amp * s, q
+    else:
+        alpha, aoa_rate = np.full_like(s, spec.mean_incidence), np.zeros_like(s)
+    return {"relative_aoa": alpha, "aoa_rate": aoa_rate, "pitch_rate": q,
+            "pitch_accel": -omega * omega * amp * s}
 
 
 class TestSharedMotion:
@@ -235,10 +250,26 @@ class TestSharedMotion:
             flown = make_schedule(spec.with_mode(a), cond).with_mode(b)
             made = make_schedule(spec.with_mode(b), cond)
             assert flown.spec == made.spec and flown.omega == made.omega
-            for field in dataclasses.fields(MotionSchedule):
-                if field.name not in ("spec", "omega"):
-                    assert np.array_equal(getattr(flown, field.name), getattr(made, field.name)), \
-                        field.name
+            for name in _SHARED + _DERIVED:
+                assert np.array_equal(getattr(flown, name), getattr(made, name)), name
+
+    @given(mean_deg=st.floats(-30.0, 30.0), amp_deg=st.floats(1e-6, 30.0),
+           k=st.floats(0.01, 5.0), spc=st.integers(8, 256), speed=st.floats(0.5, 300.0),
+           mode=st.sampled_from(list(OscillationMode)), flown=st.booleans())
+    @example(mean_deg=AGARD_MEAN_DEG, amp_deg=AGARD_AMP_DEG, k=AGARD_K, spc=720, speed=100.0,
+             mode=OscillationMode.Q, flown=True)
+    @settings(max_examples=100, deadline=None)
+    def test_derived_arrays_are_the_closed_form_bit_for_bit(
+            self, mean_deg, amp_deg, k, spc, speed, mode, flown):
+        cond = FlightCondition(speed, 1.225, 0.2299, 1.0, 1.0)
+        other = next(m for m in OscillationMode if m is not mode)
+        spec = OscillationSpec.from_degrees(other if flown else mode, mean_deg, amp_deg, k, 2, spc)
+        schedule = make_schedule(spec, cond).with_mode(mode)
+        assert schedule.spec.mode is mode
+        want = _closed_form(schedule.spec, schedule.omega, sample_grid(spec, schedule.omega))
+        for name in _DERIVED:
+            got = getattr(schedule, name)
+            assert got.dtype == np.float64 and got.tobytes() == want[name].tobytes(), name
 
     @pytest.mark.parametrize("mode", list(OscillationMode))
     def test_own_mode_is_the_schedule_itself(self, agard_alpha_spec, condition, mode):
@@ -247,12 +278,12 @@ class TestSharedMotion:
         assert schedule.spec.with_mode(mode) is schedule.spec
 
     def test_modes_share_the_body_motion(self, agard_alpha_spec, condition):
+        assert [f.name for f in dataclasses.fields(MotionSchedule)] == ["spec", "omega", *_SHARED]
         alpha = make_schedule(agard_alpha_spec, condition)
         q = alpha.with_mode(OscillationMode.Q)
         for name in _SHARED:
-            assert np.shares_memory(getattr(alpha, name), getattr(q, name)), name
+            assert getattr(alpha, name) is getattr(q, name), name
         assert not np.shares_memory(alpha.relative_aoa, q.relative_aoa)
-        assert q.with_mode(OscillationMode.ALPHA).aoa_rate is alpha.pitch_rate
 
     def test_phase_is_the_motions_sine_and_cosine(self, agard_q_spec, condition):
         schedule = make_schedule(agard_q_spec, condition)

@@ -293,15 +293,12 @@ def startup_bound(mode, a, k, amp, alpha0, cycles, skip):
 
 
 def constant_incidence_schedule(spec, alpha, time):
-    """Hand-built schedule: incidence stepped to alpha at t[0], no rates."""
+    """Hand-built flow-path schedule with phase arrays of zeros: incidence
+    stepped to alpha at t[0], every rate zero."""
     time = np.asarray(time, dtype=float)
     zeros = np.zeros_like(time)
-    return MotionSchedule(
-        spec=spec, omega=1.0, time=time,
-        relative_aoa=np.full_like(time, alpha),
-        pitch_rate=zeros, aoa_rate=zeros, pitch_accel=zeros,
-        phase_sin=zeros, phase_cos=zeros,
-    )
+    spec = replace(spec.with_mode(OscillationMode.Q), mean_incidence=alpha)
+    return MotionSchedule(spec=spec, omega=1.0, time=time, phase_sin=zeros, phase_cos=zeros)
 
 
 class TestIndicial:
@@ -428,8 +425,7 @@ class TestSimulate:
     def test_empty_schedule_is_insufficient(self, linear_plant, agard_alpha_spec, condition):
         schedule = make_schedule(agard_alpha_spec, condition)
         empty = replace(schedule, **{name: getattr(schedule, name)[:0] for name in (
-            "time", "relative_aoa", "pitch_rate", "aoa_rate", "pitch_accel", "phase_sin",
-            "phase_cos")})
+            "time", "phase_sin", "phase_cos")})
         with pytest.raises(InsufficientSamples, match="^schedule is empty$"):
             simulate(linear_plant, empty, condition)
 
