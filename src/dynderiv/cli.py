@@ -24,11 +24,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import _plan_doc, parse_case_config
-from .errors import DomainError, DynDerivError, _choices
+from .config import _MODE_VALUES, _plan_doc, parse_case_config
+from .errors import DomainError, DynDerivError, MonitorError
 from .identify import extract, fit_series
 from .io import (
-    ALIAS_TARGETS,
+    _alias_roles,
     atomic_write,
     parse_monitor_table,
     write_derivative_table,
@@ -43,7 +43,6 @@ from .validate import run_validation
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
-_MODES = [m.value for m in OscillationMode]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("config", help="case-config JSON file")
     p_sim.add_argument("--out", help="output series file (default: stdout)")
     p_sim.add_argument(
-        "--mode", choices=_MODES,
+        "--mode", choices=_MODE_VALUES,
         help="oscillation mode (default: first mode in the config)",
     )
 
@@ -81,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_id.set_defaults(run=_cmd_identify)
     p_id.add_argument("series", help="series/monitor file to fit")
     p_id.add_argument("--k", type=float, required=True, help="reduced frequency omega*c/(2V)")
-    p_id.add_argument("--mode", choices=_MODES, required=True)
+    p_id.add_argument("--mode", choices=_MODE_VALUES, required=True)
     p_id.add_argument("--amplitude-deg", type=float, required=True, help="pitch amplitude, deg")
     p_id.add_argument("--mean-deg", type=float, default=0.0,
                       help="mean incidence, deg; range-checked, but the table does not depend "
@@ -113,14 +112,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+        return Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read '{path}': {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:       # offsets count from the start of the file
         raise _UsageError(f"cannot read '{path}': not UTF-8 text "
                           f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})") from exc
-    # universal newlines, as read_text gives them
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 class _UsageError(Exception):
@@ -199,12 +196,12 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     aliases = {}
     for item in args.alias:
         header, eq, channel = item.partition("=")
-        if not (eq and header.strip()):
+        if not eq:
             raise _UsageError(f"--alias needs HEADER=CHANNEL, got '{item}'")
-        if channel.strip() not in ALIAS_TARGETS:
-            raise _UsageError(f"--alias target must be {_choices(ALIAS_TARGETS)}, got '{item}'")
-        aliases.pop(header, None)           # re-inserted last: the last --alias wins
-        aliases[header] = channel.strip()
+        try:
+            aliases.update(_alias_roles({header: channel}))     # the last --alias wins
+        except MonitorError as exc:
+            raise _UsageError(f"--alias '{item}': {exc}") from exc
     spec = _identify_spec(args)
     if args.skip < 0:
         raise _UsageError("--skip must be >= 0")

@@ -7,7 +7,8 @@ package.  One table per block maps each key to the constructor field it
 fills; the table rejects unknown keys, checks JSON types and finiteness,
 and renders plans back to text.  The range rules belong to the value
 objects: their ``DomainError`` is re-raised as a ``UnitViolation`` that
-names the key, its line, and the value as written.
+names the key, its line, and the value as written.  Lines are those of
+``io._lines``, the one text rule of configs and monitor tables alike.
 
 ``render_case_config`` emits the canonical form: sorted keys, explicit
 scenario list, two-space indent.  Rendering picks degree values whose
@@ -36,6 +37,7 @@ from .errors import (
     UnknownKey,
     _choices,
 )
+from .io import _lines
 from .kinematics import FlightCondition, OscillationMode, OscillationSpec
 from .plants import Plant
 from .scenarios import SweepPlan, TransitionScenario, builtin_scenarios
@@ -268,6 +270,7 @@ def _parse_scenarios(text: str, obj: Any) -> tuple[TransitionScenario, ...]:
 
 def parse_case_config(text: str) -> SweepPlan:
     """Parse and validate one case-config document into a SweepPlan."""
+    text = "\n".join(_lines(text))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

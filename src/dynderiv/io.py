@@ -52,6 +52,9 @@ CHANNEL_ALIASES: Mapping[str, tuple[str, ...]] = {
 }
 
 ALIAS_TARGETS = ("time",) + CHANNELS        # the roles a header alias may name
+# header token -> role: the one vocabulary a header cell is looked up in
+_ROLES = {token: role for role, names in [("time", TIME_ALIASES), *CHANNEL_ALIASES.items()]
+          for token in names}
 
 _FILE_LABELS = {"CL": "CL", "CD": "CD", "Cm": "CM"}   # canonical header names
 
@@ -66,21 +69,24 @@ def _token(name: str) -> str:
     return name.strip().lower()
 
 
-def _match_channel(header: str, extra_aliases: Mapping[str, str] | None) -> str | None:
-    token = _token(header)
-    if extra_aliases and token in extra_aliases:
-        return extra_aliases[token]
-    if token in TIME_ALIASES:
-        return "time"
-    for channel, aliases in CHANNEL_ALIASES.items():
-        if token in aliases:
-            return channel
-    return None
+def _alias_roles(aliases: Mapping[str, str]) -> dict[str, str]:
+    """Header token -> role by the alias rule: each header a non-blank string, looked up
+    as a header cell is, and each target a string that, stripped, is in ``ALIAS_TARGETS``."""
+    roles = {}
+    for header, target in aliases.items():
+        if not (isinstance(header, str) and header.strip()):
+            raise MonitorError(f"alias header must be a non-blank string, got {header!r}")
+        if not (isinstance(target, str) and target.strip() in ALIAS_TARGETS):
+            raise MonitorError(f"alias target must be {_choices(ALIAS_TARGETS)}, got {target!r}")
+        roles[_token(header)] = target.strip()
+    return roles
 
 
 def _lines(text: str) -> list[str]:
-    """The lines of ``text``, broken at LF, CR LF and CR only: ``str.splitlines``
-    would also break at form feed, vertical tab, 0x1c-0x1e, NEL, U+2028 and U+2029."""
+    """The lines of monitor tables and case configs alike: a leading byte-order mark dropped,
+    broken at LF, CR LF and CR only (``str.splitlines`` would also break at form feed,
+    vertical tab, 0x1c-0x1e, NEL, U+2028 and U+2029)."""
+    text = text.removeprefix("\ufeff")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.split("\n")
@@ -133,13 +139,12 @@ def parse_monitor_table(
 ) -> CoefficientSeries:
     """Parse a delimited coefficient-monitor export.
 
-    Lines end at LF, CR LF or CR only.  The first non-comment line is the
+    Lines are read by ``_lines``.  The first non-comment line is the
     header; '#' starts a comment.  A line holding a comma is comma-split,
     any other whitespace-split.  A time column plus at least one of the
     lift/drag/moment columns must be recognizable (``extra_aliases`` maps
-    additional header names onto 'time', 'CL', 'CD' or 'Cm'; keys match as
-    header cells do, stripped and case-insensitive), each role in one
-    column only.
+    additional header names onto 'time', 'CL', 'CD' or 'Cm' by the rule of
+    ``_alias_roles``), each role in one column only.
     Unrecognized columns are ignored; non-uniform time stamps are accepted.
 
     When every data line splits the same way, the rows are split in one pass
@@ -150,13 +155,7 @@ def parse_monitor_table(
     first, then the time cell, the time order and the channels in header order.
     Line numbers are worked out only when a fault is reported.
     """
-    if extra_aliases:
-        extra_aliases = {_token(k): v for k, v in extra_aliases.items()}
-        for target in extra_aliases.values():
-            if target not in ALIAS_TARGETS:
-                raise MonitorError(
-                    f"alias target must be {_choices(ALIAS_TARGETS)}, got {target!r}")
-
+    roles = {**_ROLES, **_alias_roles(extra_aliases or {})}
     lines = _kept(_lines(text))
     if not lines:
         raise MissingTimeColumn("empty document: no header line found")
@@ -168,7 +167,7 @@ def parse_monitor_table(
         headers = header_line.split()
     columns: dict[str, int] = {}          # role -> cell index, in header order
     for idx, header in enumerate(headers):
-        role = _match_channel(header, extra_aliases)
+        role = roles.get(_token(header))
         if role in columns:
             raise MonitorError(f"columns {headers[columns[role]]!r} and {header!r} both read "
                                f"as {role!r} (line {_line_no(text, 0)})")

@@ -44,9 +44,8 @@ _COND = FlightCondition(
 )
 
 
-def _indicial_frequency_response(
-    k: float, pitch_axis: float = -0.5, mode: OscillationMode = OscillationMode.ALPHA
-) -> tuple[complex, complex]:
+def _indicial_frequency_response(k: float, pitch_axis: float,
+                                 mode: OscillationMode) -> tuple[complex, complex]:
     """First-harmonic complex amplitudes (lift, moment) of the indicial plant.
 
     Identifies the plant in the given mode about zero mean over 22 cycles of

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_config import AGARD_AMP_DEG, AGARD_K, AGARD_MEAN_DEG, config_doc
+from test_io import _outcome as monitor_outcome
 from test_io import fuzzed_monitor_texts
 from truth import JONES_POLES, jones_c, theodorsen_c, theodorsen_loads
 
@@ -353,8 +354,12 @@ class TestIdentify:
         t = np.arange(2 * 64) / 64.0
         cl = 0.1 + 0.05 * np.sin(2 * math.pi * t)
         rows = [f"{ti!r},{v!r}" for ti, v in zip(t.tolist(), cl.tolist())]
+        text = "\n".join(["flow-time,cl-coefficient", *rows]) + "\n"
+        series = monitor_outcome(parse_monitor_table, text)
+        assert isinstance(series, list)
+        assert monitor_outcome(parse_monitor_table, "\ufeff" + text) == series
         path = tmp_path / "export.csv"
-        path.write_text("\n".join(["flow-time,cl-coefficient", *rows]) + "\n", encoding="utf-8-sig")
+        path.write_text(text, encoding="utf-8-sig")
         argv = ["identify", str(path), "--k", "0.1", "--mode", "alpha", "--amplitude-deg", "1"]
         assert main(argv) == 0
         assert table_to_dict(capsys.readouterr().out)["CL"]["trim"] == pytest.approx(0.1)
@@ -362,14 +367,21 @@ class TestIdentify:
     def test_bad_alias_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         path.write_text("t,CL\n0,1\n1,2\n")
-        for alias in ("nonsense", "=CL", " =CL"):       # no '=', or a header no cell can match
+        blank = "alias header must be a non-blank string, got"
+        target = "alias target must be 'time', 'CL', 'CD' or 'Cm', got"
+        for alias, message in [
+            ("nonsense", "--alias needs HEADER=CHANNEL, got 'nonsense'"),     # no '='
+            ("=CL", f"--alias '=CL': {blank} ''"),       # a header no cell can match
+            (" =CL", f"--alias ' =CL': {blank} ' '"),
+            ("t=bogus", f"--alias 't=bogus': {target} 'bogus'"),
+            ("t=", f"--alias 't=': {target} ''"),
+        ]:
             code = main([
                 "identify", str(path), "--k", "0.1", "--mode", "alpha",
                 "--amplitude-deg", "1", "--alias", alias,
             ])
             assert code == 2, alias
-            assert capsys.readouterr().err.splitlines() == [
-                f"error: --alias needs HEADER=CHANNEL, got '{alias}'"]
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 class TestSweep:
@@ -605,11 +617,51 @@ class TestUnusableFiles:
     def test_cr_line_ends_read_as_newlines(self, tmp_path, capsys, newline):
         doc = config_doc()
         doc["condition"]["chord_m"] = -1.0
+        text = json.dumps(doc, indent=2).replace("\n", newline)
+        message = "'condition.chord_m' must be > 0, got -1.0 (line 6)"
+        with pytest.raises(dynderiv.UnitViolation) as caught:
+            parse_case_config(text)
+        assert str(caught.value) == message
         path = tmp_path / "case.json"
-        path.write_bytes(json.dumps(doc, indent=2).replace("\n", newline).encode())
+        path.write_bytes(text.encode())
         assert main(["simulate", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: 'condition.chord_m' must be > 0, got -1.0 (line 6)\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestReaderAndCommandAgree:
+    """The readers own their text rules: a direct call and the command read one text alike."""
+
+    def _run(self, tmp_path, data: bytes, argv):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        return run_warning_free([argv[0], str(path), *argv[1:]])
+
+    @pytest.mark.parametrize("header", ["", " ", "\t"])
+    def test_a_blank_alias_header_is_rejected(self, tmp_path, header):
+        text = "t,CL,\n0,1,2\n"                  # an empty header cell
+        message = f"alias header must be a non-blank string, got {header!r}"
+        assert monitor_outcome(parse_monitor_table, text, {header: "CD"}) == \
+            (dynderiv.MonitorError, message)
+        item = f"{header}=CD"
+        assert self._run(tmp_path, text.encode(), ["identify", *LIFT_FLAGS, "--alias", item]) \
+            == (2, "", f"error: --alias '{item}': {message}\n")
+
+    def test_an_alias_target_is_read_stripped(self, tmp_path):
+        text = _lift_export()
+        series = monitor_outcome(parse_monitor_table, text, {"lift": "CL"})
+        assert isinstance(series, list)
+        assert monitor_outcome(parse_monitor_table, text, {"lift": " CL "}) == series
+        argv = ["identify", *LIFT_FLAGS, "--alias"]
+        stripped = self._run(tmp_path, text.encode(), argv + ["lift= CL "])
+        assert stripped[0] == 0
+        assert stripped == self._run(tmp_path, text.encode(), argv + ["lift=CL"])
+
+    def test_a_byte_order_mark_is_dropped_from_a_config(self, tmp_path):
+        text = json.dumps(tiny_doc(), indent=2)
+        assert parse_case_config("\ufeff" + text) == parse_case_config(text)
+        marked = self._run(tmp_path, b"\xef\xbb\xbf" + text.encode(), ["simulate"])
+        assert marked[0] == 0
+        assert marked == self._run(tmp_path, text.encode(), ["simulate"])
 
 
 class TestRepeatedCalls:

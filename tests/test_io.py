@@ -121,6 +121,20 @@ class TestParseMonitorTable:
         with pytest.raises(MonitorError, match="bogus"):
             parse_monitor_table("t,CL\n0,1\n", extra_aliases={"t": "bogus"})
 
+    @pytest.mark.parametrize("aliases, message", [
+        ({1: "CL"}, "alias header must be a non-blank string, got 1"),
+        ({None: "CL"}, "alias header must be a non-blank string, got None"),
+        ({b"lift": "CL"}, "alias header must be a non-blank string, got b'lift'"),
+        ({"lift": None}, "alias target must be 'time', 'CL', 'CD' or 'Cm', got None"),
+        ({"lift": 1}, "alias target must be 'time', 'CL', 'CD' or 'Cm', got 1"),
+        ({"lift": ["CL"]}, "alias target must be 'time', 'CL', 'CD' or 'Cm', got ['CL']"),
+    ], ids=["int-header", "none-header", "bytes-header", "none-target", "int-target",
+            "list-target"])
+    def test_a_non_string_alias_is_a_monitor_error(self, aliases, message):
+        with pytest.raises(MonitorError) as caught:
+            parse_monitor_table("t,lift\n0,1\n", extra_aliases=aliases)
+        assert type(caught.value) is MonitorError and str(caught.value) == message
+
     def test_times_across_the_float_range_give_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -207,11 +221,14 @@ def fuzzed_monitor_texts(draw):
     if draw(st.integers(0, 9)) != 5:          # mostly a time and a channel among them
         header += [draw(st.sampled_from(dio.TIME_ALIASES)), draw(st.sampled_from(_CHANNEL_HEADERS))]
     aliases = draw(st.none() | st.dictionaries(
-        st.sampled_from(_FUZZ_HEADERS), st.sampled_from(["time", "CL", "CD", "Cm", "bogus"]),
+        st.sampled_from(_FUZZ_HEADERS), st.sampled_from(["time", "CL", " CD", "Cm", "bogus"]),
         max_size=2))
     if draw(st.integers(0, 19)) != 11:        # else a role may repeat: a header fault
-        lowered = {k.lower(): v for k, v in (aliases or {}).items()}
-        roles = [dio._match_channel(name, lowered) for name in header]
+        try:
+            vocabulary = reference_roles(aliases)
+        except MonitorError:                  # the parse stops at the aliases
+            vocabulary = _HEADER_ROLES
+        roles = [vocabulary.get(name.strip().lower()) for name in header]
         header = [name for j, (name, role) in enumerate(zip(header, roles))
                   if role is None or role not in roles[:j]]
     case = draw(st.sampled_from([str.lower, str.upper, str.title]))
@@ -236,30 +253,48 @@ def fuzzed_monitor_texts(draw):
     return "\n".join(lines), aliases
 
 
+# the documented header vocabulary: lower-case header cell -> role
+_HEADER_ROLES = {**dict.fromkeys(dio.TIME_ALIASES, "time"),
+                 **{name: role for role, names in dio.CHANNEL_ALIASES.items() for name in names}}
+
+
+def reference_roles(aliases):
+    """The vocabulary with ``aliases`` laid over it by the documented alias rule.
+
+    A header is a non-blank string, stripped and lower-cased as a header cell
+    is; a target is a string that, stripped, is one of ``ALIAS_TARGETS``.
+    """
+    roles = dict(_HEADER_ROLES)
+    for header, target in (aliases or {}).items():
+        if not isinstance(header, str) or header.strip() == "":
+            raise MonitorError(f"alias header must be a non-blank string, got {header!r}")
+        if not isinstance(target, str) or target.strip() not in dio.ALIAS_TARGETS:
+            raise MonitorError(
+                f"alias target must be 'time', 'CL', 'CD' or 'Cm', got {target!r}")
+        roles[header.strip().lower()] = target.strip()
+    return roles
+
+
 def reference_monitor_parse(text, extra_aliases=None):
     """parse_monitor_table one row and one cell at a time: the oracle.
 
     The column-at-a-time parser must give the same series as this row loop,
     or raise the same error type with the same message.
     """
-    if extra_aliases:
-        extra_aliases = {k.lower(): v for k, v in extra_aliases.items()}
-        for target in extra_aliases.values():
-            if target not in ("time", "CL", "CD", "Cm"):
-                raise MonitorError(
-                    f"alias target must be 'time', 'CL', 'CD' or 'Cm', got {target!r}")
+    vocabulary = reference_roles(extra_aliases)
 
     def split(line):
         line = line.strip()
         return [cell.strip() for cell in line.split(",")] if "," in line else line.split()
 
+    text = text[1:] if text.startswith("\ufeff") else text
     lines = [(i, line) for i, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1)
              if line.strip() and not line.lstrip().startswith("#")]
     if not lines:
         raise MissingTimeColumn("empty document: no header line found")
     header_no, header_line = lines[0]
     headers = split(header_line)
-    roles = [dio._match_channel(h, extra_aliases) for h in headers]
+    roles = [vocabulary.get(h.lower()) for h in headers]
     for j, role in enumerate(roles):
         if role is not None and role in roles[:j]:
             raise MonitorError(f"columns {headers[roles.index(role)]!r} and {headers[j]!r} "
