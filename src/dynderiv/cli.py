@@ -124,18 +124,19 @@ class _UsageError(Exception):
     pass
 
 
-def _write(path: str | Path, text: str) -> None:
+def _write(path: str | Path, data: bytes) -> None:
     try:
-        atomic_write(path, text)
+        atomic_write(path, data)
     except OSError as exc:
         raise _UsageError(f"cannot write '{path}': {exc.strerror or exc}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(data: bytes, out: str | None) -> None:
+    """Write ``data`` to ``out``, or print it: decoded only for standard output."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     else:
-        _write(out, text)
+        _write(out, data)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -208,7 +209,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     omega = _identify_omega(args)
     series = parse_monitor_table(_read_text(args.series), extra_aliases=aliases or None)
     dset = extract(fit_series(series, omega, args.skip), spec)
-    _emit(write_derivative_table(dset), args.out)
+    _emit(write_derivative_table(dset).encode(), args.out)
     return 0
 
 
@@ -221,14 +222,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError(f"cannot write '{out_dir}': {exc.strerror or exc}") from exc
     report = run_sweep(plan)
     machine, human = write_report(report)
-    _write(out_dir / "report.csv", machine)
-    _write(out_dir / "report.txt", human)
+    _write(out_dir / "report.csv", machine.encode())
+    _write(out_dir / "report.txt", human.encode())
     # loop plot data per successful scenario, plus a run-metadata sidecar;
     # the data files themselves carry no run metadata (byte determinism)
     for result in report.results:
         if result.incidence is not None:
-            text = write_loop_table(*result.incidence)
-            _write(out_dir / f"loops_{result.scenario.name}.csv", text)
+            _write(out_dir / f"loops_{result.scenario.name}.csv",
+                   write_loop_table(*result.incidence))
     meta = {
         "tool": "dynderiv",
         "version": __version__,
@@ -240,7 +241,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "scenarios": [{**entry, "status": r.status.value} for entry, r in
                       zip(_plan_doc(plan)["scenarios"], report.results)],
     }
-    _write(out_dir / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write(out_dir / "run_meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
     sys.stdout.write(human)
     failed = any(r.status is SweepStatus.FAILED for r in report.results)
     return DOMAIN_ERROR if failed else 0

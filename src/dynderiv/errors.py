@@ -80,7 +80,8 @@ class ZeroReducedFrequency(DomainError):
 
 
 class ConditionMismatch(DynDerivError):
-    """Derivative sets to be merged came from different test conditions."""
+    """Inputs came from different test conditions: derivative sets to be merged, or a
+    schedule and the condition a plant is simulated at."""
 
 
 # --- case config documents -------------------------------------------------

@@ -1,7 +1,9 @@
 """Text interchange: monitor-table ingestion, series and report emission.
 
 Series files are delimited text with header ``t,CL,CD,CM`` (absent
-channels omitted) and values written in fixed decimal notation.
+channels omitted) and values written in fixed decimal notation.  The
+table writers return ASCII bytes with LF line ends, which ``atomic_write``
+writes as they are.
 ``format_value`` (numpy's Dragon4 with ``precision=17, unique=False``)
 defines the bytes of every value.  The table writer computes the same
 digits for a whole block with numpy arithmetic (``_format_block``), falls
@@ -298,8 +300,8 @@ def _significand(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
 
 
-def _format_block(block: np.ndarray) -> str:
-    """CSV lines of a 2-D float64 block: ``format_value`` of every cell.
+def _format_block(block: np.ndarray) -> bytes:
+    """ASCII CSV lines of a 2-D float64 block: ``format_value`` of every cell.
 
     A cell in [1e-30, 1e16) gets the 17 significant digits ``S`` that
     Dragon4 rounds to, from ``e = floor(log10|x|)`` and ``_significand``.
@@ -324,11 +326,11 @@ def _format_block(block: np.ndarray) -> str:
     digits += up
     ok &= digits < 10**17
 
-    high = digits // 10**8
-    low = digits - high * 10**8
-    top = high // 10**8
-    high -= top * 10**8
-    groups = np.stack([top, high // 10**4, high % 10**4, low // 10**4, low % 10**4], 1)
+    groups = np.empty((len(values), 5), np.int64)       # S in groups of 1, 4, 4, 4, 4 digits
+    high, low = np.divmod(digits, 10**8)
+    np.divmod(high, 10**8, out=(groups[:, 0], high))
+    np.divmod(high, 10**4, out=(groups[:, 1], groups[:, 2]))
+    np.divmod(low, 10**4, out=(groups[:, 3], groups[:, 4]))
     text = _DIGITS4[groups].view(np.uint8)[:, 3:]        # the 17 digits of S
     zero_end = text[:, 16] == _ZERO
     below_one = e < 0
@@ -359,26 +361,27 @@ def _format_block(block: np.ndarray) -> str:
     out[fallback, w - 2] = _PERCENT
     out[fallback, w - 1] = _S
     out[cols - 1::cols, w] = _NEWLINE
-    out = out.ravel()
-    lines = out[out != 0].tobytes().decode("ascii")
+    lines = out.tobytes().translate(None, b"\0")
     if fallback.size:
-        lines %= tuple(format_value(v) for v in values[fallback])
+        lines %= tuple(format_value(v).encode() for v in values[fallback])
     return lines
 
 
-def _numeric_table(first: str, column, series: CoefficientSeries) -> str:
-    """``column`` under ``first`` beside every channel of ``series``, one row per sample."""
+def _numeric_table(first: str, column, series: CoefficientSeries) -> bytes:
+    """``column`` under ``first`` beside every channel of ``series``, one row per sample:
+    ASCII with LF line ends."""
     channels = series.channels()
     header = [first] + [_FILE_LABELS[name] for name in channels]
     table = np.column_stack([column, *channels.values()])
-    parts = [",".join(header) + "\n"]
+    parts = [(",".join(header) + "\n").encode()]
     for i in range(0, len(table), _BLOCK_ROWS):
         parts.append(_format_block(table[i:i + _BLOCK_ROWS]))
-    return "".join(parts)
+    return b"".join(parts)
 
 
-def write_series(series: CoefficientSeries) -> str:
-    """Canonical series text; parse_monitor_table inverts it bit-exactly."""
+def write_series(series: CoefficientSeries) -> bytes:
+    """Canonical series text as ASCII bytes; parse_monitor_table inverts its decoding
+    bit-exactly."""
     return _numeric_table("t", series.times, series)
 
 
@@ -471,8 +474,8 @@ def write_report(report: SweepReport) -> tuple[str, str]:
     return machine, "\n".join(human_lines) + "\n"
 
 
-def write_loop_table(incidence, series: CoefficientSeries) -> str:
-    """Loop plot data: incidence (deg) against every coefficient channel.
+def write_loop_table(incidence, series: CoefficientSeries) -> bytes:
+    """Loop plot data as ASCII bytes: incidence (deg) against every coefficient channel.
 
     One row per sample; plotting any coefficient column against the first
     column reproduces the hysteresis loops.  Degrees, like every external
@@ -493,8 +496,9 @@ def write_derivative_table(dset) -> str:
     return _csv(["channel", *_DERIVATIVE_FIELDS], rows)
 
 
-def atomic_write(path: str | os.PathLike, text: str) -> None:
-    """Write text to path as UTF-8, atomically (temp file + rename, same directory).
+def atomic_write(path: str | os.PathLike, data: bytes) -> None:
+    """Write the bytes ``data`` to path unchanged, atomically (temp file + rename, same
+    directory).  A ``str`` is refused with ``TypeError``: the caller encodes.
 
     The file gets the mode ``open(path, "w")`` would leave: a new one gets
     0o666 less the umask, a replaced one keeps its own.
@@ -503,8 +507,8 @@ def atomic_write(path: str | os.PathLike, text: str) -> None:
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         with contextlib.suppress(FileNotFoundError):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConditionMismatch,
     DomainError,
     InsufficientSamples,
     NonDimensionalizationUndefined,
@@ -34,7 +35,7 @@ from .errors import (
     check,
     check_fields,
 )
-from .kinematics import FlightCondition, MotionSchedule, OscillationMode
+from .kinematics import FlightCondition, MotionSchedule, OscillationMode, omega_from_k
 from .series import CoefficientSeries
 
 # Two-pole exponential approximation of the Wagner function (R. T. Jones).
@@ -437,11 +438,19 @@ Plant = QuasiSteadyPlant | FlatPlatePlant | IndicialPlant
 def simulate(plant: Plant, schedule: MotionSchedule, cond: FlightCondition) -> CoefficientSeries:
     """Run a plant over a motion schedule and package the result.
 
-    An overflow inside the plant is not warned about: CoefficientSeries
-    rejects the non-finite channel it leaves, with the channel's name.
+    ``cond`` must give the schedule's angular frequency from its reduced
+    frequency, else ``ConditionMismatch``; a hover condition gives none
+    (``NonDimensionalizationUndefined``).  An overflow inside the plant is
+    not warned about: CoefficientSeries rejects the non-finite channel it
+    leaves, with the channel's name.
     """
     if len(schedule) == 0:
         raise InsufficientSamples("schedule is empty")
+    omega = omega_from_k(schedule.spec.reduced_frequency, cond)
+    if omega != schedule.omega:
+        raise ConditionMismatch(f"the condition gives omega = {omega!r} rad/s at "
+                                f"k = {schedule.spec.reduced_frequency!r}, the schedule "
+                                f"was made for {schedule.omega!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         cl, cd, cm = plant.coefficient_histories(schedule, cond)
     return CoefficientSeries(times=schedule.time.copy(), CL=cl, CD=cd, Cm=cm)

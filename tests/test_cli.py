@@ -99,6 +99,15 @@ class TestSimulate:
         fit = fit_harmonic(series.times, series.CL, omega)
         assert abs(fit.in_phase) < 1e-12
 
+    def test_stdout_holds_the_bytes_out_writes(self, config_file, tmp_path):
+        out = tmp_path / "series.csv"
+        assert main(["simulate", str(config_file), "--out", str(out)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(dynderiv.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "dynderiv.cli", "simulate", str(config_file)],
+                              env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.read_bytes()
+
     def test_a_mode_the_config_does_not_list_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "case.json"
         doc = config_doc()

@@ -523,16 +523,16 @@ class TestWriteSeries:
 
     def test_line_count(self):
         text = write_series(self._series(n=2))
-        assert text.count("\n") == 3
-        assert text.splitlines()[0] == "t,CL,CD,CM"
+        assert text.count(b"\n") == 3
+        assert text.splitlines()[0] == b"t,CL,CD,CM"
 
     def test_absent_channel_omitted_from_header(self):
         text = write_series(self._series(channels=("CL", "Cm")))
-        assert text.splitlines()[0] == "t,CL,CM"
+        assert text.splitlines()[0] == b"t,CL,CM"
 
     def test_round_trip_bit_exact(self):
         series = self._series(n=17)
-        back = parse_monitor_table(write_series(series))
+        back = parse_monitor_table(write_series(series).decode())
         np.testing.assert_array_equal(back.times, series.times)
         np.testing.assert_array_equal(back.CL, series.CL)
         np.testing.assert_array_equal(back.CD, series.CD)
@@ -540,7 +540,7 @@ class TestWriteSeries:
 
     def test_write_parse_write_byte_stable(self):
         text = write_series(self._series(n=9))
-        assert write_series(parse_monitor_table(text)) == text
+        assert write_series(parse_monitor_table(text.decode())) == text
 
     @given(
         st.lists(
@@ -553,7 +553,7 @@ class TestWriteSeries:
         times = np.arange(len(values), dtype=float)
         series = CoefficientSeries(times=times, CL=np.asarray(values))
         text = write_series(series)
-        back = parse_monitor_table(text)
+        back = parse_monitor_table(text.decode())
         np.testing.assert_array_equal(back.CL, series.CL)
         assert write_series(back) == text
 
@@ -620,7 +620,7 @@ class TestBulkWriter:
     def test_cells_equal_format_value(self, values, cols):
         values = values + [0.0] * (-len(values) % cols)
         block = np.array(values, dtype=np.float64).reshape(-1, cols)
-        assert dio._format_block(block) == _per_cell_block(block)
+        assert dio._format_block(block) == _per_cell_block(block).encode()
 
     @pytest.mark.parametrize("shift", [-1e-9, 1e-9])
     def test_cells_do_not_depend_on_how_log10_rounds(self, monkeypatch, shift):
@@ -631,7 +631,7 @@ class TestBulkWriter:
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
         block = np.array(values).reshape(-1, 2)
-        assert dio._format_block(block) == _per_cell_block(block)
+        assert dio._format_block(block) == _per_cell_block(block).encode()
 
     def test_a_block_of_fallbacks_leaves_no_placeholder(self, monkeypatch):
         for x in _NEAR_TIES + _NEAR_INTEGERS:
@@ -651,8 +651,8 @@ class TestBulkWriter:
         monkeypatch.setattr(dio, "format_value", lambda v: calls.append(v) or format_value(v))
         text = dio._format_block(block)
         assert len(calls) == len(values)
-        assert "%" not in text
-        assert text == _per_cell_block(block)
+        assert b"%" not in text
+        assert text == _per_cell_block(block).encode()
 
     @pytest.mark.parametrize("rows", [1, dio._BLOCK_ROWS - 1, dio._BLOCK_ROWS, dio._BLOCK_ROWS + 1])
     @pytest.mark.parametrize("channels", [("CL", "CD", "Cm"), ("Cm",)])
@@ -664,9 +664,9 @@ class TestBulkWriter:
         series = CoefficientSeries(times=np.arange(rows) * 0.01, **values)
         alpha = np.degrees(rng.uniform(-0.2, 0.2, rows))
         assert dio._numeric_table("t", series.times, series) == \
-            _per_cell_table("t", series.times, series)
+            _per_cell_table("t", series.times, series).encode()
         assert dio._numeric_table("alpha_deg", alpha, series) == \
-            _per_cell_table("alpha_deg", alpha, series)
+            _per_cell_table("alpha_deg", alpha, series).encode()
 
     def test_golden_bytes(self):
         # the file contract: format_value applied cell by cell
@@ -686,7 +686,7 @@ class TestBulkWriter:
             f"0.70000000000000007,{subnormal},-0.0000000000000000\n"
             "0.80000000000000004,15000000000000000.,1.0000000000000000\n"
             "0.90000000000000002,0.000099999999999999991,0.5000000000000000\n"
-        )
+        ).encode()
 
 
 @pytest.fixture(scope="module")
@@ -716,8 +716,8 @@ class TestRealTables:
         inputs = np.column_stack([series.times, incidence, *series.channels().values()])
         if _sha256(inputs.tobytes()) != self.INPUTS:
             pytest.skip("this platform's libm samples the case differently")
-        assert _sha256(write_loop_table(incidence, series).encode()) == self.LOOP_TABLE
-        assert _sha256(write_series(series).encode()) == self.SERIES
+        assert _sha256(write_loop_table(incidence, series)) == self.LOOP_TABLE
+        assert _sha256(write_series(series)) == self.SERIES
 
     def test_no_cell_of_a_real_table_falls_back(self, indicial_case, monkeypatch):
         calls = []
@@ -743,7 +743,7 @@ class TestRealTables:
             return "\n".join(lines) + "\n"
 
         header = ["flow-time", "lift-coeff", "drag-coeff", "pitch-mom-coeff"]
-        for text in [write_series(series), export(",", header), export(", ", header),
+        for text in [write_series(series).decode(), export(",", header), export(", ", header),
                      export("  ", header)]:
             parsed = parse_monitor_table(text)
             assert [column.tobytes() for column in
@@ -851,12 +851,21 @@ class TestWriteLoopTable:
 
         schedule = make_schedule(agard_alpha_spec, condition)
         series = simulate(linear_plant, schedule, condition)
-        text = write_loop_table(schedule.relative_aoa, series)
+        text = write_loop_table(schedule.relative_aoa, series).decode()
         lines = text.splitlines()
         assert lines[0] == "alpha_deg,CL,CD,CM"
         assert len(lines) == 1 + len(series)
         first_alpha = float(lines[1].split(",")[0])
         assert first_alpha == pytest.approx(3.16, rel=1e-9)
+
+    def test_tables_are_ascii_bytes_with_lf_line_ends(self):
+        values = [0.5, -1.321048632913019e-10, 5e-324, 1.5e16, -2.5e-7]   # two fall back
+        series = CoefficientSeries(times=np.arange(5) * 0.1, CL=values, Cm=values[::-1])
+        for table in [write_series(series), write_loop_table(np.radians(values), series)]:
+            assert isinstance(table, bytes)
+            text = table.decode("ascii")
+            assert "\r" not in text
+            assert text.endswith("\n") and text.count("\n") == 1 + len(series)
 
     def test_length_mismatch_rejected(self, linear_plant, condition, agard_alpha_spec):
         from dynderiv import make_schedule, simulate, write_loop_table
@@ -870,11 +879,25 @@ class TestWriteLoopTable:
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         target = tmp_path / "out.csv"
-        atomic_write(target, "one\n")
-        atomic_write(target, "two\n")
-        assert target.read_text() == "two\n"
+        atomic_write(target, b"one\n")
+        atomic_write(target, b"two\n")
+        assert target.read_bytes() == b"two\n"
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.csv"]
         assert leftovers == []
+
+    def test_writes_the_bytes_unchanged(self, tmp_path):
+        data = "crlf\r\nlf\ncr\r\u00b0 caf\u00e9 \u2028\n".encode()
+        target = tmp_path / "out.csv"
+        atomic_write(target, data)
+        assert target.read_bytes() == data
+
+    def test_a_str_is_refused(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"kept\n")
+        with pytest.raises(TypeError):
+            atomic_write(target, "two\n")
+        assert target.read_bytes() == b"kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     @pytest.fixture
     def umask_022(self):
@@ -885,7 +908,7 @@ class TestAtomicWrite:
     def test_a_new_file_gets_the_mode_open_gives(self, tmp_path, umask_022):
         with open(tmp_path / "plain.csv", "w") as fh:
             fh.write("one\n")
-        atomic_write(tmp_path / "out.csv", "one\n")
+        atomic_write(tmp_path / "out.csv", b"one\n")
         assert stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode) == 0o644
         assert stat.S_IMODE((tmp_path / "out.csv").stat().st_mode) == 0o644
 
@@ -893,6 +916,6 @@ class TestAtomicWrite:
         target = tmp_path / "out.csv"
         target.write_text("one\n")
         target.chmod(0o640)
-        atomic_write(target, "two\n")
+        atomic_write(target, b"two\n")
         assert stat.S_IMODE(target.stat().st_mode) == 0o640
-        assert target.read_text() == "two\n"
+        assert target.read_bytes() == b"two\n"

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from truth import JONES_POLES, jones_c, theodorsen_c, theodorsen_loads, wagner_step
 
 from dynderiv import (
+    ConditionMismatch,
     DomainError,
     FlatPlatePlant,
     FlightCondition,
@@ -428,6 +429,23 @@ class TestSimulate:
             "time", "phase_sin", "phase_cos")})
         with pytest.raises(InsufficientSamples, match="^schedule is empty$"):
             simulate(linear_plant, empty, condition)
+
+    def test_a_condition_of_another_speed_is_refused(self, linear_plant, agard_alpha_spec,
+                                                     condition):
+        # flown at half the schedule's speed, the plant would scale the rates by the wrong
+        # omega*c/(2V) and report twice the damping sum CL_q + CL_alphadot = 10
+        schedule = make_schedule(agard_alpha_spec, condition)
+        slower = replace(condition, freestream_speed=condition.freestream_speed / 2)
+        with pytest.raises(ConditionMismatch, match="the schedule was made for"):
+            simulate(linear_plant, schedule, slower)
+
+    @pytest.mark.parametrize("plant", [QuasiSteadyPlant(CL_alpha=5.0), FlatPlatePlant(),
+                                       IndicialPlant()], ids=lambda p: p.name)
+    def test_a_hover_condition_is_refused_by_every_plant(self, plant, agard_alpha_spec,
+                                                         condition):
+        schedule = make_schedule(agard_alpha_spec, condition)
+        with pytest.raises(NonDimensionalizationUndefined, match="hover"):
+            simulate(plant, schedule, replace(condition, freestream_speed=0.0))
 
     def test_q_mode_quasi_steady_is_pure_cosine(self, linear_plant, agard_q_spec, condition):
         schedule = make_schedule(agard_q_spec, condition)
