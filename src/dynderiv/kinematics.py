@@ -1,11 +1,14 @@
 """Prescribed harmonic pitch motions for forced-oscillation testing.
 
-One generator, ``make_schedule``, samples the body motion's phase on a
-uniform, endpoint-excluded time grid.  A ``MotionSchedule`` stores only
-that grid and phase; each mode's incidence and rates follow from them and
-its spec by one rule, so ``MotionSchedule.with_mode`` flies the same body
-motion in another mode by swapping the spec.  Both modes pitch the body the
-same way; they differ only in what the freestream does:
+One generator, ``make_schedule``, samples the body motion on a uniform,
+endpoint-excluded time grid.  Its phase is sin and cos of 2*pi*m/N for
+m = 0..N-1 (N samples per cycle), taken once and repeated each cycle, so
+every cycle of the motion, and of whatever a transient-free plant makes of
+it, is the same bit for bit.  A ``MotionSchedule`` stores only that grid
+and phase; each mode's incidence and rates follow from them and its spec
+by one rule, so ``MotionSchedule.with_mode`` flies the same body motion in
+another mode by swapping the spec.  Both modes pitch the body the same
+way; they differ only in what the freestream does:
 
 * incidence mode (``ALPHA``) -- the body pitches in a fixed freestream, so
   the relative angle of attack and the pitch rate vary together;
@@ -161,8 +164,10 @@ class MotionSchedule:
     """A body motion sampled on a uniform, endpoint-excluded grid, flown in ``spec.mode``.
 
     The fields are what every mode shares: the time grid and the phase
-    ``phase_sin``, ``phase_cos`` = sin, cos of omega*t, each of length
-    cycles * samples_per_cycle.  The body pitches as theta = alpha0 +
+    ``phase_sin``, ``phase_cos``, each of length cycles * samples_per_cycle.
+    Sample n of the phase is sin, cos of 2*pi*m/N with m = n mod N and N =
+    samples_per_cycle: omega*t on the grid, sampled on one cycle and
+    repeated, so it is exactly periodic.  The body pitches as theta = alpha0 +
     A*sin(omega*t) in both modes, so q and its rate follow from the phase.
     Incidence mode holds the flow at 0: the relative incidence tracks theta
     and alpha_dot = q, so the out-of-phase response carries C_q + C_alphadot.
@@ -224,8 +229,12 @@ def omega_from_k(k: float, cond: FlightCondition) -> float:
 def sample_grid(spec: OscillationSpec, omega: float) -> np.ndarray:
     """Uniform time stamps spanning ``cycles`` whole periods, endpoint excluded.
 
-    Excluding t = cycles*T keeps the sample set exactly periodic, which in
-    turn keeps the harmonic regression basis orthogonal on the grid.
+    Excluding t = cycles*T keeps the sample set periodic, which in turn
+    keeps the harmonic regression basis orthogonal on the grid.  Sample n
+    has the phase omega*t = 2*pi*m/N with m = n mod N; ``make_schedule``
+    takes the sine and cosine of that phase on one cycle, so they repeat
+    exactly, where sin(omega*t) of these time stamps would drift by
+    rounding from cycle to cycle.
     """
     check(math.isfinite(omega) and omega > 0.0, "omega", "must be > 0", omega)
     period = 2.0 * math.pi / omega
@@ -239,6 +248,8 @@ def make_schedule(spec: OscillationSpec, cond: FlightCondition) -> MotionSchedul
     omega = omega_from_k(spec.reduced_frequency, cond)
     check(math.isfinite(omega * omega * spec.body_amplitude), "omega",
           "must keep the pitch acceleration omega^2 * amplitude finite", omega)
-    t = sample_grid(spec, omega)
-    return MotionSchedule(spec=spec, omega=omega, time=t,
-                          phase_sin=np.sin(omega * t), phase_cos=np.cos(omega * t))
+    # one cycle of the phase 2*pi*m/N, repeated: every cycle the same bit for bit
+    phase = np.arange(spec.samples_per_cycle) * (2.0 * math.pi / spec.samples_per_cycle)
+    return MotionSchedule(spec=spec, omega=omega, time=sample_grid(spec, omega),
+                          phase_sin=np.tile(np.sin(phase), spec.cycles),
+                          phase_cos=np.tile(np.cos(phase), spec.cycles))

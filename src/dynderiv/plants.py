@@ -239,6 +239,12 @@ def _drag(plant, alpha, qhat, cl, f: float = 1.0):
     return cd
 
 
+def _check_moving(plant, cond: FlightCondition) -> None:
+    """Refuse hover: each plant's rates and reduced frequency are per unit of speed."""
+    if cond.freestream_speed == 0.0:
+        raise NonDimensionalizationUndefined(f"{plant.name} plant needs a nonzero freestream speed")
+
+
 def _wagner_lag(d_ae: np.ndarray, r: float) -> np.ndarray:
     """One Wagner lag state: x[0] = d_ae[0], x[n] = r*x[n-1] + sqrt(r)*d_ae[n].
 
@@ -316,9 +322,7 @@ class QuasiSteadyPlant:
         return cl, cd, cm
 
     def coefficient_histories(self, schedule: MotionSchedule, cond: FlightCondition):
-        if cond.freestream_speed == 0.0:
-            raise NonDimensionalizationUndefined(
-                "quasi-steady plant needs a nonzero freestream speed")
+        _check_moving(self, cond)
         scale = cond.ref_chord / (2.0 * cond.freestream_speed)     # rate -> rate * c / (2 V)
         return self._loads(cond, schedule.relative_aoa, schedule.pitch_rate * scale,
                            schedule.aoa_rate * scale)
@@ -351,6 +355,7 @@ class FlatPlatePlant:
         return _MODE_LOADS[mode](k, self.pitch_axis, deficiency=_KERNELS[self.kernel])
 
     def coefficient_histories(self, schedule: MotionSchedule, cond: FlightCondition):
+        _check_moving(self, cond)
         spec = schedule.spec
         loads = self.loads(spec.reduced_frequency, spec.mode)
         amp = spec.body_amplitude
@@ -398,8 +403,7 @@ class IndicialPlant:
         _check_drag(self)
 
     def coefficient_histories(self, schedule: MotionSchedule, cond: FlightCondition):
-        if cond.freestream_speed == 0.0:
-            raise NonDimensionalizationUndefined("indicial plant needs a nonzero freestream speed")
+        _check_moving(self, cond)
         dt = np.diff(schedule.time)
         if dt.size and not (dt[0] > 0.0 and np.all(np.abs(dt - dt[0]) <= 1e-9 * dt[0])):
             raise DomainError("schedule.time", "must be a uniform, increasing grid")

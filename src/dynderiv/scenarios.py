@@ -8,9 +8,11 @@ incidence-mode loop shapes.  Hover (zero forward speed) is degenerate for
 everything nondimensionalized by speed, so it reports static trim values
 only rather than fabricated dynamics.
 Every scenario of a sweep samples the same phase grid omega*t = 2*pi*n/N,
-so one harmonic basis on that grid serves both modes, every scenario and
-the loop metrics; derivatives may differ at rounding level from fits on
-each scenario's own time stamps.
+and ``make_schedule`` takes the phase's sine and cosine as those of
+2*pi*m/N with m = n mod N, one cycle repeated.  So one harmonic basis on
+that grid serves both modes, every scenario and the loop metrics;
+derivatives may differ at rounding level from fits on each scenario's own
+time stamps.
 """
 
 from __future__ import annotations

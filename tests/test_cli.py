@@ -565,9 +565,9 @@ class TestGoldenReport:
     a change in the pipeline.
     """
 
-    SERIES = "5e9bcb44430a7518016518c8f6b7c7b8a1df67994d3d3adb6da5ea63d82cb880"
-    REPORT_CSV = "35e0e2cd76c049f4a14d4d901fc945def04533d7ea85ca4c226da6171e038934"
-    REPORT_TXT = "34791a94f728b1497a06f29d65dc0eccb372e0734c5c1e2c3d41fc2e817a2ad5"
+    SERIES = "e766180f8ba2921519d69d4d29cd5c29f0d76229c951bd0ca31c36f18f1bb71c"
+    REPORT_CSV = "5078fa398179c449fc7c6c2ecd27ab5a554de670d40b728e5d3b8c688d8d881a"
+    REPORT_TXT = "21de9e6313bf4a2e62fcaa269d2258b4f45ba252d15416d5f40e5708010446bd"
 
     def test_golden_digests(self, tmp_path):
         doc = config_doc(plant={"kind": "flat-plate", "pitch_axis": -0.5})

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from dynderiv import (
     CoefficientSeries,
     DomainError,
+    FlatPlatePlant,
     FlightCondition,
     IndicialPlant,
     MissingTimeColumn,
@@ -689,6 +690,77 @@ class TestBulkWriter:
         ).encode()
 
 
+def _loop_case(plant, spc=64, cycles=3):
+    """``cycles`` x ``spc`` samples of ``plant`` in incidence mode: (incidence in deg, series)."""
+    cond = FlightCondition(100.0, 1.225, 0.2299, 0.6096, 0.1238)
+    spec = agard_ct2_preset(mode=OscillationMode.ALPHA, cycles=cycles, samples_per_cycle=spc)
+    schedule = make_schedule(spec, cond)
+    return np.degrees(schedule.relative_aoa), simulate(plant, schedule, cond)
+
+
+_LINEAR = QuasiSteadyPlant(CL0=0.1, CL_alpha=5.0, CL_q=4.0, CL_alphadot=6.0, CD0=0.02,
+                           CD_alpha=0.4, Cm_alpha=-0.5, Cm_q=-3.0, Cm_alphadot=-1.0)
+
+
+class TestRepeatedRows:
+    """A table that repeats a leading block of rows formats that block once."""
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """The row count of every block handed to ``_format_block``."""
+        counts = []
+        format_block = dio._format_block
+        monkeypatch.setattr(dio, "_format_block", lambda b: counts.append(len(b)) or format_block(b))
+        return counts
+
+    @staticmethod
+    def _table(column, series) -> bytes:
+        table = dio._numeric_table("alpha_deg", column, series)
+        assert table == _per_cell_table("alpha_deg", column, series).encode()
+        return table
+
+    @pytest.mark.parametrize("plant", [_LINEAR, FlatPlatePlant()], ids=lambda p: p.name)
+    def test_a_loop_table_formats_one_cycle(self, plant, formatted):
+        self._table(*_loop_case(plant, spc=720, cycles=3))
+        assert formatted == [720]        # one cycle of three
+
+    def test_a_cycle_longer_than_a_block_is_formatted_in_blocks(self, formatted):
+        alpha, series = _loop_case(_LINEAR, spc=dio._BLOCK_ROWS + 1, cycles=2)
+        self._table(alpha, series)
+        assert formatted == [dio._BLOCK_ROWS, 1]
+
+    def test_a_last_row_one_ulp_off_is_formatted_row_by_row(self, formatted):
+        alpha, series = _loop_case(_LINEAR)
+        alpha[-1] = np.nextafter(alpha[-1], np.inf)
+        self._table(alpha, series)
+        assert sum(formatted) == 3 * 64
+
+    def test_a_negative_zero_is_not_a_repeat_of_zero(self, formatted):
+        alpha, series = _loop_case(FlatPlatePlant())
+        cd = series.CD.copy()
+        assert not cd.any() and not np.signbit(cd).any()
+        cd[64 + 5] = -0.0
+        table = self._table(alpha, replace(series, CD=cd))
+        assert sum(formatted) == 3 * 64
+        assert table.count(b",-0.0000000000000000,") == 1
+
+    def test_a_one_row_table(self, formatted):
+        self._table(np.array([3.16]), CoefficientSeries(times=[0.0], CL=[0.5]))
+        assert formatted == [1]
+
+    @pytest.mark.parametrize("cl", [
+        [0.5, 1.0, 2.0] * 3 + [0.5],                  # row 0 recurs at 3, 6, 9: none divides 10
+        [0.5, 1.0, 2.0, 3.0, 4.0, 0.5, 1.0, 2.0, 3.0, 5.0],   # at 5, which does not repeat
+    ], ids=["at-a-non-divisor", "at-a-divisor-that-does-not-repeat"])
+    def test_a_row_zero_that_recurs_without_a_period(self, cl, formatted):
+        self._table(np.zeros(10), CoefficientSeries(times=np.arange(10.0), CL=cl))
+        assert formatted == [10]
+
+    def test_a_constant_table_formats_one_row(self, formatted):
+        self._table(np.full(7, 3.16), CoefficientSeries(times=np.arange(7.0), CL=np.full(7, 0.5)))
+        assert formatted == [1]
+
+
 @pytest.fixture(scope="module")
 def indicial_case():
     """6 cycles x 720 samples of the indicial plant at the AGARD CT2 point: (incidence, series)."""
@@ -707,9 +779,9 @@ def _sha256(data) -> str:
 class TestRealTables:
     # captured from the cell-by-cell writer; the inputs' own digest tells a
     # libm that samples the case differently from a change in the writer
-    INPUTS = "fbe114b1dc856a1cb73ccd798d7b29bf6dd29198113955386a0245f75450a12b"
-    LOOP_TABLE = "df323b1951c0b7c87ca016ceed7c276dc5d9ca6b631f2dc793362814e37acdca"
-    SERIES = "00ba71b64be9cd0f02741162ede4c64d9388967c875888e997c83b6dc1533933"
+    INPUTS = "f60ba771d269df4647019004ebcc63d761301d54c6d8fd7eaaf4eaf98644da51"
+    LOOP_TABLE = "e278952c56c97ab5c80e1eb48aeed68a1e196a65c9886feaf0cc917bec200487"
+    SERIES = "9fd006a3661de6cd6c7c8f51da5ef34c11bbf44d7b02a97113fced102298964f"
 
     def test_golden_digests(self, indicial_case):
         incidence, series = indicial_case

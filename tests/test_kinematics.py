@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from truth import phase_grid
 
 from dynderiv import (
     DomainError,
@@ -33,6 +34,12 @@ def _rate_hats(schedule, cond):
     """(q-hat, alpha_dot-hat) as a plant sees them: a linear plant's CL and Cm."""
     cl, _, cm = QuasiSteadyPlant(CL_q=1.0, Cm_alphadot=1.0).coefficient_histories(schedule, cond)
     return cl, cm
+
+
+def _phase(spec):
+    """sin and cos of the phase 2*pi*m/N on one cycle, repeated: the schedule's closed form."""
+    angle = np.arange(spec.samples_per_cycle) * (2 * math.pi / spec.samples_per_cycle)
+    return np.tile(np.sin(angle), spec.cycles), np.tile(np.cos(angle), spec.cycles)
 
 
 class TestOmegaFromK:
@@ -150,15 +157,11 @@ class TestAlphaModeSchedule:
         # the body pitch in a fixed freestream, bit for bit
         spec = agard_alpha_spec
         np.testing.assert_array_equal(
-            schedule.relative_aoa,
-            spec.mean_incidence + spec.body_amplitude * np.sin(schedule.omega * schedule.time),
-        )
+            schedule.relative_aoa, spec.mean_incidence + spec.body_amplitude * _phase(spec)[0])
 
     def test_rates_are_analytic(self, schedule, agard_alpha_spec):
         # closed-form cosine, not a finite difference of the pitch history
-        expected = schedule.omega * agard_alpha_spec.body_amplitude * np.cos(
-            schedule.omega * schedule.time
-        )
+        expected = schedule.omega * agard_alpha_spec.body_amplitude * _phase(agard_alpha_spec)[1]
         np.testing.assert_array_equal(schedule.pitch_rate, expected)
 
     def test_grid_contract(self, schedule, agard_alpha_spec):
@@ -218,9 +221,9 @@ _SHARED = ("time", "phase_sin", "phase_cos")
 _DERIVED = ("relative_aoa", "aoa_rate", "pitch_rate", "pitch_accel")
 
 
-def _closed_form(spec, omega, time):
+def _closed_form(spec, omega):
     """The derived arrays written out from the motion's closed form, operand for operand."""
-    s, c = np.sin(omega * time), np.cos(omega * time)
+    s, c = _phase(spec)
     amp = spec.body_amplitude
     q = omega * amp * c
     if spec.mode is OscillationMode.ALPHA:
@@ -266,7 +269,7 @@ class TestSharedMotion:
         spec = OscillationSpec.from_degrees(other if flown else mode, mean_deg, amp_deg, k, 2, spc)
         schedule = make_schedule(spec, cond).with_mode(mode)
         assert schedule.spec.mode is mode
-        want = _closed_form(schedule.spec, schedule.omega, sample_grid(spec, schedule.omega))
+        want = _closed_form(schedule.spec, schedule.omega)
         for name in _DERIVED:
             got = getattr(schedule, name)
             assert got.dtype == np.float64 and got.tobytes() == want[name].tobytes(), name
@@ -287,10 +290,33 @@ class TestSharedMotion:
 
     def test_phase_is_the_motions_sine_and_cosine(self, agard_q_spec, condition):
         schedule = make_schedule(agard_q_spec, condition)
-        np.testing.assert_array_equal(schedule.phase_sin, np.sin(schedule.omega * schedule.time))
-        np.testing.assert_array_equal(schedule.phase_cos, np.cos(schedule.omega * schedule.time))
+        sin_p, cos_p = _phase(agard_q_spec)
+        assert schedule.phase_sin.tobytes() == sin_p.tobytes()
+        assert schedule.phase_cos.tobytes() == cos_p.tobytes()
 
     def test_with_mode_rejects_a_mode_name(self, agard_alpha_spec, condition):
         schedule = make_schedule(agard_alpha_spec, condition)
         with pytest.raises(DomainError, match="mode"):
             schedule.with_mode("q")
+
+
+# The phase's largest distance from sin, cos of 2*pi*m/N: 8 ulps of 1, 1.8e-15.  The
+# rounded angle m * (2*pi/N) carries most of it (5.4 ulps at worst for N <= 720).
+PHASE_BOUND = 8 * 2.0**-52
+
+
+class TestExactCycle:
+    """The phase is one cycle of sin, cos of 2*pi*m/N, repeated bit for bit."""
+
+    @given(spc=st.integers(8, 720), cycles=st.integers(1, 22), k=st.floats(0.01, 5.0),
+           speed=st.floats(0.5, 300.0), mode=st.sampled_from(list(OscillationMode)))
+    @example(spc=720, cycles=22, k=AGARD_K, speed=100.0, mode=OscillationMode.ALPHA)
+    @settings(max_examples=40, deadline=None)
+    def test_phase_is_within_a_few_ulps_of_the_exact_cycle(self, spc, cycles, k, speed, mode):
+        spec = OscillationSpec.from_degrees(mode, AGARD_MEAN_DEG, AGARD_AMP_DEG, k, cycles, spc)
+        schedule = make_schedule(spec, FlightCondition(speed, 1.225, 0.2299, 1.0, 1.0))
+        for got, truth in zip((schedule.phase_sin, schedule.phase_cos), phase_grid(spc)):
+            cycle = got.reshape(cycles, spc)
+            # every cycle is the first one bit for bit, so no cycle strays further than it
+            assert cycle.tobytes() == np.tile(cycle[0], cycles).tobytes()
+            assert np.max(np.abs(cycle[0] - truth)) <= PHASE_BOUND

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_kinematics import _phase as closed_form_phase
 from truth import JONES_POLES, jones_c, theodorsen_c, theodorsen_loads, wagner_step
 
 from dynderiv import (
@@ -388,12 +389,12 @@ class TestIndicial:
 
 
 def flat_plate_histories(plant, schedule, cond):
-    """FlatPlatePlant's CL and Cm with the phase taken from the schedule's own time stamps."""
+    """FlatPlatePlant's CL and Cm with the phase written out: sin, cos of 2*pi*m/N on one
+    cycle, repeated."""
     spec = schedule.spec
     loads = plant.loads(spec.reduced_frequency, spec.mode)
     amp = spec.body_amplitude
-    phase = schedule.omega * schedule.time
-    sin_p, cos_p = np.sin(phase), np.cos(phase)
+    sin_p, cos_p = closed_form_phase(spec)
     cl0, _, cm0 = plant.static_coefficients(spec.mean_incidence, cond)
     cl = cl0 + amp * (loads.lift.real * sin_p + loads.lift.imag * cos_p)
     cm = cm0 + amp * (loads.moment.real * sin_p + loads.moment.imag * cos_p)
@@ -401,7 +402,8 @@ def flat_plate_histories(plant, schedule, cond):
 
 
 class TestFlatPlatePhase:
-    """The flat plate reads the schedule's stored phase, bit for bit sin and cos of omega*t."""
+    """The flat plate reads the schedule's stored phase, bit for bit sin and cos of the
+    time stamps' phase 2*pi*m/N."""
 
     @pytest.mark.parametrize("kernel", ["theodorsen", "jones"])
     @pytest.mark.parametrize("mode", list(OscillationMode))
@@ -446,6 +448,15 @@ class TestSimulate:
         schedule = make_schedule(agard_alpha_spec, condition)
         with pytest.raises(NonDimensionalizationUndefined, match="hover"):
             simulate(plant, schedule, replace(condition, freestream_speed=0.0))
+
+    @pytest.mark.parametrize("plant", [QuasiSteadyPlant(CL_alpha=5.0), FlatPlatePlant(),
+                                       IndicialPlant()], ids=lambda p: p.name)
+    def test_a_direct_call_on_hover_is_refused_by_every_plant(self, plant, agard_alpha_spec,
+                                                              condition):
+        schedule = make_schedule(agard_alpha_spec, condition)
+        hover = replace(condition, freestream_speed=0.0)
+        with pytest.raises(NonDimensionalizationUndefined, match="needs a nonzero freestream"):
+            plant.coefficient_histories(schedule, hover)
 
     def test_q_mode_quasi_steady_is_pure_cosine(self, linear_plant, agard_q_spec, condition):
         schedule = make_schedule(agard_q_spec, condition)

@@ -4,7 +4,8 @@ Nothing here imports dynderiv: a truth built from the code it checks
 cannot catch a fault in that code.  The sources are Theodorsen's flat
 plate (NACA Report 496, 1935) and R. T. Jones's two-pole approximation of
 the Wagner function (NACA Report 681, 1940); the exact lift-deficiency
-function comes from mpmath's Hankel functions.
+function comes from mpmath's Hankel functions, and the exact phase of a
+sampled cycle from mpmath's sine and cosine.
 """
 
 import math
@@ -33,6 +34,14 @@ def theodorsen_c(k):
     with mpmath.workdps(50):
         h0, h1 = mpmath.hankel2(0, k), mpmath.hankel2(1, k)
         return complex(h1 / (h1 + 1j * h0))
+
+
+def phase_grid(n):
+    """sin and cos of 2*pi*m/n for m = 0..n-1, each rounded once from 40 digits."""
+    with mpmath.workdps(40):
+        angles = [2 * mpmath.pi * m / n for m in range(n)]
+        return (np.array([float(mpmath.sin(x)) for x in angles]),
+                np.array([float(mpmath.cos(x)) for x in angles]))
 
 
 def theodorsen_loads(a, s, c, w, hdd):
