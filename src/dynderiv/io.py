@@ -11,11 +11,9 @@ back to ``format_value`` for the values it cannot settle exactly, and is
 tested against it cell by cell.  A parse/write round trip is bit-exact and
 the files are diffable.
 Monitor ingestion is deliberately tolerant about naming (solver exports
-vary) and strict about values: when every data line splits the same way
-the rows are split in one pass over the whole body (mixed or ragged bodies
-are split line by line, with the same result and the same messages), each
-column converts with ``float()`` in one pass, and the first fault is
-reported with its line.
+vary) and strict about values: a clean body is read in bulk, a column at a
+time, and any fault is found by one row loop in file order and reported
+with its line.
 
 Nothing here embeds timestamps or other run-dependent state: identical
 inputs give byte-identical outputs.
@@ -24,6 +22,7 @@ inputs give byte-identical outputs.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import stat
 from itertools import islice
@@ -149,12 +148,10 @@ def parse_monitor_table(
     ``_alias_roles``), each role in one column only.
     Unrecognized columns are ignored; non-uniform time stamps are accepted.
 
-    When every data line splits the same way, the rows are split in one pass
-    over the whole body; mixed or ragged bodies are split line by line, with
-    the same result and the same messages.
-    Cells convert with ``float()`` a column at a time.  The fault in the
-    earliest row is raised, with its line; within a row the cell count goes
-    first, then the time cell, the time order and the channels in header order.
+    A clean body is read in bulk: split in one pass over the whole body when
+    every data line splits the same way (else line by line), and converted
+    with ``float()`` a column at a time.  Any fault is found by one row loop
+    in file order, ``_first_fault``, and the earliest is raised with its line.
     Line numbers are worked out only when a fault is reported.
     """
     roles = {**_ROLES, **_alias_roles(extra_aliases or {})}
@@ -182,55 +179,51 @@ def parse_monitor_table(
         raise NoCoefficientColumn(
             f"no lift/drag/moment column among {headers!r} (line {_line_no(text, 0)})")
 
-    # Only rows before ``n`` can hold the first fault, which is ``error``;
-    # row r is kept line r + 1.
     width, data = len(headers), lines[1:]
-    n, error = len(data), None
-    # cells[idx] is column idx; fromiter reads only the first n of it, as n shrinks
-    cells = _bulk_columns(text, data, width)
+    if not data:
+        raise NonFiniteValue("no data rows after the header")
+    fields = [("times", time_idx), *columns.items()]     # series field -> cell index
+    cells = _bulk_columns(text, data, width)             # cells[idx] is column idx
     if cells is None:
         rows = _split_lines(data)
-        widths = list(map(len, rows))
-        if widths.count(width) < n:
-            n = next(r for r, w in enumerate(widths) if w != width)
-            error = NonFiniteValue(
-                f"row at line {_line_no(text, n + 1)} has {widths[n]} cells, header has {width}")
-        cells = list(zip(*rows[:n]))
-    if not n:
-        raise error or NonFiniteValue("no data rows after the header")
-    arrays = {}
-    for name, idx in [("times", time_idx), *columns.items()]:
-        where = f"column '{headers[idx]}' at line"
-        column = cells[idx]
-        try:
-            values = np.fromiter(map(float, column), np.float64, n)
-        except ValueError:
-            for r, cell in enumerate(column):
-                try:
-                    float(cell)
-                except ValueError:
-                    break
-            n, error = r, NonFiniteValue(
-                f"{where} {_line_no(text, r + 1)}: {cell.strip()!r} is not a number")
-            values = np.fromiter(map(float, column[:n]), np.float64, n)
-        finite = np.isfinite(values)
-        if not finite.all():
-            n = int(np.argmin(finite))
-            error = NonFiniteValue(
-                f"{where} {_line_no(text, n + 1)}: non-finite value {float(values[n])}")
-        if name == "times":
-            rises = values[1:n] > values[:n][:-1]
-            if not rises.all():
-                n = int(np.argmin(rises)) + 1
-                error = NonMonotonicTime(
-                    f"time must be strictly increasing; row at line {_line_no(text, n + 1)} "
-                    f"has t={float(values[n])!r} after t={float(values[n - 1])!r}"
-                )
-        arrays[name] = values
+        if any(len(row) != width for row in rows):
+            raise _first_fault(text, headers, fields, rows)
+        cells = list(zip(*rows))
+    with contextlib.suppress(ValueError):               # float() refuses a cell
+        arrays = {name: np.fromiter(map(float, cells[idx]), np.float64, len(data))
+                  for name, idx in fields}
+        times = arrays["times"]
+        if all(np.isfinite(values).all() for values in arrays.values()) \
+                and (times[1:] > times[:-1]).all():
+            return CoefficientSeries(**arrays)
+    raise _first_fault(text, headers, fields, _split_lines(data))
 
-    if error is not None:
-        raise error
-    return CoefficientSeries(**arrays)
+
+def _first_fault(text: str, headers: list[str], fields: list[tuple[str, int]],
+                 rows: list[list[str]]) -> MonitorError:
+    """The first fault of ``rows`` in file order, with its line.  Within a row the cell count
+    goes first, then the time cell (a number, finite), the time order, and the channel cells
+    in header order."""
+    before = -math.inf
+    for r, row in enumerate(rows, start=1):             # row r is kept line r
+        if len(row) != len(headers):
+            return NonFiniteValue(f"row at line {_line_no(text, r)} has {len(row)} cells, "
+                                  f"header has {len(headers)}")
+        for name, idx in fields:
+            where = f"column '{headers[idx]}' at line"
+            try:
+                value = float(row[idx])
+            except ValueError:
+                return NonFiniteValue(
+                    f"{where} {_line_no(text, r)}: {row[idx].strip()!r} is not a number")
+            if not math.isfinite(value):
+                return NonFiniteValue(f"{where} {_line_no(text, r)}: non-finite value {value}")
+            if name == "times":
+                if value <= before:
+                    return NonMonotonicTime(
+                        f"time must be strictly increasing; row at line {_line_no(text, r)} "
+                        f"has t={value!r} after t={before!r}")
+                before = value
 
 
 def _csv(header, rows) -> str:

@@ -455,6 +455,43 @@ class TestFaultLines:
         assert type(caught.value) is error
         assert str(caught.value) == message
 
+    @staticmethod
+    def _table(sep, rows):
+        """A ``t``/``CL`` table split by ``sep``; a mixed table alternates commas and spaces."""
+        seps = [",", " "] if sep == "mixed" else [sep]
+        return "".join(seps[i % len(seps)].join(row) + "\n"
+                       for i, row in enumerate([["t", "CL"], *rows]))
+
+    @pytest.mark.parametrize("sep", [",", " ", "mixed"], ids=["comma", "whitespace", "mixed"])
+    @pytest.mark.parametrize("rows, error, message", [
+        ([["0", "1"], ["1", "2"], ["1", "x"]], NonMonotonicTime,
+         "time must be strictly increasing; row at line 4 has t=1.0 after t=1.0"),
+        ([["0", "1"], ["1", "inf"], ["2", "3"], ["x", "4"]], NonFiniteValue,
+         "column 'CL' at line 3: non-finite value inf"),
+        ([["0", "1"], ["1", "y"], ["2"]], NonFiniteValue,
+         "column 'CL' at line 3: 'y' is not a number"),
+        ([["0", "1"], ["nan", "2"], ["2", "3"]], NonFiniteValue,
+         "column 't' at line 3: non-finite value nan"),
+    ], ids=["time-order-before-channel", "earlier-row-first", "channel-before-short-row",
+            "nan-time-is-non-finite"])
+    def test_the_fault_order_within_and_across_rows(self, sep, rows, error, message):
+        text = self._table(sep, rows)
+        assert _outcome(parse_monitor_table, text) == (error, message)
+        assert _outcome(reference_monitor_parse, text) == (error, message)
+
+    @pytest.mark.parametrize("sep", [",", " ", "mixed"], ids=["comma", "whitespace", "mixed"])
+    def test_only_a_faulty_body_reaches_the_row_loop(self, sep, monkeypatch):
+        first_fault, calls = dio._first_fault, []
+        monkeypatch.setattr(dio, "_first_fault",
+                            lambda *args: calls.append(args) or first_fault(*args))
+        rows = [[repr(t), repr(t * t)] for t in np.linspace(0.0, 1.0, 50).tolist()]
+        series = parse_monitor_table(self._table(sep, rows))
+        assert calls == [] and len(series.times) == 50
+        rows[30][1] = "oops"
+        assert _outcome(parse_monitor_table, self._table(sep, rows)) == (
+            NonFiniteValue, "column 'CL' at line 32: 'oops' is not a number")
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("text", ["", "# solver export\n  # no columns\n", "\n \t\n\n"],
                              ids=["empty", "comments-only", "blank-only"])
     def test_a_document_without_a_header_is_empty(self, text):
