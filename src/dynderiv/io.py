@@ -6,10 +6,12 @@ table writers return ASCII bytes with LF line ends, which ``atomic_write``
 writes as they are.
 ``format_value`` (numpy's Dragon4 with ``precision=17, unique=False``)
 defines the bytes of every value.  The table writer computes the same
-digits for a whole block with numpy arithmetic (``_format_block``), falls
-back to ``format_value`` for the values it cannot settle exactly, and is
-tested against it cell by cell.  A parse/write round trip is bit-exact and
-the files are diffable.
+digits for a whole block with numpy arithmetic (``_cells``), falls back to
+``format_value`` for the values it cannot settle exactly, and is tested
+against it cell by cell.  It formats what repeats once: one period of a
+table that repeats as a whole and, in any other table, each repeating
+column only in the blocks that hold its first period (``_table_lines``).
+A parse/write round trip is bit-exact and the files are diffable.
 Monitor ingestion is deliberately tolerant about naming (solver exports
 vary) and strict about values: a clean body is read in bulk, a column at a
 time, and any fault is found by one row loop in file order and reported
@@ -293,19 +295,21 @@ def _significand(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
 
 
-def _format_block(block: np.ndarray) -> bytes:
-    """ASCII CSV lines of a 2-D float64 block: ``format_value`` of every cell.
+def _cells(block: np.ndarray) -> np.ndarray:
+    """``format_value`` of every cell of a 2-D float64 block, as a (rows, cols, w + 1) uint8
+    matrix: each cell right-aligned in ``w`` NUL-padded bytes, then a comma.
 
     A cell in [1e-30, 1e16) gets the 17 significant digits ``S`` that
     Dragon4 rounds to, from ``e = floor(log10|x|)`` and ``_significand``.
     Dragon4 prints ``S`` whole for ``|x| >= 1``.  Below 1 it drops the
     trailing zeros of ``S`` when it rounded up or the expansion was exact,
     keeps them when it rounded down, and pads to 16 fraction digits.  A cell
-    falls back to ``format_value`` when its fraction lies within ``_NEAR``
-    of a tie, or of an integer where that decides the trailing zeros; when
-    ``S`` does not have 17 digits (a log10 that rounded across a power of
-    ten, or a round-up that carried to 10**17); and when it is nonzero
-    outside [1e-30, 1e16) or not finite.  Zeros go in bulk.
+    falls back to ``format_value`` (it reads "%s", for ``_text`` to fill)
+    when its fraction lies within ``_NEAR`` of a tie, or of an integer where
+    that decides the trailing zeros; when ``S`` does not have 17 digits (a
+    log10 that rounded across a power of ten, or a round-up that carried to
+    10**17); and when it is nonzero outside [1e-30, 1e16) or not finite.
+    Zeros go in bulk.
     """
     rows, cols = block.shape
     values = block.ravel()
@@ -353,44 +357,96 @@ def _format_block(block: np.ndarray) -> bytes:
     out[fallback, :w] = 0
     out[fallback, w - 2] = _PERCENT
     out[fallback, w - 1] = _S
-    out[cols - 1::cols, w] = _NEWLINE
-    lines = out.tobytes().translate(None, b"\0")
+    return out.reshape(rows, cols, w + 1)
+
+
+def _text(cells: np.ndarray, block: np.ndarray) -> bytes:
+    """ASCII CSV lines of the cells of ``block``: NULs dropped, a line end after each row,
+    and each "%s" filled with ``format_value`` of its cell, in row-major order."""
+    cells[:, -1, -1] = _NEWLINE
+    lines = cells.tobytes().translate(None, b"\0")
+    fallback = np.flatnonzero(cells[:, :, -3] == _PERCENT)
     if fallback.size:
-        lines %= tuple(format_value(v).encode() for v in values[fallback])
+        lines %= tuple(format_value(v).encode() for v in block.ravel()[fallback])
     return lines
 
 
-def _period(table: np.ndarray) -> int:
-    """The fewest leading rows that ``table`` repeats bit for bit to its end, a divisor of
-    its row count (the row count when it repeats none).
+def _format_block(block: np.ndarray) -> bytes:
+    """ASCII CSV lines of a 2-D float64 block: ``format_value`` of every cell."""
+    return _text(_cells(block), block)
 
-    Cells compare as bits, so -0.0 and 0.0 differ.  A period is a row at which
-    row 0 recurs, so a table without one costs one comparison against row 0.
+
+def _periods(table: np.ndarray) -> list[int]:
+    """Each column's period: the fewest leading values it repeats bit for bit to its end, a
+    divisor of the row count (the row count when it repeats none).
+
+    Values compare as bits, so -0.0 and 0.0 differ.  A period is a row at
+    which the column's first value recurs, so a column without one costs one
+    comparison against that value.  The table's own period is the lcm.
     """
-    bits = table.view(np.uint64)
-    n = len(bits)
-    same = (bits == bits[0]).all(axis=1)
-    recurs = np.flatnonzero(same[1:]) + 1
-    for p in recurs[n % recurs == 0].tolist():
-        if same[::p].all() and np.array_equal(bits[p:], bits[:-p]):
-            return p
-    return n
+    n = len(table)
+    bits = np.ascontiguousarray(table.T).view(np.uint64)
+    periods = []
+    for column, same in zip(bits, bits == bits[:, :1]):
+        recurs = np.flatnonzero(same[1:]) + 1
+        periods.append(next((p for p in recurs[n % recurs == 0].tolist()
+                             if same[::p].all() and (column[p:] == column[:-p]).all()), n))
+    return periods
+
+
+def _table_lines(table: np.ndarray) -> list[bytes]:
+    """The CSV lines of a 2-D float64 table, in blocks of at most ``_BLOCK_ROWS`` rows.
+
+    A table that repeats as a whole (its period, the lcm of its columns',
+    is below its row count) or has no repeating column is formatted over
+    one period and its bytes repeated.  Otherwise the blocks that hold the
+    repeating columns' first periods are formatted in full; after them a
+    call formats the other columns alone, as many rows as keep it to a
+    block's cells, and each block splices in a slice of each repeating
+    column's tiled cells.
+    """
+    n, width = table.shape
+    periods = _periods(table)
+    period = math.lcm(*periods)
+    repeating = [j for j in range(width) if periods[j] < n] if period == n else []
+    if not repeating:
+        return [_format_block(table[i:min(i + _BLOCK_ROWS, period)])
+                for i in range(0, period, _BLOCK_ROWS)] * (n // period)
+    head = range(0, max(periods[j] for j in repeating), _BLOCK_ROWS)
+    full = [_cells(table[i:i + _BLOCK_ROWS]) for i in head]
+    cells = np.zeros((sum(map(len, full)), width, max(c.shape[-1] for c in full)), np.uint8)
+    for i, c in zip(head, full):
+        cells[i:i + len(c), :, cells.shape[-1] - c.shape[-1]:] = c
+    tiles = {j: np.tile(cells[:periods[j], j], ((periods[j] + _BLOCK_ROWS - 2) // periods[j] + 1, 1))
+             for j in repeating}
+    blocks = [_text(c, table[i:i + _BLOCK_ROWS]) for i, c in zip(head, full)]
+    others = [j for j in range(width) if periods[j] == n]
+    rest = np.ascontiguousarray(table[:, others])
+    step = _BLOCK_ROWS * width // max(len(others), 1)
+    for start in range(len(head) * _BLOCK_ROWS, n, step):
+        own = _cells(rest[start:start + step]) if others else None
+        for i in range(start, min(start + step, n), _BLOCK_ROWS):
+            block = table[i:min(i + _BLOCK_ROWS, start + step)]
+            pieces = [(j, tiled[i % periods[j]:][:len(block)]) for j, tiled in tiles.items()]
+            if others:
+                pieces += zip(others, own[i - start:][:len(block)].transpose(1, 0, 2))
+            w = max(piece.shape[-1] for _, piece in pieces)
+            out = np.zeros((len(block), width, w), np.uint8)
+            for j, piece in pieces:       # a cell copied as one element, not byte by byte
+                cell = f"V{piece.shape[-1]}"
+                out[:, j, w - piece.shape[-1]:].view(cell)[:, 0] = piece.view(cell)[:, 0]
+            blocks.append(_text(out, block))
+    return blocks
 
 
 def _numeric_table(first: str, column, series: CoefficientSeries) -> bytes:
     """``column`` under ``first`` beside every channel of ``series``, one row per sample:
-    ASCII with LF line ends.
-
-    ``_format_block`` is row-local, so a table that repeats a leading block of
-    rows formats that block once and repeats its bytes.
-    """
+    ASCII with LF line ends.  ``_format_block`` is row-local and column-local, so
+    ``_table_lines`` formats each repeating row block or column once."""
     channels = series.channels()
     header = [first] + [_FILE_LABELS[name] for name in channels]
     table = np.column_stack([column, *channels.values()])
-    period = _period(table)
-    blocks = [_format_block(table[i:min(i + _BLOCK_ROWS, period)])
-              for i in range(0, period, _BLOCK_ROWS)]
-    return b"".join([(",".join(header) + "\n").encode(), *blocks * (len(table) // period)])
+    return b"".join([(",".join(header) + "\n").encode(), *_table_lines(table)])
 
 
 def write_series(series: CoefficientSeries) -> bytes:

@@ -744,10 +744,10 @@ class TestRepeatedRows:
 
     @pytest.fixture
     def formatted(self, monkeypatch):
-        """The row count of every block handed to ``_format_block``."""
+        """The row count of every block handed to the cell formatter ``_cells``."""
         counts = []
-        format_block = dio._format_block
-        monkeypatch.setattr(dio, "_format_block", lambda b: counts.append(len(b)) or format_block(b))
+        cells = dio._cells
+        monkeypatch.setattr(dio, "_cells", lambda b: counts.append(len(b)) or cells(b))
         return counts
 
     @staticmethod
@@ -796,6 +796,104 @@ class TestRepeatedRows:
     def test_a_constant_table_formats_one_row(self, formatted):
         self._table(np.full(7, 3.16), CoefficientSeries(times=np.arange(7.0), CL=np.full(7, 0.5)))
         assert formatted == [1]
+
+
+# Row counts with a period longer than a block, a block boundary inside a period of 700, and
+# (past the first block) more rows than one call formats for three of four columns.
+_PERIOD_ROWS = [1, 12, 4 * 700, 2 * (dio._BLOCK_ROWS + 6)]
+_TABLE_VALUES = st.one_of(_WRITER_VALUES.filter(math.isfinite),
+                          st.sampled_from([*_NEAR_TIES, -0.0, 0.0]))
+
+
+@st.composite
+def periodic_columns(draw):
+    """A row count and, for each of 2-4 columns, a period dividing it and a pool of values."""
+    rows = draw(st.sampled_from(_PERIOD_ROWS))
+    divisors = [p for p in range(1, rows + 1) if rows % p == 0]
+    column = st.tuples(st.sampled_from(divisors), st.lists(_TABLE_VALUES, min_size=1, max_size=5))
+    return rows, draw(st.lists(column, min_size=2, max_size=4))
+
+
+class TestRepeatingColumns:
+    """A table that does not repeat as a whole formats its repeating columns only in the
+    block that holds their first period."""
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """A copy of every block handed to the cell formatter ``_cells``."""
+        blocks = []
+        cells = dio._cells
+        monkeypatch.setattr(dio, "_cells", lambda b: blocks.append(b.copy()) or cells(b))
+        return blocks
+
+    @staticmethod
+    def _assert_formatted(blocks, columns, others):
+        """``blocks`` are every column of the first block's rows, then every later row of the
+        ``others`` columns alone, bit for bit."""
+        head = blocks[0]
+        assert head.shape == (dio._BLOCK_ROWS, columns.shape[1])
+        assert head.tobytes() == columns[:dio._BLOCK_ROWS].tobytes()
+        assert np.vstack(blocks[1:]).tobytes() == columns[dio._BLOCK_ROWS:, others].tobytes()
+
+    @given(periodic_columns(), st.integers(0, 2**32 - 1))
+    @example((2 * (dio._BLOCK_ROWS + 6), [(1, [0.5]), (dio._BLOCK_ROWS + 6, [_NEAR_TIES[0], -0.0, 1.0]),
+                                          (2 * (dio._BLOCK_ROWS + 6), [1.0, 2.0]), (515, [-0.0, 0.0])]), 1)
+    @example((4 * 700, [(4 * 700, [0.25, 3.0]), (700, [1.0, -0.0]), (4 * 700, [1.0, 2.0]),
+                        (4 * 700, [_NEAR_TIES[2], 7.0])]), 2)                 # one repeating column
+    @example((12, [(3, [1.0, 2.0]), (4, [0.5, -0.0, _NEAR_TIES[1]])]), 3)     # lcm 12: all repeat
+    @example((4 * 700, [(700, [0.25, 3.0]), (350, [1.0, 2.0])]), 4)          # repeats as a whole
+    @example((1, [(1, [0.1]), (1, [2.0])]), 5)
+    @settings(max_examples=40, deadline=None)
+    def test_the_table_equals_the_per_cell_writer(self, case, seed):
+        rows, columns = case
+        rng = np.random.default_rng(seed)
+        table = np.column_stack([np.tile(rng.choice(np.array(pool), period), rows // period)
+                                 for period, pool in columns])
+        series = CoefficientSeries(times=np.arange(rows, dtype=float),
+                                   **dict(zip(("CL", "CD", "Cm"), table.T[1:])))
+        assert dio._numeric_table("alpha_deg", table[:, 0], series) == \
+            _per_cell_table("alpha_deg", table[:, 0], series).encode()
+
+    @pytest.mark.parametrize("pitch_axis", [-0.5, 0.0, 0.25])
+    def test_an_indicial_loop_table_formats_cl_in_every_row(self, pitch_axis, formatted):
+        # alpha_deg and a drag polar without an induced term repeat each cycle; CL has the
+        # start-up transient, and so has Cm unless (a + 0.5) * cl_circ vanishes at a = -0.5
+        plant = IndicialPlant(pitch_axis=pitch_axis, CD0=0.02, CD_alpha=0.4)
+        alpha, series = _loop_case(plant, spc=720, cycles=3)
+        table = dio._numeric_table("alpha_deg", alpha, series)
+        assert table == _per_cell_table("alpha_deg", alpha, series).encode()
+        columns = np.column_stack([alpha, series.CL, series.CD, series.Cm])
+        self._assert_formatted(formatted, columns, [1] if pitch_axis == -0.5 else [1, 3])
+
+    def test_a_series_formats_its_times_in_every_row(self, formatted):
+        _, series = _loop_case(_LINEAR, spc=720, cycles=3)
+        assert write_series(series) == _per_cell_table("t", series.times, series).encode()
+        columns = np.column_stack([series.times, *series.channels().values()])
+        self._assert_formatted(formatted, columns, [0])
+
+    def test_a_call_formats_at_most_a_blocks_cells(self, formatted):
+        # past the first block, the one other column is formatted four blocks' rows at a time
+        _, series = _loop_case(_LINEAR, spc=720, cycles=8)
+        assert write_series(series) == _per_cell_table("t", series.times, series).encode()
+        assert [block.shape for block in formatted] == [
+            (dio._BLOCK_ROWS, 4), (4 * dio._BLOCK_ROWS, 1), (8 * 720 - 5 * dio._BLOCK_ROWS, 1)]
+
+    def test_fallbacks_are_filled_in_row_order_across_spliced_columns(self, monkeypatch):
+        # one row falls back in an other column, a repeating column, and an other column again
+        first = np.arange(2 * dio._BLOCK_ROWS, dtype=float)
+        cl = np.tile([0.3, _NEAR_TIES[0]], dio._BLOCK_ROWS)
+        cd = np.arange(2 * dio._BLOCK_ROWS, dtype=float)
+        row = dio._BLOCK_ROWS + 1                 # past the first block: a spliced row
+        first[row], cd[row] = 1e300, -1e300
+        series = CoefficientSeries(times=np.arange(2.0 * dio._BLOCK_ROWS), CL=cl, CD=cd)
+        calls = []
+        monkeypatch.setattr(dio, "format_value", lambda v: calls.append(v) or format_value(v))
+        table = dio._numeric_table("alpha_deg", first, series)
+        assert calls[dio._BLOCK_ROWS // 2:dio._BLOCK_ROWS // 2 + 4] == [
+            1e300, _NEAR_TIES[0], -1e300, _NEAR_TIES[0]]
+        assert len(calls) == dio._BLOCK_ROWS + 2
+        assert b"%" not in table
+        assert table == _per_cell_table("alpha_deg", first, series).encode()
 
 
 @pytest.fixture(scope="module")
