@@ -3,7 +3,10 @@
 Subcommands:
   simulate  run the configured plant over one oscillation case, emit a series
   identify  fit a saved or external series, emit a derivative table
-  sweep     run the full scenario matrix, emit report.csv / report.txt
+  sweep     run the full scenario matrix, emit report.csv / report.txt and
+            loops_<name>.csv of each flying incidence-mode run; a run that
+            repeats the previous one bit for bit is written from the bytes
+            already formatted
   validate  run the built-in oracle suite
 
 Exit codes: 0 success, 1 domain failure (bad data, failed checks, or a
@@ -29,6 +32,7 @@ from .errors import DomainError, DynDerivError, MonitorError
 from .identify import extract, fit_series
 from .io import (
     _alias_roles,
+    _same_run,
     atomic_write,
     parse_monitor_table,
     write_derivative_table,
@@ -225,11 +229,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _write(out_dir / "report.csv", machine.encode())
     _write(out_dir / "report.txt", human.encode())
     # loop plot data per successful scenario, plus a run-metadata sidecar;
-    # the data files themselves carry no run metadata (byte determinism)
+    # the data files themselves carry no run metadata (byte determinism).
+    # A run that repeats the last one formatted bit for bit reuses its bytes.
+    run = table = None
     for result in report.results:
-        if result.incidence is not None:
-            _write(out_dir / f"loops_{result.scenario.name}.csv",
-                   write_loop_table(*result.incidence))
+        if result.incidence is None:
+            continue
+        if run is None or not _same_run(result.incidence, run):
+            table = None        # released before the next is formatted: no higher peak memory
+            run, table = result.incidence, write_loop_table(*result.incidence)
+        _write(out_dir / f"loops_{result.scenario.name}.csv", table)
     meta = {
         "tool": "dynderiv",
         "version": __version__,

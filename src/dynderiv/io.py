@@ -11,6 +11,8 @@ digits for a whole block with numpy arithmetic (``_cells``), falls back to
 against it cell by cell.  It formats what repeats once: one period of a
 table that repeats as a whole and, in any other table, each repeating
 column only in the blocks that hold its first period (``_table_lines``).
+A sweep formats a loop table once for consecutive flying runs that
+``_same_run`` finds equal bit for bit, and writes its bytes for each.
 A parse/write round trip is bit-exact and the files are diffable.
 Monitor ingestion is deliberately tolerant about naming (solver exports
 vary) and strict about values: a clean body is read in bulk, a column at a
@@ -392,6 +394,18 @@ def _periods(table: np.ndarray) -> list[int]:
         periods.append(next((p for p in recurs[n % recurs == 0].tolist()
                              if same[::p].all() and (column[p:] == column[:-p]).all()), n))
     return periods
+
+
+def _same_run(run, other) -> bool:
+    """Whether two (incidence, series) runs hold the same incidence and channels bit for bit,
+    and so give the same ``write_loop_table`` bytes (it writes no times): the same channels,
+    shapes and ``uint64`` views, so -0.0 and 0.0 differ, as in ``_periods``."""
+    (alpha, series), (other_alpha, other_series) = run, other
+    arrays = [np.asarray(alpha, dtype=float), *series.channels().values()]
+    others = [np.asarray(other_alpha, dtype=float), *other_series.channels().values()]
+    return list(series.channels()) == list(other_series.channels()) and all(
+        a.shape == b.shape and (a.view(np.uint64) == b.view(np.uint64)).all()
+        for a, b in zip(arrays, others))
 
 
 def _table_lines(table: np.ndarray) -> list[bytes]:

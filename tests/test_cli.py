@@ -393,6 +393,14 @@ class TestIdentify:
             assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+def formatted_runs(monkeypatch) -> list:
+    """The runs ``cli`` formats a loop table for, in call order, through ``write_loop_table``."""
+    calls = []
+    monkeypatch.setattr(cli, "write_loop_table",
+                        lambda *run: calls.append(run) or dynderiv.io.write_loop_table(*run))
+    return calls
+
+
 class TestSweep:
     def test_writes_report_pair(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "results"
@@ -449,6 +457,65 @@ class TestSweep:
         assert meta["assumptions"]["altitude_unit"].startswith("m")
         assert [s["status"] for s in meta["scenarios"]] == ["STATIC_ONLY", "OK", "OK"]
         assert meta["scenarios"][1]["vertical_velocity_m_s"] == 2.5
+
+    @pytest.mark.parametrize("kind, formatted", [
+        ("quasi-steady", 3),    # c/(2V) enters qhat: each speed differs at rounding
+        ("flat-plate", 1),      # Theodorsen loads depend on k alone
+        ("indicial", 3),        # c/(2V) enters ds
+    ])
+    def test_loop_table_repeating_the_last_flying_run_is_formatted_once(
+            self, kind, formatted, tmp_path, monkeypatch):
+        """Each loops_<name>.csv is its own run's table; a run equal bit for bit to the last
+        flying one, across a hover between them, reuses its bytes unformatted."""
+        flying = {"climb-out": 25.0, "mid-speed": 48.5, "cruise": 91.0}
+        rows = [{"name": name, "altitude_m": 120.0, "vertical_velocity_m_s": 1.5,
+                 "forward_velocity_m_s": speed} for name, speed in flying.items()]
+        rows.insert(2, {"name": "hover", "altitude_m": 15.0, "vertical_velocity_m_s": 0.0,
+                        "forward_velocity_m_s": 0.0})
+        doc = config_doc(scenarios=rows)
+        if kind != "quasi-steady":      # the reference case has nonzero rate slopes
+            doc["plant"] = {"kind": kind}
+        config, out_dir = tmp_path / "case.json", tmp_path / "results"
+        config.write_text(json.dumps(doc))
+        calls = formatted_runs(monkeypatch)
+        assert main(["sweep", str(config), "--out-dir", str(out_dir)]) == 0
+        report = scenarios.run_sweep(parse_case_config(config.read_text()))
+        runs = {r.scenario.name: r.incidence for r in report.results if r.incidence is not None}
+        assert list(runs) == list(flying)
+        for name, run in runs.items():
+            assert (out_dir / f"loops_{name}.csv").read_bytes() == \
+                dynderiv.io.write_loop_table(*run), name
+        assert len(calls) == formatted
+
+    @pytest.mark.parametrize("column", ["CL", "alpha"])
+    def test_loop_table_reuse_compares_bits_not_values(self, column, tmp_path, monkeypatch):
+        """A run that differs from the last one only in a zero's sign, or else by one ulp in
+        one cell, is formatted anew: equal values are not equal bytes."""
+        config, out_dir = tmp_path / "case.json", tmp_path / "results"
+        osc = {**config_doc()["oscillation"], "mean_incidence_deg": 0.0}   # alpha[0] is 0.0
+        config.write_text(json.dumps(config_doc(plant={"kind": "flat-plate"}, oscillation=osc)))
+        report = scenarios.run_sweep(parse_case_config(config.read_text()))
+        first, second = [i for i, r in enumerate(report.results) if r.incidence is not None]
+        alpha, series = report.results[second].incidence
+        values = (alpha if column == "alpha" else series.CL).copy()
+        zeros = np.flatnonzero(values == 0.0)
+        if zeros.size:
+            values[zeros[0]] = -0.0
+        else:
+            values[7] = np.nextafter(values[7], np.inf)
+        run = (values, series) if column == "alpha" else (alpha, replace(series, CL=values))
+        assert (column == "alpha") == bool(zeros.size)     # both rules are exercised
+        results = list(report.results)
+        results[second] = replace(results[second], incidence=run)
+        monkeypatch.setattr(cli, "run_sweep", lambda plan: replace(report, results=tuple(results)))
+        calls = formatted_runs(monkeypatch)
+        assert main(["sweep", str(config), "--out-dir", str(out_dir)]) == 0
+        assert len(calls) == 2
+        tables = [(out_dir / f"loops_{results[i].scenario.name}.csv").read_bytes()
+                  for i in (first, second)]
+        assert tables == [dynderiv.io.write_loop_table(*results[i].incidence)
+                          for i in (first, second)]
+        assert tables[0] != tables[1]
 
     def test_failed_scenario_exits_one_after_writing_reports(self, tmp_path, monkeypatch):
         # transition-end (66 m/s) breaks a range rule while it runs
