@@ -8,9 +8,9 @@ writes as they are.
 defines the bytes of every value.  The table writer computes the same
 digits for a whole block with numpy arithmetic (``_cells``), falls back to
 ``format_value`` for the values it cannot settle exactly, and is tested
-against it cell by cell.  It formats what repeats once: one period of a
-table that repeats as a whole and, in any other table, each repeating
-column only in the blocks that hold its first period (``_table_lines``).
+against it cell by cell.  A table's period is formatted once and its lines
+repeated; within the period, a column that repeats sooner is formatted only
+in the blocks that hold its first period (``_table_lines``).
 A sweep formats a loop table once for consecutive flying runs that
 ``_same_run`` finds equal bit for bit, and writes its bytes for each.
 A parse/write round trip is bit-exact and the files are diffable.
@@ -38,6 +38,7 @@ from .errors import (
     MissingTimeColumn,
     MonitorError,
     NoCoefficientColumn,
+    NonFiniteData,
     NonFiniteValue,
     NonMonotonicTime,
     _choices,
@@ -373,11 +374,6 @@ def _text(cells: np.ndarray, block: np.ndarray) -> bytes:
     return lines
 
 
-def _format_block(block: np.ndarray) -> bytes:
-    """ASCII CSV lines of a 2-D float64 block: ``format_value`` of every cell."""
-    return _text(_cells(block), block)
-
-
 def _periods(table: np.ndarray) -> list[int]:
     """Each column's period: the fewest leading values it repeats bit for bit to its end, a
     divisor of the row count (the row count when it repeats none).
@@ -409,38 +405,38 @@ def _same_run(run, other) -> bool:
 
 
 def _table_lines(table: np.ndarray) -> list[bytes]:
-    """The CSV lines of a 2-D float64 table, in blocks of at most ``_BLOCK_ROWS`` rows.
+    """The CSV lines of a 2-D float64 table, in blocks of at most ``_BLOCK_ROWS`` rows: the
+    lines of its period (the lcm of ``_periods``), repeated to the row count.
 
-    A table that repeats as a whole (its period, the lcm of its columns',
-    is below its row count) or has no repeating column is formatted over
-    one period and its bytes repeated.  Otherwise the blocks that hold the
-    repeating columns' first periods are formatted in full; after them a
-    call formats the other columns alone, as many rows as keep it to a
-    block's cells, and each block splices in a slice of each repeating
-    column's tiled cells.
+    Within the period, the blocks that hold the shorter columns' first
+    periods are formatted in full.  After them a call formats the
+    period-long columns alone, as many rows as keep it to a block's cells,
+    and each block splices in a slice of each shorter column's tiled cells.
     """
     n, width = table.shape
     periods = _periods(table)
     period = math.lcm(*periods)
-    repeating = [j for j in range(width) if periods[j] < n] if period == n else []
-    if not repeating:
-        return [_format_block(table[i:min(i + _BLOCK_ROWS, period)])
-                for i in range(0, period, _BLOCK_ROWS)] * (n // period)
-    head = range(0, max(periods[j] for j in repeating), _BLOCK_ROWS)
+    table = table[:period]
+    shorter = [j for j in range(width) if periods[j] < period]
+    others = [j for j in range(width) if periods[j] == period]
+    head = range(0, max([periods[j] for j in shorter], default=0), _BLOCK_ROWS)
     full = [_cells(table[i:i + _BLOCK_ROWS]) for i in head]
-    cells = np.zeros((sum(map(len, full)), width, max(c.shape[-1] for c in full)), np.uint8)
+    cells = np.zeros((sum(map(len, full)), width, max((c.shape[-1] for c in full), default=0)),
+                     np.uint8)
     for i, c in zip(head, full):
         cells[i:i + len(c), :, cells.shape[-1] - c.shape[-1]:] = c
     tiles = {j: np.tile(cells[:periods[j], j], ((periods[j] + _BLOCK_ROWS - 2) // periods[j] + 1, 1))
-             for j in repeating}
+             for j in shorter}
     blocks = [_text(c, table[i:i + _BLOCK_ROWS]) for i, c in zip(head, full)]
-    others = [j for j in range(width) if periods[j] == n]
-    rest = np.ascontiguousarray(table[:, others])
+    rest = table[:, others] if shorter else table        # copied only to drop columns
     step = _BLOCK_ROWS * width // max(len(others), 1)
-    for start in range(len(head) * _BLOCK_ROWS, n, step):
+    for start in range(len(head) * _BLOCK_ROWS, period, step):
         own = _cells(rest[start:start + step]) if others else None
-        for i in range(start, min(start + step, n), _BLOCK_ROWS):
+        for i in range(start, min(start + step, period), _BLOCK_ROWS):
             block = table[i:min(i + _BLOCK_ROWS, start + step)]
+            if not shorter:               # nothing to splice: the call's cells are the block's
+                blocks.append(_text(own, block))
+                continue
             pieces = [(j, tiled[i % periods[j]:][:len(block)]) for j, tiled in tiles.items()]
             if others:
                 pieces += zip(others, own[i - start:][:len(block)].transpose(1, 0, 2))
@@ -450,13 +446,12 @@ def _table_lines(table: np.ndarray) -> list[bytes]:
                 cell = f"V{piece.shape[-1]}"
                 out[:, j, w - piece.shape[-1]:].view(cell)[:, 0] = piece.view(cell)[:, 0]
             blocks.append(_text(out, block))
-    return blocks
+    return blocks * (n // period)
 
 
 def _numeric_table(first: str, column, series: CoefficientSeries) -> bytes:
     """``column`` under ``first`` beside every channel of ``series``, one row per sample:
-    ASCII with LF line ends.  ``_format_block`` is row-local and column-local, so
-    ``_table_lines`` formats each repeating row block or column once."""
+    ASCII with LF line ends, by ``_table_lines`` (``_cells`` is row- and column-local)."""
     channels = series.channels()
     header = [first] + [_FILE_LABELS[name] for name in channels]
     table = np.column_stack([column, *channels.values()])
@@ -563,12 +558,16 @@ def write_loop_table(incidence, series: CoefficientSeries) -> bytes:
 
     One row per sample; plotting any coefficient column against the first
     column reproduces the hysteresis loops.  Degrees, like every external
-    surface.
+    surface: an incidence that is not finite in degrees raises ``NonFiniteData``.
     """
     incidence = np.asarray(incidence, dtype=float)
     check(incidence.shape == series.times.shape, "incidence",
           "must have the shape of the series times", incidence.shape)
-    return _numeric_table("alpha_deg", np.degrees(incidence), series)
+    with np.errstate(over="ignore"):
+        degrees = np.degrees(incidence)
+    if not np.isfinite(degrees).all():
+        raise NonFiniteData("incidence contains non-finite values in degrees")
+    return _numeric_table("alpha_deg", degrees, series)
 
 
 def write_derivative_table(dset) -> str:

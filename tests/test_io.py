@@ -25,6 +25,7 @@ from dynderiv import (
     MissingTimeColumn,
     MonitorError,
     NoCoefficientColumn,
+    NonFiniteData,
     NonFiniteValue,
     NonMonotonicTime,
     OscillationMode,
@@ -658,7 +659,7 @@ class TestBulkWriter:
     def test_cells_equal_format_value(self, values, cols):
         values = values + [0.0] * (-len(values) % cols)
         block = np.array(values, dtype=np.float64).reshape(-1, cols)
-        assert dio._format_block(block) == _per_cell_block(block).encode()
+        assert dio._text(dio._cells(block), block) == _per_cell_block(block).encode()
 
     @pytest.mark.parametrize("shift", [-1e-9, 1e-9])
     def test_cells_do_not_depend_on_how_log10_rounds(self, monkeypatch, shift):
@@ -669,7 +670,7 @@ class TestBulkWriter:
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
         block = np.array(values).reshape(-1, 2)
-        assert dio._format_block(block) == _per_cell_block(block).encode()
+        assert dio._text(dio._cells(block), block) == _per_cell_block(block).encode()
 
     def test_a_block_of_fallbacks_leaves_no_placeholder(self, monkeypatch):
         for x in _NEAR_TIES + _NEAR_INTEGERS:
@@ -687,7 +688,7 @@ class TestBulkWriter:
         block = np.array(values).reshape(-1, 2)
         calls = []
         monkeypatch.setattr(dio, "format_value", lambda v: calls.append(v) or format_value(v))
-        text = dio._format_block(block)
+        text = dio._text(dio._cells(block), block)
         assert len(calls) == len(values)
         assert b"%" not in text
         assert text == _per_cell_block(block).encode()
@@ -815,8 +816,8 @@ def periodic_columns(draw):
 
 
 class TestRepeatingColumns:
-    """A table that does not repeat as a whole formats its repeating columns only in the
-    block that holds their first period."""
+    """Within a table's period, a column that repeats sooner is formatted only in the blocks
+    that hold its first period."""
 
     @pytest.fixture
     def formatted(self, monkeypatch):
@@ -843,6 +844,9 @@ class TestRepeatingColumns:
     @example((12, [(3, [1.0, 2.0]), (4, [0.5, -0.0, _NEAR_TIES[1]])]), 3)     # lcm 12: all repeat
     @example((4 * 700, [(700, [0.25, 3.0]), (350, [1.0, 2.0])]), 4)          # repeats as a whole
     @example((1, [(1, [0.1]), (1, [2.0])]), 5)
+    # repeats as a whole, with a period above a block and one shorter column
+    @example((3 * (dio._BLOCK_ROWS + 6), [(dio._BLOCK_ROWS + 6, [0.25, _NEAR_TIES[3], -0.0]),
+                                          (1, [0.0]), (dio._BLOCK_ROWS + 6, [1.0, 2.0])]), 6)
     @settings(max_examples=40, deadline=None)
     def test_the_table_equals_the_per_cell_writer(self, case, seed):
         rows, columns = case
@@ -864,6 +868,15 @@ class TestRepeatingColumns:
         assert table == _per_cell_table("alpha_deg", alpha, series).encode()
         columns = np.column_stack([alpha, series.CL, series.CD, series.Cm])
         self._assert_formatted(formatted, columns, [1] if pitch_axis == -0.5 else [1, 3])
+
+    def test_a_whole_repeating_table_splices_inside_its_period(self, formatted):
+        # a flat plate's CD is zero, period 1; the other columns repeat each cycle, which is
+        # longer than a block: past the first block only those three are formatted
+        alpha, series = _loop_case(FlatPlatePlant(), spc=dio._BLOCK_ROWS + 6, cycles=3)
+        assert not series.CD.any()
+        table = dio._numeric_table("alpha_deg", alpha, series)
+        assert table == _per_cell_table("alpha_deg", alpha, series).encode()
+        assert [block.shape for block in formatted] == [(dio._BLOCK_ROWS, 4), (6, 3)]
 
     def test_a_series_formats_its_times_in_every_row(self, formatted):
         _, series = _loop_case(_LINEAR, spc=720, cycles=3)
@@ -1073,6 +1086,14 @@ class TestWriteLoopTable:
             text = table.decode("ascii")
             assert "\r" not in text
             assert text.endswith("\n") and text.count("\n") == 1 + len(series)
+
+    @pytest.mark.parametrize("radians", [np.nan, np.inf, -np.inf, 1e308],
+                             ids=["nan", "inf", "-inf", "inf-in-degrees"])
+    def test_non_finite_incidence_rejected(self, radians):
+        # loop_metrics refuses the same pair; 1e308 rad is finite but overflows in degrees
+        series = CoefficientSeries(times=[0.0, 1.0], CL=[0.5, 0.6])
+        with pytest.raises(NonFiniteData, match="incidence"):
+            write_loop_table(np.array([0.1, radians]), series)
 
     def test_length_mismatch_rejected(self, linear_plant, condition, agard_alpha_spec):
         from dynderiv import make_schedule, simulate, write_loop_table
