@@ -10,7 +10,8 @@ digits for a whole block with numpy arithmetic (``_cells``), falls back to
 ``format_value`` for the values it cannot settle exactly, and is tested
 against it cell by cell.  A table's period is formatted once and its lines
 repeated; within the period, a column that repeats sooner is formatted only
-in the blocks that hold its first period (``_table_lines``).
+in the blocks that hold its first period and copied after them, in one
+cell matrix of the period (``_table_lines``).
 A sweep formats a loop table once for consecutive flying runs that
 ``_same_run`` finds equal bit for bit, and writes its bytes for each.
 A parse/write round trip is bit-exact and the files are diffable.
@@ -194,13 +195,9 @@ def parse_monitor_table(
         if any(len(row) != width for row in rows):
             raise _first_fault(text, headers, fields, rows)
         cells = list(zip(*rows))
-    with contextlib.suppress(ValueError):               # float() refuses a cell
-        arrays = {name: np.fromiter(map(float, cells[idx]), np.float64, len(data))
-                  for name, idx in fields}
-        times = arrays["times"]
-        if all(np.isfinite(values).all() for values in arrays.values()) \
-                and (times[1:] > times[:-1]).all():
-            return CoefficientSeries(**arrays)
+    with contextlib.suppress(ValueError):   # float() or CoefficientSeries refuses the body
+        return CoefficientSeries(**{name: np.fromiter(map(float, cells[idx]), np.float64, len(data))
+                                    for name, idx in fields})
     raise _first_fault(text, headers, fields, _split_lines(data))
 
 
@@ -236,8 +233,8 @@ def _csv(header, rows) -> str:
     return "\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n"
 
 
-# Rows per bulk format call.  The block bounds the transient digit matrices,
-# so peak memory does not grow with the table.
+# Rows per bulk format call.  The block bounds the transient digit matrices
+# of each call; the cell matrix of a spliced period grows with the period.
 _BLOCK_ROWS = 1024
 _ZERO, _POINT, _MINUS, _PERCENT, _S, _COMMA, _NEWLINE = (ord(c) for c in "0.-%s,\n")
 
@@ -409,44 +406,37 @@ def _table_lines(table: np.ndarray) -> list[bytes]:
     lines of its period (the lcm of ``_periods``), repeated to the row count.
 
     Within the period, the blocks that hold the shorter columns' first
-    periods are formatted in full.  After them a call formats the
-    period-long columns alone, as many rows as keep it to a block's cells,
-    and each block splices in a slice of each shorter column's tiled cells.
+    periods (the head) are formatted in full; past it, a call formats the
+    period-long columns alone, a block's cells at a time.  Unless the head
+    spans the period, the calls fill one cell matrix of it, every cell as
+    wide as the widest, where each shorter column's first period repeats.
     """
     n, width = table.shape
     periods = _periods(table)
     period = math.lcm(*periods)
     table = table[:period]
+    blocks = [table[i:i + _BLOCK_ROWS] for i in range(0, period, _BLOCK_ROWS)]
     shorter = [j for j in range(width) if periods[j] < period]
+    head = math.ceil(max([periods[j] for j in shorter], default=period) / _BLOCK_ROWS) * _BLOCK_ROWS
+    if head >= period:                    # every block formatted with all its columns
+        return [_text(_cells(block), block) for block in blocks] * (n // period)
     others = [j for j in range(width) if periods[j] == period]
-    head = range(0, max([periods[j] for j in shorter], default=0), _BLOCK_ROWS)
-    full = [_cells(table[i:i + _BLOCK_ROWS]) for i in head]
-    cells = np.zeros((sum(map(len, full)), width, max((c.shape[-1] for c in full), default=0)),
-                     np.uint8)
-    for i, c in zip(head, full):
-        cells[i:i + len(c), :, cells.shape[-1] - c.shape[-1]:] = c
-    tiles = {j: np.tile(cells[:periods[j], j], ((periods[j] + _BLOCK_ROWS - 2) // periods[j] + 1, 1))
-             for j in shorter}
-    blocks = [_text(c, table[i:i + _BLOCK_ROWS]) for i, c in zip(head, full)]
-    rest = table[:, others] if shorter else table        # copied only to drop columns
     step = _BLOCK_ROWS * width // max(len(others), 1)
-    for start in range(len(head) * _BLOCK_ROWS, period, step):
-        own = _cells(rest[start:start + step]) if others else None
-        for i in range(start, min(start + step, period), _BLOCK_ROWS):
-            block = table[i:min(i + _BLOCK_ROWS, start + step)]
-            if not shorter:               # nothing to splice: the call's cells are the block's
-                blocks.append(_text(own, block))
-                continue
-            pieces = [(j, tiled[i % periods[j]:][:len(block)]) for j, tiled in tiles.items()]
-            if others:
-                pieces += zip(others, own[i - start:][:len(block)].transpose(1, 0, 2))
-            w = max(piece.shape[-1] for _, piece in pieces)
-            out = np.zeros((len(block), width, w), np.uint8)
-            for j, piece in pieces:       # a cell copied as one element, not byte by byte
-                cell = f"V{piece.shape[-1]}"
-                out[:, j, w - piece.shape[-1]:].view(cell)[:, 0] = piece.view(cell)[:, 0]
-            blocks.append(_text(out, block))
-    return blocks * (n // period)
+    calls = [(slice(i, i + _BLOCK_ROWS), slice(None), _cells(block))
+             for i, block in zip(range(0, head, _BLOCK_ROWS), blocks)]
+    calls += [(slice(i, i + step), others, _cells(table[i:i + step, others]))
+              for i in range(head, period, step) if others]
+    w = max(c.shape[-1] for *_, c in calls)
+    cells = np.zeros((period, width, w), np.uint8)
+    while calls:                          # a cell copied as one element; a call freed
+        rows, columns, c = calls.pop()
+        cell = f"V{c.shape[-1]}"
+        cells[..., w - c.shape[-1]:].view(cell)[rows, columns, 0] = c.view(cell)[..., 0]
+    whole = cells.view(f"V{w}")[..., 0]
+    for j in shorter:                     # its first period repeated in place
+        whole[:, j].reshape(-1, periods[j])[1:] = whole[:periods[j], j]
+    return [_text(cells[i:i + _BLOCK_ROWS], block)
+            for i, block in zip(range(0, period, _BLOCK_ROWS), blocks)] * (n // period)
 
 
 def _numeric_table(first: str, column, series: CoefficientSeries) -> bytes:

@@ -843,6 +843,8 @@ class TestRepeatingColumns:
                         (4 * 700, [_NEAR_TIES[2], 7.0])]), 2)                 # one repeating column
     @example((12, [(3, [1.0, 2.0]), (4, [0.5, -0.0, _NEAR_TIES[1]])]), 3)     # lcm 12: all repeat
     @example((4 * 700, [(700, [0.25, 3.0]), (350, [1.0, 2.0])]), 4)          # repeats as a whole
+    # lcm 2 800 and no period-long column: rows 1 024-2 799 come from repeats alone
+    @example((4 * 700, [(400, [0.25, _NEAR_TIES[2]]), (700, [1.0, -0.0])]), 7)
     @example((1, [(1, [0.1]), (1, [2.0])]), 5)
     # repeats as a whole, with a period above a block and one shorter column
     @example((3 * (dio._BLOCK_ROWS + 6), [(dio._BLOCK_ROWS + 6, [0.25, _NEAR_TIES[3], -0.0]),
@@ -877,6 +879,13 @@ class TestRepeatingColumns:
         table = dio._numeric_table("alpha_deg", alpha, series)
         assert table == _per_cell_table("alpha_deg", alpha, series).encode()
         assert [block.shape for block in formatted] == [(dio._BLOCK_ROWS, 4), (6, 3)]
+
+    def test_a_head_that_holds_the_whole_period_is_formatted_in_full(self, formatted):
+        # a flat plate's CD is zero, period 1; the one 720-row block holds it and the period
+        alpha, series = _loop_case(FlatPlatePlant(), spc=720, cycles=3)
+        table = dio._numeric_table("alpha_deg", alpha, series)
+        assert table == _per_cell_table("alpha_deg", alpha, series).encode()
+        assert [block.shape for block in formatted] == [(720, 4)]
 
     def test_a_series_formats_its_times_in_every_row(self, formatted):
         _, series = _loop_case(_LINEAR, spc=720, cycles=3)
