@@ -31,7 +31,7 @@ crossing of the forcing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -293,7 +293,8 @@ def separate_rates(*sets: DerivativeSet) -> DerivativeSet:
     value (trim, fit, flags), the first set's wins, as do its spec,
     condition and channel order.  With the alpha and q modes,
     aoa_rate_derivative = damping sum - rate derivative.  All runs must
-    share the same reduced frequency and flight condition (1e-9 relative).
+    share the same reduced frequency, and conditions that differ in any field of
+    ``FlightCondition`` (1e-9 relative) raise ``ConditionMismatch``.
     """
     modes = [getattr(s.spec, "mode", None) for s in sets]
     if not sets or None in modes or modes != sorted(set(modes), key=list(OscillationMode).index):
@@ -301,7 +302,7 @@ def separate_rates(*sets: DerivativeSet) -> DerivativeSet:
         raise ConditionMismatch(f"need sets of distinct modes in OscillationMode order, got {got}")
     first = sets[0]
     for s in sets:
-        others = [f for m, fields in _IDENTIFIES.items() if m is not s.spec.mode for f in fields]
+        others = [f for m, names in _IDENTIFIES.items() if m is not s.spec.mode for f in names]
         if any(getattr(c, f) is not None for c in s.channels.values() for f in others):
             raise ConditionMismatch(f"the {s.spec.mode.value}-mode set holds values another mode "
                                     "identifies: it is merged already")
@@ -311,7 +312,7 @@ def separate_rates(*sets: DerivativeSet) -> DerivativeSet:
         ca, cs = first.condition, s.condition
         if (ca is None) != (cs is None):
             raise ConditionMismatch("one derivative set has a flight condition, another does not")
-        for field in ("freestream_speed", "density", "ref_chord", "sound_speed"):
+        for field in (f.name for f in fields(FlightCondition)):
             if cs is not None and not _same(getattr(ca, field), getattr(cs, field)):
                 raise ConditionMismatch(f"flight conditions differ in {field}: "
                                         f"{getattr(ca, field)} vs {getattr(cs, field)}")

@@ -22,7 +22,7 @@ Conventions fixed here and relied on by the rest of the package:
 * every internal angle is radians; degrees appear only at external
   boundaries (configs, CLI flags, report text);
 * reduced frequency k = omega * chord / (2 V);
-* nondimensional rates are rate * chord / (2 V);
+* nondimensional rates are rate * chord / (2 V) = rate * ``FlightCondition.semichord_time()``;
 * t = 0 is the ascending zero crossing of the oscillation (phase 0);
 * all rates and accelerations are analytic derivatives of the prescribed
   motion, never finite differences.
@@ -88,6 +88,13 @@ class FlightCondition:
         if self.sound_speed is None:
             return None
         return self.freestream_speed / self.sound_speed
+
+    def semichord_time(self) -> float:
+        """c / (2 V) in s, the scale of every nondimensional rate; hover has none."""
+        if self.freestream_speed == 0.0:
+            raise NonDimensionalizationUndefined(
+                "hover: a nondimensional rate needs a nonzero freestream speed")
+        return self.ref_chord / (2.0 * self.freestream_speed)
 
 
 @dataclass(frozen=True)
@@ -218,11 +225,7 @@ class MotionSchedule:
 def omega_from_k(k: float, cond: FlightCondition) -> float:
     """Angular frequency (rad/s) for reduced frequency k = omega*c/(2V)."""
     check(math.isfinite(k) and k > 0.0, "k", "must be > 0", k)
-    if cond.freestream_speed == 0.0:
-        raise NonDimensionalizationUndefined(
-            "freestream speed is zero (hover): reduced frequency does not "
-            "define an angular frequency"
-        )
+    cond.semichord_time()   # refuses hover; 2kV/c, not k / semichord_time, keeps omega's bits
     return 2.0 * k * cond.freestream_speed / cond.ref_chord
 
 

@@ -30,7 +30,6 @@ from .errors import (
     ConditionMismatch,
     DomainError,
     InsufficientSamples,
-    NonDimensionalizationUndefined,
     _choices,
     check,
     check_fields,
@@ -239,12 +238,6 @@ def _drag(plant, alpha, qhat, cl, f: float = 1.0):
     return cd
 
 
-def _check_moving(plant, cond: FlightCondition) -> None:
-    """Refuse hover: each plant's rates and reduced frequency are per unit of speed."""
-    if cond.freestream_speed == 0.0:
-        raise NonDimensionalizationUndefined(f"{plant.name} plant needs a nonzero freestream speed")
-
-
 def _wagner_lag(d_ae: np.ndarray, r: float) -> np.ndarray:
     """One Wagner lag state: x[0] = d_ae[0], x[n] = r*x[n-1] + sqrt(r)*d_ae[n].
 
@@ -322,8 +315,7 @@ class QuasiSteadyPlant:
         return cl, cd, cm
 
     def coefficient_histories(self, schedule: MotionSchedule, cond: FlightCondition):
-        _check_moving(self, cond)
-        scale = cond.ref_chord / (2.0 * cond.freestream_speed)     # rate -> rate * c / (2 V)
+        scale = cond.semichord_time()  # rate -> rate * c / (2 V)
         return self._loads(cond, schedule.relative_aoa, schedule.pitch_rate * scale,
                            schedule.aoa_rate * scale)
 
@@ -355,7 +347,7 @@ class FlatPlatePlant:
         return _MODE_LOADS[mode](k, self.pitch_axis, deficiency=_KERNELS[self.kernel])
 
     def coefficient_histories(self, schedule: MotionSchedule, cond: FlightCondition):
-        _check_moving(self, cond)
+        cond.semichord_time()   # refuses hover: without a speed, k gives no motion
         spec = schedule.spec
         loads = self.loads(spec.reduced_frequency, spec.mode)
         amp = spec.body_amplitude
@@ -403,12 +395,11 @@ class IndicialPlant:
         _check_drag(self)
 
     def coefficient_histories(self, schedule: MotionSchedule, cond: FlightCondition):
-        _check_moving(self, cond)
+        b_over_v = cond.semichord_time()   # semichord / speed, s
         dt = np.diff(schedule.time)
         if dt.size and not (dt[0] > 0.0 and np.all(np.abs(dt - dt[0]) <= 1e-9 * dt[0])):
             raise DomainError("schedule.time", "must be a uniform, increasing grid")
         a = self.pitch_axis
-        b_over_v = cond.ref_chord / (2.0 * cond.freestream_speed)   # semichord / speed, s
         ds = dt[0] / b_over_v if dt.size else 0.0
 
         alpha, q = schedule.relative_aoa, schedule.pitch_rate

@@ -377,6 +377,16 @@ class TestSeparation:
         with pytest.raises(ConditionMismatch):
             separate_rates(alpha_set, q_set)
 
+    @pytest.mark.parametrize("field", [f.name for f in fields(FlightCondition)])
+    def test_conditions_that_differ_in_any_field_are_rejected(self, field):
+        alpha_set = self._set(OscillationMode.ALPHA, damping_sum=1.0)
+        q_set = self._set(OscillationMode.Q, rate_derivative=1.0)
+        value = getattr(q_set.condition, field)
+        moved = dataclasses.replace(q_set.condition,
+                                    **{field: 340.0 if value is None else value * 1.01})
+        with pytest.raises(ConditionMismatch, match=f"flight conditions differ in {field}: "):
+            separate_rates(alpha_set, dataclasses.replace(q_set, condition=moved))
+
     def test_a_set_without_a_condition_is_rejected(self):
         alpha_set = self._set(OscillationMode.ALPHA)
         q_set = self._set(OscillationMode.Q)

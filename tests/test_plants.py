@@ -36,6 +36,7 @@ from dynderiv import (
     fit_harmonic,
     jones_function,
     make_schedule,
+    omega_from_k,
     pitch_oscillation_loads,
     q_mode_oscillation_loads,
     simulate,
@@ -457,6 +458,22 @@ class TestSimulate:
         hover = replace(condition, freestream_speed=0.0)
         with pytest.raises(NonDimensionalizationUndefined, match="needs a nonzero freestream"):
             plant.coefficient_histories(schedule, hover)
+
+    def test_a_hover_condition_gives_one_message_on_every_path(self, agard_alpha_spec,
+                                                               condition):
+        schedule = make_schedule(agard_alpha_spec, condition)
+        hover = replace(condition, freestream_speed=0.0)
+        calls = [lambda: omega_from_k(agard_alpha_spec.reduced_frequency, hover),
+                 lambda: make_schedule(agard_alpha_spec, hover)]
+        for plant in (QuasiSteadyPlant(CL_alpha=5.0), FlatPlatePlant(), IndicialPlant()):
+            calls += [lambda p=plant: simulate(p, schedule, hover),
+                      lambda p=plant: p.coefficient_histories(schedule, hover)]
+        messages = set()
+        for call in calls:
+            with pytest.raises(NonDimensionalizationUndefined) as raised:
+                call()
+            messages.add(str(raised.value))
+        assert len(messages) == 1, messages
 
     def test_q_mode_quasi_steady_is_pure_cosine(self, linear_plant, agard_q_spec, condition):
         schedule = make_schedule(agard_q_spec, condition)
