@@ -829,8 +829,8 @@ def _adot_with_cq_off_by_1e_6(monkeypatch):
 VALIDATE_FAULTS = {
     "series-hankel-ratio": ("lift-deficiency limits",
                             _scaled(plants, "_hankel_ratio_series", 1.0 + 1e-12)),
-    "asymptotic-hankel-ratio": ("lift-deficiency limits",
-                                _scaled(plants, "_hankel_ratio_asymptotic", 1.05)),
+    "fraction-hankel-ratio": ("lift-deficiency limits",
+                              _scaled(plants, "_hankel_ratio_fraction", 1.05)),
     "jones-a1": ("jones cross-check",
                  lambda monkeypatch: monkeypatch.setattr(plants, "WAGNER_A1", 0.2)),
     "wagner-lag-decay": ("indicial consistency", _slower_wagner_lag),
@@ -1314,7 +1314,7 @@ class TestRunMeta:
 def flat_plate_docs(draw):
     """An accepted flat-plate config: either kernel, any pitch axis within two semichords.
 
-    k reaches past 3 and 18, where theodorsen_function changes its method.
+    k reaches past 3, where theodorsen_function changes its method.
     """
     plant = {"kind": "flat-plate", "pitch_axis": draw(st.floats(-2.0, 2.0)),
              "kernel": draw(st.sampled_from(["theodorsen", "jones"]))}
