@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import _MODE_VALUES, _plan_doc, parse_case_config
+from .config import _MODE_VALUES, _scenario_docs, parse_case_config
 from .errors import DomainError, DynDerivError, MonitorError
 from .identify import extract, fit_series
 from .io import (
@@ -248,7 +248,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "angles": "degrees at this boundary, radians internally",
         },
         "scenarios": [{**entry, "status": r.status.value} for entry, r in
-                      zip(_plan_doc(plan)["scenarios"], report.results)],
+                      zip(_scenario_docs(plan), report.results)],
     }
     _write(out_dir / "run_meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
     sys.stdout.write(human)

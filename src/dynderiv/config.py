@@ -321,6 +321,11 @@ def _render(table: dict[str, _Key], fields: dict[str, Any]) -> dict[str, Any]:
     return {key: _KINDS[spec.kind].render(fields[spec.field]) for key, spec in table.items()}
 
 
+def _scenario_docs(plan: SweepPlan) -> list[dict[str, Any]]:
+    """The canonical config entries of a plan's scenarios, its document's ``scenarios``."""
+    return [_render(_SCENARIO, asdict(s)) for s in plan.scenarios]
+
+
 def _plan_doc(plan: SweepPlan) -> dict[str, Any]:
     """The canonical config document of a plan, which a JSON round trip leaves unchanged."""
     oscillation = {**asdict(plan.oscillation), "modes": plan.modes, "skip_cycles": plan.skip_cycles}
@@ -329,7 +334,7 @@ def _plan_doc(plan: SweepPlan) -> dict[str, Any]:
         "condition": _render(_CONDITION, asdict(plan.condition)),
         "oscillation": _render(_OSCILLATION, oscillation),
         "plant": {"kind": plan.plant.name, **_render(table, asdict(plan.plant))},
-        "scenarios": [_render(_SCENARIO, asdict(s)) for s in plan.scenarios],
+        "scenarios": _scenario_docs(plan),
         "speed_basis": plan.speed_basis,
     }
 

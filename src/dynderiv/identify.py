@@ -5,14 +5,16 @@ the basis {1, sin(omega*t), cos(omega*t)} by orthogonal least squares
 (never the normal equations, so non-uniform external data does not lose
 precision silently).  All channels of a series share one fit window and
 one SVD factorization of the design matrix; each channel is then one
-product with its pseudo-inverse.  A sweep shares one basis, built on the
-phase grid omega*t, across both modes, every scenario and the loop metrics,
-so its derivatives may differ from per-series fits at rounding level.  A
-fit needs more than two samples per period in its window: at two or fewer
-the basis cannot resolve the forcing frequency.  The in-phase (sin)
-component scales with the displacement amplitude and yields static slopes;
-the out-of-phase (cos) component scales with the rate amplitude k*A and
-yields rate derivatives:
+product with its pseudo-inverse.  A sweep shares one basis across both
+modes, every scenario and the loop metrics.  Its design spans one cycle of
+the phase grid omega*t, whose every cycle is the same bit for bit, and a
+channel's fit is the mean of its cycles' fits, which is the window fit of
+a design that repeats each cycle; so its derivatives may differ from
+per-series fits at rounding level.  A fit needs more than two samples
+per period in its window: at two or fewer the basis cannot resolve the
+forcing frequency.  The in-phase (sin) component scales with the
+displacement amplitude and yields static slopes; the out-of-phase (cos)
+component scales with the rate amplitude k*A and yields rate derivatives:
 
 * incidence mode:  in-phase / A      -> C_alpha
                    out-of-phase/(kA) -> damping sum C_q + C_alphadot
@@ -31,13 +33,13 @@ crossing of the forcing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ConditionMismatch, InsufficientSamples, NonFiniteData, _choices, check
-from .kinematics import FlightCondition, OscillationMode, OscillationSpec
+from .kinematics import FlightCondition, OscillationMode, OscillationSpec, sample_grid
 from .series import CHANNELS, CoefficientSeries
 
 _REL_TOL = 1e-9   # relative tolerance for condition matching in separate_rates
@@ -127,13 +129,17 @@ def _window(times: np.ndarray, omega: float, skip_cycles: int) -> tuple[slice, i
 
 
 class _Basis(NamedTuple):
-    """The fit window of one time base and the factorization its channels share."""
+    """The fit window of one time base and the factorization its channels share.
+
+    ``design`` spans the window, or one span of it that every span of the
+    window repeats bit for bit: a sweep's one cycle of the phase grid.
+    """
 
     window: slice
     n_periods: int
     last_cycle: int                  # start index of the window's last whole period
-    design: np.ndarray               # window samples x {1, sin(omega*t), cos(omega*t)}
-    pinv: np.ndarray                 # 3 x samples pseudo-inverse of design
+    design: np.ndarray               # span samples x {1, sin(omega*t), cos(omega*t)}
+    pinv: np.ndarray                 # 3 x span samples pseudo-inverse of design
     condition_indicator: float
 
 
@@ -155,6 +161,18 @@ def _harmonic_basis(times: np.ndarray, omega: float, skip_cycles: int) -> _Basis
     return _Basis(sel, n_periods, last, design, pinv, cond)
 
 
+def _sweep_basis(spec: OscillationSpec, skip_cycles: int) -> _Basis:
+    """The basis of a sweep on ``spec``'s phase grid: its first cycle, over the whole window.
+
+    Every cycle of the grid has the same phase bit for bit, so the design of
+    one cycle serves each cycle of the window after ``skip_cycles``.
+    """
+    n = spec.samples_per_cycle
+    one = _harmonic_basis(sample_grid(replace(spec, cycles=1), 1.0), 1.0, 0)
+    return one._replace(window=slice(skip_cycles * n, spec.cycles * n),
+                        n_periods=spec.cycles - skip_cycles, last_cycle=(spec.cycles - 1) * n)
+
+
 def fit_harmonic(times, values, omega: float, skip_cycles: int = 0, *,
                  _basis: _Basis | None = None) -> HarmonicFit:
     """Least-squares fit of one channel onto {1, sin(omega*t), cos(omega*t)}.
@@ -164,7 +182,11 @@ def fit_harmonic(times, values, omega: float, skip_cycles: int = 0, *,
     window is trimmed to a whole number of periods.  On a uniform periodic
     grid the fit is exact linear algebra: a signal already in the basis
     span is recovered to machine precision.
-    ``_basis`` is the basis ``fit_series`` shares among the channels.
+    ``_basis`` is the basis ``fit_series`` shares among the channels.  The
+    window is fitted as rows as long as its design: the fit is the mean of
+    the rows' coefficients, ``pinv`` times each row, and the residual is
+    taken over every row.  A design that spans the window is one row,
+    fitted as ``pinv @ y``.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -178,8 +200,8 @@ def fit_harmonic(times, values, omega: float, skip_cycles: int = 0, *,
                             "(|value| must be <= 1e150)")
     basis = _basis if _basis is not None else _harmonic_basis(times, omega, skip_cycles)
 
-    y = values[basis.window]
-    beta = basis.pinv @ y
+    y = values[basis.window].reshape(-1, len(basis.design))
+    beta = (basis.pinv @ y.T).sum(axis=1) / len(y)
     resid = y - basis.design @ beta
     return HarmonicFit(
         mean=float(beta[0]),
@@ -187,7 +209,7 @@ def fit_harmonic(times, values, omega: float, skip_cycles: int = 0, *,
         out_phase=float(beta[2]),
         residual_rms=math.sqrt((resid * resid).mean()),
         condition_indicator=basis.condition_indicator,
-        n_samples=len(y),
+        n_samples=y.size,
         n_periods=basis.n_periods,
     )
 

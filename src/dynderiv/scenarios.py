@@ -9,10 +9,11 @@ everything nondimensionalized by speed, so it reports static trim values
 only rather than fabricated dynamics.
 Every scenario of a sweep samples the same phase grid omega*t = 2*pi*n/N,
 and ``make_schedule`` takes the phase's sine and cosine as those of
-2*pi*m/N with m = n mod N, one cycle repeated.  So one harmonic basis on
-that grid serves both modes, every scenario and the loop metrics;
-derivatives may differ at rounding level from fits on each scenario's own
-time stamps.
+2*pi*m/N with m = n mod N, one cycle repeated.  So one harmonic basis,
+whose design spans the grid's first cycle, serves both modes, every
+scenario and the loop metrics: a channel's fit is the mean of the fits of
+its window's cycles.  Derivatives may differ at rounding level from fits
+on each scenario's own time stamps.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .identify import (
     DerivativeSet,
     _Basis,
     _harmonic_basis,
+    _sweep_basis,
     _whole_skip,
     extract,
     fit_series,
@@ -42,7 +44,6 @@ from .kinematics import (
     OscillationMode,
     OscillationSpec,
     make_schedule,
-    sample_grid,
 )
 from .plants import IndicialPlant, Plant, simulate
 from .series import CHANNELS, CoefficientSeries
@@ -277,7 +278,7 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     sweep's basis cannot fail: the spec keeps at least 8 samples per cycle
     and the plan a skip that leaves at least one cycle.
     """
-    basis = _harmonic_basis(sample_grid(plan.oscillation, 1.0), 1.0, plan.effective_skip())
+    basis = _sweep_basis(plan.oscillation, plan.effective_skip())
     results = []
     for scenario in plan.scenarios:
         try:

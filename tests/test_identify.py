@@ -224,6 +224,22 @@ class TestFitSeries:
             for field in ("mean", "in_phase", "out_phase", "residual_rms", "condition_indicator"):
                 assert getattr(fit, field) == pytest.approx(getattr(want, field), rel=1e-12), field
 
+    @pytest.mark.parametrize("skip", [0, 2])
+    def test_time_stamp_fit_is_one_product_with_the_pseudo_inverse(self, skip):
+        # a basis on an export's own stamps spans its whole window: one row, fitted as pinv @ y
+        series = _three_channel_series("nonuniform")
+        basis = identify._harmonic_basis(series.times, OMEGA, skip)
+        assert len(basis.design) == basis.window.stop - basis.window.start
+        for name, values in series.channels().items():
+            y = values[basis.window]
+            beta = basis.pinv @ y
+            resid = y - basis.design @ beta
+            want = (float(beta[0]), float(beta[1]), float(beta[2]),
+                    math.sqrt((resid * resid).mean()), len(y))
+            fit = fit_harmonic(series.times, values, OMEGA, skip)
+            got = (fit.mean, fit.in_phase, fit.out_phase, fit.residual_rms, fit.n_samples)
+            assert got == want, name
+
     def test_numerically_rank_deficient_basis_matches_lstsq(self):
         # three samples one ulp apart at each half period: only two phases per
         # period, so the sin column is zero to rounding and the rank is 2
@@ -395,7 +411,8 @@ class TestSeparation:
             with pytest.raises(ConditionMismatch, match="one derivative set has a flight "
                                                         "condition, another does not"):
                 separate_rates(*sets)
-        assert separate_rates(dataclasses.replace(alpha_set, condition=None), bare).condition is None
+        unconditioned = dataclasses.replace(alpha_set, condition=None)
+        assert separate_rates(unconditioned, bare).condition is None
 
     @pytest.mark.parametrize("modes", [(OscillationMode.Q, OscillationMode.ALPHA),
                                        (OscillationMode.ALPHA, OscillationMode.ALPHA),
@@ -434,7 +451,8 @@ class TestSeparation:
     def test_merge_keeps_the_alpha_set_channel_order(self):
         # not the order of a set of names, which changes with the hash seed
         spec = OscillationSpec(OscillationMode.ALPHA, 0.0, 0.0801, 0.0811)
-        q_set = extract({name: _fits()["CL"] for name in CHANNELS}, spec.with_mode(OscillationMode.Q))
+        q_set = extract({name: _fits()["CL"] for name in CHANNELS},
+                        spec.with_mode(OscillationMode.Q))
         for order in (CHANNELS, CHANNELS[::-1], ("Cm", "CL")):
             alpha_set = extract({name: _fits()["CL"] for name in order}, spec)
             assert list(separate_rates(alpha_set, q_set).channels) == list(order)

@@ -174,7 +174,8 @@ def monitor_tables(draw):
     time_name = draw(st.sampled_from(["t", "time", "flow-time", "Time"]))
     columns = [time_name] + draw(st.sampled_from(
         [["CL"], ["cl", "cd", "cm"], ["lift-coeff", "pitch-mom-coeff"], ["C_L", "Drag-Coeff"]]))
-    columns = draw(st.permutations(columns + draw(st.sampled_from([[], ["iter"], ["iter", "label"]]))))
+    extras = draw(st.sampled_from([[], ["iter"], ["iter", "label"]]))
+    columns = draw(st.permutations(columns + extras))
     steps = draw(st.lists(st.floats(1e-9, 10.0), min_size=n_rows, max_size=n_rows))
     times = (np.cumsum(steps) - steps[0]).tolist()
     fmt = draw(st.sampled_from(_CELL_FORMATS[:2]))           # keeps every time distinct
@@ -718,10 +719,12 @@ class TestBulkWriter:
             "0.0000000000000000,0.5000000000000000,0.000099999999999999991\n"
             "0.10000000000000001,1.0000000000000000,15000000000000000.\n"
             f"0.20000000000000001,-0.0000000000000000,{subnormal}\n"
-            "0.30000000000000004,0.6620049701489380,0.00000000000000000000000000000010000000000000001\n"
+            "0.30000000000000004,0.6620049701489380,"
+            "0.00000000000000000000000000000010000000000000001\n"
             "0.40000000000000002,-0.0000000001321048632913019,0.000000000000000082535856886408790\n"
             "0.5000000000000000,0.000000000000000082535856886408790,-0.0000000001321048632913019\n"
-            "0.60000000000000009,0.00000000000000000000000000000010000000000000001,0.6620049701489380\n"
+            "0.60000000000000009,0.00000000000000000000000000000010000000000000001,"
+            "0.6620049701489380\n"
             f"0.70000000000000007,{subnormal},-0.0000000000000000\n"
             "0.80000000000000004,15000000000000000.,1.0000000000000000\n"
             "0.90000000000000002,0.000099999999999999991,0.5000000000000000\n"
@@ -837,8 +840,10 @@ class TestRepeatingColumns:
         assert np.vstack(blocks[1:]).tobytes() == columns[dio._BLOCK_ROWS:, others].tobytes()
 
     @given(periodic_columns(), st.integers(0, 2**32 - 1))
-    @example((2 * (dio._BLOCK_ROWS + 6), [(1, [0.5]), (dio._BLOCK_ROWS + 6, [_NEAR_TIES[0], -0.0, 1.0]),
-                                          (2 * (dio._BLOCK_ROWS + 6), [1.0, 2.0]), (515, [-0.0, 0.0])]), 1)
+    @example((2 * (dio._BLOCK_ROWS + 6), [(1, [0.5]),
+                                          (dio._BLOCK_ROWS + 6, [_NEAR_TIES[0], -0.0, 1.0]),
+                                          (2 * (dio._BLOCK_ROWS + 6), [1.0, 2.0]),
+                                          (515, [-0.0, 0.0])]), 1)
     @example((4 * 700, [(4 * 700, [0.25, 3.0]), (700, [1.0, -0.0]), (4 * 700, [1.0, 2.0]),
                         (4 * 700, [_NEAR_TIES[2], 7.0])]), 2)                 # one repeating column
     @example((12, [(3, [1.0, 2.0]), (4, [0.5, -0.0, _NEAR_TIES[1]])]), 3)     # lcm 12: all repeat

@@ -70,13 +70,15 @@ class TestSampleGrid:
         np.testing.assert_allclose(grid, np.arange(8) / 8.0, rtol=1e-15)
 
     def test_two_cycles_720(self):
-        spec = OscillationSpec(OscillationMode.ALPHA, 0.0, 0.1, 0.1, cycles=2, samples_per_cycle=720)
+        spec = OscillationSpec(OscillationMode.ALPHA, 0.0, 0.1, 0.1,
+                               cycles=2, samples_per_cycle=720)
         grid = sample_grid(spec, 2.0 * math.pi)
         assert len(grid) == 1440
         assert grid[-1] == pytest.approx(1439.0 / 720.0, rel=1e-14)
 
     def test_step_at_reference_frequency(self):
-        spec = OscillationSpec(OscillationMode.ALPHA, 0.0, 0.1, 0.1, cycles=1, samples_per_cycle=720)
+        spec = OscillationSpec(OscillationMode.ALPHA, 0.0, 0.1, 0.1,
+                               cycles=1, samples_per_cycle=720)
         grid = sample_grid(spec, 70.55)
         assert grid[1] - grid[0] == pytest.approx(1.2368e-4, rel=1e-3)
 
@@ -100,7 +102,8 @@ class TestOscillationSpec:
                                             (3.0, 720), (True, 720), (3, 720.0)])
     def test_bad_sampling(self, cycles, spp):
         with pytest.raises(ValueError):
-            OscillationSpec(OscillationMode.ALPHA, 0.0, 0.1, 0.1, cycles=cycles, samples_per_cycle=spp)
+            OscillationSpec(OscillationMode.ALPHA, 0.0, 0.1, 0.1,
+                            cycles=cycles, samples_per_cycle=spp)
 
     @pytest.mark.parametrize("amp, k, field", [
         (1e-320, 1.0, "body_amplitude"),

@@ -35,7 +35,6 @@ from dynderiv import (
     pitch_oscillation_loads,
     q_mode_oscillation_loads,
     run_sweep,
-    sample_grid,
     simulate,
     validate_fit,
     write_report,
@@ -131,7 +130,8 @@ class TestIdentifyModes:
             ch = merged.channels[channel]
             assert _within(ch.static_slope, h_alpha.real), (channel, "C_alpha")
             assert _within(ch.rate_derivative, h_q.imag / k), (channel, "C_q")
-            assert _within(ch.aoa_rate_derivative, (h_alpha.imag - h_q.imag) / k), (channel, "C_alphadot")
+            assert _within(ch.aoa_rate_derivative, (h_alpha.imag - h_q.imag) / k), \
+                (channel, "C_alphadot")
 
     def test_smallest_normal_amplitude_round_trips(self, condition):
         spec = OscillationSpec(OscillationMode.ALPHA, 0.0, sys.float_info.min, 1.0)
@@ -439,10 +439,16 @@ class TestSweepBasis:
     @pytest.mark.parametrize("n_forward", [1, 2, 6])
     def test_one_basis_per_sweep_and_no_window_in_loop_metrics(
             self, monkeypatch, linear_plant, condition, agard_alpha_spec, n_forward):
-        calls = {"_harmonic_basis": 0, "_window": 0, "_window in loop_metrics": 0}
+        calls = {"_sweep_basis": 0, "_harmonic_basis": 0, "_window": 0,
+                 "_window in loop_metrics": 0}
         in_loops = []
-        real_basis, real_window, real_loops = (
-            scenarios._harmonic_basis, identify._window, scenarios.loop_metrics)
+        real_sweep_basis, real_basis, real_window, real_loops = (
+            scenarios._sweep_basis, scenarios._harmonic_basis, identify._window,
+            scenarios.loop_metrics)
+
+        def counted_sweep_basis(*args):
+            calls["_sweep_basis"] += 1
+            return real_sweep_basis(*args)
 
         def counted_basis(*args):
             calls["_harmonic_basis"] += 1
@@ -460,6 +466,7 @@ class TestSweepBasis:
             finally:
                 in_loops.pop()
 
+        monkeypatch.setattr(scenarios, "_sweep_basis", counted_sweep_basis)
         monkeypatch.setattr(scenarios, "_harmonic_basis", counted_basis)
         monkeypatch.setattr(identify, "_window", counted_window)
         monkeypatch.setattr(scenarios, "loop_metrics", marked_loops)
@@ -467,10 +474,12 @@ class TestSweepBasis:
         report = run_sweep(plan)
         assert [r.status for r in report.results] == \
             [SweepStatus.STATIC_ONLY] + [SweepStatus.OK] * n_forward
-        assert calls == {"_harmonic_basis": 1, "_window": 1, "_window in loop_metrics": 0}
+        # one sweep basis, whose one window is its first cycle's; identify_modes builds none
+        assert calls == {"_sweep_basis": 1, "_harmonic_basis": 0, "_window": 1,
+                         "_window in loop_metrics": 0}
 
         identify_modes(linear_plant, agard_alpha_spec, condition)   # on its own: one for both modes
-        assert calls["_harmonic_basis"] == 2 and calls["_window"] == 2
+        assert calls["_harmonic_basis"] == 1 and calls["_window"] == 2
 
     @pytest.mark.parametrize("modes", [(OscillationMode.ALPHA, OscillationMode.Q),
                                        (OscillationMode.Q, OscillationMode.ALPHA),
@@ -524,6 +533,15 @@ class TestSweepBasis:
                 for field, value in want.items():
                     assert abs(getattr(ch, field) - value) <= 1e-13 * scale, (kind, name, field)
 
+    def test_indicial_drag_has_no_incidence_rate_derivative(self, condition):
+        # the indicial plant's drag is quasi-steady in alpha and q, so CD's C_alphadot is 0; a
+        # window-long design leaves 1.8e-14 here (22 cycles, k = 0.05), the one-cycle basis < 1e-15
+        plant = IndicialPlant(CD0=0.02, CD_alpha=0.3, CD_q=0.1)
+        spec = dataclasses.replace(agard_ct2_preset(cycles=22), reduced_frequency=0.05)
+        for result in run_sweep(SweepPlan(_forward_flight(2), spec, condition, plant)).results[1:]:
+            cd = result.derivatives.channels["CD"]
+            assert abs(cd.aoa_rate_derivative) <= 1e-14 * cd.static_slope, result.scenario.name
+
     @pytest.mark.parametrize("kind", _KINDS)
     def test_loop_areas_equal_loop_metrics_without_a_basis(
             self, linear_plant, condition, agard_alpha_spec, kind):
@@ -545,7 +563,8 @@ class TestSweepBasis:
         # run_sweep builds this basis with no fallback: no accepted plan may fail it
         cycles, n, skip = sampling
         spec = agard_ct2_preset(cycles=cycles, samples_per_cycle=n)
-        basis = identify._harmonic_basis(sample_grid(spec, 1.0), 1.0, skip)
+        basis = identify._sweep_basis(spec, skip)
+        assert len(basis.design) == n
         assert basis.window == slice(skip * n, cycles * n)
         assert basis.n_periods == cycles - skip
         assert basis.last_cycle == (cycles - 1) * n
